@@ -137,6 +137,7 @@ def cmd_variance_scan(args) -> int:
 
 def cmd_variance_layers(args) -> int:
     _check_common(args)
+    _require(len(set(args.L_list)) >= 2, "--L-list needs two distinct values for the slope fit")
     obs = _observable_for(args.obs, args.n)
     config = {
         "m": args.m,
@@ -184,6 +185,10 @@ def _emit_scan(command, config, records, args, summary=None) -> None:
             command, config, [reporting.scan_dict(r) for r in records], summary
         )
     reporting.write_output(text, args.out)
+
+
+def _ratio_text(ratio: float | None) -> str:
+    return "n/a" if ratio is None else f"{ratio:.4f}"
 
 
 def cmd_group_scan(args) -> int:
@@ -235,9 +240,9 @@ def cmd_group_scan(args) -> int:
     summary = reporting.group_summary(results)
     for ratio in summary["ratios"]:
         line = f"group-scan: spectrum {ratio['pair'][1]} / spectrum " \
-            f"{ratio['pair'][0]} theta-variance ratio {ratio['theta']:.4f}"
+            f"{ratio['pair'][0]} theta-variance ratio {_ratio_text(ratio['theta'])}"
         if "alpha" in ratio:
-            line += f", alpha ratio {ratio['alpha']:.4f}"
+            line += f", alpha ratio {_ratio_text(ratio['alpha'])}"
         _progress(line)
     if args.format == "csv":
         rows = [row for res in results for row in reporting.group_rows(res)]
@@ -250,7 +255,6 @@ def cmd_group_scan(args) -> int:
 
 
 def cmd_mnist(args) -> int:
-    _require(args.threads >= 1, "--threads must be >= 1")
     _require(args.epochs >= 1, "--epochs must be >= 1")
     _require(args.runs >= 1, "--runs must be >= 1")
     _require(args.batch >= 1, "--batch must be >= 1")
@@ -370,6 +374,10 @@ def _add_output_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=42, help="root random seed")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_sampling_flags(parser) -> None:
+    parser.add_argument("--samples", type=int, default=500)
     parser.add_argument(
         "--threads",
         type=int,
@@ -396,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-list", type=_int_list, default=(3, 4, 6, 8), help="working-register sizes"
     )
     scan.add_argument("--depth", type=int, default=3, help="entangling layers per block")
-    scan.add_argument("--samples", type=int, default=500)
     scan.add_argument("--obs", default="Z0", help="observable, Z<qubit>")
     scan.add_argument(
         "--param-id", type=int, default=None,
         help="flat probe-parameter index (default: branch 0's first rotation)",
     )
+    _add_sampling_flags(scan)
     _add_output_flags(scan)
     scan.set_defaults(handler=cmd_variance_scan)
 
@@ -413,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     layers.add_argument("--k", type=int, default=5)
     layers.add_argument("--depth", type=int, default=3)
     layers.add_argument("--L-list", type=_int_list, default=(1, 2, 4, 8))
-    layers.add_argument("--samples", type=int, default=500)
     layers.add_argument("--obs", default="Z0")
     layers.add_argument("--param-id", type=int, default=None)
+    _add_sampling_flags(layers)
     _add_output_flags(layers)
     layers.set_defaults(handler=cmd_variance_layers)
 
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument("--mode", choices=("haar", "ansatz"), default="haar")
     group.add_argument("--depth", type=int, default=8, help="ansatz-mode circuit depth")
-    group.add_argument("--samples", type=int, default=500)
+    _add_sampling_flags(group)
     _add_output_flags(group)
     group.set_defaults(handler=cmd_group_scan)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ArchitectureError, CapacityError, LcqnnError
 from .gradients import (
+    TWO_PI,
     GradStats,
     alpha_probe_param,
     default_probe_param,
@@ -29,9 +30,8 @@ from .model import (
     entangling_gates,
     make_model,
 )
-from .sim import PauliZSum, RngStream, _apply_matrix, gate_matrix, haar_unitary
-
-TWO_PI = 2.0 * math.pi
+from .sim import PauliZSum, RngStream, apply_gates, haar_unitary, init_zero
+from .sim import gate_matrix  # noqa: F401  (perfbench/spans.py counts calls through this name)
 
 
 def z0_observable(num_qubits: int) -> PauliZSum:
@@ -333,12 +333,10 @@ def _ansatz_block_value(dim, depth, gen, probe_theta):
     diag = np.zeros(1 << q)
     diag[:dim] = balanced_z_diag(dim)
 
+    psi_in = init_zero(q).amps.reshape((2,) * q)
+
     def value(ps):
-        psi = np.zeros(1 << q, dtype=np.complex128)
-        psi[0] = 1.0
-        psi = psi.reshape((2,) * q)
-        for g in gates:
-            psi = _apply_matrix(psi, gate_matrix(g, ps), g.qubits)
+        psi = apply_gates(psi_in, gates, ps)
         return float(diag @ (np.abs(psi.reshape(-1)) ** 2))
 
     if probe_theta is None:

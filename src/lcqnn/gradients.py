@@ -22,15 +22,15 @@ from .model import (
     coeff_probability_gradients,
     cost,
     theta_layout_size,
+    working_amps,
 )
 from .sim import (
     Observable,
     RngStream,
     StateVector,
-    _apply_matrix,
-    gate_matrix,
-    init_zero,
-    u3_matrix_derivs,
+    adjoint_gradient,
+    apply_gates,
+    gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
 )
 
 TWO_PI = 2.0 * math.pi
@@ -158,57 +158,12 @@ def finite_diff_grad(
 # gates on the working register alone.
 
 
-def _gate_derivs(op, params):
-    if op.kind == "u3":
-        th, ph, lm = (float(params[s]) for s in op.param_slots)
-        return list(zip(op.param_slots, u3_matrix_derivs(th, ph, lm)))
-    if op.kind == "ry":
-        (slot,) = op.param_slots
-        half = float(params[slot]) / 2.0
-        d = 0.5 * np.array(
-            [[-math.sin(half), -math.cos(half)], [math.cos(half), -math.sin(half)]],
-            dtype=np.complex128,
-        )
-        return [(slot, d)]
-    return []
-
-
-def _adjoint_branch_grad(
-    n: int, gates, params: np.ndarray, input_amps: np.ndarray, obs: Observable
-) -> tuple[float, np.ndarray]:
-    """Expectation and d<O>/d(params) for one gate list on an n-qubit state."""
-    psi = input_amps.reshape((2,) * n)
-    snaps = [psi]
-    for g in gates:
-        psi = _apply_matrix(psi, gate_matrix(g, params), g.qubits)
-        snaps.append(psi)
-    b = obs.apply(psi.reshape(-1)).reshape((2,) * n)
-    value = float(np.vdot(psi, b).real)
-    grad = np.zeros(params.size)
-    for i in reversed(range(len(gates))):
-        g = gates[i]
-        for slot, dmat in _gate_derivs(g, params):
-            dpsi = _apply_matrix(snaps[i], dmat, g.qubits)
-            grad[slot] += 2.0 * float(np.vdot(b, dpsi).real)
-        b = _apply_matrix(b, gate_matrix(g, params).conj().T, g.qubits)
-    return value, grad
-
-
 def grad_full(
     model: LcqnnModel, flat, obs: Observable, input_state: StateVector | None = None
 ) -> np.ndarray:
     """Gradient with respect to every parameter, in flat layout order."""
     alpha, theta = split_params(model, flat)
-    if obs.num_qubits != model.num_working:
-        raise LcqnnError(
-            f"observable on {obs.num_qubits} qubit(s) must address exactly the "
-            f"{model.num_working}-qubit working register"
-        )
-    base = input_state if input_state is not None else init_zero(model.num_working)
-    if base.num_qubits != model.num_working:
-        raise LcqnnError(
-            f"input state has {base.num_qubits} qubit(s), expected {model.num_working}"
-        )
+    psi_in = working_amps(model, input_state, obs).reshape((2,) * model.num_working)
     layer = model.coefficient_layer(tuple(alpha))
     probs = coeff_probabilities(layer)
     gates = branch_gates(model)
@@ -217,9 +172,7 @@ def grad_full(
     out = np.empty(num_params(model))
     for j in range(model.branch_count):
         local = theta[j * stride : (j + 1) * stride]
-        value, grad_local = _adjoint_branch_grad(
-            model.num_working, gates, local, base.amps, obs
-        )
+        value, grad_local = adjoint_gradient(psi_in, gates, local, obs)
         values[j] = value
         lo = model.num_alpha + j * stride
         out[lo : lo + stride] = probs[j] * grad_local
@@ -244,18 +197,15 @@ def _probe_gradient(
     layer = model.coefficient_layer(tuple(alpha))
     gates = branch_gates(model)
     stride = model.branch_param_count
-    n = model.num_working
+    psi_in = input_amps.reshape((2,) * model.num_working)
 
-    def branch_value(j: int, local: np.ndarray) -> float:
-        psi = input_amps.reshape((2,) * n)
-        for g in gates:
-            psi = _apply_matrix(psi, gate_matrix(g, local), g.qubits)
-        flat_psi = psi.reshape(-1)
-        return float(np.vdot(flat_psi, obs.apply(flat_psi)).real)
+    def branch_value(local: np.ndarray) -> float:
+        psi = apply_gates(psi_in, gates, local).reshape(-1)
+        return float(np.vdot(psi, obs.apply(psi)).real)
 
     if param_id < model.num_alpha:
         values = np.array(
-            [branch_value(j, theta[j * stride : (j + 1) * stride]) for j in range(model.branch_count)]
+            [branch_value(theta[j * stride : (j + 1) * stride]) for j in range(model.branch_count)]
         )
         return float(coeff_probability_gradients(layer)[param_id] @ values)
 
@@ -266,9 +216,9 @@ def _probe_gradient(
         return 0.0
     local = theta[j * stride : (j + 1) * stride].copy()
     local[slot] += math.pi / 2.0
-    up = branch_value(j, local)
+    up = branch_value(local)
     local[slot] -= math.pi
-    down = branch_value(j, local)
+    down = branch_value(local)
     return float(prob) * 0.5 * (up - down)
 
 
@@ -388,22 +338,13 @@ def estimate_grad_stats(
     _check_param_id(model, param_id)
     if num_samples < 1:
         raise LcqnnError("need at least one sample")
-    if obs.num_qubits != model.num_working:
-        raise LcqnnError(
-            f"observable on {obs.num_qubits} qubit(s) must address exactly the "
-            f"{model.num_working}-qubit working register"
-        )
-    base = input_state if input_state is not None else init_zero(model.num_working)
-    if base.num_qubits != model.num_working:
-        raise LcqnnError(
-            f"input state has {base.num_qubits} qubit(s), expected {model.num_working}"
-        )
+    amps = working_amps(model, input_state, obs)
 
     def chunk(lo: int, hi: int) -> GradStats:
         part = GradStats()
         for i in range(lo, hi):
             alpha, theta = sample_param_draw(model, root_seed, i, fixed_alpha)
-            part.add(_probe_gradient(model, alpha, theta, obs, param_id, base.amps))
+            part.add(_probe_gradient(model, alpha, theta, obs, param_id, amps))
         return part
 
     stats = GradStats()

@@ -27,9 +27,9 @@ from .sim import (
     PauliZSum,
     RngStream,
     StateVector,
-    _apply_matrix,
     amplitude_encode,
-    gate_matrix,
+    apply_gates,
+    gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
 )
 
 # ---------------------------------------------------------------------------
@@ -220,13 +220,10 @@ def working_z_expectations(
     gates = branch_gates(model)
     stride = model.branch_param_count
     diags = _z_diagonals(n)
+    psi_in = input_state.amps.reshape((2,) * n)
     out = np.zeros(n)
     for j in range(model.branch_count):
-        psi = input_state.amps.reshape((2,) * n)
-        for g in gates:
-            psi = _apply_matrix(
-                psi, gate_matrix(g, theta[j * stride : (j + 1) * stride]), g.qubits
-            )
+        psi = apply_gates(psi_in, gates, theta[j * stride : (j + 1) * stride])
         out += probs[j] * (diags @ (np.abs(psi.reshape(-1)) ** 2))
     return out
 

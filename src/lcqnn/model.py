@@ -20,6 +20,7 @@ from .sim import (
     Observable,
     StateVector,
     _apply_subcircuit_in_place,
+    apply_gates,
     cnot,
     expectation,
     init_zero,
@@ -328,6 +329,26 @@ def _check_params(model: LcqnnModel, alpha, theta) -> tuple[np.ndarray, np.ndarr
     return alpha, theta
 
 
+def working_amps(
+    model: LcqnnModel, input_state: StateVector | None = None, obs: Observable | None = None
+) -> np.ndarray:
+    """Checked amplitudes of a working-register input state (default |0...0>).
+
+    ``obs``, when given, must address exactly the working register.
+    """
+    n = model.num_working
+    if obs is not None and obs.num_qubits != n:
+        raise LcqnnError(
+            f"observable on {obs.num_qubits} qubit(s) must address exactly the "
+            f"{n}-qubit working register"
+        )
+    if input_state is None:
+        return init_zero(n).amps
+    if input_state.num_qubits != n:
+        raise LcqnnError(f"input state has {input_state.num_qubits} qubit(s), expected {n}")
+    return input_state.amps
+
+
 def lcqnn_forward(
     model: LcqnnModel, alpha, theta, input_state: StateVector | None = None
 ) -> StateVector:
@@ -341,22 +362,10 @@ def lcqnn_forward(
     total = m + n
     if total > MAX_QUBITS:
         raise CapacityError(f"{total} qubits exceed the supported maximum {MAX_QUBITS}")
-    if input_state is None:
-        input_state = init_zero(n)
-    elif input_state.num_qubits != n:
-        raise LcqnnError(
-            f"input state has {input_state.num_qubits} qubit(s), expected {n}"
-        )
     amps = np.zeros(1 << total, dtype=np.complex128)
-    amps[: 1 << n] = input_state.amps
-    nd = amps.reshape((2,) * total)
-
-    layer = model.coefficient_layer(alpha)
-    gate_angles = 2.0 * alpha
-    for block in build_coefficient_circuit(layer):
-        _apply_subcircuit_in_place(
-            nd, block.controls, block.value, block.gates, gate_angles, total
-        )
+    amps[: 1 << n] = working_amps(model, input_state)
+    state = apply_coefficient_layer(StateVector(total, amps), model.coefficient_layer(alpha))
+    nd = state.amps.reshape((2,) * total)
 
     gates = _branch_gates_shifted(model)
     stride = model.branch_param_count
@@ -365,7 +374,7 @@ def lcqnn_forward(
         _apply_subcircuit_in_place(
             nd, tree_controls, j, gates, theta[j * stride : (j + 1) * stride], total
         )
-    return StateVector(total, amps)
+    return state
 
 
 def branch_block_probabilities(model: LcqnnModel, state: StateVector) -> np.ndarray:
@@ -390,25 +399,14 @@ def branch_expectations(
         raise LcqnnError(
             f"expected {theta_layout_size(model)} branch angle(s), got {theta.size}"
         )
-    if obs.num_qubits != model.num_working:
-        raise LcqnnError(
-            f"observable on {obs.num_qubits} qubit(s) does not match the "
-            f"{model.num_working}-qubit working register"
-        )
-    base = input_state if input_state is not None else init_zero(model.num_working)
-    if base.num_qubits != model.num_working:
-        raise LcqnnError(
-            f"input state has {base.num_qubits} qubit(s), expected {model.num_working}"
-        )
+    n = model.num_working
+    psi_in = working_amps(model, input_state, obs).reshape((2,) * n)
     gates = branch_gates(model)
     stride = model.branch_param_count
     vals = np.empty(model.branch_count)
     for j in range(model.branch_count):
-        amps = base.amps.copy().reshape((2,) * model.num_working)
-        _apply_subcircuit_in_place(
-            amps, (), 0, gates, theta[j * stride : (j + 1) * stride], model.num_working
-        )
-        vals[j] = expectation(StateVector(model.num_working, amps.reshape(-1)), obs)
+        psi = apply_gates(psi_in, gates, theta[j * stride : (j + 1) * stride])
+        vals[j] = expectation(StateVector(n, psi.reshape(-1)), obs)
     return vals
 
 
@@ -419,11 +417,7 @@ def cost(
 
     Equals ``sum_j p_j(alpha) * <input| U_j' O U_j |input>``.
     """
-    if obs.num_qubits != model.num_working:
-        raise LcqnnError(
-            f"observable on {obs.num_qubits} qubit(s) must address exactly the "
-            f"{model.num_working}-qubit working register"
-        )
+    working_amps(model, input_state, obs)
     return expectation(lcqnn_forward(model, alpha, theta, input_state), obs)
 
 

@@ -176,6 +176,12 @@ def group_rows(result: GroupScanResult) -> list[list]:
     return [[rec[c] for c in GROUP_COLUMNS] for rec in group_dicts(result)]
 
 
+def _variance_ratio(num, den) -> float | None:
+    """``num.variance / den.variance``; None when the denominator is zero
+    (a dimension-1 block has exactly zero gradient variance)."""
+    return None if den.variance == 0.0 else num.variance / den.variance
+
+
 def group_summary(results) -> dict:
     """Per-spectrum variances plus consecutive-pair scaling ratios."""
     spectra = []
@@ -196,10 +202,10 @@ def group_summary(results) -> dict:
         a, b = results[i], results[i + 1]
         entry = {
             "pair": [i, i + 1],
-            "theta": b.theta_stats.variance / a.theta_stats.variance,
+            "theta": _variance_ratio(b.theta_stats, a.theta_stats),
         }
         if a.alpha_stats is not None and b.alpha_stats is not None:
-            entry["alpha"] = b.alpha_stats.variance / a.alpha_stats.variance
+            entry["alpha"] = _variance_ratio(b.alpha_stats, a.alpha_stats)
         ratios.append(entry)
     return {"spectra": spectra, "ratios": ratios}
 

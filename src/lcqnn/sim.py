@@ -154,6 +154,22 @@ def u3_matrix_derivs(theta: float, phi: float, lam: float) -> tuple[np.ndarray, 
     return d_theta, d_phi, d_lam
 
 
+def _gate_derivs(op: GateOp, params) -> list[tuple[int, np.ndarray]]:
+    """(parameter slot, d matrix / d angle) for each angle ``op`` binds."""
+    if op.kind == "u3":
+        th, ph, lm = (float(params[s]) for s in op.param_slots)
+        return list(zip(op.param_slots, u3_matrix_derivs(th, ph, lm)))
+    if op.kind == "ry":
+        (slot,) = op.param_slots
+        half = float(params[slot]) / 2.0
+        d = 0.5 * np.array(
+            [[-math.sin(half), -math.cos(half)], [math.cos(half), -math.sin(half)]],
+            dtype=np.complex128,
+        )
+        return [(slot, d)]
+    return []
+
+
 #: CNOT on the basis |control target>.
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
@@ -186,11 +202,45 @@ def _check_qubits(op: GateOp, num_qubits: int) -> None:
             )
 
 
+def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
+    """Apply ``gates`` in order to a rank-(2,2,...,2) tensor.
+
+    Each gate's qubits are axes of ``tensor``; angles are bound from
+    ``params``. The input is not modified.
+    """
+    for op in gates:
+        tensor = _apply_matrix(tensor, gate_matrix(op, params), op.qubits)
+    return tensor
+
+
+def adjoint_gradient(
+    tensor: np.ndarray, gates, params, obs: Observable
+) -> tuple[float, np.ndarray]:
+    """Expectation of ``obs`` after ``gates`` and its gradient in ``params``.
+
+    One forward pass keeps the state before each gate; one backward sweep
+    carries ``obs`` applied to the output back through the gates and reads
+    each angle's derivative against the stored state (adjoint
+    differentiation, Jones & Gacon, arXiv:2009.02823).
+    """
+    snaps = [tensor]
+    for op in gates:
+        snaps.append(apply_gates(snaps[-1], (op,), params))
+    psi = snaps.pop()
+    b = obs.apply(psi.reshape(-1)).reshape(psi.shape)
+    value = float(np.vdot(psi, b).real)
+    grad = np.zeros(len(params))
+    for op, before in zip(reversed(gates), reversed(snaps)):
+        for slot, dmat in _gate_derivs(op, params):
+            grad[slot] += 2.0 * float(np.vdot(b, _apply_matrix(before, dmat, op.qubits)).real)
+        b = _apply_matrix(b, gate_matrix(op, params).conj().T, op.qubits)
+    return value, grad
+
+
 def apply_gate(state: StateVector, op: GateOp, params=()) -> StateVector:
     """Return a new state with ``op`` applied."""
     _check_qubits(op, state.num_qubits)
-    nd = state.amps.reshape((2,) * state.num_qubits)
-    out = _apply_matrix(nd, gate_matrix(op, params), op.qubits)
+    out = apply_gates(state.amps.reshape((2,) * state.num_qubits), (op,), params)
     return StateVector(state.num_qubits, np.ascontiguousarray(out.reshape(-1)))
 
 
@@ -207,19 +257,20 @@ def _apply_subcircuit_in_place(
     ``control_qubits[0]`` carries the most significant bit of
     ``control_value``, matching the global qubit-0-is-MSB convention.
     """
-    sel: list = [slice(None)] * num_qubits
-    for i, q in enumerate(control_qubits):
-        sel[q] = (control_value >> (len(control_qubits) - 1 - i)) & 1
-    view = amps_nd[tuple(sel)]
-    control_set = set(control_qubits)
     for op in subcircuit:
         _check_qubits(op, num_qubits)
-        if control_set.intersection(op.qubits):
+        if set(control_qubits).intersection(op.qubits):
             raise LcqnnError(
                 f"gate qubits {op.qubits} overlap control qubits {control_qubits}"
             )
-        axes = tuple(t - sum(1 for c in control_qubits if c < t) for t in op.qubits)
-        view[...] = _apply_matrix(view, gate_matrix(op, params), axes)
+    # a length-1 slice per control bit keeps every axis, so gate qubits
+    # index the view directly
+    sel: list = [slice(None)] * num_qubits
+    for i, q in enumerate(control_qubits):
+        bit = (control_value >> (len(control_qubits) - 1 - i)) & 1
+        sel[q] = slice(bit, bit + 1)
+    view = amps_nd[tuple(sel)]
+    view[...] = apply_gates(view, subcircuit, params)
 
 
 def apply_controlled_subcircuit(
@@ -295,15 +346,18 @@ class PauliZSum:
             raise LcqnnError("observable needs at least one term")
         self.terms = tuple(norm_terms)
         self.num_qubits = int(num_qubits)
-
-    def diagonal(self) -> np.ndarray:
         diag = np.zeros(1 << self.num_qubits)
         for weight, qubits in self.terms:
             diag += weight * _z_signs(self.num_qubits, qubits)
-        return diag
+        diag.flags.writeable = False
+        self._diag = diag
+
+    def diagonal(self) -> np.ndarray:
+        """The operator's diagonal, built once; read-only."""
+        return self._diag
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.diagonal() * vec
+        return self._diag * vec
 
     def trace(self) -> float:
         return float(sum(w * (1 << self.num_qubits) for w, qs in self.terms if not qs))
@@ -373,7 +427,7 @@ def expectation(state: StateVector, obs: Observable) -> float:
     rows = state.amps.reshape(-1, dim)
     if isinstance(obs, PauliZSum):
         marginal = np.sum(np.abs(rows) ** 2, axis=0)
-        return float(obs.diagonal() @ marginal)
+        return float(obs._diag @ marginal)
     val = complex(np.einsum("ri,ij,rj->", rows.conj(), _block_embed(obs, dim), rows))
     if abs(val.imag) > 1e-10:
         raise LcqnnError(f"expectation has non-negligible imaginary part {val.imag:.3e}")

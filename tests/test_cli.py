@@ -146,11 +146,12 @@ def test_variance_layers_records_and_slope(capsys):
 
 
 def test_variance_layers_bad_branch_count(capsys):
-    code, _, err = run_cli(
-        capsys, ["variance-layers", "--L-list", "3", "--samples", "2"]
-    )
-    assert code == 2
-    assert "power" in err
+    for L_list, message in (("1,3", "power"), ("4", "two distinct"), ("2,2", "two distinct")):
+        code, _, err = run_cli(
+            capsys, ["variance-layers", "--L-list", L_list, "--samples", "2"]
+        )
+        assert code == 2
+        assert message in err
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,21 @@ def test_group_scan_single_block_has_no_alpha_row(capsys):
     rows = data_rows(out)
     assert len(rows) == 1
     assert ",theta," in rows[0]
+
+
+def test_group_scan_zero_variance_ratio_is_null(capsys):
+    # a dimension-1 block has exactly zero gradient variance
+    code, out, err = run_cli(
+        capsys,
+        ["group-scan", "--dims", "1:1,1:1", "--dims", "2:1,2:1", "--format", "json"],
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert "theta-variance ratio n/a, alpha ratio n/a" in err
+    payload = json.loads(out)
+    assert payload["summary"]["ratios"] == [{"pair": [0, 1], "theta": None, "alpha": None}]
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(payload, load_schema("group_scan.schema.json"))
 
 
 def test_group_scan_usage_errors(capsys):

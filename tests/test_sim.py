@@ -14,6 +14,7 @@ from lcqnn.sim import (
     amplitude_encode,
     apply_controlled_subcircuit,
     apply_gate,
+    apply_gates,
     cnot,
     expectation,
     haar_unitary,
@@ -109,14 +110,18 @@ def test_cnot_and_u3_columns():
 def test_apply_gate_matches_dense_oracle():
     rng = np.random.default_rng(11)
     for _ in range(40):
-        n = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 5))
         state = random_state(n, rng)
-        gates, params = _random_circuit(n, rng, max_gates=4)
+        gates, params = _random_circuit(n, rng, max_gates=8)
         out = state
         for g in gates:
             out = apply_gate(out, g, params)
         expected = dense_circuit(gates, params, n) @ state.amps
         np.testing.assert_allclose(out.amps, expected, atol=1e-10)
+        before = state.amps.copy()
+        out_nd = apply_gates(state.amps.reshape((2,) * n), gates, params)
+        np.testing.assert_allclose(out_nd.reshape(-1), expected, atol=1e-10)
+        np.testing.assert_array_equal(state.amps, before)  # input left as it was
 
 
 def test_apply_gate_validation():
