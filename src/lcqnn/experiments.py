@@ -17,7 +17,6 @@ from .errors import ArchitectureError, CapacityError, LcqnnError
 from .gradients import (
     TWO_PI,
     GradStats,
-    alpha_probe_param,
     default_probe_param,
     estimate_grad_stats,
     run_chunked,
@@ -29,6 +28,7 @@ from .model import (
     coeff_probability_gradients,
     entangling_gates,
     make_model,
+    tree_node,
 )
 from .sim import PauliZSum, RngStream, apply_gates, haar_unitary, init_zero
 from .sim import gate_matrix  # noqa: F401  (perfbench/spans.py counts calls through this name)
@@ -115,19 +115,18 @@ def scan_variance_vs_n(
     samples: int = 500,
     root_seed: int = 42,
     *,
-    obs=None,
     param_id: int | None = None,
     threads: int = 1,
 ) -> list[ScanRecord]:
     """Variance against working-register size for each block locality.
 
-    A locality larger than the register is recorded as requested but acts as
-    one global block (the partition rule caps it).
+    Every point measures Z on working qubit 0.  A locality larger than the
+    register is recorded as requested but acts as one global block (the
+    partition rule caps it).
     """
     return [
         run_variance_point(
-            m, n, L, k, D, samples, root_seed,
-            obs=obs, param_id=param_id, threads=threads,
+            m, n, L, k, D, samples, root_seed, param_id=param_id, threads=threads
         )
         for k in k_list
         for n in n_list
@@ -296,37 +295,31 @@ _HAAR_DIM_LIMIT = 256
 _BLOCK_DIM_LIMIT = 1 << 12
 
 
-def _haar_block_value(dim, gen, probe_theta):
-    """Expectation (and probe derivative for block 0) under a Haar unitary.
+def _haar_block_value(dim, gen):
+    """Expectation under a Haar unitary, as a function of the probe angle.
 
     The probe is a rotation in the span of the first two basis states applied
     before the unitary; mode-invariant thanks to Haar left-invariance.
+    Without an argument the probe angle is 0.
     """
-    if dim == 1:
-        return 0.0, 0.0
     diag = balanced_z_diag(dim)
     u = haar_unitary(dim, gen)
 
-    def value(theta):
+    def value(theta=0.0):
         r = np.zeros(dim)
         r[0] = math.cos(theta / 2.0)
         r[1] = math.sin(theta / 2.0)
         psi = u @ r
         return float(diag @ (np.abs(psi) ** 2))
 
-    if probe_theta is None:
-        return value(0.0), 0.0
-    grad = 0.5 * (value(probe_theta + math.pi / 2) - value(probe_theta - math.pi / 2))
-    return value(probe_theta), grad
+    return value
 
 
-def _ansatz_block_value(dim, depth, gen, probe_theta):
-    """Expectation (and probe derivative) under a layered circuit on the
-    block's padded qubit register; the probe is the first rotation's polar
-    angle.  The observable is zero on the padding, so only the block itself
-    carries weight."""
-    if dim == 1:
-        return 0.0, 0.0
+def _ansatz_block_value(dim, depth, gen):
+    """Expectation under a layered circuit on the block's padded qubit
+    register, as a function of the probe (the first rotation's polar angle).
+    Without an argument the drawn first angle is kept.  The observable is
+    zero on the padding, so only the block itself carries weight."""
     q = (dim - 1).bit_length()
     gates = entangling_gates(range(q), depth)
     params = gen.uniform(0.0, TWO_PI, 3 * q * depth)
@@ -335,19 +328,12 @@ def _ansatz_block_value(dim, depth, gen, probe_theta):
 
     psi_in = init_zero(q).amps.reshape((2,) * q)
 
-    def value(ps):
+    def value(theta=None):
+        ps = params if theta is None else np.concatenate(([theta], params[1:]))
         psi = apply_gates(psi_in, gates, ps)
         return float(diag @ (np.abs(psi.reshape(-1)) ** 2))
 
-    if probe_theta is None:
-        return value(params), 0.0
-    params[0] = probe_theta
-    base = value(params)
-    params[0] = probe_theta + math.pi / 2
-    up = value(params)
-    params[0] = probe_theta - math.pi / 2
-    down = value(params)
-    return base, 0.5 * (up - down)
+    return value
 
 
 @dataclass
@@ -385,6 +371,8 @@ def group_block_variance(
         raise LcqnnError(f"mode must be 'haar' or 'ansatz', got {mode!r}")
     if samples < 1:
         raise LcqnnError("need at least one sample")
+    if mode == "ansatz" and depth < 1:
+        raise LcqnnError("ansatz mode needs depth >= 1: the probe is its first rotation")
     for d, mult in spectrum.blocks:
         if d * mult > _BLOCK_DIM_LIMIT:
             raise CapacityError(
@@ -397,7 +385,7 @@ def group_block_variance(
     L = spectrum.num_blocks
     tree_depth = (L - 1).bit_length()
     num_leaves = 1 << tree_depth
-    probe_node = (1 << (tree_depth - 1)) - 1 if tree_depth else None
+    probe_node = tree_node(tree_depth - 1) if tree_depth else None
     dims = [d * mult for d, mult in spectrum.blocks]
 
     def chunk(lo: int, hi: int) -> tuple[GradStats, GradStats]:
@@ -411,15 +399,20 @@ def group_block_variance(
             values = np.zeros(num_leaves)
             grad0 = 0.0
             for b, dim in enumerate(dims):
+                if dim == 1:
+                    continue  # balanced_z_diag(1) is 0: value and gradient vanish
                 gen = stream.component_generator(_BLOCK_COMPONENT_BASE + b)
-                probe = probe_theta if b == 0 else None
                 if mode == "haar":
-                    value, grad = _haar_block_value(dim, gen, probe)
+                    value = _haar_block_value(dim, gen)
                 else:
-                    value, grad = _ansatz_block_value(dim, depth, gen, probe)
-                values[b] = value
+                    value = _ansatz_block_value(dim, depth, gen)
                 if b == 0:
-                    grad0 = grad
+                    values[b] = value(probe_theta)
+                    grad0 = 0.5 * (
+                        value(probe_theta + math.pi / 2) - value(probe_theta - math.pi / 2)
+                    )
+                else:
+                    values[b] = value()
             layer = CoefficientLayer(tree_depth, num_leaves, tuple(tree_angles))
             probs = coeff_probabilities(layer)
             theta_part.add(float(probs[0]) * grad0)

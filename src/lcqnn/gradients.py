@@ -17,11 +17,13 @@ import numpy as np
 from .errors import LcqnnError
 from .model import (
     LcqnnModel,
+    branch_angles,
     branch_gates,
     coeff_probabilities,
     coeff_probability_gradients,
     cost,
     theta_layout_size,
+    tree_node,
     working_amps,
 )
 from .sim import (
@@ -72,7 +74,7 @@ def alpha_probe_param(model: LcqnnModel) -> int:
     """
     if model.branch_count < 2:
         raise LcqnnError("a single-branch model has no coefficient angles")
-    return model.branch_count // 2 - 1
+    return tree_node(model.tree_depth - 1)
 
 
 def sample_params(model: LcqnnModel, generator) -> np.ndarray:
@@ -164,18 +166,15 @@ def grad_full(
     """Gradient with respect to every parameter, in flat layout order."""
     alpha, theta = split_params(model, flat)
     psi_in = working_amps(model, input_state, obs).reshape((2,) * model.num_working)
-    layer = model.coefficient_layer(tuple(alpha))
+    layer = model.coefficient_layer(alpha)
     probs = coeff_probabilities(layer)
     gates = branch_gates(model)
-    stride = model.branch_param_count
     values = np.empty(model.branch_count)
     out = np.empty(num_params(model))
-    for j in range(model.branch_count):
-        local = theta[j * stride : (j + 1) * stride]
-        value, grad_local = adjoint_gradient(psi_in, gates, local, obs)
-        values[j] = value
-        lo = model.num_alpha + j * stride
-        out[lo : lo + stride] = probs[j] * grad_local
+    branch_out = out[model.num_alpha :].reshape(model.branch_count, model.branch_param_count)
+    for j, block in enumerate(branch_angles(model, theta)):
+        values[j], grad_local = adjoint_gradient(psi_in, gates, block, obs)
+        branch_out[j] = probs[j] * grad_local
     out[: model.num_alpha] = coeff_probability_gradients(layer) @ values
     return out
 
@@ -194,9 +193,9 @@ def _probe_gradient(
     only that branch, evaluated at its two shifted points, weighted by its
     probability.
     """
-    layer = model.coefficient_layer(tuple(alpha))
+    layer = model.coefficient_layer(alpha)
     gates = branch_gates(model)
-    stride = model.branch_param_count
+    blocks = branch_angles(model, theta)
     psi_in = input_amps.reshape((2,) * model.num_working)
 
     def branch_value(local: np.ndarray) -> float:
@@ -204,17 +203,14 @@ def _probe_gradient(
         return float(np.vdot(psi, obs.apply(psi)).real)
 
     if param_id < model.num_alpha:
-        values = np.array(
-            [branch_value(theta[j * stride : (j + 1) * stride]) for j in range(model.branch_count)]
-        )
+        values = np.array([branch_value(block) for block in blocks])
         return float(coeff_probability_gradients(layer)[param_id] @ values)
 
-    local_id = param_id - model.num_alpha
-    j, slot = divmod(local_id, stride)
+    j, slot = divmod(param_id - model.num_alpha, model.branch_param_count)
     prob = coeff_probabilities(layer)[j]
     if prob == 0.0:
         return 0.0
-    local = theta[j * stride : (j + 1) * stride].copy()
+    local = blocks[j].copy()
     local[slot] += math.pi / 2.0
     up = branch_value(local)
     local[slot] -= math.pi

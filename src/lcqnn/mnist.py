@@ -2,9 +2,10 @@
 preprocessing, amplitude encoding, and the accuracy grid over branch count
 and depth.
 
-The classifier is the combination model with m=2 control and n=4 working
-qubits; the four class logits are the Pauli-Z expectations of the working
-qubits and training minimizes softmax cross-entropy with minibatch Adam.
+The classifier is the combination model of shape ``CLASSIFIER_SHAPE``: m=2
+control and n=4 working qubits in k=2 local blocks.  The four class logits
+are the Pauli-Z expectations of the working qubits and training minimizes
+softmax cross-entropy with minibatch Adam.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EncodingError, IdxFormatError, TrainingError
-from .gradients import grad_full, num_params
-from .model import LcqnnModel, branch_gates, coeff_probabilities, make_model
+from .gradients import grad_full, num_params, split_params
+from .model import LcqnnModel, branch_angles, branch_gates, coeff_probabilities, make_model
 from .sim import (
     PauliZSum,
     RngStream,
@@ -215,15 +216,13 @@ def working_z_expectations(
 ) -> np.ndarray:
     """Per-working-qubit <Z> of the forward state, via the branch mixture."""
     n = model.num_working
-    theta = np.asarray(theta, dtype=np.float64).ravel()
     probs = coeff_probabilities(model.coefficient_layer(alpha))
     gates = branch_gates(model)
-    stride = model.branch_param_count
     diags = _z_diagonals(n)
     psi_in = input_state.amps.reshape((2,) * n)
     out = np.zeros(n)
-    for j in range(model.branch_count):
-        psi = apply_gates(psi_in, gates, theta[j * stride : (j + 1) * stride])
+    for j, block in enumerate(branch_angles(model, theta)):
+        psi = apply_gates(psi_in, gates, block)
         out += probs[j] * (diags @ (np.abs(psi.reshape(-1)) ** 2))
     return out
 
@@ -253,8 +252,7 @@ def example_loss_and_grad(
     covers all four logits.
     """
     state = amplitude_encode(example.pixels)
-    alpha = flat_params[: model.num_alpha]
-    theta = flat_params[model.num_alpha :]
+    alpha, theta = split_params(model, flat_params)
     logits = working_z_expectations(model, alpha, theta, state)
     probs = softmax(logits)
     loss = cross_entropy(logits, example.label)
@@ -271,8 +269,7 @@ def example_loss_and_grad(
 def evaluate_accuracy(
     model: LcqnnModel, flat_params: np.ndarray, examples
 ) -> float:
-    alpha = flat_params[: model.num_alpha]
-    theta = flat_params[model.num_alpha :]
+    alpha, theta = split_params(model, flat_params)
     correct = 0
     for ex in examples:
         logits = working_z_expectations(
@@ -286,24 +283,25 @@ def evaluate_accuracy(
 # training
 
 
+#: classifier (m control qubits, n working qubits, block locality k); n=4
+#: holds the 16-amplitude pixel encoding
+CLASSIFIER_SHAPE = (2, 4, 2)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     L: int
     D: int
-    m: int = 2
-    n: int = 4
-    k: int = 2
     learning_rate: float = 0.008
     epochs: int = 2
     batch_size: int = 32
     runs: int = 5
-    train_limit: int = 4000
-    test_limit: int = 1000
     root_seed: int = 42
     optimizer: str = "adam"
 
     def make_model(self) -> LcqnnModel:
-        return make_model(self.m, self.n, self.L, self.k, self.D)
+        m, n, k = CLASSIFIER_SHAPE
+        return make_model(m, n, self.L, k, self.D)
 
 
 @dataclass

@@ -67,11 +67,16 @@ class CoefficientLayer:
         return self.branch_count.bit_length() - 1
 
 
+def tree_node(level: int, prefix: int = 0) -> int:
+    """Index of the tree node at ``level`` whose path bits read ``prefix``."""
+    return (1 << level) - 1 + prefix
+
+
 def coeff_probabilities(layer: CoefficientLayer) -> np.ndarray:
     """Closed-form leaf probabilities: products of cos^2/sin^2 path factors."""
     probs = np.ones(1)
     for level in range(layer.tree_depth):
-        base = (1 << level) - 1
+        base = tree_node(level)
         angles = np.asarray(layer.alpha[base : base + (1 << level)])
         c2, s2 = np.cos(angles) ** 2, np.sin(angles) ** 2
         nxt = np.empty(2 << level)
@@ -97,10 +102,11 @@ def coeff_probability_gradients(layer: CoefficientLayer) -> np.ndarray:
         for level in range(t):
             prefix = j >> (t - level)
             bit = (j >> (t - 1 - level)) & 1
-            a = layer.alpha[(1 << level) - 1 + prefix]
+            node = tree_node(level, prefix)
+            a = layer.alpha[node]
             factors[level] = np.sin(a) ** 2 if bit else np.cos(a) ** 2
             derivs[level] = np.sin(2 * a) if bit else -np.sin(2 * a)
-            nodes[level] = (1 << level) - 1 + prefix
+            nodes[level] = node
         for level in range(t):
             rest = np.prod(factors[:level]) * np.prod(factors[level + 1 :])
             jac[nodes[level], j] = rest * derivs[level]
@@ -127,7 +133,7 @@ def build_coefficient_circuit(layer: CoefficientLayer) -> list[ControlledBlock]:
     blocks = []
     for level in range(layer.tree_depth):
         for prefix in range(1 << level):
-            node = (1 << level) - 1 + prefix
+            node = tree_node(level, prefix)
             blocks.append(
                 ControlledBlock(tuple(range(level)), prefix, (ry(level, node),))
             )
@@ -234,7 +240,7 @@ class LcqnnModel:
         return sum(g.param_count for g in self.groups)
 
     def coefficient_layer(self, alpha) -> CoefficientLayer:
-        return CoefficientLayer(self.num_controls, self.branch_count, tuple(alpha))
+        return CoefficientLayer(self.num_controls, self.branch_count, tuple(np.ravel(alpha)))
 
 
 def make_model(
@@ -315,18 +321,18 @@ def _branch_gates_shifted(model: LcqnnModel) -> tuple[GateOp, ...]:
     )
 
 
-def _check_params(model: LcqnnModel, alpha, theta) -> tuple[np.ndarray, np.ndarray]:
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
+def branch_angles(model: LcqnnModel, theta) -> np.ndarray:
+    """Checked view of the flat branch angles, shape (branch_count, stride).
+
+    Row ``j`` is branch ``j``'s block ``theta_j``; ``stride`` is
+    ``model.branch_param_count``.
+    """
     theta = np.asarray(theta, dtype=np.float64).ravel()
-    if alpha.size != model.num_alpha:
-        raise LcqnnError(
-            f"expected {model.num_alpha} coefficient angle(s), got {alpha.size}"
-        )
     if theta.size != theta_layout_size(model):
         raise LcqnnError(
             f"expected {theta_layout_size(model)} branch angle(s), got {theta.size}"
         )
-    return alpha, theta
+    return theta.reshape(model.branch_count, model.branch_param_count)
 
 
 def working_amps(
@@ -357,23 +363,21 @@ def lcqnn_forward(
     ``input_state`` is a working-register state (default |0...0>); the control
     register always starts at |0...0>.
     """
-    alpha, theta = _check_params(model, alpha, theta)
+    blocks = branch_angles(model, theta)
+    layer = model.coefficient_layer(alpha)
     m, n = model.num_controls, model.num_working
     total = m + n
     if total > MAX_QUBITS:
         raise CapacityError(f"{total} qubits exceed the supported maximum {MAX_QUBITS}")
     amps = np.zeros(1 << total, dtype=np.complex128)
     amps[: 1 << n] = working_amps(model, input_state)
-    state = apply_coefficient_layer(StateVector(total, amps), model.coefficient_layer(alpha))
+    state = apply_coefficient_layer(StateVector(total, amps), layer)
     nd = state.amps.reshape((2,) * total)
 
     gates = _branch_gates_shifted(model)
-    stride = model.branch_param_count
     tree_controls = tuple(range(model.tree_depth))
-    for j in range(model.branch_count):
-        _apply_subcircuit_in_place(
-            nd, tree_controls, j, gates, theta[j * stride : (j + 1) * stride], total
-        )
+    for j, block in enumerate(blocks):
+        _apply_subcircuit_in_place(nd, tree_controls, j, gates, block, total)
     return state
 
 
@@ -394,18 +398,13 @@ def branch_expectations(
     model: LcqnnModel, theta, obs: Observable, input_state: StateVector | None = None
 ) -> np.ndarray:
     """Per-branch expectations <input| U_j' O U_j |input> on the working register."""
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    if theta.size != theta_layout_size(model):
-        raise LcqnnError(
-            f"expected {theta_layout_size(model)} branch angle(s), got {theta.size}"
-        )
+    blocks = branch_angles(model, theta)
     n = model.num_working
     psi_in = working_amps(model, input_state, obs).reshape((2,) * n)
     gates = branch_gates(model)
-    stride = model.branch_param_count
     vals = np.empty(model.branch_count)
-    for j in range(model.branch_count):
-        psi = apply_gates(psi_in, gates, theta[j * stride : (j + 1) * stride])
+    for j, block in enumerate(blocks):
+        psi = apply_gates(psi_in, gates, block)
         vals[j] = expectation(StateVector(n, psi.reshape(-1)), obs)
     return vals
 

@@ -9,6 +9,7 @@ thread counts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,20 +19,7 @@ import numpy as np
 from . import __version__
 from .experiments import GroupScanResult, ScanRecord, fit_log2_slope
 
-SCAN_COLUMNS = (
-    "m",
-    "n",
-    "L",
-    "k",
-    "D",
-    "observable",
-    "param_id",
-    "samples",
-    "seed",
-    "mean",
-    "variance",
-    "stderr",
-)
+SCAN_COLUMNS = tuple(field.name for field in dataclasses.fields(ScanRecord))
 
 GROUP_COLUMNS = (
     "dims",
@@ -226,20 +214,11 @@ def mnist_columns(epochs: int) -> tuple[str, ...]:
 
 
 def mnist_rows(cells) -> list[list]:
-    rows = []
-    for cell in cells:
-        for metrics in cell.metrics:
-            rows.append(
-                [
-                    cell.L,
-                    cell.D,
-                    metrics.run_index,
-                    metrics.run_seed,
-                    *metrics.epoch_losses,
-                    metrics.test_accuracy,
-                ]
-            )
-    return rows
+    """``mnist_dicts`` records with the epoch-loss list spread over columns."""
+    return [
+        [x for value in record.values() for x in (value if isinstance(value, list) else [value])]
+        for record in mnist_dicts(cells)
+    ]
 
 
 def mnist_dicts(cells) -> list[dict]:

@@ -25,9 +25,16 @@ from lcqnn import (
     scan_variance_global,
     scan_variance_vs_L,
     su2_block_dims,
+    z0_observable,
 )
 from lcqnn.cli import main
-from lcqnn.gradients import TWO_PI
+from lcqnn.gradients import (
+    TWO_PI,
+    _probe_gradient,
+    default_probe_param,
+    sample_param_draw,
+)
+from lcqnn.model import working_amps
 from lcqnn.mnist import (
     data_files_present,
     default_data_dir,
@@ -234,6 +241,49 @@ def test_criterion_05_branch_count_slope(layers_by_seed):
     for seed, slope in slopes.items():
         assert -1.33 <= slope <= -0.67, (
             f"seed {seed}: slope {slope:.3f} outside [-1.33, -0.67]"
+        )
+
+
+def test_criterion_05_theory_branch_count_ratio():
+    # Criterion 5's probe is branch 0's first angle.  Its theta draws are the
+    # same for every L (one stream, branch 0 first) and alpha is drawn
+    # independently of theta, so the gradient p_0(alpha) * d_i pairs with
+    # the L=1 gradient d_i and Var(L) / Var(1) = E[p_0^2] = (3/8)^log2(L)
+    # exactly.  Test the paired ratio against its delta-method error, at a
+    # smaller shape than criterion 5's (n=3, k=3, D=2) to keep it fast.
+    samples, seed = 2000, ROOT_SEED
+
+    def probe_gradients(L):
+        model = make_model(3, 3, L, 3, 2)
+        obs = z0_observable(3)
+        amps = working_amps(model, None, obs)
+        pid = default_probe_param(model)
+        return np.array([
+            _probe_gradient(model, *sample_param_draw(model, seed, i), obs, pid, amps)
+            for i in range(samples)
+        ])
+
+    base = probe_gradients(1)
+    base_sq = (base - base.mean()) ** 2
+    report = []
+    for L in (2, 4, 8):
+        grads = probe_gradients(L)
+        grads_sq = (grads - grads.mean()) ** 2
+        ratio = grads_sq.mean() / base_sq.mean()
+        stderr = np.std(grads_sq - ratio * base_sq) / (
+            math.sqrt(samples) * base_sq.mean()
+        )
+        expected = (3 / 8) ** math.log2(L)
+        report.append((L, ratio, expected, (ratio - expected) / stderr))
+    rendered = ", ".join(
+        f"L={L}: {r:.4f} vs {e:.4f} (z {z:+.2f})" for L, r, e, z in report
+    )
+    ok = all(abs(z) <= 4.0 for *_, z in report)
+    print(f"criterion 5 theory: Var(L)/Var(1) {rendered} -> "
+          f"{'PASS' if ok else 'FAIL'}")
+    for L, ratio, expected, z in report:
+        assert abs(z) <= 4.0, (
+            f"L={L}: ratio {ratio:.4f} is {z:+.2f} standard errors from {expected:.4f}"
         )
 
 

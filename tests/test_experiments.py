@@ -219,6 +219,8 @@ def test_group_scan_validation():
         group_block_variance(spectrum, mode="random")
     with pytest.raises(LcqnnError):
         group_block_variance(spectrum, samples=0)
+    with pytest.raises(LcqnnError, match="depth"):
+        group_block_variance(spectrum, mode="ansatz", depth=0)
     with pytest.raises(CapacityError):
         group_block_variance(BlockSpectrum(((512, 1),)), mode="haar", samples=2)
     with pytest.raises(CapacityError):

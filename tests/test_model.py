@@ -11,6 +11,7 @@ from lcqnn.errors import ArchitectureError, LcqnnError
 from lcqnn.model import (
     CoefficientLayer,
     apply_coefficient_layer,
+    branch_angles,
     branch_block_probabilities,
     branch_expectations,
     branch_gates,
@@ -26,6 +27,7 @@ from lcqnn.model import (
     model_to_dict,
     theta_index,
     theta_layout_size,
+    tree_node,
 )
 from lcqnn.sim import GateOp, PauliZSum, cnot, init_zero, ry, u3
 
@@ -106,6 +108,17 @@ def test_coefficient_circuit_structure():
     assert blocks[2].controls == (0,) and blocks[2].value == 1
     assert blocks[2].gates == (ry(1, 2),)
     assert build_coefficient_circuit(CoefficientLayer(3, 1, ())) == []
+
+
+def test_tree_node_numbers_levels_in_order():
+    nodes = [tree_node(level, q) for level in range(4) for q in range(1 << level)]
+    assert nodes == list(range(15))
+    assert tree_node(2) == 3  # first node of level 2, prefix defaults to 0
+    slots = [
+        block.gates[0].param_slots[0]
+        for block in build_coefficient_circuit(CoefficientLayer(3, 8, (0.0,) * 7))
+    ]
+    assert slots == nodes[:7]
 
 
 def test_apply_coefficient_layer_amplitudes():
@@ -198,6 +211,22 @@ def test_theta_index_enumerates_layout():
         theta_index(model, 4, 0, 0, 0, 0)
     with pytest.raises(LcqnnError):
         theta_index(model, 0, 0, 0, 0, 3)
+
+
+def test_branch_angles_rows_are_branch_blocks():
+    model = make_model(2, 5, 4, 2, 2)
+    theta = np.arange(theta_layout_size(model), dtype=np.float64)
+    blocks = branch_angles(model, theta)
+    assert blocks.shape == (model.branch_count, model.branch_param_count)
+    assert np.shares_memory(blocks, theta)
+    last = len(model.groups) - 1
+    for j in range(model.branch_count):
+        assert blocks[j, 0] == theta_index(model, j, 0, 0, 0, 0)
+        assert blocks[j, -1] == theta_index(model, j, last, 1, 0, 2)
+    assert branch_angles(model, list(theta)).tolist() == blocks.tolist()
+    with pytest.raises(LcqnnError, match="branch angle"):
+        branch_angles(model, theta[:-1])
+    assert branch_angles(make_model(1, 2, 2, 2, 0), []).shape == (2, 0)
 
 
 def test_branch_gate_list_layout():

@@ -1,0 +1,30 @@
+"""Checks on the files around the package: the README's example and the
+benchmark's trace hooks."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_benchmark_trace_hooks_install(tmp_path):
+    # Tracer.install() wraps every name perfbench/spans.py lists, whatever the
+    # command, so one short traced run fails as soon as a wrapped name is gone.
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "op.py"), str(report), "--trace",
+         "--", "grad-check", "--probes", "2", "--seed", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["trace"]["spans"]
