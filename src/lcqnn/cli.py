@@ -321,6 +321,7 @@ def cmd_mnist(args) -> int:
 
 def cmd_grad_check(args) -> int:
     _require(args.probes >= 1, "--probes must be >= 1")
+    _require(args.seed >= 0, "--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     worst_rel = -1.0
     worst_detail = ""
@@ -484,7 +485,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LcqnnError, FileNotFoundError) as exc:
+    except (LcqnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ from .gradients import (
     run_chunked,
 )
 from .model import (
-    CoefficientLayer,
     LcqnnModel,
     coeff_probabilities,
     coeff_probability_gradients,
@@ -104,33 +103,6 @@ def run_variance_point(
         model, obs, param_id, samples, root_seed, threads=threads
     )
     return _record(model, k, obs, param_id, samples, root_seed, stats)
-
-
-def scan_variance_vs_n(
-    m: int = 3,
-    L: int = 8,
-    D: int = 3,
-    k_list=(3, 5),
-    n_list=(3, 4, 6, 8),
-    samples: int = 500,
-    root_seed: int = 42,
-    *,
-    param_id: int | None = None,
-    threads: int = 1,
-) -> list[ScanRecord]:
-    """Variance against working-register size for each block locality.
-
-    Every point measures Z on working qubit 0.  A locality larger than the
-    register is recorded as requested but acts as one global block (the
-    partition rule caps it).
-    """
-    return [
-        run_variance_point(
-            m, n, L, k, D, samples, root_seed, param_id=param_id, threads=threads
-        )
-        for k in k_list
-        for n in n_list
-    ]
 
 
 def scan_variance_vs_L(
@@ -392,9 +364,7 @@ def group_block_variance(
         theta_part, alpha_part = GradStats(), GradStats()
         for i in range(lo, hi):
             stream = RngStream(root_seed, i)
-            tree_angles = stream.component_generator(0).uniform(
-                0.0, TWO_PI, num_leaves - 1
-            )
+            alpha = stream.component_generator(0).uniform(0.0, TWO_PI, num_leaves - 1)
             probe_theta = float(stream.component_generator(1).uniform(0.0, TWO_PI))
             values = np.zeros(num_leaves)
             grad0 = 0.0
@@ -413,11 +383,10 @@ def group_block_variance(
                     )
                 else:
                     values[b] = value()
-            layer = CoefficientLayer(tree_depth, num_leaves, tuple(tree_angles))
-            probs = coeff_probabilities(layer)
+            probs = coeff_probabilities(alpha)
             theta_part.add(float(probs[0]) * grad0)
             if probe_node is not None:
-                jac = coeff_probability_gradients(layer)
+                jac = coeff_probability_gradients(alpha)
                 alpha_part.add(float(jac[probe_node] @ values))
         return theta_part, alpha_part
 

@@ -27,7 +27,7 @@ from .model import (
     working_amps,
 )
 from .sim import (
-    Observable,
+    PauliZSum,
     RngStream,
     StateVector,
     adjoint_gradient,
@@ -83,7 +83,7 @@ def sample_params(model: LcqnnModel, generator) -> np.ndarray:
 
 
 def cost_flat(
-    model: LcqnnModel, flat, obs: Observable, input_state: StateVector | None = None
+    model: LcqnnModel, flat, obs: PauliZSum, input_state: StateVector | None = None
 ) -> float:
     alpha, theta = split_params(model, flat)
     return cost(model, alpha, theta, obs, input_state)
@@ -103,7 +103,7 @@ def _check_param_id(model: LcqnnModel, param_id: int) -> None:
 def param_shift_grad(
     model: LcqnnModel,
     flat,
-    obs: Observable,
+    obs: PauliZSum,
     param_id: int,
     input_state: StateVector | None = None,
     shift_scale: float = 1.0,
@@ -134,7 +134,7 @@ def param_shift_grad(
 def finite_diff_grad(
     model: LcqnnModel,
     flat,
-    obs: Observable,
+    obs: PauliZSum,
     param_id: int,
     input_state: StateVector | None = None,
     h: float = 1e-5,
@@ -161,13 +161,12 @@ def finite_diff_grad(
 
 
 def grad_full(
-    model: LcqnnModel, flat, obs: Observable, input_state: StateVector | None = None
+    model: LcqnnModel, flat, obs: PauliZSum, input_state: StateVector | None = None
 ) -> np.ndarray:
     """Gradient with respect to every parameter, in flat layout order."""
     alpha, theta = split_params(model, flat)
     psi_in = working_amps(model, input_state, obs).reshape((2,) * model.num_working)
-    layer = model.coefficient_layer(alpha)
-    probs = coeff_probabilities(layer)
+    probs = coeff_probabilities(alpha)
     gates = branch_gates(model)
     values = np.empty(model.branch_count)
     out = np.empty(num_params(model))
@@ -175,7 +174,7 @@ def grad_full(
     for j, block in enumerate(branch_angles(model, theta)):
         values[j], grad_local = adjoint_gradient(psi_in, gates, block, obs)
         branch_out[j] = probs[j] * grad_local
-    out[: model.num_alpha] = coeff_probability_gradients(layer) @ values
+    out[: model.num_alpha] = coeff_probability_gradients(alpha) @ values
     return out
 
 
@@ -183,7 +182,7 @@ def _probe_gradient(
     model: LcqnnModel,
     alpha: np.ndarray,
     theta: np.ndarray,
-    obs: Observable,
+    obs: PauliZSum,
     param_id: int,
     input_amps: np.ndarray,
 ) -> float:
@@ -193,7 +192,6 @@ def _probe_gradient(
     only that branch, evaluated at its two shifted points, weighted by its
     probability.
     """
-    layer = model.coefficient_layer(alpha)
     gates = branch_gates(model)
     blocks = branch_angles(model, theta)
     psi_in = input_amps.reshape((2,) * model.num_working)
@@ -204,12 +202,10 @@ def _probe_gradient(
 
     if param_id < model.num_alpha:
         values = np.array([branch_value(block) for block in blocks])
-        return float(coeff_probability_gradients(layer)[param_id] @ values)
+        return float(coeff_probability_gradients(alpha)[param_id] @ values)
 
     j, slot = divmod(param_id - model.num_alpha, model.branch_param_count)
-    prob = coeff_probabilities(layer)[j]
-    if prob == 0.0:
-        return 0.0
+    prob = coeff_probabilities(alpha)[j]
     local = blocks[j].copy()
     local[slot] += math.pi / 2.0
     up = branch_value(local)
@@ -289,7 +285,7 @@ def run_chunked(num_samples: int, chunk_fn, threads: int = 1) -> list:
 
 
 def sample_param_draw(
-    model: LcqnnModel, root_seed: int, sample_index: int, fixed_alpha=None
+    model: LcqnnModel, root_seed: int, sample_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one (alpha, theta) pair from the per-sample component streams.
 
@@ -298,16 +294,9 @@ def sample_param_draw(
     identical draws on the sub-vectors their models have in common.
     """
     stream = RngStream(root_seed, sample_index)
-    if fixed_alpha is not None:
-        alpha = np.asarray(fixed_alpha, dtype=np.float64).ravel()
-        if alpha.size != model.num_alpha:
-            raise LcqnnError(
-                f"expected {model.num_alpha} fixed tree angle(s), got {alpha.size}"
-            )
-    else:
-        alpha = stream.component_generator(ALPHA_COMPONENT).uniform(
-            0.0, TWO_PI, model.num_alpha
-        )
+    alpha = stream.component_generator(ALPHA_COMPONENT).uniform(
+        0.0, TWO_PI, model.num_alpha
+    )
     theta = stream.component_generator(THETA_COMPONENT).uniform(
         0.0, TWO_PI, theta_layout_size(model)
     )
@@ -316,16 +305,15 @@ def sample_param_draw(
 
 def estimate_grad_stats(
     model: LcqnnModel,
-    obs: Observable,
+    obs: PauliZSum,
     param_id: int,
     num_samples: int,
     root_seed: int,
     *,
-    input_state: StateVector | None = None,
-    fixed_alpha=None,
     threads: int = 1,
 ) -> GradStats:
-    """Mean/variance of one parameter's gradient over random angle draws.
+    """Mean/variance of one parameter's gradient over random angle draws,
+    with the working register starting at |0...0>.
 
     Sample ``i`` draws from ``RngStream(root_seed, i)``; the reduction is
     chunked in fixed sample ranges, so results are identical at any thread
@@ -334,12 +322,12 @@ def estimate_grad_stats(
     _check_param_id(model, param_id)
     if num_samples < 1:
         raise LcqnnError("need at least one sample")
-    amps = working_amps(model, input_state, obs)
+    amps = working_amps(model, obs=obs)
 
     def chunk(lo: int, hi: int) -> GradStats:
         part = GradStats()
         for i in range(lo, hi):
-            alpha, theta = sample_param_draw(model, root_seed, i, fixed_alpha)
+            alpha, theta = sample_param_draw(model, root_seed, i)
             part.add(_probe_gradient(model, alpha, theta, obs, param_id, amps))
         return part
 

@@ -22,8 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EncodingError, IdxFormatError, TrainingError
-from .gradients import grad_full, num_params, split_params
-from .model import LcqnnModel, branch_angles, branch_gates, coeff_probabilities, make_model
+from .gradients import TWO_PI, grad_full, num_params, split_params
+from .model import (
+    LcqnnModel,
+    branch_angles,
+    branch_gates,
+    coeff_probabilities,
+    make_model,
+    tree_angles,
+)
 from .sim import (
     PauliZSum,
     RngStream,
@@ -216,7 +223,7 @@ def working_z_expectations(
 ) -> np.ndarray:
     """Per-working-qubit <Z> of the forward state, via the branch mixture."""
     n = model.num_working
-    probs = coeff_probabilities(model.coefficient_layer(alpha))
+    probs = coeff_probabilities(tree_angles(model, alpha))
     gates = branch_gates(model)
     diags = _z_diagonals(n)
     psi_in = input_state.amps.reshape((2,) * n)
@@ -358,9 +365,7 @@ def train_single_run(
         raise TrainingError("empty training or test set")
     model = config.make_model()
     stream = RngStream(config.root_seed, run_index)
-    params = stream.component_generator(0).uniform(
-        0.0, 2.0 * math.pi, num_params(model)
-    )
+    params = stream.component_generator(0).uniform(0.0, TWO_PI, num_params(model))
     shuffle = stream.component_generator(1)
     optimizer = _make_optimizer(
         config.optimizer, num_params(model), config.learning_rate

@@ -17,7 +17,7 @@ from .errors import ArchitectureError, CapacityError, LcqnnError
 from .sim import (
     MAX_QUBITS,
     GateOp,
-    Observable,
+    PauliZSum,
     StateVector,
     _apply_subcircuit_in_place,
     apply_gates,
@@ -32,52 +32,32 @@ from .sim import (
 # coefficient tree
 
 
-@dataclass(frozen=True)
-class CoefficientLayer:
-    """Binary rotation tree assigning probabilities to ``branch_count`` leaves.
-
-    ``alpha`` holds one angle per internal node; the node at level ``l`` with
-    prefix ``q`` (the leading ``l`` path bits) sits at index ``2**l - 1 + q``.
-    An angle ``a`` contributes ``cos^2(a)`` to the 0-child and ``sin^2(a)`` to
-    the 1-child, so the compiled rotation gate angle is ``2a``.
-    """
-
-    num_controls: int
-    branch_count: int
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        m, L = self.num_controls, self.branch_count
-        if m < 0:
-            raise ArchitectureError("control register size must be non-negative")
-        if L < 1 or (L & (L - 1)) != 0:
-            raise ArchitectureError(f"branch_count must be a power of two, got {L}")
-        if L > (1 << m):
-            raise ArchitectureError(
-                f"branch_count {L} does not fit {m} control qubit(s)"
-            )
-        if len(self.alpha) != L - 1:
-            raise ArchitectureError(
-                f"expected {L - 1} tree angles for {L} branches, got {len(self.alpha)}"
-            )
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-
-    @property
-    def tree_depth(self) -> int:
-        return self.branch_count.bit_length() - 1
-
-
 def tree_node(level: int, prefix: int = 0) -> int:
     """Index of the tree node at ``level`` whose path bits read ``prefix``."""
     return (1 << level) - 1 + prefix
 
 
-def coeff_probabilities(layer: CoefficientLayer) -> np.ndarray:
-    """Closed-form leaf probabilities: products of cos^2/sin^2 path factors."""
+def _tree(alpha) -> tuple[np.ndarray, int]:
+    """Flat tree angles and the depth of the binary tree they fill."""
+    alpha = np.asarray(alpha, dtype=np.float64).ravel()
+    leaves = alpha.size + 1
+    if leaves & (leaves - 1):
+        raise ArchitectureError(f"{alpha.size} tree angle(s) do not fill a binary tree")
+    return alpha, leaves.bit_length() - 1
+
+
+def coeff_probabilities(alpha) -> np.ndarray:
+    """Closed-form leaf probabilities: products of cos^2/sin^2 path factors.
+
+    ``alpha`` holds one angle per internal node, in ``tree_node`` order. An
+    angle ``a`` contributes ``cos^2(a)`` to the 0-child and ``sin^2(a)`` to
+    the 1-child, so the compiled rotation gate angle is ``2a``.
+    """
+    alpha, t = _tree(alpha)
     probs = np.ones(1)
-    for level in range(layer.tree_depth):
+    for level in range(t):
         base = tree_node(level)
-        angles = np.asarray(layer.alpha[base : base + (1 << level)])
+        angles = alpha[base : base + (1 << level)]
         c2, s2 = np.cos(angles) ** 2, np.sin(angles) ** 2
         nxt = np.empty(2 << level)
         nxt[0::2] = probs * c2
@@ -86,15 +66,16 @@ def coeff_probabilities(layer: CoefficientLayer) -> np.ndarray:
     return probs
 
 
-def coeff_probability_gradients(layer: CoefficientLayer) -> np.ndarray:
+def coeff_probability_gradients(alpha) -> np.ndarray:
     """Jacobian d p_j / d alpha_node, shape (L-1, L).
 
     Row ``node`` is nonzero only on leaves below that node; the node's own
     factor is replaced by its derivative (-sin(2a) on the 0-side, +sin(2a) on
     the 1-side).
     """
-    t, L = layer.tree_depth, layer.branch_count
-    jac = np.zeros((max(L - 1, 0), L))
+    alpha, t = _tree(alpha)
+    L = 1 << t
+    jac = np.zeros((L - 1, L))
     for j in range(L):
         factors = np.empty(t)
         derivs = np.empty(t)
@@ -103,7 +84,7 @@ def coeff_probability_gradients(layer: CoefficientLayer) -> np.ndarray:
             prefix = j >> (t - level)
             bit = (j >> (t - 1 - level)) & 1
             node = tree_node(level, prefix)
-            a = layer.alpha[node]
+            a = alpha[node]
             factors[level] = np.sin(a) ** 2 if bit else np.cos(a) ** 2
             derivs[level] = np.sin(2 * a) if bit else -np.sin(2 * a)
             nodes[level] = node
@@ -122,34 +103,29 @@ class ControlledBlock:
     gates: tuple[GateOp, ...]
 
 
-def build_coefficient_circuit(layer: CoefficientLayer) -> list[ControlledBlock]:
-    """Compile the tree to controlled RY blocks on control qubits 0..t-1.
+@lru_cache(maxsize=None)
+def build_coefficient_circuit(tree_depth: int) -> tuple[ControlledBlock, ...]:
+    """Compile a depth-``tree_depth`` tree to controlled RY blocks on qubits 0..t-1.
 
     Node (level l, prefix q) becomes RY on qubit l, controlled on qubits
     0..l-1 equal to q; its parameter slot is the node index, and the bound
-    gate angle must be twice the stored tree angle. Control qubits t..m-1 are
+    gate angle must be twice the stored tree angle. Later qubits are
     untouched.
     """
-    blocks = []
-    for level in range(layer.tree_depth):
-        for prefix in range(1 << level):
-            node = tree_node(level, prefix)
-            blocks.append(
-                ControlledBlock(tuple(range(level)), prefix, (ry(level, node),))
-            )
-    return blocks
+    return tuple(
+        ControlledBlock(tuple(range(level)), prefix, (ry(level, tree_node(level, prefix)),))
+        for level in range(tree_depth)
+        for prefix in range(1 << level)
+    )
 
 
-def apply_coefficient_layer(state: StateVector, layer: CoefficientLayer) -> StateVector:
-    """Apply the compiled tree to a state whose leading qubits are controls."""
-    if state.num_qubits < layer.num_controls:
-        raise LcqnnError(
-            f"state has {state.num_qubits} qubit(s), coefficient layer needs "
-            f"{layer.num_controls}"
-        )
+def apply_coefficient_layer(state: StateVector, alpha) -> StateVector:
+    """Apply the compiled tree of ``alpha`` to a state whose leading qubits
+    are controls."""
+    alpha, t = _tree(alpha)
     amps = state.amps.copy().reshape((2,) * state.num_qubits)
-    gate_angles = 2.0 * np.asarray(layer.alpha)
-    for block in build_coefficient_circuit(layer):
+    gate_angles = 2.0 * alpha
+    for block in build_coefficient_circuit(t):
         _apply_subcircuit_in_place(
             amps, block.controls, block.value, block.gates, gate_angles, state.num_qubits
         )
@@ -239,9 +215,6 @@ class LcqnnModel:
     def branch_param_count(self) -> int:
         return sum(g.param_count for g in self.groups)
 
-    def coefficient_layer(self, alpha) -> CoefficientLayer:
-        return CoefficientLayer(self.num_controls, self.branch_count, tuple(np.ravel(alpha)))
-
 
 def make_model(
     num_controls: int,
@@ -256,8 +229,13 @@ def make_model(
         raise ArchitectureError("working register needs at least one qubit")
     if depth < 0:
         raise ArchitectureError("depth must be non-negative")
-    # reuse the tree validation for m/L consistency
-    CoefficientLayer(num_controls, branch_count, (0.0,) * (branch_count - 1))
+    m, L = num_controls, branch_count
+    if m < 0:
+        raise ArchitectureError("control register size must be non-negative")
+    if L < 1 or (L & (L - 1)) != 0:
+        raise ArchitectureError(f"branch_count must be a power of two, got {L}")
+    if L > (1 << m):
+        raise ArchitectureError(f"branch_count {L} does not fit {m} control qubit(s)")
     if groups is None:
         parts = default_groups(num_working, locality)
     else:
@@ -321,6 +299,17 @@ def _branch_gates_shifted(model: LcqnnModel) -> tuple[GateOp, ...]:
     )
 
 
+def tree_angles(model: LcqnnModel, alpha) -> np.ndarray:
+    """Checked flat tree angles, one per internal node in ``tree_node`` order."""
+    alpha = np.asarray(alpha, dtype=np.float64).ravel()
+    if alpha.size != model.num_alpha:
+        raise ArchitectureError(
+            f"expected {model.num_alpha} tree angles for {model.branch_count} "
+            f"branches, got {alpha.size}"
+        )
+    return alpha
+
+
 def branch_angles(model: LcqnnModel, theta) -> np.ndarray:
     """Checked view of the flat branch angles, shape (branch_count, stride).
 
@@ -336,7 +325,7 @@ def branch_angles(model: LcqnnModel, theta) -> np.ndarray:
 
 
 def working_amps(
-    model: LcqnnModel, input_state: StateVector | None = None, obs: Observable | None = None
+    model: LcqnnModel, input_state: StateVector | None = None, obs: PauliZSum | None = None
 ) -> np.ndarray:
     """Checked amplitudes of a working-register input state (default |0...0>).
 
@@ -363,15 +352,15 @@ def lcqnn_forward(
     ``input_state`` is a working-register state (default |0...0>); the control
     register always starts at |0...0>.
     """
+    alpha = tree_angles(model, alpha)
     blocks = branch_angles(model, theta)
-    layer = model.coefficient_layer(alpha)
     m, n = model.num_controls, model.num_working
     total = m + n
     if total > MAX_QUBITS:
         raise CapacityError(f"{total} qubits exceed the supported maximum {MAX_QUBITS}")
     amps = np.zeros(1 << total, dtype=np.complex128)
     amps[: 1 << n] = working_amps(model, input_state)
-    state = apply_coefficient_layer(StateVector(total, amps), layer)
+    state = apply_coefficient_layer(StateVector(total, amps), alpha)
     nd = state.amps.reshape((2,) * total)
 
     gates = _branch_gates_shifted(model)
@@ -395,7 +384,7 @@ def branch_block_probabilities(model: LcqnnModel, state: StateVector) -> np.ndar
 
 
 def branch_expectations(
-    model: LcqnnModel, theta, obs: Observable, input_state: StateVector | None = None
+    model: LcqnnModel, theta, obs: PauliZSum, input_state: StateVector | None = None
 ) -> np.ndarray:
     """Per-branch expectations <input| U_j' O U_j |input> on the working register."""
     blocks = branch_angles(model, theta)
@@ -410,7 +399,7 @@ def branch_expectations(
 
 
 def cost(
-    model: LcqnnModel, alpha, theta, obs: Observable, input_state: StateVector | None = None
+    model: LcqnnModel, alpha, theta, obs: PauliZSum, input_state: StateVector | None = None
 ) -> float:
     """Expectation of the working-register observable over the forward state.
 

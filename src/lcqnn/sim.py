@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * ``U3(theta, phi, lam) = [[cos(theta/2),            -e^{i lam} sin(theta/2)],
   [e^{i phi} sin(theta/2), e^{i (phi+lam)} cos(theta/2)]]``
 * CNOT qubits are given as ``(control, target)``.
-* Observables may address a trailing sub-register: an observable on ``k``
-  qubits evaluated on an ``n >= k``-qubit state acts as identity on the
-  leading ``n - k`` qubits.
+* Every observable is a weighted sum of Pauli-Z strings (``PauliZSum``). One
+  on ``k`` qubits evaluated on an ``n >= k``-qubit state acts as identity on
+  the leading ``n - k`` qubits.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
 
 
 def adjoint_gradient(
-    tensor: np.ndarray, gates, params, obs: Observable
+    tensor: np.ndarray, gates, params, obs: PauliZSum
 ) -> tuple[float, np.ndarray]:
     """Expectation of ``obs`` after ``gates`` and its gradient in ``params``.
 
@@ -370,78 +370,16 @@ class PauliZSum:
         return "+".join(parts)
 
 
-class BlockDiagonal:
-    """A direct sum of Hermitian blocks on the leading basis states.
-
-    Blocks occupy consecutive index ranges starting at 0; any remaining basis
-    states (zero padding up to 2**num_qubits) carry the zero operator.
-    """
-
-    _HERMITIAN_ATOL = 1e-12
-
-    def __init__(self, blocks, num_qubits: int):
-        mats = []
-        total = 0
-        for b in blocks:
-            m = np.asarray(b, dtype=np.complex128)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise LcqnnError(f"block of shape {m.shape} is not square")
-            if not np.allclose(m, m.conj().T, atol=self._HERMITIAN_ATOL, rtol=0.0):
-                raise LcqnnError("block is not Hermitian within 1e-12")
-            mats.append(m)
-            total += m.shape[0]
-        if total > (1 << num_qubits):
-            raise LcqnnError(
-                f"blocks span dimension {total} > 2**{num_qubits}"
-            )
-        self.blocks = tuple(mats)
-        self.num_qubits = int(num_qubits)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec)
-        offset = 0
-        for b in self.blocks:
-            d = b.shape[0]
-            out[offset : offset + d] = b @ vec[offset : offset + d]
-            offset += d
-        return out
-
-    def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks))
-
-    def describe(self) -> str:
-        return "blockdiag(" + ",".join(str(b.shape[0]) for b in self.blocks) + ")"
-
-
-Observable = PauliZSum | BlockDiagonal
-
-
-def expectation(state: StateVector, obs: Observable) -> float:
+def expectation(state: StateVector, obs: PauliZSum) -> float:
     """<state| I (x) obs |state>, with obs on the trailing sub-register."""
     if obs.num_qubits > state.num_qubits:
         raise LcqnnError(
             f"observable on {obs.num_qubits} qubit(s) does not fit a "
             f"{state.num_qubits}-qubit state"
         )
-    dim = 1 << obs.num_qubits
-    rows = state.amps.reshape(-1, dim)
-    if isinstance(obs, PauliZSum):
-        marginal = np.sum(np.abs(rows) ** 2, axis=0)
-        return float(obs._diag @ marginal)
-    val = complex(np.einsum("ri,ij,rj->", rows.conj(), _block_embed(obs, dim), rows))
-    if abs(val.imag) > 1e-10:
-        raise LcqnnError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
-    return float(val.real)
-
-
-def _block_embed(obs: BlockDiagonal, dim: int) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    offset = 0
-    for b in obs.blocks:
-        d = b.shape[0]
-        mat[offset : offset + d, offset : offset + d] = b
-        offset += d
-    return mat
+    rows = state.amps.reshape(-1, 1 << obs.num_qubits)
+    marginal = np.sum(np.abs(rows) ** 2, axis=0)
+    return float(obs._diag @ marginal)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ import pytest
 
 from lcqnn import (
     BlockSpectrum,
-    CoefficientLayer,
     branch_block_probabilities,
-    coeff_probabilities,
     fit_log2_slope,
     group_block_variance,
     lcqnn_forward,

@@ -100,6 +100,18 @@ def test_variance_scan_out_file_matches_stdout(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
+def test_variance_scan_out_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["variance-scan", "--samples", "2", "--n-list", "2", "--k-list", "1",
+         "--L", "1", "--m", "0", "--out", str(tmp_path)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_variance_scan_json_validates(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -363,6 +375,13 @@ def test_grad_check_negative_control(capsys):
 
 def test_grad_check_zero_probes(capsys):
     assert run_cli(capsys, ["grad-check", "--probes", "0"])[0] == 2
+
+
+def test_grad_check_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["grad-check", "--probes", "3", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be >= 0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from lcqnn.experiments import (
     run_variance_point,
     scan_variance_global,
     scan_variance_vs_L,
-    scan_variance_vs_n,
     select_blocks,
     su2_block_dims,
     z0_observable,
@@ -88,19 +87,6 @@ def test_run_variance_point_record_fields():
     assert rec.samples == 30 and rec.seed == 5
     assert rec.variance > 0
     assert math.isfinite(rec.stderr)
-
-
-def test_scan_vs_n_shape_and_determinism():
-    records = scan_variance_vs_n(
-        m=1, L=2, D=1, k_list=(2,), n_list=(2, 3), samples=25, root_seed=9
-    )
-    assert [(r.k, r.n) for r in records] == [(2, 2), (2, 3)]
-    again = scan_variance_vs_n(
-        m=1, L=2, D=1, k_list=(2,), n_list=(2, 3), samples=25, root_seed=9
-    )
-    assert [(r.mean, r.variance) for r in records] == [
-        (r.mean, r.variance) for r in again
-    ]
 
 
 def test_scan_vs_L_validation_and_single_branch_equivalence():

@@ -241,16 +241,6 @@ def test_estimate_single_qubit_variance_closed_form():
     assert stats.variance == pytest.approx(0.5, rel=0.1)
 
 
-def test_estimate_fixed_alpha_dead_branch():
-    # freezing the tree at alpha=0 leaves branch 1 unweighted: the probe
-    # gradient is identically zero, so mean and variance vanish exactly.
-    model = make_model(1, 1, 2, 1, 1)
-    pid = model.num_alpha + model.branch_param_count  # branch 1, first angle
-    stats = estimate_grad_stats(model, Z0_1, pid, 50, 3, fixed_alpha=[0.0])
-    assert stats.mean == 0.0
-    assert stats.variance == 0.0
-
-
 def test_estimate_stderr_scales_with_samples():
     model = make_model(1, 1, 2, 1, 1)
     small = estimate_grad_stats(model, Z0_1, 1, 250, 17)

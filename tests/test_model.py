@@ -9,7 +9,6 @@ from oracles import dense_controlled, random_state
 
 from lcqnn.errors import ArchitectureError, LcqnnError
 from lcqnn.model import (
-    CoefficientLayer,
     apply_coefficient_layer,
     branch_angles,
     branch_block_probabilities,
@@ -27,6 +26,7 @@ from lcqnn.model import (
     model_to_dict,
     theta_index,
     theta_layout_size,
+    tree_angles,
     tree_node,
 )
 from lcqnn.sim import GateOp, PauliZSum, cnot, init_zero, ry, u3
@@ -36,28 +36,30 @@ from lcqnn.sim import GateOp, PauliZSum, cnot, init_zero, ry, u3
 
 
 def test_coefficient_layer_validation():
-    with pytest.raises(ArchitectureError):
-        CoefficientLayer(2, 3, (0.1, 0.2))  # not a power of two
-    with pytest.raises(ArchitectureError):
-        CoefficientLayer(1, 4, (0.1, 0.2, 0.3))  # does not fit one control qubit
-    with pytest.raises(ArchitectureError):
-        CoefficientLayer(2, 4, (0.1,))  # wrong angle count
-    with pytest.raises(ArchitectureError):
-        CoefficientLayer(-1, 1, ())
+    with pytest.raises(ArchitectureError, match="power of two"):
+        make_model(2, 2, 3, 1, 1)
+    with pytest.raises(ArchitectureError, match="does not fit 1 control"):
+        make_model(1, 2, 4, 1, 1)
+    with pytest.raises(ArchitectureError, match="non-negative"):
+        make_model(-1, 2, 1, 1, 1)
+    with pytest.raises(ArchitectureError, match="expected 3 tree angles for 4 branches, got 1"):
+        tree_angles(make_model(2, 2, 4, 1, 1), [0.1])
+    for bad in ([0.1, 0.2], np.zeros(4)):  # no binary tree has 2 or 4 internal nodes
+        with pytest.raises(ArchitectureError, match="do not fill a binary tree"):
+            coeff_probabilities(bad)
+        with pytest.raises(ArchitectureError, match="do not fill a binary tree"):
+            coeff_probability_gradients(bad)
+        with pytest.raises(ArchitectureError, match="do not fill a binary tree"):
+            apply_coefficient_layer(init_zero(3), bad)
 
 
 def test_coeff_probabilities_closed_form():
-    layer = CoefficientLayer(1, 2, (math.pi / 4,))
-    np.testing.assert_allclose(coeff_probabilities(layer), [0.5, 0.5], atol=1e-15)
-
-    np.testing.assert_allclose(
-        coeff_probabilities(CoefficientLayer(1, 2, (0.0,))), [1.0, 0.0], atol=1e-15
-    )
+    np.testing.assert_allclose(coeff_probabilities([math.pi / 4]), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(coeff_probabilities([0.0]), [1.0, 0.0], atol=1e-15)
 
     # two-level tree: root angle then the two level-1 angles, leaf j follows
     # its bit path with cos^2 on 0 and sin^2 on 1.
     a0, a1, a2 = 0.3, 0.7, 1.1
-    layer = CoefficientLayer(2, 4, (a0, a1, a2))
     c, s = np.cos, np.sin
     expected = [
         c(a0) ** 2 * c(a1) ** 2,
@@ -65,41 +67,37 @@ def test_coeff_probabilities_closed_form():
         s(a0) ** 2 * c(a2) ** 2,
         s(a0) ** 2 * s(a2) ** 2,
     ]
-    np.testing.assert_allclose(coeff_probabilities(layer), expected, atol=1e-15)
+    np.testing.assert_allclose(coeff_probabilities([a0, a1, a2]), expected, atol=1e-15)
 
-    assert coeff_probabilities(CoefficientLayer(0, 1, ())).tolist() == [1.0]
+    assert coeff_probabilities(np.empty(0)).tolist() == [1.0]
 
 
 def test_coeff_probabilities_sum_to_one():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        m = int(rng.integers(1, 5))
-        L = 1 << int(rng.integers(0, m + 1))
-        layer = CoefficientLayer(m, L, tuple(rng.uniform(0, 2 * math.pi, L - 1)))
-        assert coeff_probabilities(layer).sum() == pytest.approx(1.0, abs=1e-12)
+        L = 1 << int(rng.integers(0, 5))
+        alpha = rng.uniform(0, 2 * math.pi, L - 1)
+        assert coeff_probabilities(alpha).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coeff_gradients_match_finite_differences():
     rng = np.random.default_rng(31)
     h = 1e-6
-    for m, L in [(1, 2), (2, 4), (3, 8), (4, 16)]:
+    for L in (2, 4, 8, 16):
         alpha = rng.uniform(0, 2 * math.pi, L - 1)
-        jac = coeff_probability_gradients(CoefficientLayer(m, L, tuple(alpha)))
+        jac = coeff_probability_gradients(alpha)
         assert jac.shape == (L - 1, L)
         np.testing.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-12)
         for node in range(L - 1):
             up, dn = alpha.copy(), alpha.copy()
             up[node] += h
             dn[node] -= h
-            fd = (
-                coeff_probabilities(CoefficientLayer(m, L, tuple(up)))
-                - coeff_probabilities(CoefficientLayer(m, L, tuple(dn)))
-            ) / (2 * h)
+            fd = (coeff_probabilities(up) - coeff_probabilities(dn)) / (2 * h)
             np.testing.assert_allclose(jac[node], fd, atol=1e-8)
 
 
 def test_coefficient_circuit_structure():
-    blocks = build_coefficient_circuit(CoefficientLayer(2, 4, (0.1, 0.2, 0.3)))
+    blocks = build_coefficient_circuit(2)
     assert len(blocks) == 3
     assert blocks[0].controls == () and blocks[0].value == 0
     assert blocks[0].gates == (ry(0, 0),)
@@ -107,7 +105,8 @@ def test_coefficient_circuit_structure():
     assert blocks[1].gates == (ry(1, 1),)
     assert blocks[2].controls == (0,) and blocks[2].value == 1
     assert blocks[2].gates == (ry(1, 2),)
-    assert build_coefficient_circuit(CoefficientLayer(3, 1, ())) == []
+    assert build_coefficient_circuit(0) == ()
+    assert build_coefficient_circuit(2) is blocks  # compiled once per depth
 
 
 def test_tree_node_numbers_levels_in_order():
@@ -116,7 +115,7 @@ def test_tree_node_numbers_levels_in_order():
     assert tree_node(2) == 3  # first node of level 2, prefix defaults to 0
     slots = [
         block.gates[0].param_slots[0]
-        for block in build_coefficient_circuit(CoefficientLayer(3, 8, (0.0,) * 7))
+        for block in build_coefficient_circuit(3)
     ]
     assert slots == nodes[:7]
 
@@ -124,11 +123,11 @@ def test_tree_node_numbers_levels_in_order():
 def test_apply_coefficient_layer_amplitudes():
     # one control qubit: amplitudes are cos(a), sin(a) directly.
     a = math.pi / 3
-    out = apply_coefficient_layer(init_zero(1), CoefficientLayer(1, 2, (a,)))
+    out = apply_coefficient_layer(init_zero(1), [a])
     np.testing.assert_allclose(out.amps, [0.5, math.sqrt(3) / 2], atol=1e-12)
 
     # an idle control qubit stays |0>: the branch blocks land on |00>, |10>.
-    out = apply_coefficient_layer(init_zero(2), CoefficientLayer(2, 2, (math.pi / 4,)))
+    out = apply_coefficient_layer(init_zero(2), [math.pi / 4])
     r = math.sqrt(0.5)
     np.testing.assert_allclose(out.amps, [r, 0, r, 0], atol=1e-12)
 
@@ -137,12 +136,12 @@ def test_coefficient_circuit_matches_closed_form():
     rng = np.random.default_rng(13)
     for _ in range(20):
         m = int(rng.integers(1, 4))
-        L = 1 << int(rng.integers(1, m + 1))
-        layer = CoefficientLayer(m, L, tuple(rng.uniform(0, 2 * math.pi, L - 1)))
-        out = apply_coefficient_layer(init_zero(m), layer)
-        idle = m - layer.tree_depth
+        t = int(rng.integers(1, m + 1))
+        alpha = rng.uniform(0, 2 * math.pi, (1 << t) - 1)
+        out = apply_coefficient_layer(init_zero(m), alpha)
+        idle = m - t
         sim_probs = np.abs(out.amps[:: 1 << idle] if idle else out.amps) ** 2
-        np.testing.assert_allclose(sim_probs, coeff_probabilities(layer), atol=1e-12)
+        np.testing.assert_allclose(sim_probs, coeff_probabilities(alpha), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,7 @@ def test_forward_matches_dense_oracle():
         total = m + n
         vec = np.zeros(1 << total, dtype=complex)
         vec[: 1 << n] = state_in.amps
-        layer = model.coefficient_layer(tuple(alpha))
-        for block in build_coefficient_circuit(layer):
+        for block in build_coefficient_circuit(model.tree_depth):
             vec = (
                 dense_controlled(block.controls, block.value, block.gates, 2 * alpha, total)
                 @ vec
@@ -303,13 +301,12 @@ def test_forward_block_norms_match_coefficients():
         alpha = rng.uniform(0, 2 * math.pi, L - 1)
         theta = rng.uniform(0, 2 * math.pi, theta_layout_size(model))
         out = lcqnn_forward(model, alpha, theta)
-        layer = model.coefficient_layer(tuple(alpha))
         np.testing.assert_allclose(
-            branch_block_probabilities(model, out), coeff_probabilities(layer), atol=1e-12
+            branch_block_probabilities(model, out), coeff_probabilities(alpha), atol=1e-12
         )
         # nothing leaks outside the branch blocks
         mask = np.ones(out.amps.size, dtype=bool)
-        idle = m - layer.tree_depth
+        idle = m - model.tree_depth
         for j in range(L):
             start = (j << idle) << n
             mask[start : start + (1 << n)] = False
@@ -353,7 +350,7 @@ def test_forward_depth_zero_is_coefficient_layer_only():
     model = make_model(2, 1, 4, 1, 0)
     alpha = [0.3, 0.7, 1.1]
     out = lcqnn_forward(model, alpha, [])
-    probs = coeff_probabilities(model.coefficient_layer(tuple(alpha)))
+    probs = coeff_probabilities(alpha)
     np.testing.assert_allclose(
         np.abs(out.amps[0::2]) ** 2, probs, atol=1e-12
     )
@@ -391,7 +388,7 @@ def test_cost_equals_branch_mixture():
     theta = rng.uniform(0, 2 * math.pi, theta_layout_size(model))
     obs = PauliZSum([(1.0, (0,)), (0.5, (0, 1))], num_qubits=2)
     direct = cost(model, alpha, theta, obs)
-    p = coeff_probabilities(model.coefficient_layer(tuple(alpha)))
+    p = coeff_probabilities(alpha)
     e = branch_expectations(model, theta, obs)
     assert direct == pytest.approx(float(p @ e), abs=1e-10)
 

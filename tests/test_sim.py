@@ -8,7 +8,6 @@ import pytest
 from lcqnn import sim
 from lcqnn.errors import CapacityError, EncodingError, LcqnnError
 from lcqnn.sim import (
-    BlockDiagonal,
     PauliZSum,
     RngStream,
     amplitude_encode,
@@ -276,25 +275,6 @@ def test_pauli_z_sum_diagonal_matches_dense():
             dense += w * term
         np.testing.assert_allclose(obs.diagonal(), np.diagonal(dense).real, atol=1e-12)
         assert obs.trace() == pytest.approx(np.trace(dense).real, abs=1e-9)
-
-
-def test_block_diagonal_expectation():
-    b0 = np.array([[1.0, 0.5], [0.5, -1.0]])
-    b1 = np.array([[2.0]])
-    obs = BlockDiagonal([b0, b1], num_qubits=2)
-    amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    s = sim.StateVector(2, amps)
-    # <psi| b0 (+) b1 (+) 0 |psi> with psi uniform:
-    expected = (0.25 * (1.0 - 1.0) + 2 * 0.25 * 0.5) + 0.25 * 2.0
-    assert expectation(s, obs) == pytest.approx(expected, abs=1e-12)
-    assert obs.trace() == pytest.approx(2.0, abs=1e-12)
-
-
-def test_block_diagonal_validation():
-    with pytest.raises(LcqnnError):
-        BlockDiagonal([np.array([[0.0, 1.0], [0.0, 0.0]])], num_qubits=1)
-    with pytest.raises(LcqnnError):
-        BlockDiagonal([np.eye(3)], num_qubits=1)
 
 
 def test_observable_validation():
