@@ -16,7 +16,6 @@ from .sim import (
     RngStream,
     StateVector,
     amplitude_encode,
-    apply_controlled_subcircuit,
     apply_gate,
     cnot,
     expectation,
@@ -35,7 +34,6 @@ from .gradients import (
     estimate_grad_stats,
     finite_diff_grad,
     grad_full,
-    join_params,
     num_params,
     param_shift_grad,
     sample_param_draw,
@@ -58,9 +56,6 @@ from .model import (
     entangling_gates,
     lcqnn_forward,
     make_model,
-    model_from_dict,
-    model_to_dict,
-    theta_index,
     theta_layout_size,
     tree_angles,
     tree_node,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check or run failure, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -128,7 +129,6 @@ def cmd_variance_scan(args) -> int:
                     args.seed,
                     obs=obs,
                     param_id=args.param_id,
-                    threads=args.threads,
                 )
             )
     _emit_scan(command, config, records, args)
@@ -166,7 +166,6 @@ def cmd_variance_layers(args) -> int:
         args.seed,
         obs=obs,
         param_id=args.param_id,
-        threads=args.threads,
     )
     summary = reporting.layers_summary(records)
     _progress(f"variance-layers: slope {summary['log2_slope_vs_log2_L']:+.4f}")
@@ -228,14 +227,7 @@ def cmd_group_scan(args) -> int:
             f"mode {args.mode} ({args.samples} samples)"
         )
         results.append(
-            group_block_variance(
-                spectrum,
-                args.samples,
-                args.mode,
-                args.seed,
-                args.depth,
-                threads=args.threads,
-            )
+            group_block_variance(spectrum, args.samples, args.mode, args.seed, args.depth)
         )
     summary = reporting.group_summary(results)
     for ratio in summary["ratios"]:
@@ -258,6 +250,7 @@ def cmd_mnist(args) -> int:
     _require(args.epochs >= 1, "--epochs must be >= 1")
     _require(args.runs >= 1, "--runs must be >= 1")
     _require(args.batch >= 1, "--batch must be >= 1")
+    _require(math.isfinite(args.lr) and args.lr > 0, "--lr must be finite and > 0")
     _require(
         args.train_limit >= 4 and args.test_limit >= 4,
         "--train-limit and --test-limit must be >= 4 (one example per class)",
@@ -322,6 +315,7 @@ def cmd_mnist(args) -> int:
 def cmd_grad_check(args) -> int:
     _require(args.probes >= 1, "--probes must be >= 1")
     _require(args.seed >= 0, "--seed must be >= 0")
+    _require(math.isfinite(args.shift_scale), "--shift-scale must be finite")
     rng = np.random.default_rng(args.seed)
     worst_rel = -1.0
     worst_detail = ""
@@ -350,7 +344,7 @@ def cmd_grad_check(args) -> int:
         )
         if rel > worst_rel:
             worst_rel, worst_detail = rel, detail
-        if rel > GRAD_CHECK_TOLERANCE:
+        if not rel <= GRAD_CHECK_TOLERANCE:  # a NaN error fails too
             failures += 1
     if failures:
         print(
@@ -383,7 +377,8 @@ def _add_sampling_flags(parser) -> None:
         "--threads",
         type=int,
         default=1,
-        help="worker threads for sample loops; output is identical at any count",
+        help="accepted so that recorded commands replay; has no effect "
+        "(sampling runs in one thread)",
     )
 
 

@@ -90,7 +90,6 @@ def run_variance_point(
     *,
     obs=None,
     param_id: int | None = None,
-    threads: int = 1,
 ) -> ScanRecord:
     """Estimate one configuration; the probe defaults to branch 0's first
     rotation angle, which exists for every architecture with D >= 1."""
@@ -99,9 +98,7 @@ def run_variance_point(
         obs = z0_observable(n)
     if param_id is None:
         param_id = default_probe_param(model)
-    stats = estimate_grad_stats(
-        model, obs, param_id, samples, root_seed, threads=threads
-    )
+    stats = estimate_grad_stats(model, obs, param_id, samples, root_seed)
     return _record(model, k, obs, param_id, samples, root_seed, stats)
 
 
@@ -116,7 +113,6 @@ def scan_variance_vs_L(
     *,
     obs=None,
     param_id: int | None = None,
-    threads: int = 1,
 ) -> list[ScanRecord]:
     """Variance against branch count at fixed register and depth.
 
@@ -128,10 +124,7 @@ def scan_variance_vs_L(
         if L > (1 << m):
             raise ArchitectureError(f"branch count {L} does not fit {m} control qubit(s)")
     return [
-        run_variance_point(
-            m, n, L, k, D, samples, root_seed,
-            obs=obs, param_id=param_id, threads=threads,
-        )
+        run_variance_point(m, n, L, k, D, samples, root_seed, obs=obs, param_id=param_id)
         for L in L_list
     ]
 
@@ -142,16 +135,12 @@ def scan_variance_global(
     D: int = 3,
     samples: int = 500,
     root_seed: int = 42,
-    *,
-    threads: int = 1,
 ) -> list[ScanRecord]:
     """Fully global variant: one branch per control basis state (L = 2^m)
     and a single working-register-wide block (k = n), scanned over total
     register size m + n."""
     return [
-        run_variance_point(
-            m, n, 1 << m, n, D, samples, root_seed, threads=threads
-        )
+        run_variance_point(m, n, 1 << m, n, D, samples, root_seed)
         for m in m_list
         for n in n_list
     ]
@@ -327,8 +316,6 @@ def group_block_variance(
     mode: str = "haar",
     root_seed: int = 42,
     depth: int = 8,
-    *,
-    threads: int = 1,
 ) -> GroupScanResult:
     """Gradient statistics of C = sum_mu p_mu(alpha) <psi_mu| O_mu |psi_mu>.
 
@@ -391,7 +378,7 @@ def group_block_variance(
         return theta_part, alpha_part
 
     theta_stats, alpha_stats = GradStats(), GradStats()
-    for theta_part, alpha_part in run_chunked(samples, chunk, threads):
+    for theta_part, alpha_part in run_chunked(samples, chunk):
         theta_stats.merge(theta_part)
         alpha_stats.merge(alpha_part)
     return GroupScanResult(

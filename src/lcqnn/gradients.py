@@ -3,13 +3,13 @@ differences, a fast analytic full-gradient pass, and streaming variance
 estimation over random parameter draws.
 
 Flat parameter layout: indices ``0 .. L-2`` are the coefficient-tree angles
-(node order), followed by every branch angle in ``theta_index`` order.
+(node order), followed by the branch angles, one ``model.branch_angles`` row
+per branch.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +50,6 @@ def split_params(model: LcqnnModel, flat) -> tuple[np.ndarray, np.ndarray]:
     if flat.size != num_params(model):
         raise LcqnnError(f"expected {num_params(model)} parameters, got {flat.size}")
     return flat[: model.num_alpha], flat[model.num_alpha :]
-
-
-def join_params(alpha, theta) -> np.ndarray:
-    return np.concatenate(
-        [np.asarray(alpha, dtype=np.float64).ravel(), np.asarray(theta, dtype=np.float64).ravel()]
-    )
 
 
 def default_probe_param(model: LcqnnModel) -> int:
@@ -263,25 +257,16 @@ ALPHA_COMPONENT = 0
 THETA_COMPONENT = 1
 
 #: samples per reduction chunk — fixed so that the accumulation order (and
-#: therefore every floating-point result) is independent of thread count
+#: therefore every floating-point result) never changes
 REDUCTION_CHUNK = 64
 
 
-def run_chunked(num_samples: int, chunk_fn, threads: int = 1) -> list:
-    """Evaluate ``chunk_fn(lo, hi)`` over fixed-size sample ranges.
-
-    The chunk boundaries never depend on ``threads``; workers only race to
-    compute chunks whose results are still combined in index order, so any
-    thread count reproduces the single-threaded output bit for bit.
-    """
-    bounds = [
-        (lo, min(lo + REDUCTION_CHUNK, num_samples))
+def run_chunked(num_samples: int, chunk_fn) -> list:
+    """``chunk_fn(lo, hi)`` over fixed-size sample ranges, in index order."""
+    return [
+        chunk_fn(lo, min(lo + REDUCTION_CHUNK, num_samples))
         for lo in range(0, num_samples, REDUCTION_CHUNK)
     ]
-    if threads <= 1 or len(bounds) == 1:
-        return [chunk_fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda b: chunk_fn(*b), bounds))
 
 
 def sample_param_draw(
@@ -309,15 +294,12 @@ def estimate_grad_stats(
     param_id: int,
     num_samples: int,
     root_seed: int,
-    *,
-    threads: int = 1,
 ) -> GradStats:
     """Mean/variance of one parameter's gradient over random angle draws,
     with the working register starting at |0...0>.
 
     Sample ``i`` draws from ``RngStream(root_seed, i)``; the reduction is
-    chunked in fixed sample ranges, so results are identical at any thread
-    count.
+    chunked in fixed sample ranges merged in order.
     """
     _check_param_id(model, param_id)
     if num_samples < 1:
@@ -332,6 +314,6 @@ def estimate_grad_stats(
         return part
 
     stats = GradStats()
-    for part in run_chunked(num_samples, chunk, threads):
+    for part in run_chunked(num_samples, chunk):
         stats.merge(part)
     return stats

@@ -222,9 +222,8 @@ def make_model(
     branch_count: int,
     locality: int,
     depth: int,
-    groups=None,
 ) -> LcqnnModel:
-    """Build and validate a model; ``groups`` overrides the default partition."""
+    """Build and validate a model whose groups are ``default_groups``."""
     if num_working < 1:
         raise ArchitectureError("working register needs at least one qubit")
     if depth < 0:
@@ -236,46 +235,13 @@ def make_model(
         raise ArchitectureError(f"branch_count must be a power of two, got {L}")
     if L > (1 << m):
         raise ArchitectureError(f"branch_count {L} does not fit {m} control qubit(s)")
-    if groups is None:
-        parts = default_groups(num_working, locality)
-    else:
-        parts = tuple(tuple(int(q) for q in g) for g in groups)
-        seen = [q for g in parts for q in g]
-        if sorted(seen) != list(range(num_working)):
-            raise ArchitectureError(
-                f"groups {parts} do not partition qubits 0..{num_working - 1}"
-            )
-    specs = tuple(LocalBlockSpec(g, depth) for g in parts)
+    specs = tuple(LocalBlockSpec(g, depth) for g in default_groups(num_working, locality))
     return LcqnnModel(num_controls, num_working, branch_count, locality, depth, specs)
 
 
 def theta_layout_size(model: LcqnnModel) -> int:
     """Flat branch-parameter count: branch_count * sum over groups of 3*size*depth."""
     return model.branch_count * model.branch_param_count
-
-
-def theta_index(
-    model: LcqnnModel, branch: int, group: int, layer: int, qubit_pos: int, comp: int
-) -> int:
-    """Flat index of one branch angle.
-
-    Layout: branch-major, then group, then layer, then qubit position within
-    the group, then which of (theta, phi, lam).
-    """
-    if not 0 <= branch < model.branch_count:
-        raise LcqnnError(f"branch {branch} out of range")
-    if not 0 <= group < len(model.groups):
-        raise LcqnnError(f"group {group} out of range")
-    spec = model.groups[group]
-    if not 0 <= layer < spec.depth:
-        raise LcqnnError(f"layer {layer} out of range")
-    if not 0 <= qubit_pos < len(spec.qubits):
-        raise LcqnnError(f"qubit position {qubit_pos} out of range")
-    if not 0 <= comp < 3:
-        raise LcqnnError(f"angle component {comp} out of range")
-    offset = sum(g.param_count for g in model.groups[:group])
-    within = (layer * len(spec.qubits) + qubit_pos) * 3 + comp
-    return branch * model.branch_param_count + offset + within
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +280,8 @@ def branch_angles(model: LcqnnModel, theta) -> np.ndarray:
     """Checked view of the flat branch angles, shape (branch_count, stride).
 
     Row ``j`` is branch ``j``'s block ``theta_j``; ``stride`` is
-    ``model.branch_param_count``.
+    ``model.branch_param_count``. Within a row, slots run group by group in
+    ``entangling_gates`` order.
     """
     theta = np.asarray(theta, dtype=np.float64).ravel()
     if theta.size != theta_layout_size(model):
@@ -407,36 +374,3 @@ def cost(
     """
     working_amps(model, input_state, obs)
     return expectation(lcqnn_forward(model, alpha, theta, input_state), obs)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def model_to_dict(model: LcqnnModel) -> dict:
-    """JSON-ready architecture document; groups included when non-default."""
-    doc = {
-        "m": model.num_controls,
-        "n": model.num_working,
-        "L": model.branch_count,
-        "k": model.locality,
-        "D": model.depth,
-    }
-    parts = tuple(g.qubits for g in model.groups)
-    if parts != default_groups(model.num_working, model.locality):
-        doc["groups"] = [list(g) for g in parts]
-    return doc
-
-
-def model_from_dict(doc: dict) -> LcqnnModel:
-    try:
-        return make_model(
-            int(doc["m"]),
-            int(doc["n"]),
-            int(doc["L"]),
-            int(doc["k"]),
-            int(doc["D"]),
-            groups=doc.get("groups"),
-        )
-    except KeyError as exc:
-        raise ArchitectureError(f"missing model field {exc}") from exc

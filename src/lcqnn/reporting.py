@@ -3,14 +3,14 @@
 Every artifact begins with the tool version, the exact command that produced
 it, and the resolved configuration, so re-running the header's command
 regenerates the data rows byte for byte.  Floats are rendered with ``repr``
-(shortest round-trip form), which keeps rows bit-identical across re-runs and
-thread counts.
+(shortest round-trip form), which keeps rows bit-identical across re-runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -59,7 +59,7 @@ def build_command(subcommand: str, config: dict) -> str:
                 parts += [flag, ",".join(str(x) for x in value)]
         else:
             parts += [flag, str(value)]
-    return " ".join(parts)
+    return " ".join(shlex.quote(part) for part in parts)
 
 
 def header_lines(command: str, config: dict) -> list[str]:

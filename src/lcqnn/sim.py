@@ -41,9 +41,6 @@ class StateVector:
     num_qubits: int
     amps: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy())
-
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -52,14 +49,19 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
-def init_zero(num_qubits: int) -> StateVector:
-    """Return |0...0> on ``num_qubits`` qubits."""
+def _check_width(num_qubits: int) -> None:
+    """Reject a register width before anything of size 2**num_qubits exists."""
     if num_qubits < 0:
         raise LcqnnError(f"num_qubits must be non-negative, got {num_qubits}")
     if num_qubits > MAX_QUBITS:
         raise CapacityError(
             f"num_qubits={num_qubits} exceeds the supported maximum of {MAX_QUBITS}"
         )
+
+
+def init_zero(num_qubits: int) -> StateVector:
+    """Return |0...0> on ``num_qubits`` qubits."""
+    _check_width(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -273,38 +275,6 @@ def _apply_subcircuit_in_place(
     view[...] = apply_gates(view, subcircuit, params)
 
 
-def apply_controlled_subcircuit(
-    state: StateVector,
-    control_qubits,
-    control_value: int,
-    subcircuit,
-    params=(),
-) -> StateVector:
-    """Apply a gate list only where the control qubits match ``control_value``.
-
-    Amplitudes whose control bits differ from the pattern are untouched, so the
-    result equals the block-diagonal operator  (+)_v (U if v == value else I)
-    acting on the control/target split.
-    """
-    controls = tuple(control_qubits)
-    if len(set(controls)) != len(controls):
-        raise LcqnnError(f"control qubits must be distinct, got {controls}")
-    for q in controls:
-        if not 0 <= q < state.num_qubits:
-            raise LcqnnError(
-                f"control qubit {q} out of range for a {state.num_qubits}-qubit state"
-            )
-    if not 0 <= control_value < (1 << len(controls)):
-        raise LcqnnError(
-            f"control_value {control_value} out of range for {len(controls)} control qubit(s)"
-        )
-    amps = state.amps.copy().reshape((2,) * state.num_qubits)
-    _apply_subcircuit_in_place(
-        amps, controls, control_value, subcircuit, params, state.num_qubits
-    )
-    return StateVector(state.num_qubits, amps.reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # observables
 
@@ -328,8 +298,7 @@ class PauliZSum:
     """
 
     def __init__(self, terms, num_qubits: int):
-        if num_qubits < 0:
-            raise LcqnnError("num_qubits must be non-negative")
+        _check_width(num_qubits)
         norm_terms = []
         for weight, qubits in terms:
             w = float(weight)

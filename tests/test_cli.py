@@ -56,6 +56,8 @@ def test_build_command_handles_lists_and_repeats():
     assert cmd == "lcqnn variance-scan --m 3 --k-list 3,5 --format csv"
     cmd = build_command("group-scan", {"dims": ["16:1,16:1", "32:1,32:1"]})
     assert cmd == "lcqnn group-scan --dims 16:1,16:1 --dims 32:1,32:1"
+    cmd = build_command("mnist", {"data_dir": "my data", "seed": 4})
+    assert cmd == "lcqnn mnist --data-dir 'my data' --seed 4"
 
 
 def test_mnist_summary_comparisons():
@@ -136,6 +138,18 @@ def test_variance_scan_flag_errors(capsys):
     assert run_cli(capsys, ["variance-scan", "--obs", "X0"])[0] == 2
     assert run_cli(capsys, ["variance-scan", "--obs", "Z5", "--n-list", "3"])[0] == 2
     assert run_cli(capsys, ["variance-scan", "--L", "3", "--samples", "2"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance-scan", "--n-list", "40", "--k-list", "3", "--samples", "2"],
+    ["variance-layers", "--n", "40", "--samples", "2"],
+])
+def test_register_too_wide_exits_2(capsys, argv):
+    # the observable's 2**n diagonal must not be allocated before the check
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: num_qubits=40 exceeds the supported maximum of 24\n"
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +328,37 @@ def test_mnist_malformed_idx_exits_2(tmp_path, capsys):
     assert "magic" in err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-0.5", "0"])
+def test_mnist_bad_learning_rate_exits_2(tmp_path, capsys, lr):
+    write_synthetic_idx(tmp_path)
+    code, out, err = run_cli(
+        capsys,
+        ["mnist", "--data-dir", str(tmp_path), "--L-list", "1", "--D-list", "1",
+         "--runs", "1", "--epochs", "1", "--train-limit", "8", "--test-limit", "4",
+         "--lr", lr],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --lr must be finite and > 0\n"  # before any loading
+
+
+def test_mnist_header_replays_data_dir_with_space(tmp_path, capsys):
+    data_dir = tmp_path / "my data"
+    data_dir.mkdir()
+    write_synthetic_idx(data_dir)
+    argv = ["mnist", "--data-dir", str(data_dir), "--L-list", "1", "--D-list", "1",
+            "--runs", "1", "--epochs", "1", "--batch", "8",
+            "--train-limit", "8", "--test-limit", "4"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    command_line = next(ln for ln in out.splitlines() if ln.startswith("# command: "))
+    replay_argv = shlex.split(command_line.removeprefix("# command: "))
+    assert replay_argv[0] == "lcqnn"
+    code, replay, _ = run_cli(capsys, replay_argv[1:])
+    assert code == 0
+    assert replay == out
+
+
 def test_mnist_smoke_grid(tmp_path, capsys):
     write_synthetic_idx(tmp_path)
     out_path = tmp_path / "grid.csv"
@@ -371,6 +416,25 @@ def test_grad_check_negative_control(capsys):
     )
     assert code == 1
     assert "worst offender" in out
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_grad_check_non_finite_shift_exits_2(capsys, scale):
+    code, out, err = run_cli(
+        capsys, ["grad-check", "--probes", "3", f"--shift-scale={scale}"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --shift-scale must be finite\n"
+
+
+def test_grad_check_nan_error_counts_as_failure(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "lcqnn.cli.param_shift_grad", lambda *args, **kwargs: float("nan")
+    )
+    code, out, _ = run_cli(capsys, ["grad-check", "--probes", "3"])
+    assert code == 1
+    assert out.startswith("grad-check: 3/3 probes exceeded")
 
 
 def test_grad_check_zero_probes(capsys):

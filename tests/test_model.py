@@ -22,9 +22,6 @@ from lcqnn.model import (
     entangling_gates,
     lcqnn_forward,
     make_model,
-    model_from_dict,
-    model_to_dict,
-    theta_index,
     theta_layout_size,
     tree_angles,
     tree_node,
@@ -182,10 +179,6 @@ def test_make_model_validation():
         make_model(2, 0, 4, 2, 1)
     with pytest.raises(ArchitectureError):
         make_model(2, 4, 4, 2, -1)
-    with pytest.raises(ArchitectureError):
-        make_model(2, 4, 4, 2, 1, groups=[(0, 1), (1, 2, 3)])
-    with pytest.raises(ArchitectureError):
-        make_model(2, 4, 4, 2, 1, groups=[(0, 1)])
 
 
 def test_theta_layout_size_examples():
@@ -195,33 +188,16 @@ def test_theta_layout_size_examples():
     assert theta_layout_size(make_model(2, 3, 4, 3, 0)) == 0
 
 
-def test_theta_index_enumerates_layout():
-    model = make_model(2, 5, 4, 2, 2)  # groups (0,1), (2,3), (4,)
-    ids = [
-        theta_index(model, b, g, layer, qp, c)
-        for b in range(model.branch_count)
-        for g, spec in enumerate(model.groups)
-        for layer in range(spec.depth)
-        for qp in range(len(spec.qubits))
-        for c in range(3)
-    ]
-    assert ids == list(range(theta_layout_size(model)))
-    with pytest.raises(LcqnnError):
-        theta_index(model, 4, 0, 0, 0, 0)
-    with pytest.raises(LcqnnError):
-        theta_index(model, 0, 0, 0, 0, 3)
-
-
 def test_branch_angles_rows_are_branch_blocks():
     model = make_model(2, 5, 4, 2, 2)
     theta = np.arange(theta_layout_size(model), dtype=np.float64)
     blocks = branch_angles(model, theta)
     assert blocks.shape == (model.branch_count, model.branch_param_count)
     assert np.shares_memory(blocks, theta)
-    last = len(model.groups) - 1
+    stride = model.branch_param_count
     for j in range(model.branch_count):
-        assert blocks[j, 0] == theta_index(model, j, 0, 0, 0, 0)
-        assert blocks[j, -1] == theta_index(model, j, last, 1, 0, 2)
+        assert blocks[j, 0] == j * stride
+        assert blocks[j, -1] == j * stride + stride - 1
     assert branch_angles(model, list(theta)).tolist() == blocks.tolist()
     with pytest.raises(LcqnnError, match="branch angle"):
         branch_angles(model, theta[:-1])
@@ -435,24 +411,3 @@ def test_expressivity_reaches_target_superposition():
     )
     fidelity = abs(np.vdot(target, out.amps)) ** 2
     assert fidelity >= 1 - 1e-9
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_model_round_trip():
-    model = make_model(2, 4, 4, 2, 8)
-    doc = model_to_dict(model)
-    assert doc == {"m": 2, "n": 4, "L": 4, "k": 2, "D": 8}
-    assert model_from_dict(doc) == model
-
-    custom = make_model(1, 4, 2, 2, 3, groups=[(1, 0), (3, 2)])
-    doc = model_to_dict(custom)
-    assert doc["groups"] == [[1, 0], [3, 2]]
-    assert model_from_dict(doc) == custom
-
-
-def test_model_from_dict_missing_field():
-    with pytest.raises(ArchitectureError):
-        model_from_dict({"m": 1, "n": 2, "L": 2, "k": 2})

@@ -11,7 +11,6 @@ from lcqnn.sim import (
     PauliZSum,
     RngStream,
     amplitude_encode,
-    apply_controlled_subcircuit,
     apply_gate,
     apply_gates,
     cnot,
@@ -43,6 +42,12 @@ def test_init_zero_capacity():
         init_zero(sim.MAX_QUBITS + 1)
     with pytest.raises(LcqnnError):
         init_zero(-1)
+
+
+def test_observable_capacity():
+    # the width is checked before the 2**n diagonal is built
+    with pytest.raises(CapacityError):
+        PauliZSum([(1.0, (0,))], num_qubits=40)
 
 
 def test_amplitude_encode_basis_and_uniform():
@@ -158,15 +163,22 @@ def _random_circuit(n, rng, max_gates=6, forbidden=()):
 # controlled subcircuits
 
 
+def apply_controlled(state, controls, value, gates, params):
+    """The state with ``gates`` applied where ``controls`` read ``value``."""
+    amps = state.amps.copy().reshape((2,) * state.num_qubits)
+    sim._apply_subcircuit_in_place(amps, controls, value, gates, params, state.num_qubits)
+    return sim.StateVector(state.num_qubits, amps.reshape(-1))
+
+
 def test_controlled_block_activates_on_match():
     # RY(pi) on qubit 1, controlled on qubit 0 == 1.
     sub = [ry(1, 0)]
     on = sim.StateVector(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    out = apply_controlled_subcircuit(on, (0,), 1, sub, [math.pi])
+    out = apply_controlled(on, (0,), 1, sub, [math.pi])
     np.testing.assert_allclose(out.amps, [0, 0, 0, 1], atol=1e-15)
 
     off = init_zero(2)  # |00>: control mismatches, state untouched
-    out = apply_controlled_subcircuit(off, (0,), 1, sub, [math.pi])
+    out = apply_controlled(off, (0,), 1, sub, [math.pi])
     np.testing.assert_allclose(out.amps, off.amps, atol=1e-15)
 
 
@@ -175,7 +187,7 @@ def test_controlled_block_three_qubits_dense_oracle():
     state = random_state(3, rng)
     sub = [u3(2, 0, 1, 2)]
     params = [0.7, -0.2, 1.1]
-    out = apply_controlled_subcircuit(state, (0, 1), 2, sub, params)
+    out = apply_controlled(state, (0, 1), 2, sub, params)
     expected = dense_controlled((0, 1), 2, sub, params, 3) @ state.amps
     np.testing.assert_allclose(out.amps, expected, atol=1e-10)
 
@@ -189,21 +201,15 @@ def test_controlled_block_matches_dense_oracle_property():
         value = int(rng.integers(0, 1 << n_ctrl))
         gates, params = _random_circuit(n, rng, max_gates=3, forbidden=controls)
         state = random_state(n, rng)
-        out = apply_controlled_subcircuit(state, controls, value, gates, params)
+        out = apply_controlled(state, controls, value, gates, params)
         expected = dense_controlled(controls, value, gates, params, n) @ state.amps
         np.testing.assert_allclose(out.amps, expected, atol=1e-10)
 
 
 def test_controlled_block_validation():
-    state = init_zero(3)
+    # a gate on a control qubit is rejected
     with pytest.raises(LcqnnError):
-        apply_controlled_subcircuit(state, (0,), 1, [ry(0, 0)], [0.1])
-    with pytest.raises(LcqnnError):
-        apply_controlled_subcircuit(state, (0,), 2, [ry(1, 0)], [0.1])
-    with pytest.raises(LcqnnError):
-        apply_controlled_subcircuit(state, (0, 0), 1, [ry(1, 0)], [0.1])
-    with pytest.raises(LcqnnError):
-        apply_controlled_subcircuit(state, (5,), 0, [ry(1, 0)], [0.1])
+        apply_controlled(init_zero(3), (0,), 1, [ry(0, 0)], [0.1])
 
 
 def test_norm_preserved_over_random_circuits():
