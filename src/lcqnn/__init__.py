@@ -1,6 +1,6 @@
 """Statevector simulation and trainability experiments for linear-combination QNNs."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ArchitectureError,

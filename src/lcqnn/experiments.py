@@ -29,8 +29,16 @@ from .model import (
     make_model,
     tree_node,
 )
-from .sim import PauliZSum, RngStream, apply_gates, haar_unitary, init_zero
-from .sim import gate_matrix  # noqa: F401  (perfbench/spans.py counts calls through this name)
+from .sim import (
+    PauliZSum,
+    RngStream,
+    diagonal_expectations,
+    ginibre,
+    haar_columns,
+    init_zero,
+)
+# perfbench/spans.py wraps these names here to count or time their calls
+from .sim import gate_matrix, haar_unitary  # noqa: F401
 
 
 def z0_observable(num_qubits: int) -> PauliZSum:
@@ -256,45 +264,45 @@ _HAAR_DIM_LIMIT = 256
 _BLOCK_DIM_LIMIT = 1 << 12
 
 
-def _haar_block_value(dim, gen):
-    """Expectation under a Haar unitary, as a function of the probe angle.
+def _haar_values(dim: int, gens, angles) -> np.ndarray:
+    """Block expectations under Haar unitaries, one drawn from each generator.
 
-    The probe is a rotation in the span of the first two basis states applied
-    before the unitary; mode-invariant thanks to Haar left-invariance.
-    Without an argument the probe angle is 0.
+    The probe is a rotation by ``angles[s, b]`` in the span of the first two
+    basis states, applied before sample ``b``'s unitary; mode-invariant
+    thanks to Haar left-invariance. ``angles`` has shape (k, B) and so has
+    the result; ``None`` is one row of zeros. Only the two columns the probe
+    reaches are orthonormalized.
     """
-    diag = balanced_z_diag(dim)
-    u = haar_unitary(dim, gen)
-
-    def value(theta=0.0):
-        r = np.zeros(dim)
-        r[0] = math.cos(theta / 2.0)
-        r[1] = math.sin(theta / 2.0)
-        psi = u @ r
-        return float(diag @ (np.abs(psi) ** 2))
-
-    return value
+    z = np.empty((len(gens), dim, 2), dtype=np.complex128)
+    for b, gen in enumerate(gens):
+        z[b] = ginibre(dim, gen)[:, :2]
+    cols = haar_columns(z)
+    if angles is None:
+        angles = np.zeros((1, len(gens)))
+    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    psi = cols[..., 0] * c[..., None] + cols[..., 1] * s[..., None]
+    return np.sum(balanced_z_diag(dim) * np.abs(psi) ** 2, axis=-1)
 
 
-def _ansatz_block_value(dim, depth, gen):
-    """Expectation under a layered circuit on the block's padded qubit
-    register, as a function of the probe (the first rotation's polar angle).
-    Without an argument the drawn first angle is kept.  The observable is
-    zero on the padding, so only the block itself carries weight."""
+def _ansatz_values(dim: int, depth: int, gens, angles) -> np.ndarray:
+    """Block expectations under layered circuits on the block's padded qubit
+    register, angles drawn from each generator.
+
+    Row ``s`` of ``angles`` (shape (k, B)) replaces every sample's first
+    rotation polar angle (the probe); ``None`` keeps the drawn angles. The
+    observable is zero on the padding, so only the block itself carries
+    weight.
+    """
     q = (dim - 1).bit_length()
     gates = entangling_gates(range(q), depth)
-    params = gen.uniform(0.0, TWO_PI, 3 * q * depth)
+    params = np.array([gen.uniform(0.0, TWO_PI, 3 * q * depth) for gen in gens])
+    if angles is not None:
+        params = np.tile(params, (len(angles), 1))
+        params[:, 0] = np.ravel(angles)
     diag = np.zeros(1 << q)
     diag[:dim] = balanced_z_diag(dim)
-
     psi_in = init_zero(q).amps.reshape((2,) * q)
-
-    def value(theta=None):
-        ps = params if theta is None else np.concatenate(([theta], params[1:]))
-        psi = apply_gates(psi_in, gates, ps)
-        return float(diag @ (np.abs(psi.reshape(-1)) ** 2))
-
-    return value
+    return diagonal_expectations(psi_in, gates, params, diag).reshape(-1, len(gens))
 
 
 @dataclass
@@ -347,34 +355,39 @@ def group_block_variance(
     probe_node = tree_node(tree_depth - 1) if tree_depth else None
     dims = [d * mult for d, mult in spectrum.blocks]
 
+    def block_values(dim, gens, angles):
+        if mode == "haar":
+            return _haar_values(dim, gens, angles)
+        return _ansatz_values(dim, depth, gens, angles)
+
     def chunk(lo: int, hi: int) -> tuple[GradStats, GradStats]:
+        streams = [RngStream(root_seed, i) for i in range(lo, hi)]
+        batch = hi - lo
+        alpha = np.array(
+            [s.component_generator(0).uniform(0.0, TWO_PI, num_leaves - 1) for s in streams]
+        ).reshape(batch, num_leaves - 1)
+        probe = np.array([s.component_generator(1).uniform(0.0, TWO_PI) for s in streams])
+        values = np.zeros((batch, num_leaves))
+        grad0 = np.zeros(batch)
+        for b, dim in enumerate(dims):
+            if dim == 1:
+                continue  # balanced_z_diag(1) is 0: value and gradient vanish
+            gens = [s.component_generator(_BLOCK_COMPONENT_BASE + b) for s in streams]
+            if b == 0:
+                at, up, down = block_values(
+                    dim, gens, np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))
+                )
+                values[:, 0] = at
+                grad0 = 0.5 * (up - down)
+            else:
+                values[:, b] = block_values(dim, gens, None)[0]
         theta_part, alpha_part = GradStats(), GradStats()
-        for i in range(lo, hi):
-            stream = RngStream(root_seed, i)
-            alpha = stream.component_generator(0).uniform(0.0, TWO_PI, num_leaves - 1)
-            probe_theta = float(stream.component_generator(1).uniform(0.0, TWO_PI))
-            values = np.zeros(num_leaves)
-            grad0 = 0.0
-            for b, dim in enumerate(dims):
-                if dim == 1:
-                    continue  # balanced_z_diag(1) is 0: value and gradient vanish
-                gen = stream.component_generator(_BLOCK_COMPONENT_BASE + b)
-                if mode == "haar":
-                    value = _haar_block_value(dim, gen)
-                else:
-                    value = _ansatz_block_value(dim, depth, gen)
-                if b == 0:
-                    values[b] = value(probe_theta)
-                    grad0 = 0.5 * (
-                        value(probe_theta + math.pi / 2) - value(probe_theta - math.pi / 2)
-                    )
-                else:
-                    values[b] = value()
-            probs = coeff_probabilities(alpha)
-            theta_part.add(float(probs[0]) * grad0)
-            if probe_node is not None:
-                jac = coeff_probability_gradients(alpha)
-                alpha_part.add(float(jac[probe_node] @ values))
+        for grad in coeff_probabilities(alpha)[:, 0] * grad0:
+            theta_part.add(float(grad))
+        if probe_node is not None:
+            jac_row = coeff_probability_gradients(alpha)[:, probe_node]
+            for grad in np.sum(jac_row * values, axis=-1):
+                alpha_part.add(float(grad))
         return theta_part, alpha_part
 
     theta_stats, alpha_stats = GradStats(), GradStats()

@@ -31,7 +31,7 @@ from .sim import (
     RngStream,
     StateVector,
     adjoint_gradient,
-    apply_gates,
+    diagonal_expectations,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
 )
 
@@ -172,42 +172,6 @@ def grad_full(
     return out
 
 
-def _probe_gradient(
-    model: LcqnnModel,
-    alpha: np.ndarray,
-    theta: np.ndarray,
-    obs: PauliZSum,
-    param_id: int,
-    input_amps: np.ndarray,
-) -> float:
-    """Single-parameter gradient through the branch mixture (no full register).
-
-    For a tree angle this needs every branch expectation; for a branch angle
-    only that branch, evaluated at its two shifted points, weighted by its
-    probability.
-    """
-    gates = branch_gates(model)
-    blocks = branch_angles(model, theta)
-    psi_in = input_amps.reshape((2,) * model.num_working)
-
-    def branch_value(local: np.ndarray) -> float:
-        psi = apply_gates(psi_in, gates, local).reshape(-1)
-        return float(np.vdot(psi, obs.apply(psi)).real)
-
-    if param_id < model.num_alpha:
-        values = np.array([branch_value(block) for block in blocks])
-        return float(coeff_probability_gradients(alpha)[param_id] @ values)
-
-    j, slot = divmod(param_id - model.num_alpha, model.branch_param_count)
-    prob = coeff_probabilities(alpha)[j]
-    local = blocks[j].copy()
-    local[slot] += math.pi / 2.0
-    up = branch_value(local)
-    local[slot] -= math.pi
-    down = branch_value(local)
-    return float(prob) * 0.5 * (up - down)
-
-
 # ---------------------------------------------------------------------------
 # streaming statistics
 
@@ -288,6 +252,47 @@ def sample_param_draw(
     return alpha, theta
 
 
+def probe_gradients(
+    model: LcqnnModel,
+    obs: PauliZSum,
+    param_id: int,
+    root_seed: int,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Gradient of parameter ``param_id`` at the draws of samples
+    ``lo .. hi-1``, with the working register starting at |0...0>.
+
+    The samples run as one batch through the branch mixture, never the full
+    register. A tree angle needs every branch expectation at the drawn
+    point; a branch angle needs only that branch, at its two shifted points,
+    weighted by its probability. Sample ``i``'s value does not depend on
+    ``lo`` and ``hi``.
+    """
+    _check_param_id(model, param_id)
+    psi_in = working_amps(model, obs=obs).reshape((2,) * model.num_working)
+    draws = [sample_param_draw(model, root_seed, i) for i in range(lo, hi)]
+    batch, L, stride = hi - lo, model.branch_count, model.branch_param_count
+    alpha = np.array([a for a, _ in draws]).reshape(batch, model.num_alpha)
+    blocks = np.array([t for _, t in draws]).reshape(batch, L, stride)
+    gates = branch_gates(model)
+
+    if param_id < model.num_alpha:
+        values = diagonal_expectations(
+            psi_in, gates, blocks.reshape(batch * L, stride), obs.diagonal()
+        ).reshape(batch, L)
+        jac_row = coeff_probability_gradients(alpha)[:, param_id]
+        return np.sum(jac_row * values, axis=-1)
+
+    j, slot = divmod(param_id - model.num_alpha, stride)
+    shifted = np.concatenate((blocks[:, j], blocks[:, j]))
+    shifted[:, slot] += math.pi / 2.0
+    shifted[batch:, slot] -= math.pi
+    values = diagonal_expectations(psi_in, gates, shifted, obs.diagonal())
+    prob = coeff_probabilities(alpha)[:, j]
+    return prob * 0.5 * (values[:batch] - values[batch:])
+
+
 def estimate_grad_stats(
     model: LcqnnModel,
     obs: PauliZSum,
@@ -298,19 +303,18 @@ def estimate_grad_stats(
     """Mean/variance of one parameter's gradient over random angle draws,
     with the working register starting at |0...0>.
 
-    Sample ``i`` draws from ``RngStream(root_seed, i)``; the reduction is
-    chunked in fixed sample ranges merged in order.
+    Sample ``i`` draws from ``RngStream(root_seed, i)``; each fixed sample
+    range is one ``probe_gradients`` batch, folded in index order, and the
+    ranges are merged in order.
     """
     _check_param_id(model, param_id)
     if num_samples < 1:
         raise LcqnnError("need at least one sample")
-    amps = working_amps(model, obs=obs)
 
     def chunk(lo: int, hi: int) -> GradStats:
         part = GradStats()
-        for i in range(lo, hi):
-            alpha, theta = sample_param_draw(model, root_seed, i)
-            part.add(_probe_gradient(model, alpha, theta, obs, param_id, amps))
+        for grad in probe_gradients(model, obs, param_id, root_seed, lo, hi):
+            part.add(float(grad))
         return part
 
     stats = GradStats()

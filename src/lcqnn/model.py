@@ -20,8 +20,8 @@ from .sim import (
     PauliZSum,
     StateVector,
     _apply_subcircuit_in_place,
-    apply_gates,
     cnot,
+    diagonal_expectations,
     expectation,
     init_zero,
     ry,
@@ -38,36 +38,54 @@ def tree_node(level: int, prefix: int = 0) -> int:
 
 
 def _tree(alpha) -> tuple[np.ndarray, int]:
-    """Flat tree angles and the depth of the binary tree they fill."""
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
-    leaves = alpha.size + 1
+    """Tree angles (last axis; leading axes are a batch) and the depth of
+    the binary tree they fill."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    leaves = alpha.shape[-1] + 1
     if leaves & (leaves - 1):
-        raise ArchitectureError(f"{alpha.size} tree angle(s) do not fill a binary tree")
+        raise ArchitectureError(
+            f"{alpha.shape[-1]} tree angle(s) do not fill a binary tree"
+        )
     return alpha, leaves.bit_length() - 1
 
 
 def coeff_probabilities(alpha) -> np.ndarray:
     """Closed-form leaf probabilities: products of cos^2/sin^2 path factors.
 
-    ``alpha`` holds one angle per internal node, in ``tree_node`` order. An
-    angle ``a`` contributes ``cos^2(a)`` to the 0-child and ``sin^2(a)`` to
-    the 1-child, so the compiled rotation gate angle is ``2a``.
+    ``alpha`` holds one angle per internal node, in ``tree_node`` order, on
+    its last axis; any leading axes are a batch, so shape (..., L-1) gives
+    (..., L). An angle ``a`` contributes ``cos^2(a)`` to the 0-child and
+    ``sin^2(a)`` to the 1-child, so the compiled rotation gate angle is
+    ``2a``.
     """
     alpha, t = _tree(alpha)
-    probs = np.ones(1)
+    batch = alpha.shape[:-1]
+    probs = np.ones(batch + (1,))
     for level in range(t):
         base = tree_node(level)
-        angles = alpha[base : base + (1 << level)]
+        angles = alpha[..., base : base + (1 << level)]
         c2, s2 = np.cos(angles) ** 2, np.sin(angles) ** 2
-        nxt = np.empty(2 << level)
-        nxt[0::2] = probs * c2
-        nxt[1::2] = probs * s2
+        nxt = np.empty(batch + (2 << level,))
+        nxt[..., 0::2] = probs * c2
+        nxt[..., 1::2] = probs * s2
         probs = nxt
     return probs
 
 
+@lru_cache(maxsize=None)
+def _leaf_paths(tree_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node and branch bit on every leaf's root path, each of shape (t, L)."""
+    leaves = np.arange(1 << tree_depth)
+    levels = np.arange(tree_depth)[:, None]
+    nodes = tree_node(levels, leaves >> (tree_depth - levels))
+    bits = ((leaves >> (tree_depth - 1 - levels)) & 1).astype(bool)
+    nodes.flags.writeable = bits.flags.writeable = False
+    return nodes, bits
+
+
 def coeff_probability_gradients(alpha) -> np.ndarray:
-    """Jacobian d p_j / d alpha_node, shape (L-1, L).
+    """Jacobian d p_j / d alpha_node, shape (..., L-1, L) for angles of shape
+    (..., L-1).
 
     Row ``node`` is nonzero only on leaves below that node; the node's own
     factor is replaced by its derivative (-sin(2a) on the 0-side, +sin(2a) on
@@ -75,22 +93,18 @@ def coeff_probability_gradients(alpha) -> np.ndarray:
     """
     alpha, t = _tree(alpha)
     L = 1 << t
-    jac = np.zeros((L - 1, L))
-    for j in range(L):
-        factors = np.empty(t)
-        derivs = np.empty(t)
-        nodes = np.empty(t, dtype=int)
-        for level in range(t):
-            prefix = j >> (t - level)
-            bit = (j >> (t - 1 - level)) & 1
-            node = tree_node(level, prefix)
-            a = alpha[node]
-            factors[level] = np.sin(a) ** 2 if bit else np.cos(a) ** 2
-            derivs[level] = np.sin(2 * a) if bit else -np.sin(2 * a)
-            nodes[level] = node
-        for level in range(t):
-            rest = np.prod(factors[:level]) * np.prod(factors[level + 1 :])
-            jac[nodes[level], j] = rest * derivs[level]
+    nodes, bits = _leaf_paths(t)
+    a = alpha[..., nodes]  # (..., t, L): the angle at each level of each path
+    factors = np.where(bits, np.sin(a) ** 2, np.cos(a) ** 2)
+    sin2 = np.sin(2 * a)
+    derivs = np.where(bits, sin2, -sin2)
+    jac = np.zeros(alpha.shape[:-1] + (L - 1, L))
+    leaves = np.arange(L)
+    for level in range(t):
+        rest = np.prod(factors[..., :level, :], axis=-2) * np.prod(
+            factors[..., level + 1 :, :], axis=-2
+        )
+        jac[..., nodes[level], leaves] = rest * derivs[..., level, :]
     return jac
 
 
@@ -122,7 +136,7 @@ def build_coefficient_circuit(tree_depth: int) -> tuple[ControlledBlock, ...]:
 def apply_coefficient_layer(state: StateVector, alpha) -> StateVector:
     """Apply the compiled tree of ``alpha`` to a state whose leading qubits
     are controls."""
-    alpha, t = _tree(alpha)
+    alpha, t = _tree(np.ravel(alpha))
     amps = state.amps.copy().reshape((2,) * state.num_qubits)
     gate_angles = 2.0 * alpha
     for block in build_coefficient_circuit(t):
@@ -355,14 +369,8 @@ def branch_expectations(
 ) -> np.ndarray:
     """Per-branch expectations <input| U_j' O U_j |input> on the working register."""
     blocks = branch_angles(model, theta)
-    n = model.num_working
-    psi_in = working_amps(model, input_state, obs).reshape((2,) * n)
-    gates = branch_gates(model)
-    vals = np.empty(model.branch_count)
-    for j, block in enumerate(blocks):
-        psi = apply_gates(psi_in, gates, block)
-        vals[j] = expectation(StateVector(n, psi.reshape(-1)), obs)
-    return vals
+    psi_in = working_amps(model, input_state, obs).reshape((2,) * model.num_working)
+    return diagonal_expectations(psi_in, branch_gates(model), blocks, obs.diagonal())
 
 
 def cost(

@@ -146,32 +146,6 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-def u3_matrix_derivs(theta: float, phi: float, lam: float) -> tuple[np.ndarray, ...]:
-    """Partial derivatives of ``u3_matrix`` with respect to each angle."""
-    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    ep, el, epl = np.exp(1j * phi), np.exp(1j * lam), np.exp(1j * (phi + lam))
-    d_theta = 0.5 * np.array([[-st, -el * ct], [ep * ct, -epl * st]])
-    d_phi = 1j * np.array([[0.0, 0.0], [ep * st, epl * ct]])
-    d_lam = 1j * np.array([[0.0, -el * st], [0.0, epl * ct]])
-    return d_theta, d_phi, d_lam
-
-
-def _gate_derivs(op: GateOp, params) -> list[tuple[int, np.ndarray]]:
-    """(parameter slot, d matrix / d angle) for each angle ``op`` binds."""
-    if op.kind == "u3":
-        th, ph, lm = (float(params[s]) for s in op.param_slots)
-        return list(zip(op.param_slots, u3_matrix_derivs(th, ph, lm)))
-    if op.kind == "ry":
-        (slot,) = op.param_slots
-        half = float(params[slot]) / 2.0
-        d = 0.5 * np.array(
-            [[-math.sin(half), -math.cos(half)], [math.cos(half), -math.sin(half)]],
-            dtype=np.complex128,
-        )
-        return [(slot, d)]
-    return []
-
-
 #: CNOT on the basis |control target>.
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
@@ -188,12 +162,9 @@ def gate_matrix(op: GateOp, params) -> np.ndarray:
     return CNOT_MATRIX
 
 
-def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Apply a unitary on the given axes of a rank-(2,2,...,2) tensor."""
-    k = len(axes)
-    mat_nd = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(mat_nd, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
+#: amplitudes one batched kernel call may hold (2**13 complex128 = 128 KiB);
+#: larger batches run as consecutive sub-batches of whole rows
+BATCH_AMPLITUDES = 1 << 13
 
 
 def _check_qubits(op: GateOp, num_qubits: int) -> None:
@@ -204,15 +175,123 @@ def _check_qubits(op: GateOp, num_qubits: int) -> None:
             )
 
 
-def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
-    """Apply ``gates`` in order to a rank-(2,2,...,2) tensor.
+def _rotation_slots(gates) -> np.ndarray:
+    """(theta, phi, lam) parameter slots of every rotation in ``gates``, in
+    order, shape (G, 3). RY is U3 with phi = lam = 0, read from slot -1: the
+    zero column that ``_rotation_entries`` appends."""
+    return np.array(
+        [
+            op.param_slots if op.kind == "u3" else (op.param_slots[0], -1, -1)
+            for op in gates
+            if op.kind != "cnot"
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 3)
 
-    Each gate's qubits are axes of ``tensor``; angles are bound from
-    ``params``. The input is not modified.
+
+def _rotation_entries(slots: np.ndarray, params: np.ndarray, ndim: int) -> np.ndarray:
+    """Entries (m00, m01, m10, m11) of the U3 rotations at ``slots``.
+
+    ``params`` has shape (B, P); the result has shape (G, 4, B, 1, ..., 1),
+    so that ``entries[g, i]`` broadcasts against one half of a batched
+    tensor of rank ``ndim``.
     """
+    batch = params.shape[0]
+    ang = np.concatenate((params, np.zeros((batch, 1))), axis=1)[:, slots]
+    half = 0.5 * ang[..., 0]
+    ct, st = np.cos(half), np.sin(half)
+    phase = np.exp(1j * ang[..., 1:])  # e^{i phi}, e^{i lam}
+    entries = np.empty((4,) + ct.shape, dtype=np.complex128)
+    entries[0] = ct
+    entries[1] = -phase[..., 1] * st
+    entries[2] = phase[..., 0] * st
+    entries[3] = np.exp(1j * (ang[..., 1] + ang[..., 2])) * ct
+    return entries.transpose(2, 0, 1).reshape((len(slots), 4, batch) + (1,) * (ndim - 2))
+
+
+def _rotate(tensor: np.ndarray, axis: int, m) -> np.ndarray:
+    """A new tensor with the 2x2 matrix ``m = (m00, m01, m10, m11)`` applied
+    on ``axis``.
+
+    Each output amplitude combines the two amplitudes of its own sample, so
+    a sample's values do not depend on the batch around it.
+    """
+    lo = (slice(None),) * axis + (0,)
+    hi = (slice(None),) * axis + (1,)
+    a0, a1 = tensor[lo], tensor[hi]
+    out = np.empty(tensor.shape, dtype=np.complex128)
+    out[lo] = m[0] * a0 + m[1] * a1
+    out[hi] = m[2] * a0 + m[3] * a1
+    return out
+
+
+def _cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
+    """A new tensor with the target axis flipped where the control axis is 1."""
+    sel = [slice(None)] * tensor.ndim
+    sel[control] = 1
+    sel[target] = 0
+    flip0 = tuple(sel)
+    sel[target] = 1
+    flip1 = tuple(sel)
+    out = np.array(tensor, dtype=np.complex128)
+    out[flip0] = tensor[flip1]
+    out[flip1] = tensor[flip0]
+    return out
+
+
+def _sweep(tensor: np.ndarray, gates, entries: np.ndarray, before=None) -> np.ndarray:
+    """The gate loop: apply ``gates`` to a batched tensor (qubit q is axis
+    q + 1), rotation k taking ``entries[k]``. ``before``, if given, collects
+    the state in front of each gate."""
+    k = 0
     for op in gates:
-        tensor = _apply_matrix(tensor, gate_matrix(op, params), op.qubits)
+        if before is not None:
+            before.append(tensor)
+        if op.kind == "cnot":
+            tensor = _cnot(tensor, op.qubits[0] + 1, op.qubits[1] + 1)
+        else:
+            tensor = _rotate(tensor, op.qubits[0] + 1, entries[k])
+            k += 1
     return tensor
+
+
+def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
+    """Apply ``gates`` in order to a rank-(2,2,...,2) tensor, or to a batch.
+
+    Unbatched: ``tensor`` of shape (2,...,2) and ``params`` of shape (P,).
+    Batched: ``tensor`` of shape (B, 2,...,2) and ``params`` of shape
+    (B, P); sample ``b`` binds its angles from ``params[b]``, and samples
+    never mix, so a sample's result is the same in any batch. Each gate's
+    qubits are axes of one sample's tensor. The input is not modified.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim == 1:
+        return apply_gates(tensor[None], gates, params[None])[0]
+    if params.ndim != 2 or tensor.shape[0] != params.shape[0]:
+        raise LcqnnError(
+            f"a batch of {tensor.shape[0]} state(s) needs parameters of shape "
+            f"({tensor.shape[0]}, P), got {params.shape}"
+        )
+    entries = _rotation_entries(_rotation_slots(gates), params, tensor.ndim)
+    return _sweep(tensor, gates, entries)
+
+
+def diagonal_expectations(psi_in: np.ndarray, gates, params, diag: np.ndarray) -> np.ndarray:
+    """``diag . |U(params[b]) psi_in|**2`` for each row ``b`` of ``params``.
+
+    ``psi_in`` is one rank-(2,...,2) input tensor shared by every row. Rows
+    run in sub-batches of at most ``BATCH_AMPLITUDES`` amplitudes (one row at
+    least), which cannot change a value because samples never mix.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    rows = max(1, BATCH_AMPLITUDES >> psi_in.ndim)
+    out = np.empty(params.shape[0])
+    for lo in range(0, params.shape[0], rows):
+        part = params[lo : lo + rows]
+        batch = np.broadcast_to(psi_in, (part.shape[0],) + psi_in.shape)
+        psi = apply_gates(batch, gates, part).reshape(part.shape[0], -1)
+        out[lo : lo + rows] = np.sum(diag * np.abs(psi) ** 2, axis=-1)
+    return out
 
 
 def adjoint_gradient(
@@ -225,17 +304,34 @@ def adjoint_gradient(
     each angle's derivative against the stored state (adjoint
     differentiation, Jones & Gacon, arXiv:2009.02823).
     """
-    snaps = [tensor]
-    for op in gates:
-        snaps.append(apply_gates(snaps[-1], (op,), params))
-    psi = snaps.pop()
+    params = np.asarray(params, dtype=np.float64)
+    slots = _rotation_slots(gates)
+    entries = _rotation_entries(slots, params[None], tensor.ndim + 1)
+    # dU3/dtheta = U3(theta + pi, phi, lam) / 2
+    shifted = params.copy()
+    shifted[slots[:, 0]] += math.pi
+    d_theta = 0.5 * _rotation_entries(slots, shifted[None], tensor.ndim + 1)
+    snaps: list[np.ndarray] = []
+    psi = _sweep(tensor[None], gates, entries, snaps)
     b = obs.apply(psi.reshape(-1)).reshape(psi.shape)
     value = float(np.vdot(psi, b).real)
     grad = np.zeros(len(params))
+    # the inverse of each rotation: its conjugate transpose
+    inverse = entries[:, [0, 2, 1, 3]].conj()
+    k = len(entries)
     for op, before in zip(reversed(gates), reversed(snaps)):
-        for slot, dmat in _gate_derivs(op, params):
-            grad[slot] += 2.0 * float(np.vdot(b, _apply_matrix(before, dmat, op.qubits)).real)
-        b = _apply_matrix(b, gate_matrix(op, params).conj().T, op.qubits)
+        if op.kind == "cnot":
+            b = _cnot(b, op.qubits[0] + 1, op.qubits[1] + 1)
+            continue
+        k -= 1
+        axis = op.qubits[0] + 1
+        _, m01, m10, m11 = entries[k]
+        # d/dphi multiplies the bottom row by i, d/dlam the right column
+        derivs = (d_theta[k], (0, 0, 1j * m10, 1j * m11), (0, 1j * m01, 0, 1j * m11))
+        for slot, dmat in zip(slots[k], derivs):
+            if slot >= 0:
+                grad[slot] += 2.0 * float(np.vdot(b, _rotate(before, axis, dmat)).real)
+        b = _rotate(b, axis, inverse[k])
     return value, grad
 
 
@@ -384,6 +480,26 @@ class RngStream:
         )
 
 
+def ginibre(dim: int, gen: np.random.Generator) -> np.ndarray:
+    """A (dim, dim) complex Ginibre matrix with unit-variance entries: the
+    real parts are drawn from ``gen`` first, then the imaginary parts."""
+    z = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    z /= math.sqrt(2.0)
+    return z
+
+
+def haar_columns(z: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of a stack of Ginibre matrices, shape
+    (..., d, k), by QR with the R-diagonal phases divided out.
+
+    Column j of Q depends only on Ginibre columns 0..j, so the leading k
+    columns of a Haar unitary need only the leading k columns of its draw.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Sample a Haar-distributed unitary via QR of a complex Ginibre matrix.
 
@@ -393,8 +509,4 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     if dim < 1:
         raise LcqnnError(f"dim must be >= 1, got {dim}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim)))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_columns(ginibre(dim, gen))

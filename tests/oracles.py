@@ -1,6 +1,6 @@
 """Shared test oracles: dense kron/projector circuit construction.
 
-Deliberately independent of the tensordot kernel in ``lcqnn.sim`` — gates are
+Deliberately independent of the gate kernel in ``lcqnn.sim`` — gates are
 embedded as explicit 2^n x 2^n matrices so the two implementations can
 cross-check each other.
 """

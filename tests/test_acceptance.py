@@ -26,13 +26,7 @@ from lcqnn import (
     z0_observable,
 )
 from lcqnn.cli import main
-from lcqnn.gradients import (
-    TWO_PI,
-    _probe_gradient,
-    default_probe_param,
-    sample_param_draw,
-)
-from lcqnn.model import working_amps
+from lcqnn.gradients import TWO_PI, default_probe_param, probe_gradients
 from lcqnn.mnist import (
     data_files_present,
     default_data_dir,
@@ -251,21 +245,16 @@ def test_criterion_05_theory_branch_count_ratio():
     # smaller shape than criterion 5's (n=3, k=3, D=2) to keep it fast.
     samples, seed = 2000, ROOT_SEED
 
-    def probe_gradients(L):
+    def branch_gradients(L):
         model = make_model(3, 3, L, 3, 2)
-        obs = z0_observable(3)
-        amps = working_amps(model, None, obs)
         pid = default_probe_param(model)
-        return np.array([
-            _probe_gradient(model, *sample_param_draw(model, seed, i), obs, pid, amps)
-            for i in range(samples)
-        ])
+        return probe_gradients(model, z0_observable(3), pid, seed, 0, samples)
 
-    base = probe_gradients(1)
+    base = branch_gradients(1)
     base_sq = (base - base.mean()) ** 2
     report = []
     for L in (2, 4, 8):
-        grads = probe_gradients(L)
+        grads = branch_gradients(L)
         grads_sq = (grads - grads.mean()) ** 2
         ratio = grads_sq.mean() / base_sq.mean()
         stderr = np.std(grads_sq - ratio * base_sq) / (

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lcqnn import sim
 from lcqnn.errors import ArchitectureError, CapacityError, LcqnnError
 from lcqnn.experiments import (
     BlockSpectrum,
@@ -18,6 +19,8 @@ from lcqnn.experiments import (
     su2_block_dims,
     z0_observable,
 )
+from lcqnn.gradients import TWO_PI
+from lcqnn.model import coeff_probabilities, coeff_probability_gradients, entangling_gates
 
 # ---------------------------------------------------------------------------
 # SU(2) block arithmetic
@@ -192,6 +195,71 @@ def test_haar_and_ansatz_modes_agree_on_power_of_two_block():
         haar.theta_stats.variance
     )
     assert rel <= 0.5
+
+
+def _group_scan_per_sample(spectrum, samples, mode, seed, depth):
+    """One sample at a time, with full Haar unitaries: the probe and tree
+    gradients of each sample, from the documented component streams."""
+    L = spectrum.num_blocks
+    t = (L - 1).bit_length()
+    theta_grads, alpha_grads = [], []
+    for i in range(samples):
+        stream = sim.RngStream(seed, i)
+        alpha = stream.component_generator(0).uniform(0.0, TWO_PI, (1 << t) - 1)
+        probe = stream.component_generator(1).uniform(0.0, TWO_PI)
+        values, grad0 = np.zeros(1 << t), 0.0
+        for b, (d, mult) in enumerate(spectrum.blocks):
+            dim = d * mult
+            if dim == 1:
+                continue
+            gen = stream.component_generator(2 + b)
+            if mode == "haar":
+                u = sim.haar_unitary(dim, gen)
+                diag = balanced_z_diag(dim)
+
+                def value(theta, u=u, diag=diag):
+                    psi = u[:, 0] * math.cos(theta / 2) + u[:, 1] * math.sin(theta / 2)
+                    return diag @ np.abs(psi) ** 2
+            else:
+                q = (dim - 1).bit_length()
+                gates = entangling_gates(range(q), depth)
+                params = gen.uniform(0.0, TWO_PI, 3 * q * depth)
+                diag = np.zeros(1 << q)
+                diag[:dim] = balanced_z_diag(dim)
+
+                def value(theta, gates=gates, params=params, diag=diag, q=q):
+                    ps = np.concatenate(([theta], params[1:]))
+                    psi = sim.apply_gates(sim.init_zero(q).amps.reshape((2,) * q), gates, ps)
+                    return diag @ np.abs(psi.reshape(-1)) ** 2
+            if b == 0:
+                values[0] = value(probe)
+                grad0 = 0.5 * (value(probe + math.pi / 2) - value(probe - math.pi / 2))
+            else:
+                values[b] = value(0.0) if mode == "haar" else value(params[0])
+        theta_grads.append(coeff_probabilities(alpha)[0] * grad0)
+        if t:
+            alpha_grads.append(coeff_probability_gradients(alpha)[(1 << (t - 1)) - 1] @ values)
+    return np.array(theta_grads), np.array(alpha_grads)
+
+
+@pytest.mark.parametrize("mode", ["haar", "ansatz"])
+def test_group_scan_matches_per_sample_reference(mode):
+    spectrum = BlockSpectrum(((3, 1), (2, 2), (1, 1), (5, 1), (4, 1)))
+    result = group_block_variance(spectrum, samples=70, mode=mode, root_seed=8, depth=2)
+    theta, alpha = _group_scan_per_sample(spectrum, 70, mode, 8, 2)
+    for stats, grads in ((result.theta_stats, theta), (result.alpha_stats, alpha)):
+        assert stats.count == 70
+        assert stats.mean == pytest.approx(grads.mean(), rel=0, abs=1e-12)
+        assert stats.variance == pytest.approx(grads.var(ddof=1), rel=0, abs=1e-12)
+
+
+def test_group_scan_is_bit_identical_under_any_amplitude_budget(monkeypatch):
+    spectrum = BlockSpectrum(((3, 1), (5, 1), (2, 2)))
+    reference = group_block_variance(spectrum, samples=70, mode="ansatz", root_seed=4, depth=2)
+    for budget in (1, 24):  # one row per sub-batch, then three of a 3-qubit block
+        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
+        rows = group_block_variance(spectrum, samples=70, mode="ansatz", root_seed=4, depth=2)
+        assert rows == reference
 
 
 def test_group_scan_validation():

@@ -16,9 +16,11 @@ from lcqnn.gradients import (
     grad_full,
     num_params,
     param_shift_grad,
+    probe_gradients,
     sample_param_draw,
     split_params,
 )
+from lcqnn import sim
 from lcqnn.model import make_model, theta_layout_size
 from lcqnn.sim import PauliZSum, RngStream
 
@@ -242,3 +244,59 @@ def test_sample_draws_are_paired_across_models():
     a_large, t_large = sample_param_draw(large, 5, 3)
     np.testing.assert_array_equal(a_small, a_large[: a_small.size])
     np.testing.assert_array_equal(t_small[:3], t_large[:3])
+
+
+def _shift_loop(model, obs, pid, seed, samples):
+    """Per-sample full-register shift-rule gradients of the documented draws."""
+    return np.array([
+        param_shift_grad(model, np.concatenate(sample_param_draw(model, seed, i)), obs, pid)
+        for i in range(samples)
+    ])
+
+
+@pytest.mark.parametrize("samples", [65, 130])
+def test_estimate_tail_chunks_match_shift_loop(samples):
+    # 65 and 130 samples end in a 1- and a 2-sample chunk
+    model = make_model(2, 2, 4, 2, 1)
+    obs = PauliZSum([(1.0, (0,)), (-0.5, (0, 1))], num_qubits=2)
+    for pid in (default_probe_param(model) + 4, alpha_probe_param(model)):
+        stats = estimate_grad_stats(model, obs, pid, samples, 5)
+        manual = _shift_loop(model, obs, pid, 5, samples)
+        assert stats.count == samples
+        assert stats.mean == pytest.approx(manual.mean(), rel=0, abs=1e-12)
+        assert stats.variance == pytest.approx(manual.var(ddof=1), rel=0, abs=1e-12)
+
+
+def test_probe_gradients_match_shift_rule():
+    model = make_model(2, 3, 4, 2, 2)
+    obs = _z0(3)
+    for pid in (0, 2, model.num_alpha, model.num_alpha + 2 * model.branch_param_count + 5):
+        grads = probe_gradients(model, obs, pid, 9, 3, 10)
+        manual = _shift_loop(model, obs, pid, 9, 10)[3:]
+        np.testing.assert_allclose(grads, manual, rtol=0, atol=1e-12)
+
+
+def test_probe_gradients_split_invariance():
+    # a sample's gradient does not depend on the batch it is evaluated in
+    model = make_model(3, 3, 8, 2, 2)
+    obs = PauliZSum([(1.0, (0,)), (0.3, (1, 2))], num_qubits=3)
+    for pid in (1, 5, model.num_alpha + 3, model.num_alpha + 7 * model.branch_param_count):
+        whole = probe_gradients(model, obs, pid, 21, 4, 37)
+        for mid in (4, 5, 17, 36, 37):
+            parts = np.concatenate((
+                probe_gradients(model, obs, pid, 21, 4, mid),
+                probe_gradients(model, obs, pid, 21, mid, 37),
+            ))
+            np.testing.assert_array_equal(parts, whole)
+
+
+def test_estimate_is_bit_identical_under_any_amplitude_budget(monkeypatch):
+    model = make_model(2, 3, 4, 3, 2)
+    obs = _z0(3)
+    probes = (alpha_probe_param(model), default_probe_param(model))
+    reference = [estimate_grad_stats(model, obs, pid, 70, 3) for pid in probes]
+    # one row per sub-batch, then three
+    for budget in (1, 3 << model.num_working):
+        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
+        for pid, ref in zip(probes, reference):
+            assert estimate_grad_stats(model, obs, pid, 70, 3) == ref

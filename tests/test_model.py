@@ -93,6 +93,24 @@ def test_coeff_gradients_match_finite_differences():
             np.testing.assert_allclose(jac[node], fd, atol=1e-8)
 
 
+def test_coeff_batched_matches_per_row_loop():
+    # a leading batch axis evaluates each row exactly as a lone call would;
+    # L = 1 is the zero-size tree
+    rng = np.random.default_rng(37)
+    for L in (1, 2, 4, 8, 16):
+        alpha = rng.uniform(0, 2 * math.pi, (2, 5, L - 1))
+        probs = coeff_probabilities(alpha)
+        jac = coeff_probability_gradients(alpha)
+        assert probs.shape == (2, 5, L) and jac.shape == (2, 5, L - 1, L)
+        for index in np.ndindex(2, 5):
+            np.testing.assert_allclose(
+                probs[index], coeff_probabilities(alpha[index]), rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                jac[index], coeff_probability_gradients(alpha[index]), rtol=0, atol=1e-12
+            )
+
+
 def test_coefficient_circuit_structure():
     blocks = build_coefficient_circuit(2)
     assert len(blocks) == 3

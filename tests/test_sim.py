@@ -128,6 +128,13 @@ def test_apply_gate_matches_dense_oracle():
         np.testing.assert_array_equal(state.amps, before)  # input left as it was
 
 
+def test_batched_apply_gates_rejects_mismatched_params():
+    tensor = np.zeros((3, 2, 2), dtype=complex)
+    for bad in (np.zeros((2, 3)), np.zeros((3, 3, 1))):
+        with pytest.raises(LcqnnError, match="needs parameters of shape"):
+            apply_gates(tensor, [u3(0, 0, 1, 2)], bad)
+
+
 def test_apply_gate_validation():
     with pytest.raises(LcqnnError):
         apply_gate(init_zero(1), cnot(0, 1))
@@ -303,6 +310,16 @@ def test_haar_unitary_is_unitary():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-10)
     u1 = haar_unitary(1, rng)
     assert abs(abs(u1[0, 0]) - 1.0) < 1e-12
+
+
+def test_haar_columns_match_full_unitary():
+    # the two-column QR reproduces the leading columns of the full one
+    for dim in list(range(2, 65)) + [256]:
+        full = haar_unitary(dim, RngStream(31, dim).generator())
+        z = sim.ginibre(dim, RngStream(31, dim).generator())
+        cols = sim.haar_columns(np.stack([z[:, :2], z[:, :2]]))
+        for part in cols:
+            np.testing.assert_allclose(part, full[:, :2], rtol=0, atol=1e-14)
 
 
 def test_haar_moments_dim8():
