@@ -40,7 +40,6 @@ from .gradients import (
     split_params,
 )
 from .model import (
-    ControlledBlock,
     LcqnnModel,
     LocalBlockSpec,
     apply_coefficient_layer,
@@ -48,7 +47,6 @@ from .model import (
     branch_block_probabilities,
     branch_expectations,
     branch_gates,
-    build_coefficient_circuit,
     coeff_probabilities,
     coeff_probability_gradients,
     cost,

@@ -221,16 +221,18 @@ def _z_diagonals(num_qubits: int) -> np.ndarray:
 def working_z_expectations(
     model: LcqnnModel, alpha, theta, input_state: StateVector
 ) -> np.ndarray:
-    """Per-working-qubit <Z> of the forward state, via the branch mixture."""
+    """Per-working-qubit <Z> of the forward state, via the branch mixture:
+    one batched call runs every branch on the input, row j being branch j."""
     n = model.num_working
     probs = coeff_probabilities(tree_angles(model, alpha))
-    gates = branch_gates(model)
+    blocks = branch_angles(model, theta)
     diags = _z_diagonals(n)
-    psi_in = input_state.amps.reshape((2,) * n)
+    shape = (2,) * n
+    psi_in = np.broadcast_to(input_state.amps.reshape(shape), (len(blocks),) + shape)
+    psi = apply_gates(psi_in, branch_gates(model), blocks).reshape(len(blocks), -1)
     out = np.zeros(n)
-    for j, block in enumerate(branch_angles(model, theta)):
-        psi = apply_gates(psi_in, gates, block)
-        out += probs[j] * (diags @ (np.abs(psi.reshape(-1)) ** 2))
+    for j in range(len(blocks)):
+        out += probs[j] * (diags @ (np.abs(psi[j]) ** 2))
     return out
 
 
@@ -447,21 +449,31 @@ def run_accuracy_grid(
     optimizer: str = "adam",
     progress=None,
 ) -> list[GridCell]:
-    """Train every (L, D) cell and collect per-run metrics."""
+    """Train every (L, D) cell and collect per-run metrics.
+
+    Every cell's model is built before the first one trains, so a bad L or D
+    fails at once rather than after the cells before it."""
+    configs = [
+        TrainConfig(
+            L=L,
+            D=D,
+            learning_rate=learning_rate,
+            epochs=epochs,
+            batch_size=batch_size,
+            runs=runs,
+            root_seed=root_seed,
+            optimizer=optimizer,
+        )
+        for L in L_list
+        for D in D_list
+    ]
+    for config in configs:
+        config.make_model()
     cells = []
-    for L in L_list:
-        for D in D_list:
-            config = TrainConfig(
-                L=L,
-                D=D,
-                learning_rate=learning_rate,
-                epochs=epochs,
-                batch_size=batch_size,
-                runs=runs,
-                root_seed=root_seed,
-                optimizer=optimizer,
-            )
-            if progress is not None:
-                progress(f"training L={L} D={D} ({runs} run(s))")
-            cells.append(GridCell(L=L, D=D, metrics=train(config, train_set, test_set)))
+    for config in configs:
+        if progress is not None:
+            progress(f"training L={config.L} D={config.D} ({runs} run(s))")
+        cells.append(
+            GridCell(L=config.L, D=config.D, metrics=train(config, train_set, test_set))
+        )
     return cells

@@ -19,7 +19,7 @@ from .sim import (
     GateOp,
     PauliZSum,
     StateVector,
-    _apply_subcircuit_in_place,
+    apply_gates,
     cnot,
     diagonal_expectations,
     expectation,
@@ -108,42 +108,24 @@ def coeff_probability_gradients(alpha) -> np.ndarray:
     return jac
 
 
-@dataclass(frozen=True)
-class ControlledBlock:
-    """A subcircuit applied where the control qubits equal ``value``."""
-
-    controls: tuple[int, ...]
-    value: int
-    gates: tuple[GateOp, ...]
-
-
-@lru_cache(maxsize=None)
-def build_coefficient_circuit(tree_depth: int) -> tuple[ControlledBlock, ...]:
-    """Compile a depth-``tree_depth`` tree to controlled RY blocks on qubits 0..t-1.
-
-    Node (level l, prefix q) becomes RY on qubit l, controlled on qubits
-    0..l-1 equal to q; its parameter slot is the node index, and the bound
-    gate angle must be twice the stored tree angle. Later qubits are
-    untouched.
-    """
-    return tuple(
-        ControlledBlock(tuple(range(level)), prefix, (ry(level, tree_node(level, prefix)),))
-        for level in range(tree_depth)
-        for prefix in range(1 << level)
-    )
-
-
 def apply_coefficient_layer(state: StateVector, alpha) -> StateVector:
-    """Apply the compiled tree of ``alpha`` to a state whose leading qubits
-    are controls."""
+    """Apply the tree of ``alpha`` to a state whose leading qubits are
+    controls.
+
+    Node (level l, prefix q) is RY(2 * alpha[node]) on qubit l where qubits
+    0..l-1 read q. Level l is one batched call whose row q is the state's
+    block at that prefix; later qubits are untouched.
+    """
     alpha, t = _tree(np.ravel(alpha))
-    amps = state.amps.copy().reshape((2,) * state.num_qubits)
-    gate_angles = 2.0 * alpha
-    for block in build_coefficient_circuit(t):
-        _apply_subcircuit_in_place(
-            amps, block.controls, block.value, block.gates, gate_angles, state.num_qubits
-        )
-    return StateVector(state.num_qubits, amps.reshape(-1))
+    total = state.num_qubits
+    if t > total:
+        raise LcqnnError(f"a {t}-level tree does not fit a {total}-qubit state")
+    amps = state.amps.copy()
+    for level in range(t):
+        rows = amps.reshape((1 << level,) + (2,) * (total - level))
+        angles = 2.0 * alpha[tree_node(level) : tree_node(level + 1)]
+        amps = apply_gates(rows, (ry(0, 0),), angles[:, None])
+    return StateVector(total, amps.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +195,6 @@ class LcqnnModel:
     num_controls: int
     num_working: int
     branch_count: int
-    locality: int
     depth: int
     groups: tuple[LocalBlockSpec, ...]
 
@@ -250,7 +231,7 @@ def make_model(
     if L > (1 << m):
         raise ArchitectureError(f"branch_count {L} does not fit {m} control qubit(s)")
     specs = tuple(LocalBlockSpec(g, depth) for g in default_groups(num_working, locality))
-    return LcqnnModel(num_controls, num_working, branch_count, locality, depth, specs)
+    return LcqnnModel(num_controls, num_working, branch_count, depth, specs)
 
 
 def theta_layout_size(model: LcqnnModel) -> int:
@@ -267,16 +248,6 @@ def branch_gates(model: LcqnnModel) -> tuple[GateOp, ...]:
         gates.extend(entangling_gates(spec.qubits, spec.depth, slot))
         slot += spec.param_count
     return tuple(gates)
-
-
-@lru_cache(maxsize=None)
-def _branch_gates_shifted(model: LcqnnModel) -> tuple[GateOp, ...]:
-    """Branch gates with targets offset onto the full register's working part."""
-    m = model.num_controls
-    return tuple(
-        GateOp(g.kind, tuple(q + m for q in g.qubits), g.param_slots)
-        for g in branch_gates(model)
-    )
 
 
 def tree_angles(model: LcqnnModel, alpha) -> np.ndarray:
@@ -342,26 +313,22 @@ def lcqnn_forward(
     amps = np.zeros(1 << total, dtype=np.complex128)
     amps[: 1 << n] = working_amps(model, input_state)
     state = apply_coefficient_layer(StateVector(total, amps), alpha)
-    nd = state.amps.reshape((2,) * total)
-
-    gates = _branch_gates_shifted(model)
-    tree_controls = tuple(range(model.tree_depth))
-    for j, block in enumerate(blocks):
-        _apply_subcircuit_in_place(nd, tree_controls, j, gates, block, total)
-    return state
+    # row r of the control register runs branch r >> idle: every control
+    # value, idle bits included, so the whole register is simulated
+    rows = np.repeat(blocks, 1 << (m - model.tree_depth), axis=0)
+    out = apply_gates(
+        state.amps.reshape((1 << m,) + (2,) * n), branch_gates(model), rows
+    )
+    return StateVector(total, out.reshape(-1))
 
 
 def branch_block_probabilities(model: LcqnnModel, state: StateVector) -> np.ndarray:
     """Squared norm of each branch's block of the full-register state."""
     if state.num_qubits != model.num_controls + model.num_working:
         raise LcqnnError("state size does not match the model register")
-    n = model.num_working
     idle = model.num_controls - model.tree_depth
-    probs = np.empty(model.branch_count)
-    for j in range(model.branch_count):
-        start = (j << idle) << n
-        probs[j] = float(np.sum(np.abs(state.amps[start : start + (1 << n)]) ** 2))
-    return probs
+    rows = state.amps.reshape(1 << model.num_controls, 1 << model.num_working)
+    return np.sum(np.abs(rows[:: 1 << idle]) ** 2, axis=1)
 
 
 def branch_expectations(

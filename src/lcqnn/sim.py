@@ -45,9 +45,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 def _check_width(num_qubits: int) -> None:
     """Reject a register width before anything of size 2**num_qubits exists."""
@@ -167,14 +164,6 @@ def gate_matrix(op: GateOp, params) -> np.ndarray:
 BATCH_AMPLITUDES = 1 << 13
 
 
-def _check_qubits(op: GateOp, num_qubits: int) -> None:
-    for q in op.qubits:
-        if not 0 <= q < num_qubits:
-            raise LcqnnError(
-                f"gate qubit {q} out of range for a {num_qubits}-qubit state"
-            )
-
-
 def _rotation_slots(gates) -> np.ndarray:
     """(theta, phi, lam) parameter slots of every rotation in ``gates``, in
     order, shape (G, 3). RY is U3 with phi = lam = 0, read from slot -1: the
@@ -260,9 +249,12 @@ def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
 
     Unbatched: ``tensor`` of shape (2,...,2) and ``params`` of shape (P,).
     Batched: ``tensor`` of shape (B, 2,...,2) and ``params`` of shape
-    (B, P); sample ``b`` binds its angles from ``params[b]``, and samples
-    never mix, so a sample's result is the same in any batch. Each gate's
-    qubits are axes of one sample's tensor. The input is not modified.
+    (B, P); row ``b`` binds its angles from ``params[b]``, and rows never
+    mix, so a row's result is the same in any batch. Each gate's qubits are
+    axes of one row's tensor. A row may be a sample, a branch, or the block
+    of a larger register at one value of its leading (control) qubits: a
+    controlled circuit is the batch whose rows carry their own angles. The
+    input is not modified.
     """
     params = np.asarray(params, dtype=np.float64)
     if params.ndim == 1:
@@ -337,38 +329,13 @@ def adjoint_gradient(
 
 def apply_gate(state: StateVector, op: GateOp, params=()) -> StateVector:
     """Return a new state with ``op`` applied."""
-    _check_qubits(op, state.num_qubits)
+    for q in op.qubits:
+        if not 0 <= q < state.num_qubits:
+            raise LcqnnError(
+                f"gate qubit {q} out of range for a {state.num_qubits}-qubit state"
+            )
     out = apply_gates(state.amps.reshape((2,) * state.num_qubits), (op,), params)
     return StateVector(state.num_qubits, np.ascontiguousarray(out.reshape(-1)))
-
-
-def _apply_subcircuit_in_place(
-    amps_nd: np.ndarray,
-    control_qubits: tuple[int, ...],
-    control_value: int,
-    subcircuit,
-    params,
-    num_qubits: int,
-) -> None:
-    """Apply gates to the sub-block selected by the control pattern.
-
-    ``control_qubits[0]`` carries the most significant bit of
-    ``control_value``, matching the global qubit-0-is-MSB convention.
-    """
-    for op in subcircuit:
-        _check_qubits(op, num_qubits)
-        if set(control_qubits).intersection(op.qubits):
-            raise LcqnnError(
-                f"gate qubits {op.qubits} overlap control qubits {control_qubits}"
-            )
-    # a length-1 slice per control bit keeps every axis, so gate qubits
-    # index the view directly
-    sel: list = [slice(None)] * num_qubits
-    for i, q in enumerate(control_qubits):
-        bit = (control_value >> (len(control_qubits) - 1 - i)) & 1
-        sel[q] = slice(bit, bit + 1)
-    view = amps_nd[tuple(sel)]
-    view[...] = apply_gates(view, subcircuit, params)
 
 
 # ---------------------------------------------------------------------------

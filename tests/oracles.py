@@ -49,6 +49,24 @@ def dense_controlled(controls, value, gates, params, n):
     return total
 
 
+def dense_tree(alpha, n):
+    """The coefficient tree on the leading qubits of an n-qubit register.
+
+    Node ``2**l - 1 + q`` is RY(2 * alpha[node]) on qubit l, controlled on
+    qubits 0..l-1 reading q; nodes apply level by level.
+    """
+    alpha = np.ravel(alpha)
+    tree = np.eye(1 << n, dtype=complex)
+    for level in range((alpha.size + 1).bit_length() - 1):
+        for prefix in range(1 << level):
+            angle = 2 * alpha[(1 << level) - 1 + prefix]
+            node = dense_controlled(
+                tuple(range(level)), prefix, [sim.ry(level, 0)], [angle], n
+            )
+            tree = node @ tree
+    return tree
+
+
 def random_state(n, rng):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)

@@ -23,7 +23,9 @@ from test_sim import _random_circuit  # noqa: E402
 )
 def test_batched_apply_gates_matches_dense_oracle(seed, n, batch):
     # every row of a batch is its own circuit evaluation: row b binds its
-    # angles from params[b] and matches the dense oracle on its own state
+    # angles from params[b], matches the dense oracle on its own state, and
+    # equals bit for bit the unbatched call on that row, so that batching
+    # branches or control values cannot move a value
     rng = np.random.default_rng(seed)
     gates, params = _random_circuit(n, rng, max_gates=8)
     rows = rng.uniform(0, 2 * math.pi, (batch, len(params)))
@@ -34,4 +36,6 @@ def test_batched_apply_gates_matches_dense_oracle(seed, n, batch):
     for b in range(batch):
         expected = dense_circuit(gates, rows[b], n) @ states[b]
         np.testing.assert_allclose(out[b].reshape(-1), expected, rtol=0, atol=1e-12)
+        alone = apply_gates(states[b].reshape((2,) * n), gates, rows[b])
+        assert np.array_equal(out[b], alone)
     np.testing.assert_array_equal(states, before)  # input left as it was

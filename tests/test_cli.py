@@ -342,6 +342,25 @@ def test_mnist_bad_learning_rate_exits_2(tmp_path, capsys, lr):
     assert err == "error: --lr must be finite and > 0\n"  # before any loading
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--L-list", "1,3"], "branch_count must be a power of two, got 3"),
+        (["--L-list", "1,8"], "branch_count 8 does not fit 2 control qubit(s)"),
+        (["--L-list", "1", "--D-list", "1,-1"], "depth must be non-negative"),
+    ],
+)
+def test_mnist_bad_grid_cell_fails_before_training(tmp_path, capsys, grid, message):
+    write_synthetic_idx(tmp_path)
+    argv = ["mnist", "--data-dir", str(tmp_path), "--D-list", "1", "--runs", "1",
+            "--epochs", "1", "--train-limit", "8", "--test-limit", "4"]
+    code, out, err = run_cli(capsys, argv + grid)
+    assert code == 2
+    assert out == ""
+    assert "training" not in err  # no cell trained before the bad one was seen
+    assert err.endswith(f"error: {message}\n")
+
+
 def test_mnist_header_replays_data_dir_with_space(tmp_path, capsys):
     data_dir = tmp_path / "my data"
     data_dir.mkdir()

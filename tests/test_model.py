@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_controlled, random_state
+from oracles import dense_controlled, dense_tree, random_state
 
 from lcqnn.errors import ArchitectureError, LcqnnError
 from lcqnn.model import (
@@ -14,7 +14,6 @@ from lcqnn.model import (
     branch_block_probabilities,
     branch_expectations,
     branch_gates,
-    build_coefficient_circuit,
     coeff_probabilities,
     coeff_probability_gradients,
     cost,
@@ -26,7 +25,7 @@ from lcqnn.model import (
     tree_angles,
     tree_node,
 )
-from lcqnn.sim import GateOp, PauliZSum, cnot, init_zero, ry, u3
+from lcqnn.sim import GateOp, PauliZSum, cnot, init_zero, u3
 
 # ---------------------------------------------------------------------------
 # coefficient tree
@@ -111,28 +110,10 @@ def test_coeff_batched_matches_per_row_loop():
             )
 
 
-def test_coefficient_circuit_structure():
-    blocks = build_coefficient_circuit(2)
-    assert len(blocks) == 3
-    assert blocks[0].controls == () and blocks[0].value == 0
-    assert blocks[0].gates == (ry(0, 0),)
-    assert blocks[1].controls == (0,) and blocks[1].value == 0
-    assert blocks[1].gates == (ry(1, 1),)
-    assert blocks[2].controls == (0,) and blocks[2].value == 1
-    assert blocks[2].gates == (ry(1, 2),)
-    assert build_coefficient_circuit(0) == ()
-    assert build_coefficient_circuit(2) is blocks  # compiled once per depth
-
-
 def test_tree_node_numbers_levels_in_order():
     nodes = [tree_node(level, q) for level in range(4) for q in range(1 << level)]
     assert nodes == list(range(15))
     assert tree_node(2) == 3  # first node of level 2, prefix defaults to 0
-    slots = [
-        block.gates[0].param_slots[0]
-        for block in build_coefficient_circuit(3)
-    ]
-    assert slots == nodes[:7]
 
 
 def test_apply_coefficient_layer_amplitudes():
@@ -157,6 +138,24 @@ def test_coefficient_circuit_matches_closed_form():
         idle = m - t
         sim_probs = np.abs(out.amps[:: 1 << idle] if idle else out.amps) ** 2
         np.testing.assert_allclose(sim_probs, coeff_probabilities(alpha), atol=1e-12)
+
+
+def test_coefficient_layer_matches_dense_oracle_on_any_state():
+    # random full-register states: tree qubits not in |0>, then idle control
+    # and working qubits that the tree leaves alone
+    rng = np.random.default_rng(31)
+    for t in (1, 2, 3):
+        for rest in range(4):
+            total = t + rest
+            alpha = rng.uniform(0, 2 * math.pi, (1 << t) - 1)
+            state = random_state(total, rng)
+            out = apply_coefficient_layer(state, alpha)
+            expected = dense_tree(alpha, total) @ state.amps
+            np.testing.assert_allclose(out.amps, expected, rtol=0, atol=1e-10)
+    # a state narrower than the tree is rejected
+    for width, angles in ((1, 3), (2, 7), (0, 1)):
+        with pytest.raises(LcqnnError, match="tree does not fit"):
+            apply_coefficient_layer(init_zero(width), np.zeros(angles))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +266,7 @@ def test_forward_matches_dense_oracle():
         total = m + n
         vec = np.zeros(1 << total, dtype=complex)
         vec[: 1 << n] = state_in.amps
-        for block in build_coefficient_circuit(model.tree_depth):
-            vec = (
-                dense_controlled(block.controls, block.value, block.gates, 2 * alpha, total)
-                @ vec
-            )
+        vec = dense_tree(alpha, total) @ vec
         shifted = [
             GateOp(g.kind, tuple(q + m for q in g.qubits), g.param_slots)
             for g in branch_gates(model)

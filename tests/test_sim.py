@@ -21,7 +21,7 @@ from lcqnn.sim import (
     u3,
 )
 
-from oracles import dense_circuit, dense_controlled, embed_1q, random_state
+from oracles import dense_circuit, embed_1q, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -146,77 +146,24 @@ def test_apply_gate_validation():
         sim.GateOp("ry", (0,), ())
 
 
-def _random_circuit(n, rng, max_gates=6, forbidden=()):
-    """Random gate list on qubits not in ``forbidden``; returns (gates, params)."""
-    free = [q for q in range(n) if q not in forbidden]
+def _random_circuit(n, rng, max_gates=6):
+    """Random gate list on ``n`` qubits; returns (gates, params)."""
+    qubits = list(range(n))
     gates = []
     params = list(rng.uniform(0, 2 * math.pi, 3 * max_gates))
     slot = 0
     for _ in range(int(rng.integers(1, max_gates + 1))):
-        kind = rng.choice(["ry", "u3", "cnot"] if len(free) >= 2 else ["ry", "u3"])
+        kind = rng.choice(["ry", "u3", "cnot"] if n >= 2 else ["ry", "u3"])
         if kind == "cnot":
-            c, t = rng.choice(free, size=2, replace=False)
+            c, t = rng.choice(qubits, size=2, replace=False)
             gates.append(cnot(int(c), int(t)))
         elif kind == "ry":
-            gates.append(ry(int(rng.choice(free)), slot))
+            gates.append(ry(int(rng.choice(qubits)), slot))
             slot += 1
         else:
-            gates.append(u3(int(rng.choice(free)), slot, slot + 1, slot + 2))
+            gates.append(u3(int(rng.choice(qubits)), slot, slot + 1, slot + 2))
             slot += 3
     return gates, params
-
-
-# ---------------------------------------------------------------------------
-# controlled subcircuits
-
-
-def apply_controlled(state, controls, value, gates, params):
-    """The state with ``gates`` applied where ``controls`` read ``value``."""
-    amps = state.amps.copy().reshape((2,) * state.num_qubits)
-    sim._apply_subcircuit_in_place(amps, controls, value, gates, params, state.num_qubits)
-    return sim.StateVector(state.num_qubits, amps.reshape(-1))
-
-
-def test_controlled_block_activates_on_match():
-    # RY(pi) on qubit 1, controlled on qubit 0 == 1.
-    sub = [ry(1, 0)]
-    on = sim.StateVector(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    out = apply_controlled(on, (0,), 1, sub, [math.pi])
-    np.testing.assert_allclose(out.amps, [0, 0, 0, 1], atol=1e-15)
-
-    off = init_zero(2)  # |00>: control mismatches, state untouched
-    out = apply_controlled(off, (0,), 1, sub, [math.pi])
-    np.testing.assert_allclose(out.amps, off.amps, atol=1e-15)
-
-
-def test_controlled_block_three_qubits_dense_oracle():
-    rng = np.random.default_rng(3)
-    state = random_state(3, rng)
-    sub = [u3(2, 0, 1, 2)]
-    params = [0.7, -0.2, 1.1]
-    out = apply_controlled(state, (0, 1), 2, sub, params)
-    expected = dense_controlled((0, 1), 2, sub, params, 3) @ state.amps
-    np.testing.assert_allclose(out.amps, expected, atol=1e-10)
-
-
-def test_controlled_block_matches_dense_oracle_property():
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        n_ctrl = int(rng.integers(1, min(3, n - 1) + 1))
-        controls = tuple(int(q) for q in rng.choice(n, size=n_ctrl, replace=False))
-        value = int(rng.integers(0, 1 << n_ctrl))
-        gates, params = _random_circuit(n, rng, max_gates=3, forbidden=controls)
-        state = random_state(n, rng)
-        out = apply_controlled(state, controls, value, gates, params)
-        expected = dense_controlled(controls, value, gates, params, n) @ state.amps
-        np.testing.assert_allclose(out.amps, expected, atol=1e-10)
-
-
-def test_controlled_block_validation():
-    # a gate on a control qubit is rejected
-    with pytest.raises(LcqnnError):
-        apply_controlled(init_zero(3), (0,), 1, [ry(0, 0)], [0.1])
 
 
 def test_norm_preserved_over_random_circuits():
