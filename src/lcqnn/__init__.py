@@ -1,6 +1,6 @@
 """Statevector simulation and trainability experiments for linear-combination QNNs."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ArchitectureError,
@@ -82,6 +82,7 @@ from .mnist import (
     example_loss_and_grad,
     fetch_instructions,
     load_dataset,
+    minibatch_loss_and_grads,
     parse_idx,
     preprocess,
     run_accuracy_grid,

@@ -31,6 +31,7 @@ from .sim import (
     RngStream,
     StateVector,
     adjoint_gradient,
+    apply_gates,
     diagonal_expectations,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
 )
@@ -154,22 +155,37 @@ def finite_diff_grad(
 # gates on the working register alone.
 
 
+def mixture_gradients(model: LcqnnModel, alpha, values, local) -> np.ndarray:
+    """Flat gradients, shape (B, P), of B costs sum_j p_j(alpha) e_j from
+    their branch values e_j, shape (B, L), and the gradients of each e_j in
+    its own branch angles, shape (B, L, S).
+
+    Every sum runs within one row, so a row's gradient does not depend on
+    the batch around it.
+    """
+    batch = values.shape[0]
+    out = np.empty((batch, num_params(model)))
+    jac = coeff_probability_gradients(alpha)
+    out[:, : model.num_alpha] = np.sum(jac * values[:, None, :], axis=-1)
+    probs = coeff_probabilities(alpha)
+    out[:, model.num_alpha :] = (probs[:, None] * local).reshape(batch, -1)
+    return out
+
+
 def grad_full(
     model: LcqnnModel, flat, obs: PauliZSum, input_state: StateVector | None = None
 ) -> np.ndarray:
-    """Gradient with respect to every parameter, in flat layout order."""
+    """Gradient with respect to every parameter, in flat layout order: one
+    forward and one adjoint sweep over the L branch rows."""
     alpha, theta = split_params(model, flat)
     psi_in = working_amps(model, input_state, obs).reshape((2,) * model.num_working)
-    probs = coeff_probabilities(alpha)
+    blocks = branch_angles(model, theta)
     gates = branch_gates(model)
-    values = np.empty(model.branch_count)
-    out = np.empty(num_params(model))
-    branch_out = out[model.num_alpha :].reshape(model.branch_count, model.branch_param_count)
-    for j, block in enumerate(branch_angles(model, theta)):
-        values[j], grad_local = adjoint_gradient(psi_in, gates, block, obs)
-        branch_out[j] = probs[j] * grad_local
-    out[: model.num_alpha] = coeff_probability_gradients(alpha) @ values
-    return out
+    rows = np.broadcast_to(psi_in, (len(blocks),) + psi_in.shape)
+    values, local = adjoint_gradient(
+        apply_gates(rows, gates, blocks), gates, blocks, obs.diagonal()
+    )
+    return mixture_gradients(model, alpha, values[None], local[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sim
 from .errors import EncodingError, IdxFormatError, TrainingError
-from .gradients import TWO_PI, grad_full, num_params, split_params
+from .gradients import (
+    TWO_PI,
+    grad_full,  # noqa: F401  (perfbench/spans.py times calls through this name)
+    mixture_gradients,
+    num_params,
+    split_params,
+)
 from .model import (
     LcqnnModel,
     branch_angles,
@@ -35,6 +42,7 @@ from .sim import (
     PauliZSum,
     RngStream,
     StateVector,
+    adjoint_gradient,
     amplitude_encode,
     apply_gates,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
@@ -218,22 +226,46 @@ def _z_diagonals(num_qubits: int) -> np.ndarray:
     )
 
 
+def _encode(examples) -> np.ndarray:
+    """The examples' amplitude-encoded pixels, one row each."""
+    return np.stack([amplitude_encode(ex.pixels).amps for ex in examples])
+
+
+def _example_runs(model: LcqnnModel, count: int) -> list[slice]:
+    """Consecutive runs of whole examples whose rows, L per example, hold at
+    most ``sim.BATCH_AMPLITUDES`` amplitudes (one example at least)."""
+    step = max(1, sim.BATCH_AMPLITUDES // (model.branch_count << model.num_working))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _forward_sweep(model: LcqnnModel, alpha, theta, states) -> tuple:
+    """One batched forward sweep over the rows (b, j): example ``b``'s
+    encoded state ``states[b]`` under branch ``j``'s angles, which every
+    example shares.
+
+    Returns the output tensor, shape (B, L, 2, ..., 2), and the logits,
+    shape (B, n): each working qubit's <Z> under the branch mixture,
+    accumulated in branch order.
+    """
+    n, L = model.num_working, model.branch_count
+    probs = coeff_probabilities(tree_angles(model, alpha))
+    batch = states.shape[0]
+    rows = np.broadcast_to(states.reshape((batch, 1) + (2,) * n), (batch, L) + (2,) * n)
+    psi = apply_gates(rows, branch_gates(model), branch_angles(model, theta)[None])
+    weights = np.abs(psi.reshape(batch, L, 1, -1)) ** 2
+    z = np.sum(_z_diagonals(n) * weights, axis=-1)
+    logits = np.zeros((batch, n))
+    for j in range(L):
+        logits += probs[j] * z[:, j]
+    return psi, logits
+
+
 def working_z_expectations(
     model: LcqnnModel, alpha, theta, input_state: StateVector
 ) -> np.ndarray:
     """Per-working-qubit <Z> of the forward state, via the branch mixture:
-    one batched call runs every branch on the input, row j being branch j."""
-    n = model.num_working
-    probs = coeff_probabilities(tree_angles(model, alpha))
-    blocks = branch_angles(model, theta)
-    diags = _z_diagonals(n)
-    shape = (2,) * n
-    psi_in = np.broadcast_to(input_state.amps.reshape(shape), (len(blocks),) + shape)
-    psi = apply_gates(psi_in, branch_gates(model), blocks).reshape(len(blocks), -1)
-    out = np.zeros(n)
-    for j in range(len(blocks)):
-        out += probs[j] * (diags @ (np.abs(psi[j]) ** 2))
-    return out
+    the one-example case of the batched forward sweep."""
+    return _forward_sweep(model, alpha, theta, input_state.amps[None])[1][0]
 
 
 def classify_logits(model: LcqnnModel, alpha, theta, pixels) -> np.ndarray:
@@ -242,49 +274,78 @@ def classify_logits(model: LcqnnModel, alpha, theta, pixels) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - np.max(logits))
-    return shifted / shifted.sum()
+    """Softmax over the last axis."""
+    shifted = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    shifted = logits - np.max(logits)
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
+def cross_entropy(logits: np.ndarray, label):
+    """Softmax cross-entropy over the last axis against ``label``, one label
+    per row of a batch."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    picked = np.take_along_axis(shifted, np.asarray(label)[..., None], axis=-1)
+    return np.log(np.exp(shifted).sum(axis=-1)) - picked[..., 0]
+
+
+def minibatch_loss_and_grads(
+    model: LcqnnModel, flat_params: np.ndarray, states: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy losses, shape (B,), and full parameter gradients,
+    shape (B, P), of B encoded examples ``states`` with ``labels``.
+
+    Each run of whole examples that fits ``sim.BATCH_AMPLITUDES`` makes one
+    forward sweep over its (example, branch) rows and one adjoint sweep
+    back. The chain rule folds each example's softmax residuals into one
+    diagonal sum_c (softmax_c - onehot_c) Z_c on its rows, so the adjoint
+    sweep covers all four logits and reuses the forward sweep's output.
+    Rows never mix, so an example's loss and gradient do not depend on the
+    batch around it.
+    """
+    alpha, theta = split_params(model, flat_params)
+    blocks = branch_angles(model, theta)
+    gates = branch_gates(model)
+    diags = _z_diagonals(model.num_working)
+    losses = np.empty(len(labels))
+    grads = np.empty((len(labels), num_params(model)))
+    for run in _example_runs(model, len(labels)):
+        psi, logits = _forward_sweep(model, alpha, theta, states[run])
+        batch = logits.shape[0]
+        losses[run] = cross_entropy(logits, labels[run])
+        residual = softmax(logits)
+        residual[np.arange(batch), labels[run]] -= 1.0
+        diag = np.zeros((batch, 1, diags.shape[1]))
+        for c in range(model.num_working):
+            diag += residual[:, c, None, None] * diags[c]
+        values, local = adjoint_gradient(psi, gates, blocks[None], diag)
+        grads[run] = mixture_gradients(model, alpha, values, local)
+    return losses, grads
 
 
 def example_loss_and_grad(
     model: LcqnnModel, flat_params: np.ndarray, example: MnistExample
 ) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss and its full parameter gradient for one example.
-
-    The chain rule folds the softmax residuals into one effective observable
-    sum_c (softmax_c - onehot_c) Z_c, so a single analytic gradient pass
-    covers all four logits.
-    """
-    state = amplitude_encode(example.pixels)
-    alpha, theta = split_params(model, flat_params)
-    logits = working_z_expectations(model, alpha, theta, state)
-    probs = softmax(logits)
-    loss = cross_entropy(logits, example.label)
-    residual = probs.copy()
-    residual[example.label] -= 1.0
-    effective = PauliZSum(
-        [(float(residual[c]), (c,)) for c in range(model.num_working)],
-        num_qubits=model.num_working,
+    """Cross-entropy loss and its full parameter gradient for one example:
+    the one-example minibatch."""
+    losses, grads = minibatch_loss_and_grads(
+        model, flat_params, _encode([example]), np.array([example.label])
     )
-    grad = grad_full(model, flat_params, effective, input_state=state)
-    return loss, grad
+    return float(losses[0]), grads[0]
 
 
 def evaluate_accuracy(
     model: LcqnnModel, flat_params: np.ndarray, examples
 ) -> float:
+    """Fraction of ``examples`` whose largest logit is their label, from
+    batched forward sweeps."""
+    if len(examples) == 0:
+        raise TrainingError("no examples to evaluate")
     alpha, theta = split_params(model, flat_params)
+    states = _encode(examples)
+    labels = np.array([ex.label for ex in examples])
     correct = 0
-    for ex in examples:
-        logits = working_z_expectations(
-            model, alpha, theta, amplitude_encode(ex.pixels)
-        )
-        correct += int(np.argmax(logits)) == ex.label
+    for run in _example_runs(model, len(examples)):
+        logits = _forward_sweep(model, alpha, theta, states[run])[1]
+        correct += int(np.sum(np.argmax(logits, axis=-1) == labels[run]))
     return correct / len(examples)
 
 
@@ -375,16 +436,20 @@ def train_single_run(
     if config.batch_size < 1 or config.epochs < 1:
         raise TrainingError("batch_size and epochs must be >= 1")
 
+    states = _encode(train_set)
+    labels = np.array([ex.label for ex in train_set])
     epoch_losses = []
     for epoch in range(config.epochs):
         order = shuffle.permutation(len(train_set))
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
+            losses, grads = minibatch_loss_and_grads(
+                model, params, states[batch], labels[batch]
+            )
             grad_sum = np.zeros(num_params(model))
-            for idx in batch:
-                loss, grad = example_loss_and_grad(model, params, train_set[idx])
-                loss_sum += loss
+            for loss, grad in zip(losses, grads):
+                loss_sum += float(loss)
                 grad_sum += grad
             if not math.isfinite(loss_sum):
                 raise TrainingError(

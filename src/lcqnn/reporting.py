@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -77,7 +78,19 @@ def render_csv(command: str, config: dict, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, (float, np.floating)):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def render_json(command: str, config: dict, records, summary=None) -> str:
+    """Strict JSON: a NaN or infinite value is written as null."""
     payload = {
         "version": __version__,
         "command": command,
@@ -86,7 +99,8 @@ def render_json(command: str, config: dict, records, summary=None) -> str:
     }
     if summary is not None:
         payload["summary"] = summary
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def write_output(text: str, path=None) -> None:

@@ -178,24 +178,30 @@ def _rotation_slots(gates) -> np.ndarray:
     ).reshape(-1, 3)
 
 
-def _rotation_entries(slots: np.ndarray, params: np.ndarray, ndim: int) -> np.ndarray:
-    """Entries (m00, m01, m10, m11) of the U3 rotations at ``slots``.
+def _rotation_entries(
+    slots: np.ndarray, params: np.ndarray, ndim: int, d_theta: bool = False
+) -> np.ndarray:
+    """Entries (m00, m01, m10, m11) of the U3 rotations at ``slots``, or of
+    their derivatives in the polar angle if ``d_theta``.
 
-    ``params`` has shape (B, P); the result has shape (G, 4, B, 1, ..., 1),
-    so that ``entries[g, i]`` broadcasts against one half of a batched
-    tensor of rank ``ndim``.
+    ``params`` has shape (*batch, P); the result has shape
+    (G, 4, *batch, 1, ..., 1), so that ``entries[g, i]`` broadcasts against
+    one half of a batched tensor of rank ``ndim``.
     """
-    batch = params.shape[0]
-    ang = np.concatenate((params, np.zeros((batch, 1))), axis=1)[:, slots]
-    half = 0.5 * ang[..., 0]
+    batch = params.shape[:-1]
+    padded = np.concatenate((params, np.zeros(batch + (1,))), axis=-1)
+    ang = padded.transpose((-1,) + tuple(range(len(batch))))[slots]  # (G, 3, *batch)
+    half = 0.5 * ang[:, 0]
     ct, st = np.cos(half), np.sin(half)
-    phase = np.exp(1j * ang[..., 1:])  # e^{i phi}, e^{i lam}
-    entries = np.empty((4,) + ct.shape, dtype=np.complex128)
-    entries[0] = ct
-    entries[1] = -phase[..., 1] * st
-    entries[2] = phase[..., 0] * st
-    entries[3] = np.exp(1j * (ang[..., 1] + ang[..., 2])) * ct
-    return entries.transpose(2, 0, 1).reshape((len(slots), 4, batch) + (1,) * (ndim - 2))
+    if d_theta:
+        ct, st = -0.5 * st, 0.5 * ct
+    phase = np.exp(1j * ang[:, 1:])  # e^{i phi}, e^{i lam}
+    entries = np.empty((len(slots), 4) + batch, dtype=np.complex128)
+    entries[:, 0] = ct
+    entries[:, 1] = -phase[:, 1] * st
+    entries[:, 2] = phase[:, 0] * st
+    entries[:, 3] = np.exp(1j * (ang[:, 1] + ang[:, 2])) * ct
+    return entries.reshape(entries.shape + (1,) * (ndim - len(batch) - 1))
 
 
 def _rotate(tensor: np.ndarray, axis: int, m) -> np.ndarray:
@@ -228,44 +234,52 @@ def _cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
     return out
 
 
-def _sweep(tensor: np.ndarray, gates, entries: np.ndarray, before=None) -> np.ndarray:
-    """The gate loop: apply ``gates`` to a batched tensor (qubit q is axis
-    q + 1), rotation k taking ``entries[k]``. ``before``, if given, collects
-    the state in front of each gate."""
-    k = 0
-    for op in gates:
-        if before is not None:
-            before.append(tensor)
-        if op.kind == "cnot":
-            tensor = _cnot(tensor, op.qubits[0] + 1, op.qubits[1] + 1)
-        else:
-            tensor = _rotate(tensor, op.qubits[0] + 1, entries[k])
-            k += 1
-    return tensor
+def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``tensor`` at 0 and at 1 on ``axis``."""
+    lo = (slice(None),) * axis + (0,)
+    hi = (slice(None),) * axis + (1,)
+    return tensor[lo], tensor[hi]
+
+
+def _batch_axes(tensor: np.ndarray, params: np.ndarray) -> int:
+    """The number of leading batch axes: one per leading axis of ``params``,
+    each of the tensor's size or 1."""
+    axes = params.ndim - 1
+    batch = tensor.shape[:axes]
+    if len(batch) < axes or any(p not in (1, t) for p, t in zip(params.shape, batch)):
+        raise LcqnnError(
+            f"a batch of shape {batch} needs parameters of shape "
+            f"{batch + ('P',)}, or 1 on a shared axis, got {params.shape}"
+        )
+    return axes
 
 
 def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
     """Apply ``gates`` in order to a rank-(2,2,...,2) tensor, or to a batch.
 
     Unbatched: ``tensor`` of shape (2,...,2) and ``params`` of shape (P,).
-    Batched: ``tensor`` of shape (B, 2,...,2) and ``params`` of shape
-    (B, P); row ``b`` binds its angles from ``params[b]``, and rows never
-    mix, so a row's result is the same in any batch. Each gate's qubits are
-    axes of one row's tensor. A row may be a sample, a branch, or the block
-    of a larger register at one value of its leading (control) qubits: a
-    controlled circuit is the batch whose rows carry their own angles. The
-    input is not modified.
+    Batched: ``tensor`` of shape (*batch, 2,...,2) and ``params`` of shape
+    (*batch, P), where a parameter axis of size 1 shares its angles along
+    that batch axis; row ``r`` binds its angles from ``params[r]``, and rows
+    never mix, so a row's result is the same in any batch. Each gate's
+    qubits are axes of one row's tensor. A row may be a sample, a branch, an
+    (example, branch) pair, or the block of a larger register at one value
+    of its leading (control) qubits: a controlled circuit is the batch whose
+    rows carry their own angles. The input is not modified.
     """
     params = np.asarray(params, dtype=np.float64)
     if params.ndim == 1:
         return apply_gates(tensor[None], gates, params[None])[0]
-    if params.ndim != 2 or tensor.shape[0] != params.shape[0]:
-        raise LcqnnError(
-            f"a batch of {tensor.shape[0]} state(s) needs parameters of shape "
-            f"({tensor.shape[0]}, P), got {params.shape}"
-        )
+    axes = _batch_axes(tensor, params)
     entries = _rotation_entries(_rotation_slots(gates), params, tensor.ndim)
-    return _sweep(tensor, gates, entries)
+    k = 0
+    for op in gates:
+        if op.kind == "cnot":
+            tensor = _cnot(tensor, op.qubits[0] + axes, op.qubits[1] + axes)
+        else:
+            tensor = _rotate(tensor, op.qubits[0] + axes, entries[k])
+            k += 1
+    return tensor
 
 
 def diagonal_expectations(psi_in: np.ndarray, gates, params, diag: np.ndarray) -> np.ndarray:
@@ -286,45 +300,87 @@ def diagonal_expectations(psi_in: np.ndarray, gates, params, diag: np.ndarray) -
     return out
 
 
-def adjoint_gradient(
-    tensor: np.ndarray, gates, params, obs: PauliZSum
-) -> tuple[float, np.ndarray]:
-    """Expectation of ``obs`` after ``gates`` and its gradient in ``params``.
+def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
+    """Values ``diag . |psi|**2`` and their gradients in ``params``, read
+    from the forward output ``psi = apply_gates(tensor, gates, params)``.
 
-    One forward pass keeps the state before each gate; one backward sweep
-    carries ``obs`` applied to the output back through the gates and reads
-    each angle's derivative against the stored state (adjoint
-    differentiation, Jones & Gacon, arXiv:2009.02823).
+    Batched like ``apply_gates``: ``psi`` of shape (*batch, 2,...,2),
+    ``params`` of shape (*batch, P) with 1 on a shared axis, and ``diag`` a
+    real diagonal of length 2**n that broadcasts to (*batch, 2**n), so each
+    row may carry its own; the result is the values, shape ``batch``, and
+    the gradients, shape (*batch, P). Unbatched, ``psi`` of shape (2,...,2)
+    and ``params`` of shape (P,) give a float and a (P,) gradient.
+
+    The backward sweep carries ``diag * psi`` back through the inverse gates
+    and uncomputes ``psi`` beside it, so it stores no state per gate
+    (adjoint differentiation, Jones & Gacon, arXiv:2009.02823). Rows never
+    mix and run in sub-batches along the first axis of at most
+    ``BATCH_AMPLITUDES`` amplitudes (one index at least), so a row's result
+    is the same in any batch.
     """
     params = np.asarray(params, dtype=np.float64)
+    if params.ndim == 1:
+        values, grads = adjoint_gradient(psi[None], gates, params[None], diag)
+        return float(values[0]), grads[0]
+    axes = _batch_axes(psi, params)
+    batch = psi.shape[:axes]
+    size = math.prod(psi.shape[axes:])
+    diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), batch + (size,))
     slots = _rotation_slots(gates)
-    entries = _rotation_entries(slots, params[None], tensor.ndim + 1)
-    # dU3/dtheta = U3(theta + pi, phi, lam) / 2
-    shifted = params.copy()
-    shifted[slots[:, 0]] += math.pi
-    d_theta = 0.5 * _rotation_entries(slots, shifted[None], tensor.ndim + 1)
-    snaps: list[np.ndarray] = []
-    psi = _sweep(tensor[None], gates, entries, snaps)
-    b = obs.apply(psi.reshape(-1)).reshape(psi.shape)
-    value = float(np.vdot(psi, b).real)
-    grad = np.zeros(len(params))
-    # the inverse of each rotation: its conjugate transpose
-    inverse = entries[:, [0, 2, 1, 3]].conj()
+    step = max(1, BATCH_AMPLITUDES // math.prod(psi.shape[1:]))
+    values = np.empty(batch)
+    grads = np.zeros(batch + params.shape[-1:])
+    for lo in range(0, batch[0], step):
+        part = slice(lo, lo + step)
+        values[part] = _backward_sweep(
+            psi[part], gates, slots, params if len(params) == 1 else params[part],
+            diag[part], grads[part],
+        )
+    return values, grads
+
+
+def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
+    """One sub-batch of ``adjoint_gradient``: adds each row's gradient into
+    ``grads`` and returns its values."""
+    axes = params.ndim - 1
+    batch = psi.shape[:axes]
+    flat = psi.reshape(batch + (-1,))
+    values = np.sum(diag * np.abs(flat) ** 2, axis=-1)
+    lam = (diag * flat).reshape(psi.shape)
+    entries = _rotation_entries(slots, params, psi.ndim)
+    d_theta = _rotation_entries(slots, params, psi.ndim, d_theta=True)
+    shared = (4,) + params.shape[:-1]
     k = len(entries)
-    for op, before in zip(reversed(gates), reversed(snaps)):
+    for op in reversed(gates):
         if op.kind == "cnot":
-            b = _cnot(b, op.qubits[0] + 1, op.qubits[1] + 1)
+            control, target = op.qubits[0] + axes, op.qubits[1] + axes
+            psi, lam = _cnot(psi, control, target), _cnot(lam, control, target)
             continue
         k -= 1
-        axis = op.qubits[0] + 1
-        _, m01, m10, m11 = entries[k]
+        axis = op.qubits[0] + axes
+        # the inverse of a rotation: its conjugate transpose
+        inverse = entries[k][[0, 2, 1, 3]].conj()
+        psi = _rotate(psi, axis, inverse)
+        # <lam| dU |psi> = sum_ij dU_ij <lam_i|psi_j> over the halves i, j
+        lam0, lam1 = (half.conj() for half in _halves(lam, axis))
+        psi0, psi1 = _halves(psi, axis)
+        s00, s01, s10, s11 = (
+            np.sum((a * b).reshape(batch + (-1,)), axis=-1)
+            for a, b in ((lam0, psi0), (lam0, psi1), (lam1, psi0), (lam1, psi1))
+        )
+        m = entries[k].reshape(shared)
+        d = d_theta[k].reshape(shared)
         # d/dphi multiplies the bottom row by i, d/dlam the right column
-        derivs = (d_theta[k], (0, 0, 1j * m10, 1j * m11), (0, 1j * m01, 0, 1j * m11))
-        for slot, dmat in zip(slots[k], derivs):
+        parts = (
+            d[0] * s00 + d[1] * s01 + d[2] * s10 + d[3] * s11,
+            1j * (m[2] * s10 + m[3] * s11),
+            1j * (m[1] * s01 + m[3] * s11),
+        )
+        for slot, part in zip(slots[k], parts):
             if slot >= 0:
-                grad[slot] += 2.0 * float(np.vdot(b, _rotate(before, axis, dmat)).real)
-        b = _rotate(b, axis, inverse[k])
-    return value, grad
+                grads[..., slot] += 2.0 * part.real
+        lam = _rotate(lam, axis, inverse)
+    return values
 
 
 def apply_gate(state: StateVector, op: GateOp, params=()) -> StateVector:

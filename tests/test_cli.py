@@ -18,6 +18,7 @@ from lcqnn.reporting import (
     format_value,
     mnist_columns,
     mnist_summary,
+    render_json,
 )
 
 
@@ -72,6 +73,21 @@ def test_mnist_summary_comparisons():
     assert summary["comparisons"]["acc(L=1,D=8) > acc(L=1,D=1)"] is True
     assert len(summary["cells"]) == 4
     assert mnist_columns(2) == ("L", "D", "run", "seed", "epoch_loss_1", "epoch_loss_2", "test_accuracy")
+
+
+def test_render_json_writes_non_finite_values_as_null():
+    # strict JSON has no NaN or Infinity; a parser that rejects them must
+    # read every non-finite value, at any depth, as null
+    records = [{"variance": float("nan"), "mean": np.float64(0.5), "ratios": [1.0, np.inf]}]
+    summary = {"slope": -np.inf, "pairs": ({"theta": np.float64("nan")},)}
+    text = render_json("lcqnn x", {"seed": 1}, records, summary)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(text, parse_constant=reject)
+    assert payload["records"] == [{"mean": 0.5, "ratios": [1.0, None], "variance": None}]
+    assert payload["summary"] == {"pairs": [{"theta": None}], "slope": None}
 
 
 # ---------------------------------------------------------------------------

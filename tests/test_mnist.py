@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from lcqnn import mnist, sim
 from lcqnn import (
     EncodingError,
     IdxFormatError,
@@ -15,9 +16,11 @@ from lcqnn import (
     amplitude_encode,
     cost,
     expectation,
+    grad_full,
     lcqnn_forward,
     make_model,
     num_params,
+    split_params,
 )
 from lcqnn.mnist import (
     AdamOptimizer,
@@ -34,6 +37,7 @@ from lcqnn.mnist import (
     find_data_file,
     load_dataset,
     load_examples,
+    minibatch_loss_and_grads,
     parse_idx,
     preprocess,
     run_accuracy_grid,
@@ -361,6 +365,80 @@ def test_example_gradient_against_finite_differences():
         assert math.isclose(grad[i], fd, abs_tol=5e-6)
 
 
+def _random_examples(rng, count):
+    return [
+        MnistExample(
+            preprocess(rng.integers(0, 256, size=(28, 28), dtype=np.uint8)),
+            int(rng.integers(0, 4)),
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("D", [0, 1, 3])
+def test_minibatch_matches_example_loss_and_grad(L, D):
+    # one batched forward and adjoint sweep over B x L rows gives each
+    # example exactly its one-example loss and gradient, which in turn match
+    # the logits' cross-entropy and grad_full on the example's effective
+    # observable sum_c (softmax_c - onehot_c) Z_c
+    model = make_model(2, 4, L, 2, D)
+    rng = np.random.default_rng(100 * L + D)
+    params = rng.uniform(0, 2 * math.pi, num_params(model))
+    examples = _random_examples(rng, 7)
+    states = np.stack([amplitude_encode(ex.pixels).amps for ex in examples])
+    labels = np.array([ex.label for ex in examples])
+    losses, grads = minibatch_loss_and_grads(model, params, states, labels)
+    assert losses.shape == (7,) and grads.shape == (7, num_params(model))
+    alpha, theta = split_params(model, params)
+    for b, ex in enumerate(examples):
+        loss, grad = example_loss_and_grad(model, params, ex)
+        assert loss == losses[b]
+        assert np.array_equal(grad, grads[b])
+        logits = classify_logits(model, alpha, theta, ex.pixels)
+        assert abs(loss - cross_entropy(logits, ex.label)) <= 1e-12
+        residual = softmax(logits) - np.eye(4)[ex.label]
+        effective = PauliZSum([(residual[c], (c,)) for c in range(4)], num_qubits=4)
+        reference = grad_full(model, params, effective, amplitude_encode(ex.pixels))
+        np.testing.assert_allclose(grad, reference, rtol=0, atol=1e-12)
+
+
+def test_training_is_bit_identical_under_any_amplitude_budget(monkeypatch):
+    data = tiny_dataset(per_class=5)
+    config = TrainConfig(L=4, D=1, epochs=2, batch_size=8, runs=1, root_seed=6)
+    reference = train_single_run(config, data, data, run_index=0)
+    # one example per forward sweep and one row per adjoint sub-batch; then
+    # three examples (twelve rows) per sweep, which splits every minibatch
+    for budget in (16, 3 * 4 * 16):
+        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
+        metrics = train_single_run(config, data, data, run_index=0)
+        assert metrics.epoch_losses == reference.epoch_losses
+        assert metrics.test_accuracy == reference.test_accuracy
+
+
+def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
+    # before minibatches were batched, each example ran every branch's
+    # forward pass twice and an adjoint sweep per branch
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mnist, "apply_gates", counting("forward", mnist.apply_gates))
+    monkeypatch.setattr(
+        mnist, "adjoint_gradient", counting("adjoint", mnist.adjoint_gradient)
+    )
+    data = tiny_dataset(per_class=4)
+    config = TrainConfig(L=4, D=2, epochs=1, batch_size=8, runs=1, root_seed=2)
+    train_single_run(config, data, data[:5], run_index=0)
+    # two training steps, then one forward sweep over the five test examples
+    assert calls == {"forward": 3, "adjoint": 2}
+
+
 def test_initial_loss_sits_near_uniform_prediction():
     model = make_model(2, 4, 4, 2, 2)
     rng = np.random.default_rng(17)
@@ -492,3 +570,22 @@ def test_evaluate_accuracy_counts_argmax_matches():
     basis_miss = MnistExample(np.eye(16)[15], 3)  # |1111> -> argmax stays at 0
     acc = evaluate_accuracy(model, params, [basis_hit, basis_miss])
     assert acc == 0.5
+
+
+def test_evaluate_accuracy_matches_per_example_argmax():
+    model = make_model(2, 4, 4, 2, 2)
+    rng = np.random.default_rng(8)
+    params = rng.uniform(0, 2 * math.pi, num_params(model))
+    examples = _random_examples(rng, 40)
+    alpha, theta = split_params(model, params)
+    hits = [
+        int(np.argmax(classify_logits(model, alpha, theta, ex.pixels))) == ex.label
+        for ex in examples
+    ]
+    assert evaluate_accuracy(model, params, examples) == sum(hits) / len(examples)
+
+
+def test_evaluate_accuracy_rejects_an_empty_set():
+    model = make_model(2, 4, 1, 2, 1)
+    with pytest.raises(TrainingError, match="no examples"):
+        evaluate_accuracy(model, np.zeros(num_params(model)), [])

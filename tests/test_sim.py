@@ -133,6 +133,12 @@ def test_batched_apply_gates_rejects_mismatched_params():
     for bad in (np.zeros((2, 3)), np.zeros((3, 3, 1))):
         with pytest.raises(LcqnnError, match="needs parameters of shape"):
             apply_gates(tensor, [u3(0, 0, 1, 2)], bad)
+        with pytest.raises(LcqnnError, match="needs parameters of shape"):
+            sim.adjoint_gradient(tensor, [u3(0, 0, 1, 2)], bad, np.ones(4))
+    grid = np.zeros((3, 4, 2, 2), dtype=complex)
+    for bad in (np.zeros((3, 2, 3)), np.zeros((2, 1, 3))):
+        with pytest.raises(LcqnnError, match="needs parameters of shape"):
+            apply_gates(grid, [u3(0, 0, 1, 2)], bad)
 
 
 def test_apply_gate_validation():
