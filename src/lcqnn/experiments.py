@@ -31,9 +31,8 @@ from .model import (
 )
 from .sim import (
     PauliZSum,
-    RngStream,
+    chunk_generators,
     diagonal_expectations,
-    ginibre,
     haar_columns,
     init_zero,
 )
@@ -273,10 +272,12 @@ def _haar_values(dim: int, gens, angles) -> np.ndarray:
     the result; ``None`` is one row of zeros. Only the two columns the probe
     reaches are orthonormalized.
     """
-    z = np.empty((len(gens), dim, 2), dtype=np.complex128)
+    normals = np.empty((2, dim, dim))  # sim.ginibre's draws: real parts, then imaginary
+    kept = np.empty((2, len(gens), dim, 2))
     for b, gen in enumerate(gens):
-        z[b] = ginibre(dim, gen)[:, :2]
-    cols = haar_columns(z)
+        gen.standard_normal(out=normals)
+        kept[:, b] = normals[:, :, :2]
+    cols = haar_columns((kept[0] + 1j * kept[1]) / math.sqrt(2.0))
     if angles is None:
         angles = np.zeros((1, len(gens)))
     c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
@@ -360,19 +361,21 @@ def group_block_variance(
             return _haar_values(dim, gens, angles)
         return _ansatz_values(dim, depth, gens, angles)
 
+    # balanced_z_diag(1) is 0: a dimension-1 block's value and gradient vanish
+    drawn = [b for b, dim in enumerate(dims) if dim != 1]
+    components = [0, 1] + [_BLOCK_COMPONENT_BASE + b for b in drawn]
+
     def chunk(lo: int, hi: int) -> tuple[GradStats, GradStats]:
-        streams = [RngStream(root_seed, i) for i in range(lo, hi)]
+        alpha_gens, probe_gens, *block_gens = chunk_generators(root_seed, lo, hi, components)
         batch = hi - lo
         alpha = np.array(
-            [s.component_generator(0).uniform(0.0, TWO_PI, num_leaves - 1) for s in streams]
+            [gen.uniform(0.0, TWO_PI, num_leaves - 1) for gen in alpha_gens]
         ).reshape(batch, num_leaves - 1)
-        probe = np.array([s.component_generator(1).uniform(0.0, TWO_PI) for s in streams])
+        probe = np.array([gen.uniform(0.0, TWO_PI) for gen in probe_gens])
         values = np.zeros((batch, num_leaves))
         grad0 = np.zeros(batch)
-        for b, dim in enumerate(dims):
-            if dim == 1:
-                continue  # balanced_z_diag(1) is 0: value and gradient vanish
-            gens = [s.component_generator(_BLOCK_COMPONENT_BASE + b) for s in streams]
+        for b, gens in zip(drawn, block_gens):
+            dim = dims[b]
             if b == 0:
                 at, up, down = block_values(
                     dim, gens, np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))

@@ -32,6 +32,7 @@ from .sim import (
     StateVector,
     adjoint_gradient,
     apply_gates,
+    chunk_generators,
     diagonal_expectations,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
 )
@@ -268,6 +269,21 @@ def sample_param_draw(
     return alpha, theta
 
 
+def sample_param_draws(
+    model: LcqnnModel, root_seed: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``alpha[b], theta[b]`` equal to ``sample_param_draw(model,
+    root_seed, lo + b)`` for the samples ``lo .. hi-1``, from streams seeded
+    for the whole range in one pass."""
+    alpha_gens, theta_gens = chunk_generators(
+        root_seed, lo, hi, (ALPHA_COMPONENT, THETA_COMPONENT)
+    )
+    batch, num_theta = hi - lo, theta_layout_size(model)
+    alpha = np.array([gen.uniform(0.0, TWO_PI, model.num_alpha) for gen in alpha_gens])
+    theta = np.array([gen.uniform(0.0, TWO_PI, num_theta) for gen in theta_gens])
+    return alpha.reshape(batch, model.num_alpha), theta.reshape(batch, num_theta)
+
+
 def probe_gradients(
     model: LcqnnModel,
     obs: PauliZSum,
@@ -282,15 +298,15 @@ def probe_gradients(
     The samples run as one batch through the branch mixture, never the full
     register. A tree angle needs every branch expectation at the drawn
     point; a branch angle needs only that branch, at its two shifted points,
-    weighted by its probability. Sample ``i``'s value does not depend on
-    ``lo`` and ``hi``.
+    weighted by its probability. Sample ``i`` draws what
+    ``sample_param_draw(model, root_seed, i)`` draws, so its value does not
+    depend on ``lo`` and ``hi``.
     """
     _check_param_id(model, param_id)
     psi_in = working_amps(model, obs=obs).reshape((2,) * model.num_working)
-    draws = [sample_param_draw(model, root_seed, i) for i in range(lo, hi)]
+    alpha, theta = sample_param_draws(model, root_seed, lo, hi)
     batch, L, stride = hi - lo, model.branch_count, model.branch_param_count
-    alpha = np.array([a for a, _ in draws]).reshape(batch, model.num_alpha)
-    blocks = np.array([t for _, t in draws]).reshape(batch, L, stride)
+    blocks = theta.reshape(batch, L, stride)
     gates = branch_gates(model)
 
     if param_id < model.num_alpha:

@@ -226,9 +226,26 @@ def _z_diagonals(num_qubits: int) -> np.ndarray:
     )
 
 
-def _encode(examples) -> np.ndarray:
-    """The examples' amplitude-encoded pixels, one row each."""
-    return np.stack([amplitude_encode(ex.pixels).amps for ex in examples])
+@dataclass(frozen=True, eq=False)
+class EncodedExamples:
+    """Examples as arrays: amplitude-encoded pixels, one row each, and labels."""
+
+    states: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def encode_examples(examples) -> EncodedExamples:
+    """Amplitude-encode a list of MnistExample once; EncodedExamples pass
+    through, so a grid encodes its sets once for all cells and runs."""
+    if isinstance(examples, EncodedExamples):
+        return examples
+    return EncodedExamples(
+        np.array([amplitude_encode(ex.pixels).amps for ex in examples], dtype=np.complex128),
+        np.array([ex.label for ex in examples], dtype=np.int64),
+    )
 
 
 def _example_runs(model: LcqnnModel, count: int) -> list[slice]:
@@ -326,27 +343,25 @@ def example_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy loss and its full parameter gradient for one example:
     the one-example minibatch."""
-    losses, grads = minibatch_loss_and_grads(
-        model, flat_params, _encode([example]), np.array([example.label])
-    )
+    data = encode_examples([example])
+    losses, grads = minibatch_loss_and_grads(model, flat_params, data.states, data.labels)
     return float(losses[0]), grads[0]
 
 
 def evaluate_accuracy(
     model: LcqnnModel, flat_params: np.ndarray, examples
 ) -> float:
-    """Fraction of ``examples`` whose largest logit is their label, from
-    batched forward sweeps."""
+    """Fraction of ``examples`` (MnistExample or EncodedExamples) whose
+    largest logit is their label, from batched forward sweeps."""
     if len(examples) == 0:
         raise TrainingError("no examples to evaluate")
     alpha, theta = split_params(model, flat_params)
-    states = _encode(examples)
-    labels = np.array([ex.label for ex in examples])
+    data = encode_examples(examples)
     correct = 0
-    for run in _example_runs(model, len(examples)):
-        logits = _forward_sweep(model, alpha, theta, states[run])[1]
-        correct += int(np.sum(np.argmax(logits, axis=-1) == labels[run]))
-    return correct / len(examples)
+    for run in _example_runs(model, len(data)):
+        logits = _forward_sweep(model, alpha, theta, data.states[run])[1]
+        correct += int(np.sum(np.argmax(logits, axis=-1) == data.labels[run]))
+    return correct / len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +438,8 @@ def train_single_run(
 ) -> RunMetrics:
     """One training run: init from the run's seed stream, minibatch descent,
     then held-out accuracy.  Batch gradients accumulate in example order, so
-    a rerun reproduces the loss curve bit for bit."""
+    a rerun reproduces the loss curve bit for bit.  Either set may be a list
+    of MnistExample or EncodedExamples."""
     if not train_set or not test_set:
         raise TrainingError("empty training or test set")
     model = config.make_model()
@@ -436,8 +452,8 @@ def train_single_run(
     if config.batch_size < 1 or config.epochs < 1:
         raise TrainingError("batch_size and epochs must be >= 1")
 
-    states = _encode(train_set)
-    labels = np.array([ex.label for ex in train_set])
+    train_data = encode_examples(train_set)
+    states, labels = train_data.states, train_data.labels
     epoch_losses = []
     for epoch in range(config.epochs):
         order = shuffle.permutation(len(train_set))
@@ -473,9 +489,11 @@ def train_single_run(
 
 
 def train(config: TrainConfig, train_set, test_set) -> list[RunMetrics]:
-    """All runs of one configuration, seeded independently per run."""
+    """All runs of one configuration, seeded independently per run, on sets
+    encoded once."""
+    train_data, test_data = encode_examples(train_set), encode_examples(test_set)
     return [
-        train_single_run(config, train_set, test_set, run)
+        train_single_run(config, train_data, test_data, run)
         for run in range(config.runs)
     ]
 
@@ -534,6 +552,7 @@ def run_accuracy_grid(
     ]
     for config in configs:
         config.make_model()
+    train_set, test_set = encode_examples(train_set), encode_examples(test_set)
     cells = []
     for config in configs:
         if progress is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -501,6 +502,113 @@ class RngStream:
         return np.random.default_rng(
             np.random.SeedSequence(self._seed_key() + (int(component),))
         )
+
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words32(value: int) -> list[int]:
+    """SeedSequence's split of a non-negative int: 32-bit words, low first,
+    one word for zero."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pool_seeds(entropy: list, five_words) -> np.ndarray:
+    """The four uint64 words PCG64 asks of ``SeedSequence(key)``, one row
+    per key, for keys given as uint32 word columns.
+
+    ``entropy`` holds four or five word arrays, zero-padded, which is what
+    SeedSequence's pool does with a short key; a fifth word counts only
+    where ``five_words`` is true.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [np.where(five_words, mix(p, hashmix(word)), p) for p in pool]
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append(value ^ (value >> 16))
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _pcg64_generator():
+    """A function from four uint64 seed words to a PCG64 Generator, the one
+    ``default_rng(SeedSequence(key))`` builds when those words are the
+    key's. Built at first use, so ``import lcqnn`` leaves ``numpy.random``
+    unloaded."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for exactly 4 uint64 words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
+def chunk_generators(root_seed: int, lo: int, hi: int, components) -> list[list]:
+    """Generators of samples ``lo .. hi-1``, one row per listed component:
+    row ``c``, column ``b`` draws exactly what
+    ``RngStream(root_seed, lo + b).component_generator(components[c])`` does.
+
+    One uint32 array pass hashes every (sample, component) key of the chunk,
+    in place of one SeedSequence each; only the PCG64 set-up stays per
+    stream. Sample indices may take one or two 32-bit words.
+    """
+    components = [int(c) for c in components]
+    if not 0 <= lo <= hi <= 1 << 64:
+        raise LcqnnError(f"sample range {lo}..{hi} is not within 0..2**64")
+    if any(not 0 <= c <= _MASK32 for c in components):
+        raise LcqnnError(f"components must lie in 0..2**32-1, got {components}")
+    batch = hi - lo
+    index = np.tile(np.arange(lo, hi, dtype=np.uint64), len(components))
+    component = np.repeat(np.array(components, dtype=np.uint32), batch)
+    low = (index & np.uint64(_MASK32)).astype(np.uint32)
+    high = (index >> np.uint64(32)).astype(np.uint32)
+    two_words = high != 0
+    seed = [np.full(index.size, w, dtype=np.uint32) for w in _words32(root_seed & _UINT64_MASK)]
+    entropy = seed + [
+        low,
+        np.where(two_words, high, component),
+        np.where(two_words, component, np.uint32(0)),
+    ]
+    seeds = _pool_seeds(entropy, two_words)
+    make = _pcg64_generator()
+    gens = [make(words) for words in seeds]
+    return [gens[c * batch : (c + 1) * batch] for c in range(len(components))]
 
 
 def ginibre(dim: int, gen: np.random.Generator) -> np.ndarray:

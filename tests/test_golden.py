@@ -76,6 +76,19 @@ COMMANDS = {
         "group-scan", "--dims", "1:1,1:1", "--dims", "2:1,2:1", "--samples", "64",
         "--seed", "0", "--format", "json",
     ],
+    # root seeds of two 32-bit words: the per-sample seed keys grow a word
+    "variance_scan_seed_two_words": [
+        "variance-scan", "--m", "2", "--L", "4", "--depth", "2", "--k-list", "2",
+        "--n-list", "3,4", "--samples", "130", "--seed", "4294967297",
+    ],
+    "group_scan_haar_seed_two_words": [
+        "group-scan", "--dims", "4:1,4:1", "--dims", "3:1,1:1,8:1", "--samples", "130",
+        "--seed", "18446744073709551615",
+    ],
+    "group_scan_ansatz_seed_two_words": [
+        "group-scan", "--dims", "3:1,5:1,2:2", "--mode", "ansatz", "--depth", "2",
+        "--samples", "100", "--seed", "4294967296",
+    ],
     "mnist": _MNIST + ["--L-list", "1,2", "--D-list", "1,2", "--runs", "1", "--epochs", "2"],
     "mnist_sgd_json": _MNIST + [
         "--L-list", "2,4", "--D-list", "1", "--runs", "2", "--epochs", "1",

@@ -20,7 +20,7 @@ from lcqnn.gradients import (
     sample_param_draw,
     split_params,
 )
-from lcqnn import sim
+from lcqnn import gradients, sim
 from lcqnn.model import make_model, theta_layout_size
 from lcqnn.sim import PauliZSum, RngStream
 
@@ -208,6 +208,29 @@ def test_estimate_alpha_probe_matches_shift_loop():
         manual.append(param_shift_grad(model, np.concatenate((alpha, theta)), obs, pid))
     assert stats.mean == pytest.approx(np.mean(manual), abs=1e-12)
     assert stats.variance == pytest.approx(np.var(manual, ddof=1), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4, 2, 1), (0, 2, 1, 2, 2)])
+@pytest.mark.parametrize("seed", [424242, 2**32 + 1, -1])
+def test_probe_chunk_draws_equal_per_sample_draws(shape, seed, monkeypatch):
+    # probe_gradients seeds a chunk's streams in one pass; every (alpha,
+    # blocks) row it uses must be the per-sample draw, bit for bit
+    model = make_model(*shape)
+    draws, seen = gradients.sample_param_draws, []
+
+    def recording(*args):
+        seen.append(draws(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(gradients, "sample_param_draws", recording)
+    probe_gradients(model, _z0(2), default_probe_param(model), seed, 64, 128)
+    (alpha, theta), = seen
+    assert alpha.shape == (64, model.num_alpha)
+    assert theta.shape == (64, theta_layout_size(model))
+    for b in range(64):
+        a_ref, t_ref = sample_param_draw(model, seed, 64 + b)
+        np.testing.assert_array_equal(alpha[b], a_ref)
+        np.testing.assert_array_equal(theta[b], t_ref)
 
 
 def test_estimate_is_deterministic():

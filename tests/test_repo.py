@@ -1,5 +1,5 @@
-"""Checks on the files around the package: the README's example and the
-benchmark's trace hooks."""
+"""Checks on the files around the package: the README's example, the
+benchmark's trace hooks and what importing the CLI loads."""
 
 import json
 import re
@@ -28,3 +28,15 @@ def test_benchmark_trace_hooks_install(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["trace"]["spans"]
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # the scans build their generators at the first draw, so importing the
+    # CLI (the benchmark's set-up time) pays nothing for numpy.random
+    code = "import sys, lcqnn.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

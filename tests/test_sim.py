@@ -333,3 +333,42 @@ def test_rng_stream_negative_seed_and_validation():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(LcqnnError):
         RngStream(1, -2)
+
+
+# seeds of one and two 32-bit words, and negative seeds, which wrap mod 2**64
+_CHUNK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1]
+
+
+@pytest.mark.parametrize("seed", _CHUNK_SEEDS)
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0, 64),
+        (960, 1000),
+        (2**32 - 64, 2**32),  # the last chunk of one-word indices
+        (2**32, 2**32 + 64),  # the first of two-word indices
+        (2**32 - 3, 2**32 + 3),  # both in one call
+    ],
+)
+def test_chunk_generators_match_rng_stream(seed, lo, hi):
+    components = range(8)
+    rows = sim.chunk_generators(seed, lo, hi, components)
+    assert len(rows) == len(components)
+    for c, row in zip(components, rows):
+        assert len(row) == hi - lo
+        for b, gen in enumerate(row):
+            ref = RngStream(seed, lo + b).component_generator(c)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(gen.random(3), ref.random(3))
+
+
+def test_chunk_generators_validation():
+    for lo, hi, components in [
+        (-1, 3, [0]),
+        (4, 3, [0]),
+        (2**64 - 1, 2**64 + 1, [0]),
+        (0, 2, [-1]),
+        (0, 2, [2**32]),
+    ]:
+        with pytest.raises(LcqnnError):
+            sim.chunk_generators(5, lo, hi, components)
