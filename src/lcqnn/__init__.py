@@ -1,6 +1,6 @@
 """Statevector simulation and trainability experiments for linear-combination QNNs."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     ArchitectureError,
@@ -45,7 +45,6 @@ from .model import (
     apply_coefficient_layer,
     branch_angles,
     branch_block_probabilities,
-    branch_expectations,
     branch_gates,
     coeff_probabilities,
     coeff_probability_gradients,

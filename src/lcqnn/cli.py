@@ -168,7 +168,8 @@ def cmd_variance_layers(args) -> int:
         param_id=args.param_id,
     )
     summary = reporting.layers_summary(records)
-    _progress(f"variance-layers: slope {summary['log2_slope_vs_log2_L']:+.4f}")
+    slope = summary["log2_slope_vs_log2_L"]
+    _progress(f"variance-layers: slope {'n/a' if slope is None else f'{slope:+.4f}'}")
     _emit_scan(command, config, records, args, summary=summary)
     return 0
 

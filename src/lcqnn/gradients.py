@@ -22,6 +22,7 @@ from .model import (
     coeff_probabilities,
     coeff_probability_gradients,
     cost,
+    light_cone,
     theta_layout_size,
     tree_node,
     working_amps,
@@ -33,7 +34,6 @@ from .sim import (
     adjoint_gradient,
     apply_gates,
     chunk_generators,
-    diagonal_expectations,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
 )
 
@@ -296,31 +296,31 @@ def probe_gradients(
     ``lo .. hi-1``, with the working register starting at |0...0>.
 
     The samples run as one batch through the branch mixture, never the full
-    register. A tree angle needs every branch expectation at the drawn
-    point; a branch angle needs only that branch, at its two shifted points,
-    weighted by its probability. Sample ``i`` draws what
+    register, and each branch only on the observable's ``light_cone``. A
+    tree angle needs every branch expectation at the drawn point; a branch
+    angle needs only that branch, at its two shifted points, weighted by its
+    probability, and is exactly 0 outside the cone. Sample ``i`` draws what
     ``sample_param_draw(model, root_seed, i)`` draws, so its value does not
     depend on ``lo`` and ``hi``.
     """
     _check_param_id(model, param_id)
-    psi_in = working_amps(model, obs=obs).reshape((2,) * model.num_working)
-    alpha, theta = sample_param_draws(model, root_seed, lo, hi)
+    cone = light_cone(model, obs)
     batch, L, stride = hi - lo, model.branch_count, model.branch_param_count
-    blocks = theta.reshape(batch, L, stride)
-    gates = branch_gates(model)
-
     if param_id < model.num_alpha:
-        values = diagonal_expectations(
-            psi_in, gates, blocks.reshape(batch * L, stride), obs.diagonal()
-        ).reshape(batch, L)
+        alpha, theta = sample_param_draws(model, root_seed, lo, hi)
         jac_row = coeff_probability_gradients(alpha)[:, param_id]
+        values = cone.expectations(theta.reshape(batch, L, stride))
         return np.sum(jac_row * values, axis=-1)
 
     j, slot = divmod(param_id - model.num_alpha, stride)
-    shifted = np.concatenate((blocks[:, j], blocks[:, j]))
+    if slot not in cone.columns:
+        return np.zeros(batch)
+    alpha, theta = sample_param_draws(model, root_seed, lo, hi)
+    block = theta.reshape(batch, L, stride)[:, j]
+    shifted = np.concatenate((block, block))
     shifted[:, slot] += math.pi / 2.0
     shifted[batch:, slot] -= math.pi
-    values = diagonal_expectations(psi_in, gates, shifted, obs.diagonal())
+    values = cone.expectations(shifted)
     prob = coeff_probabilities(alpha)[:, j]
     return prob * 0.5 * (values[:batch] - values[batch:])
 

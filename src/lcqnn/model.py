@@ -331,13 +331,48 @@ def branch_block_probabilities(model: LcqnnModel, state: StateVector) -> np.ndar
     return np.sum(np.abs(rows[:: 1 << idle]) ** 2, axis=1)
 
 
-def branch_expectations(
-    model: LcqnnModel, theta, obs: PauliZSum, input_state: StateVector | None = None
-) -> np.ndarray:
-    """Per-branch expectations <input| U_j' O U_j |input> on the working register."""
-    blocks = branch_angles(model, theta)
-    psi_in = working_amps(model, input_state, obs).reshape((2,) * model.num_working)
-    return diagonal_expectations(psi_in, branch_gates(model), blocks, obs.diagonal())
+@dataclass(frozen=True)
+class LightCone:
+    """The block groups that meet an observable, on a register of their own.
+
+    A branch unitary is a tensor product over disjoint groups, so
+    ``<0| U_j' O U_j |0>`` depends only on the groups that meet a term of
+    ``O``: ``gates`` are their ``entangling_gates`` on ``num_qubits`` qubits,
+    ``columns`` the matching slots of a branch block, ``obs`` is ``O`` there.
+    """
+
+    num_qubits: int
+    gates: tuple[GateOp, ...]
+    columns: tuple[int, ...]
+    obs: PauliZSum
+
+    def expectations(self, blocks) -> np.ndarray:
+        """``<0| U' O U |0>`` of every branch block on the last axis of
+        ``blocks``, shape (..., stride) to (...)."""
+        params = np.asarray(blocks, dtype=np.float64)[..., self.columns]
+        batch = params.shape[:-1]
+        rows = params.reshape(int(np.prod(batch)), len(self.columns))
+        psi_in = init_zero(self.num_qubits).amps.reshape((2,) * self.num_qubits)
+        values = diagonal_expectations(psi_in, self.gates, rows, self.obs.diagonal())
+        return values.reshape(batch)
+
+
+@lru_cache(maxsize=64)
+def light_cone(model: LcqnnModel, obs: PauliZSum) -> LightCone:
+    """The ``LightCone`` of a working-register observable, built once per
+    ``(model, obs)`` pair (an observable is keyed by identity)."""
+    working_amps(model, obs=obs)  # the observable's width check
+    touched = {q for _, qubits in obs.terms for q in qubits}
+    remap, gates, columns, slot = {}, [], [], 0
+    for spec in model.groups:
+        if not touched.isdisjoint(spec.qubits):
+            local = range(len(remap), len(remap) + len(spec.qubits))
+            remap.update(zip(spec.qubits, local))
+            gates += entangling_gates(local, spec.depth, len(columns))
+            columns += range(slot, slot + spec.param_count)
+        slot += spec.param_count
+    terms = [(w, [remap[q] for q in qubits]) for w, qubits in obs.terms]
+    return LightCone(len(remap), tuple(gates), tuple(columns), PauliZSum(terms, len(remap)))
 
 
 def cost(

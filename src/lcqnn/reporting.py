@@ -124,12 +124,16 @@ def scan_dict(record: ScanRecord) -> dict:
 
 
 def layers_summary(records) -> dict:
-    """Least-squares slope of log2 variance against log2 branch count."""
+    """Least-squares slope of log2 variance against log2 branch count, or
+    None if a variance is not positive (a probe outside the light cone)."""
     xs = [float(np.log2(r.L)) for r in records]
+    variances = [r.variance for r in records]
     return {
         "L_values": [r.L for r in records],
-        "variances": [r.variance for r in records],
-        "log2_slope_vs_log2_L": fit_log2_slope(xs, [r.variance for r in records]),
+        "variances": variances,
+        "log2_slope_vs_log2_L": (
+            fit_log2_slope(xs, variances) if all(v > 0 for v in variances) else None
+        ),
     }
 
 

@@ -214,6 +214,24 @@ def test_criterion_04_local_block_flatness(fig4_records, companion_records):
     assert -1.35 <= slope <= -0.65
 
 
+def test_criterion_04_theory_equal_light_cones(fig4_records):
+    # Z0 sees only the block group holding qubit 0, and that group's angles
+    # are drawn alike for every n: qubits 0-2 at k=3, qubits 0-4 at k=5 once
+    # n >= 5. Rows with equal light cones run the same circuit on the same
+    # draws, so they are bit-equal, not merely close.
+    cones = {3: (3, 4, 6, 8), 5: (6, 8)}
+    rows = {k: [fig4_records[(k, n)] for n in sizes] for k, sizes in cones.items()}
+    same = {k: len({(r.mean, r.variance, r.stderr) for r in recs}) == 1
+            for k, recs in rows.items()}
+    rendered = ", ".join(f"k={k} n in {list(cones[k])} bit-equal: {same[k]}" for k in cones)
+    print(f"criterion 4 theory: {rendered} -> {'PASS' if all(same.values()) else 'FAIL'}")
+    for k, recs in rows.items():
+        for rec in recs[1:]:
+            assert (rec.mean, rec.variance, rec.stderr) == (
+                recs[0].mean, recs[0].variance, recs[0].stderr
+            ), f"k={k}: n={rec.n} differs from n={recs[0].n}"
+
+
 def test_criterion_05_branch_count_slope(layers_by_seed):
     # The probe gradient factorizes as p_0(alpha) * (d e_0 / d theta), and
     # each tree level contributes E[cos^4] = 3/8 to E[p_0^2], so the measured

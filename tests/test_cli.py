@@ -187,6 +187,24 @@ def test_variance_layers_records_and_slope(capsys):
     assert "slope" in err
 
 
+def test_variance_layers_probe_outside_cone_has_no_slope(capsys):
+    # Z3 sits in group 1 and the default probe in group 0: every gradient
+    # is exactly zero, so the rows print and the slope is null
+    argv = ["variance-layers", "--m", "2", "--n", "4", "--k", "2", "--depth", "2",
+            "--L-list", "1,2,4", "--samples", "40", "--seed", "3", "--obs", "Z3"]
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert "variance-layers: slope n/a" in err
+    payload = json.loads(out)
+    assert [r["variance"] for r in payload["records"]] == [0.0, 0.0, 0.0]
+    assert payload["summary"]["log2_slope_vs_log2_L"] is None
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(payload, load_schema("variance_scan.schema.json"))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(data_rows(out)) == 3
+
+
 def test_variance_layers_bad_branch_count(capsys):
     for L_list, message in (("1,3", "power"), ("4", "two distinct"), ("2,2", "two distinct")):
         code, _, err = run_cli(

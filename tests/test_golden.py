@@ -34,6 +34,10 @@ COMMANDS = {
     "variance_scan_tree_probe": _SCAN + [
         "--k-list", "2", "--n-list", "3,4", "--samples", "70", "--param-id", "1",
     ],
+    # Z0's light cone is group 0; parameter 15 is branch 0's first angle in group 1
+    "variance_scan_outside_cone": _SCAN + [
+        "--k-list", "2", "--n-list", "4", "--samples", "70", "--param-id", "15",
+    ],
     "variance_scan_single_branch": [
         "variance-scan", "--m", "0", "--L", "1", "--k-list", "2", "--n-list", "2,3",
         "--depth", "1", "--samples", "40", "--seed", "2",

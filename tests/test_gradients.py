@@ -1,10 +1,12 @@
 """Shift rules, adjoint full gradient, and gradient-variance estimation."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from lcqnn.errors import LcqnnError
 from lcqnn.gradients import (
     GradStats,
@@ -21,7 +23,7 @@ from lcqnn.gradients import (
     split_params,
 )
 from lcqnn import gradients, sim
-from lcqnn.model import make_model, theta_layout_size
+from lcqnn.model import branch_gates, make_model, theta_layout_size
 from lcqnn.sim import PauliZSum, RngStream
 
 Z0_1 = PauliZSum([(1.0, (0,))], num_qubits=1)
@@ -323,3 +325,77 @@ def test_estimate_is_bit_identical_under_any_amplitude_budget(monkeypatch):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
         for pid, ref in zip(probes, reference):
             assert estimate_grad_stats(model, obs, pid, 70, 3) == ref
+
+
+# ---------------------------------------------------------------------------
+# light cone against the full register and a dense oracle
+
+Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _dense_observable(obs):
+    n = obs.num_qubits
+    return sum(
+        w * functools.reduce(np.matmul, (oracles.embed_1q(Z, q, n) for q in qs), np.eye(1 << n))
+        for w, qs in obs.terms
+    )
+
+
+def _dense_cost(model, flat, observable):
+    """The cost from dense matrices: the tree on the control register, then
+    each control value's branch circuit on the working register."""
+    m, n = model.num_controls, model.num_working
+    alpha, theta = split_params(model, flat)
+    blocks = theta.reshape(model.branch_count, -1)
+    controls = oracles.dense_tree(alpha, m)[:, 0]
+    idle = m - model.tree_depth
+    value = 0.0
+    for row, amp in enumerate(controls):
+        psi = oracles.dense_circuit(branch_gates(model), blocks[row >> idle], n)[:, 0]
+        value += abs(amp) ** 2 * (psi.conj() @ observable @ psi).real
+    return value
+
+
+def _dense_shift_grad(model, flat, observable, pid):
+    shift, prefactor = (math.pi / 4, 1.0) if pid < model.num_alpha else (math.pi / 2, 0.5)
+    up, down = flat.copy(), flat.copy()
+    up[pid] += shift
+    down[pid] -= shift
+    return prefactor * (
+        _dense_cost(model, up, observable) - _dense_cost(model, down, observable)
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 4, 2, 1), (1, 4, 2, 1, 2), (2, 6, 2, 3, 1)])
+def test_probe_gradients_light_cone_matches_full_register_and_dense_oracle(shape):
+    # every shape has several groups; the first observable's Z-string spans
+    # two of them, and a branch probe in a group no term meets is exactly 0
+    model = make_model(*shape)
+    n, stride = model.num_working, model.branch_param_count
+    rng = np.random.default_rng(sum(shape))
+    slot_group = np.repeat(np.arange(len(model.groups)), [g.param_count for g in model.groups])
+    observables = [
+        PauliZSum([(1.0, (0,)), (-0.6, (1, n - 1)), (0.25, ())], n),
+        PauliZSum([(0.8, ())], n),
+        PauliZSum([(1.0, (n - 1,))], n),
+    ]
+    seed, lo, hi = 13, 5, 7
+    draws = [np.concatenate(sample_param_draw(model, seed, i)) for i in range(lo, hi)]
+    for obs in observables:
+        observable = _dense_observable(obs)
+        touched = {q for _, qs in obs.terms for q in qs}
+        met = [bool(touched & set(g.qubits)) for g in model.groups]
+        # every tree angle, and one branch angle of each group in a random branch
+        probes = list(range(model.num_alpha)) + [
+            model.num_alpha + int(rng.integers(model.branch_count)) * stride
+            + int(rng.choice(np.flatnonzero(slot_group == g)))
+            for g in range(len(model.groups))
+        ]
+        for pid in probes:
+            grads = probe_gradients(model, obs, pid, seed, lo, hi)
+            inside = pid < model.num_alpha or met[slot_group[(pid - model.num_alpha) % stride]]
+            if not inside:
+                assert grads.tolist() == [0.0] * (hi - lo)
+            for grad, flat in zip(grads, draws):
+                assert abs(grad - param_shift_grad(model, flat, obs, pid)) <= 1e-12
+                assert abs(grad - _dense_shift_grad(model, flat, observable, pid)) <= 1e-12

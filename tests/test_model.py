@@ -12,7 +12,6 @@ from lcqnn.model import (
     apply_coefficient_layer,
     branch_angles,
     branch_block_probabilities,
-    branch_expectations,
     branch_gates,
     coeff_probabilities,
     coeff_probability_gradients,
@@ -20,6 +19,7 @@ from lcqnn.model import (
     default_groups,
     entangling_gates,
     lcqnn_forward,
+    light_cone,
     make_model,
     theta_layout_size,
     tree_angles,
@@ -371,15 +371,25 @@ def test_cost_zero_angles_is_one_for_z():
 
 
 def test_cost_equals_branch_mixture():
-    model = make_model(2, 2, 4, 2, 2)
+    # the light-cone branch expectations, mixed by the tree, give the
+    # full-register cost; the cone keeps only the groups the terms meet
     rng = np.random.default_rng(61)
-    alpha = rng.uniform(0, 2 * math.pi, 3)
-    theta = rng.uniform(0, 2 * math.pi, theta_layout_size(model))
-    obs = PauliZSum([(1.0, (0,)), (0.5, (0, 1))], num_qubits=2)
-    direct = cost(model, alpha, theta, obs)
-    p = coeff_probabilities(alpha)
-    e = branch_expectations(model, theta, obs)
-    assert direct == pytest.approx(float(p @ e), abs=1e-10)
+    cases = [
+        (make_model(2, 2, 4, 2, 2), [(1.0, (0,)), (0.5, (0, 1))], 2),
+        (make_model(2, 5, 4, 2, 1), [(1.0, (1,)), (-0.4, (1, 4)), (0.3, ())], 3),
+        (make_model(1, 4, 2, 3, 2), [(0.7, ())], 0),
+    ]
+    for model, terms, width in cases:
+        obs = PauliZSum(terms, num_qubits=model.num_working)
+        cone = light_cone(model, obs)
+        assert cone.num_qubits == width
+        assert light_cone(model, obs) is cone
+        alpha = rng.uniform(0, 2 * math.pi, model.num_alpha)
+        theta = rng.uniform(0, 2 * math.pi, theta_layout_size(model))
+        direct = cost(model, alpha, theta, obs)
+        p = coeff_probabilities(alpha)
+        e = cone.expectations(branch_angles(model, theta))
+        assert direct == pytest.approx(float(p @ e), abs=1e-12)
 
 
 def test_cost_ignores_dead_branch():
