@@ -321,6 +321,7 @@ def cmd_grad_check(args) -> int:
     worst_rel = -1.0
     worst_detail = ""
     failures = 0
+    observables = {}  # the Z0 observable of each working width, built once
     for probe in range(args.probes):
         m = int(rng.integers(0, 4))
         n = int(rng.integers(1, 7))
@@ -330,7 +331,9 @@ def cmd_grad_check(args) -> int:
         model = make_model(m, n, L, k, D)
         flat = rng.uniform(0.0, TWO_PI, num_params(model))
         param_id = int(rng.integers(0, num_params(model)))
-        obs = _observable_for("Z0", n)
+        if n not in observables:
+            observables[n] = _observable_for("Z0", n)
+        obs = observables[n]
         shift = param_shift_grad(
             model, flat, obs, param_id, shift_scale=args.shift_scale
         )

@@ -48,10 +48,12 @@ def num_params(model: LcqnnModel) -> int:
 
 
 def split_params(model: LcqnnModel, flat) -> tuple[np.ndarray, np.ndarray]:
-    flat = np.asarray(flat, dtype=np.float64).ravel()
-    if flat.size != num_params(model):
-        raise LcqnnError(f"expected {num_params(model)} parameters, got {flat.size}")
-    return flat[: model.num_alpha], flat[model.num_alpha :]
+    """Tree and branch angles of flat parameters on the last axis; leading
+    axes are a batch of parameter rows."""
+    flat = np.atleast_1d(np.asarray(flat, dtype=np.float64))
+    if flat.shape[-1] != num_params(model):
+        raise LcqnnError(f"expected {num_params(model)} parameters, got {flat.shape[-1]}")
+    return flat[..., : model.num_alpha], flat[..., model.num_alpha :]
 
 
 def default_probe_param(model: LcqnnModel) -> int:
@@ -80,7 +82,8 @@ def sample_params(model: LcqnnModel, generator) -> np.ndarray:
 
 def cost_flat(
     model: LcqnnModel, flat, obs: PauliZSum, input_state: StateVector | None = None
-) -> float:
+) -> float | np.ndarray:
+    """``cost`` of flat parameters, batched like ``split_params``."""
     alpha, theta = split_params(model, flat)
     return cost(model, alpha, theta, obs, input_state)
 
@@ -94,6 +97,18 @@ def _check_param_id(model: LcqnnModel, param_id: int) -> None:
         raise LcqnnError(
             f"parameter id {param_id} out of range 0..{num_params(model) - 1}"
         )
+
+
+def _two_point_difference(model, flat, obs, param_id, step, input_state) -> float:
+    """``C(x + step) - C((x + step) - 2 step)`` in parameter ``param_id``: the
+    two points are the rows of one ``cost_flat`` batch."""
+    _check_param_id(model, param_id)
+    flat = np.asarray(flat, dtype=np.float64).ravel()
+    points = np.array((flat, flat))
+    points[:, param_id] += step
+    points[1, param_id] -= 2.0 * step
+    up, down = cost_flat(model, points, obs, input_state)
+    return float(up - down)
 
 
 def param_shift_grad(
@@ -113,18 +128,12 @@ def param_shift_grad(
     exists only as a negative-control hook: any value other than 1 breaks
     the rule on purpose.
     """
-    _check_param_id(model, param_id)
-    flat = np.asarray(flat, dtype=np.float64).ravel().copy()
     if param_id < model.num_alpha:
         shift, prefactor = math.pi / 4.0, 1.0
     else:
         shift, prefactor = math.pi / 2.0, 0.5
     shift *= shift_scale
-    flat[param_id] += shift
-    up = cost_flat(model, flat, obs, input_state)
-    flat[param_id] -= 2.0 * shift
-    down = cost_flat(model, flat, obs, input_state)
-    return prefactor * (up - down)
+    return prefactor * _two_point_difference(model, flat, obs, param_id, shift, input_state)
 
 
 def finite_diff_grad(
@@ -138,13 +147,7 @@ def finite_diff_grad(
     """Central difference, for cross-checking the exact rules."""
     if not 1e-7 <= h <= 1e-3:
         raise LcqnnError(f"step {h} outside the stable range [1e-7, 1e-3]")
-    _check_param_id(model, param_id)
-    flat = np.asarray(flat, dtype=np.float64).ravel().copy()
-    flat[param_id] += h
-    up = cost_flat(model, flat, obs, input_state)
-    flat[param_id] -= 2.0 * h
-    down = cost_flat(model, flat, obs, input_state)
-    return (up - down) / (2.0 * h)
+    return _two_point_difference(model, flat, obs, param_id, h, input_state) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +273,22 @@ def sample_param_draw(
 
 
 def sample_param_draws(
-    model: LcqnnModel, root_seed: int, lo: int, hi: int
+    model: LcqnnModel, root_seed: int, lo: int, hi: int, num_theta: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``alpha[b], theta[b]`` equal to ``sample_param_draw(model,
     root_seed, lo + b)`` for the samples ``lo .. hi-1``, from streams seeded
-    for the whole range in one pass."""
+    for the whole range in one pass.
+
+    ``num_theta``, when given, draws only the leading ``num_theta`` branch
+    angles of each row: a generator fills its output in order, so they are
+    the same numbers as the leading values of the full draw.
+    """
     alpha_gens, theta_gens = chunk_generators(
         root_seed, lo, hi, (ALPHA_COMPONENT, THETA_COMPONENT)
     )
-    batch, num_theta = hi - lo, theta_layout_size(model)
+    batch = hi - lo
+    if num_theta is None:
+        num_theta = theta_layout_size(model)
     alpha = np.array([gen.uniform(0.0, TWO_PI, model.num_alpha) for gen in alpha_gens])
     theta = np.array([gen.uniform(0.0, TWO_PI, num_theta) for gen in theta_gens])
     return alpha.reshape(batch, model.num_alpha), theta.reshape(batch, num_theta)
@@ -300,7 +310,8 @@ def probe_gradients(
     tree angle needs every branch expectation at the drawn point; a branch
     angle needs only that branch, at its two shifted points, weighted by its
     probability, and is exactly 0 outside the cone. Sample ``i`` draws what
-    ``sample_param_draw(model, root_seed, i)`` draws, so its value does not
+    ``sample_param_draw(model, root_seed, i)`` draws (a probe in branch
+    ``j`` only the leading ``j + 1`` blocks of it), so its value does not
     depend on ``lo`` and ``hi``.
     """
     _check_param_id(model, param_id)
@@ -315,8 +326,8 @@ def probe_gradients(
     j, slot = divmod(param_id - model.num_alpha, stride)
     if slot not in cone.columns:
         return np.zeros(batch)
-    alpha, theta = sample_param_draws(model, root_seed, lo, hi)
-    block = theta.reshape(batch, L, stride)[:, j]
+    alpha, theta = sample_param_draws(model, root_seed, lo, hi, (j + 1) * stride)
+    block = theta[:, j * stride :]
     shifted = np.concatenate((block, block))
     shifted[:, slot] += math.pi / 2.0
     shifted[batch:, slot] -= math.pi

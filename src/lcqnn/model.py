@@ -113,19 +113,23 @@ def apply_coefficient_layer(state: StateVector, alpha) -> StateVector:
     controls.
 
     Node (level l, prefix q) is RY(2 * alpha[node]) on qubit l where qubits
-    0..l-1 read q. Level l is one batched call whose row q is the state's
-    block at that prefix; later qubits are untouched.
+    0..l-1 read q; later qubits are untouched. Leading axes of ``alpha`` are
+    a batch of parameter rows: angles of shape (*batch, L-1) give a state
+    whose amplitudes have shape (*batch, 2**n), row b under ``alpha[b]``.
+    Level l is one batched call whose rows are the (row, prefix) blocks.
     """
-    alpha, t = _tree(np.ravel(alpha))
+    alpha, t = _tree(alpha)
     total = state.num_qubits
     if t > total:
         raise LcqnnError(f"a {t}-level tree does not fit a {total}-qubit state")
-    amps = state.amps.copy()
+    batch = alpha.shape[:-1]
+    amps = np.empty(batch + state.amps.shape, dtype=np.complex128)
+    amps[...] = state.amps
     for level in range(t):
-        rows = amps.reshape((1 << level,) + (2,) * (total - level))
-        angles = 2.0 * alpha[tree_node(level) : tree_node(level + 1)]
-        amps = apply_gates(rows, (ry(0, 0),), angles[:, None])
-    return StateVector(total, amps.reshape(-1))
+        rows = amps.reshape(batch + (1 << level,) + (2,) * (total - level))
+        angles = 2.0 * alpha[..., tree_node(level) : tree_node(level + 1)]
+        amps = apply_gates(rows, (ry(0, 0),), angles[..., None])
+    return StateVector(total, amps.reshape(batch + (-1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +255,32 @@ def branch_gates(model: LcqnnModel) -> tuple[GateOp, ...]:
 
 
 def tree_angles(model: LcqnnModel, alpha) -> np.ndarray:
-    """Checked flat tree angles, one per internal node in ``tree_node`` order."""
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
-    if alpha.size != model.num_alpha:
+    """Checked tree angles, one per internal node in ``tree_node`` order, on
+    the last axis; leading axes are a batch of parameter rows."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    if alpha.shape[-1] != model.num_alpha:
         raise ArchitectureError(
             f"expected {model.num_alpha} tree angles for {model.branch_count} "
-            f"branches, got {alpha.size}"
+            f"branches, got {alpha.shape[-1]}"
         )
     return alpha
 
 
 def branch_angles(model: LcqnnModel, theta) -> np.ndarray:
-    """Checked view of the flat branch angles, shape (branch_count, stride).
+    """Checked view of the branch angles, shape (*batch, branch_count, stride)
+    for angles of shape (*batch, T): leading axes are a batch of parameter
+    rows.
 
     Row ``j`` is branch ``j``'s block ``theta_j``; ``stride`` is
     ``model.branch_param_count``. Within a row, slots run group by group in
     ``entangling_gates`` order.
     """
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    if theta.size != theta_layout_size(model):
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    if theta.shape[-1] != theta_layout_size(model):
         raise LcqnnError(
-            f"expected {theta_layout_size(model)} branch angle(s), got {theta.size}"
+            f"expected {theta_layout_size(model)} branch angle(s), got {theta.shape[-1]}"
         )
-    return theta.reshape(model.branch_count, model.branch_param_count)
+    return theta.reshape(theta.shape[:-1] + (model.branch_count, model.branch_param_count))
 
 
 def working_amps(
@@ -302,10 +309,20 @@ def lcqnn_forward(
     """Run the full circuit: coefficient tree, then every controlled branch.
 
     ``input_state`` is a working-register state (default |0...0>); the control
-    register always starts at |0...0>.
+    register always starts at |0...0>. Leading axes of ``alpha`` and
+    ``theta`` are a batch of parameter rows, the same for both: angles of
+    shape (*batch, L-1) and (*batch, T) give amplitudes of shape
+    (*batch, 2**(m+n)), and rows never mix, so each row is the state of its
+    own parameters alone.
     """
     alpha = tree_angles(model, alpha)
     blocks = branch_angles(model, theta)
+    batch = blocks.shape[:-2]
+    if alpha.shape[:-1] != batch:
+        raise LcqnnError(
+            f"tree angles of batch shape {alpha.shape[:-1]} do not match "
+            f"branch angles of batch shape {batch}"
+        )
     m, n = model.num_controls, model.num_working
     total = m + n
     if total > MAX_QUBITS:
@@ -315,11 +332,11 @@ def lcqnn_forward(
     state = apply_coefficient_layer(StateVector(total, amps), alpha)
     # row r of the control register runs branch r >> idle: every control
     # value, idle bits included, so the whole register is simulated
-    rows = np.repeat(blocks, 1 << (m - model.tree_depth), axis=0)
+    rows = np.repeat(blocks, 1 << (m - model.tree_depth), axis=-2)
     out = apply_gates(
-        state.amps.reshape((1 << m,) + (2,) * n), branch_gates(model), rows
+        state.amps.reshape(batch + (1 << m,) + (2,) * n), branch_gates(model), rows
     )
-    return StateVector(total, out.reshape(-1))
+    return StateVector(total, out.reshape(batch + (-1,)))
 
 
 def branch_block_probabilities(model: LcqnnModel, state: StateVector) -> np.ndarray:
@@ -377,10 +394,17 @@ def light_cone(model: LcqnnModel, obs: PauliZSum) -> LightCone:
 
 def cost(
     model: LcqnnModel, alpha, theta, obs: PauliZSum, input_state: StateVector | None = None
-) -> float:
+) -> float | np.ndarray:
     """Expectation of the working-register observable over the forward state.
 
-    Equals ``sum_j p_j(alpha) * <input| U_j' O U_j |input>``.
+    Equals ``sum_j p_j(alpha) * <input| U_j' O U_j |input>``. A batch of
+    parameter rows (see ``lcqnn_forward``) runs as one forward pass and gives
+    an array of the batch's shape, one ``expectation`` per row.
     """
     working_amps(model, input_state, obs)
-    return expectation(lcqnn_forward(model, alpha, theta, input_state), obs)
+    state = lcqnn_forward(model, alpha, theta, input_state)
+    if state.amps.ndim == 1:
+        return expectation(state, obs)
+    rows = state.amps.reshape(-1, state.amps.shape[-1])
+    values = [expectation(StateVector(state.num_qubits, row), obs) for row in rows]
+    return np.array(values).reshape(state.amps.shape[:-1])

@@ -37,7 +37,8 @@ _UINT64_MASK = (1 << 64) - 1
 
 @dataclass
 class StateVector:
-    """A pure state on ``num_qubits`` qubits as a flat complex128 array."""
+    """A pure state on ``num_qubits`` qubits as a flat complex128 array, or
+    a batch of states as an array of shape (*batch, 2**num_qubits)."""
 
     num_qubits: int
     amps: np.ndarray
@@ -460,7 +461,10 @@ class PauliZSum:
 
 
 def expectation(state: StateVector, obs: PauliZSum) -> float:
-    """<state| I (x) obs |state>, with obs on the trailing sub-register."""
+    """<state| I (x) obs |state>, with obs on the trailing sub-register, of
+    one state (not a batch)."""
+    if state.amps.ndim != 1:
+        raise LcqnnError(f"expectation takes one state, not amplitudes {state.amps.shape}")
     if obs.num_qubits > state.num_qubits:
         raise LcqnnError(
             f"observable on {obs.num_qubits} qubit(s) does not fit a "

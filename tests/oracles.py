@@ -12,6 +12,7 @@ from lcqnn import sim
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def embed_1q(mat, qubit, n):
@@ -65,6 +66,19 @@ def dense_tree(alpha, n):
             )
             tree = node @ tree
     return tree
+
+
+def dense_observable(obs, n):
+    """A ``PauliZSum`` as a dense operator on n qubits, on the trailing ones
+    when n exceeds its width, from one embedded Z per string qubit."""
+    lead = n - obs.num_qubits
+    total = np.zeros((1 << n, 1 << n), dtype=complex)
+    for weight, qubits in obs.terms:
+        term = np.eye(1 << n, dtype=complex)
+        for q in qubits:
+            term = term @ embed_1q(Z, lead + q, n)
+        total += weight * term
+    return total
 
 
 def random_state(n, rng):

@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from lcqnn import GridCell, RunMetrics, __version__
+from lcqnn import GridCell, RunMetrics, __version__, sim
 from lcqnn.cli import main
 from lcqnn.reporting import (
     GROUP_COLUMNS,
@@ -515,6 +515,30 @@ def test_thread_count_does_not_change_output(tmp_path, capsys):
     capsys.readouterr()
     # identical data rows; headers differ only in the --threads flag they echo
     assert data_rows(one.read_text()) == data_rows(four.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance-scan", "--m", "2", "--L", "4", "--depth", "2", "--k-list", "2,3",
+         "--n-list", "3,5", "--samples", "130", "--seed", "7"],
+        # a tree-angle probe
+        ["variance-scan", "--m", "2", "--L", "4", "--depth", "1", "--k-list", "3",
+         "--n-list", "4", "--param-id", "1", "--samples", "70", "--seed", "7"],
+        ["group-scan", "--dims", "3:1,5:1,2:2", "--mode", "ansatz", "--depth", "2",
+         "--samples", "130", "--seed", "9"],
+    ],
+)
+def test_scan_rows_are_bit_identical_under_any_amplitude_budget(argv, monkeypatch, capsys):
+    # rows never mix, so the budget that sizes kernel calls changes no row:
+    # 2**6 amplitudes splits every 64-sample chunk, 2**16 splits none
+    code, reference, _ = run_cli(capsys, argv)
+    assert code == 0
+    for budget in (1 << 6, 1 << 16):
+        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == reference
 
 
 def test_header_command_reproduces_output(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Shift rules, adjoint full gradient, and gradient-variance estimation."""
 
-import functools
 import math
 
 import numpy as np
@@ -23,6 +22,7 @@ from lcqnn.gradients import (
     split_params,
 )
 from lcqnn import gradients, sim
+from lcqnn import model as model_module
 from lcqnn.model import branch_gates, make_model, theta_layout_size
 from lcqnn.sim import PauliZSum, RngStream
 
@@ -83,6 +83,52 @@ def test_point_rules_cross_check_property():
                 fd = finite_diff_grad(model, flat, obs, pid)
                 assert shift == pytest.approx(fd, abs=2e-6)
                 assert full[pid] == pytest.approx(shift, abs=1e-9)
+
+
+def _two_single_row_costs(model, flat, obs, pid, step, input_state):
+    """cost_flat at x + step and at (x + step) - 2 step, one call each."""
+    up = np.array(flat, dtype=np.float64)
+    up[pid] += step
+    down = up.copy()
+    down[pid] -= 2.0 * step
+    return cost_flat(model, up, obs, input_state), cost_flat(model, down, obs, input_state)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 2, 1, 1), (0, 2, 1, 2, 1)])
+def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
+    # each rule runs its two points as the rows of one forward pass; a row
+    # is bit-equal to its own single-row cost, so each rule is too
+    model = make_model(*shape)
+    n = model.num_working
+    obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1)), (0.2, ())], num_qubits=n)
+    rng = np.random.default_rng(sum(shape))
+    flat = rng.uniform(0, 2 * math.pi, num_params(model))
+    forward, passes = model_module.lcqnn_forward, []
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "lcqnn_forward", counting)
+    h = 1e-5
+    for input_state in (None, oracles.random_state(n, rng)):
+        for pid in range(num_params(model)):
+            shift, prefactor = (
+                (math.pi / 4, 1.0) if pid < model.num_alpha else (math.pi / 2, 0.5)
+            )
+            for scale in (1.0, 1.1):
+                up, down = _two_single_row_costs(
+                    model, flat, obs, pid, scale * shift, input_state
+                )
+                before = len(passes)
+                rule = param_shift_grad(model, flat, obs, pid, input_state, scale)
+                assert len(passes) == before + 1
+                assert rule == prefactor * (up - down)
+            up, down = _two_single_row_costs(model, flat, obs, pid, h, input_state)
+            before = len(passes)
+            rule = finite_diff_grad(model, flat, obs, pid, input_state, h)
+            assert len(passes) == before + 1
+            assert rule == (up - down) / (2.0 * h)
 
 
 def test_grad_full_matches_shift_rule_everywhere():
@@ -216,7 +262,9 @@ def test_estimate_alpha_probe_matches_shift_loop():
 @pytest.mark.parametrize("seed", [424242, 2**32 + 1, -1])
 def test_probe_chunk_draws_equal_per_sample_draws(shape, seed, monkeypatch):
     # probe_gradients seeds a chunk's streams in one pass; every (alpha,
-    # blocks) row it uses must be the per-sample draw, bit for bit
+    # blocks) row it uses must be the per-sample draw, bit for bit. A probe
+    # in branch j draws only the leading j + 1 blocks of it: branch 0 one
+    # block, the last branch all of them.
     model = make_model(*shape)
     draws, seen = gradients.sample_param_draws, []
 
@@ -225,14 +273,20 @@ def test_probe_chunk_draws_equal_per_sample_draws(shape, seed, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(gradients, "sample_param_draws", recording)
-    probe_gradients(model, _z0(2), default_probe_param(model), seed, 64, 128)
-    (alpha, theta), = seen
-    assert alpha.shape == (64, model.num_alpha)
-    assert theta.shape == (64, theta_layout_size(model))
-    for b in range(64):
-        a_ref, t_ref = sample_param_draw(model, seed, 64 + b)
-        np.testing.assert_array_equal(alpha[b], a_ref)
-        np.testing.assert_array_equal(theta[b], t_ref)
+    stride = model.branch_param_count
+    for pid, width in (
+        (default_probe_param(model), stride),
+        (num_params(model) - 1, theta_layout_size(model)),
+    ):
+        seen.clear()
+        probe_gradients(model, _z0(2), pid, seed, 64, 128)
+        (alpha, theta), = seen
+        assert alpha.shape == (64, model.num_alpha)
+        assert theta.shape == (64, width)
+        for b in range(64):
+            a_ref, t_ref = sample_param_draw(model, seed, 64 + b)
+            np.testing.assert_array_equal(alpha[b], a_ref)
+            np.testing.assert_array_equal(theta[b], t_ref[:width])
 
 
 def test_estimate_is_deterministic():
@@ -330,17 +384,6 @@ def test_estimate_is_bit_identical_under_any_amplitude_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 # light cone against the full register and a dense oracle
 
-Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def _dense_observable(obs):
-    n = obs.num_qubits
-    return sum(
-        w * functools.reduce(np.matmul, (oracles.embed_1q(Z, q, n) for q in qs), np.eye(1 << n))
-        for w, qs in obs.terms
-    )
-
-
 def _dense_cost(model, flat, observable):
     """The cost from dense matrices: the tree on the control register, then
     each control value's branch circuit on the working register."""
@@ -382,7 +425,7 @@ def test_probe_gradients_light_cone_matches_full_register_and_dense_oracle(shape
     seed, lo, hi = 13, 5, 7
     draws = [np.concatenate(sample_param_draw(model, seed, i)) for i in range(lo, hi)]
     for obs in observables:
-        observable = _dense_observable(obs)
+        observable = oracles.dense_observable(obs, n)
         touched = {q for _, qs in obs.terms for q in qs}
         met = [bool(touched & set(g.qubits)) for g in model.groups]
         # every tree angle, and one branch angle of each group in a random branch

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_controlled, dense_tree, random_state
+from oracles import dense_controlled, dense_observable, dense_tree, random_state
 
 from lcqnn.errors import ArchitectureError, LcqnnError
 from lcqnn.model import (
@@ -25,7 +25,7 @@ from lcqnn.model import (
     tree_angles,
     tree_node,
 )
-from lcqnn.sim import GateOp, PauliZSum, cnot, init_zero, u3
+from lcqnn.sim import GateOp, PauliZSum, cnot, expectation, init_zero, u3
 
 # ---------------------------------------------------------------------------
 # coefficient tree
@@ -247,6 +247,28 @@ def test_forward_zero_angles_places_blocks():
     np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
 
+def _dense_forward(model, alpha, theta, state_in):
+    """The forward state from dense matrices: the tree, then each branch
+    controlled on the tree qubits reading its index."""
+    m, n = model.num_controls, model.num_working
+    total = m + n
+    vec = np.zeros(1 << total, dtype=complex)
+    vec[: 1 << n] = state_in.amps
+    vec = dense_tree(alpha, total) @ vec
+    shifted = [
+        GateOp(g.kind, tuple(q + m for q in g.qubits), g.param_slots)
+        for g in branch_gates(model)
+    ]
+    stride = model.branch_param_count
+    tree = tuple(range(model.tree_depth))
+    for j in range(model.branch_count):
+        vec = (
+            dense_controlled(tree, j, shifted, theta[j * stride : (j + 1) * stride], total)
+            @ vec
+        )
+    return vec
+
+
 def test_forward_matches_dense_oracle():
     rng = np.random.default_rng(41)
     cases = [
@@ -262,25 +284,42 @@ def test_forward_matches_dense_oracle():
         theta = rng.uniform(0, 2 * math.pi, theta_layout_size(model))
         state_in = random_state(n, rng)
         out = lcqnn_forward(model, alpha, theta, state_in)
+        np.testing.assert_allclose(
+            out.amps, _dense_forward(model, alpha, theta, state_in), atol=1e-10
+        )
 
-        total = m + n
-        vec = np.zeros(1 << total, dtype=complex)
-        vec[: 1 << n] = state_in.amps
-        vec = dense_tree(alpha, total) @ vec
-        shifted = [
-            GateOp(g.kind, tuple(q + m for q in g.qubits), g.param_slots)
-            for g in branch_gates(model)
-        ]
-        stride = model.branch_param_count
-        tree = tuple(range(model.tree_depth))
-        for j in range(L):
-            vec = (
-                dense_controlled(
-                    tree, j, shifted, theta[j * stride : (j + 1) * stride], total
-                )
-                @ vec
-            )
-        np.testing.assert_allclose(out.amps, vec, atol=1e-10)
+
+# m=0 and L=1; idle controls (L < 2**m), one of them with L=1; every control used
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 2, 1, 2, 2), (2, 2, 2, 1, 1), (3, 2, 4, 2, 2), (2, 1, 1, 1, 2), (1, 3, 2, 2, 1)],
+)
+def test_batched_forward_and_cost_rows_equal_single_rows_and_dense_oracle(shape):
+    model = make_model(*shape)
+    m, n = model.num_controls, model.num_working
+    rng = np.random.default_rng(sum(shape))
+    batch = 3
+    alphas = rng.uniform(0, 2 * math.pi, (batch, model.num_alpha))
+    thetas = rng.uniform(0, 2 * math.pi, (batch, theta_layout_size(model)))
+    obs = PauliZSum([(1.0, (n - 1,)), (-0.4, tuple(range(n))), (0.3, ())], num_qubits=n)
+    observable = dense_observable(obs, m + n)
+    for state_in in (None, random_state(n, rng)):
+        out = lcqnn_forward(model, alphas, thetas, state_in)
+        values = cost(model, alphas, thetas, obs, state_in)
+        assert out.amps.shape == (batch, 1 << (m + n))
+        assert values.shape == (batch,)
+        dense_in = state_in or init_zero(n)
+        for b in range(batch):
+            single = lcqnn_forward(model, alphas[b], thetas[b], state_in)
+            assert out.amps[b].tolist() == single.amps.tolist()
+            assert values[b] == cost(model, alphas[b], thetas[b], obs, state_in)
+            vec = _dense_forward(model, alphas[b], thetas[b], dense_in)
+            np.testing.assert_allclose(out.amps[b], vec, rtol=0, atol=1e-12)
+            assert abs(values[b] - (vec.conj() @ observable @ vec).real) <= 1e-12
+    with pytest.raises(LcqnnError, match="batch"):
+        lcqnn_forward(model, alphas[:2], thetas)
+    with pytest.raises(LcqnnError, match="one state"):
+        expectation(out, obs)
 
 
 def test_forward_block_norms_match_coefficients():

@@ -1,5 +1,6 @@
 """Checks on the files around the package: the README's example, the
-benchmark's trace hooks and what importing the CLI loads."""
+benchmark's trace hooks, the committed BENCH files and what importing the
+CLI loads."""
 
 import json
 import re
@@ -28,6 +29,17 @@ def test_benchmark_trace_hooks_install(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["trace"]["spans"]
+
+
+def test_bench_files_record_parent_machine_claim_and_runs():
+    # a performance claim counts only with the commit it is measured against,
+    # the machine it ran on, the claim itself and the runs behind it
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        missing = {"parent_commit", "machine", "claim", "runs"} - bench.keys()
+        assert not missing, f"{path.name} lacks {sorted(missing)}"
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
