@@ -23,7 +23,7 @@ from .experiments import (
     select_blocks,
     su2_block_dims,
 )
-from .gradients import TWO_PI, finite_diff_grad, num_params, param_shift_grad
+from .gradients import finite_diff_grad, num_params, param_shift_grad, sample_params
 from .mnist import (
     data_files_present,
     default_data_dir,
@@ -112,7 +112,6 @@ def cmd_variance_scan(args) -> int:
         "format": args.format,
         "threads": args.threads,
     }
-    command = reporting.build_command("variance-scan", config)
     records = []
     for k in args.k_list:
         for n in args.n_list:
@@ -131,7 +130,7 @@ def cmd_variance_scan(args) -> int:
                     param_id=args.param_id,
                 )
             )
-    _emit_scan(command, config, records, args)
+    _emit_scan(args, "variance-scan", config, records)
     return 0
 
 
@@ -152,7 +151,6 @@ def cmd_variance_layers(args) -> int:
         "format": args.format,
         "threads": args.threads,
     }
-    command = reporting.build_command("variance-layers", config)
     _progress(
         f"variance-layers: L in {list(args.L_list)} ({args.samples} samples each)"
     )
@@ -170,21 +168,29 @@ def cmd_variance_layers(args) -> int:
     summary = reporting.layers_summary(records)
     slope = summary["log2_slope_vs_log2_L"]
     _progress(f"variance-layers: slope {'n/a' if slope is None else f'{slope:+.4f}'}")
-    _emit_scan(command, config, records, args, summary=summary)
+    _emit_scan(args, "variance-layers", config, records, summary)
     return 0
 
 
-def _emit_scan(command, config, records, args, summary=None) -> None:
+def _emit(args, subcommand, config, columns, rows, records, summary=None) -> None:
+    """Write a report under its replayable ``# command:`` header in
+    ``args.format``: CSV ``columns`` over ``rows()``, or JSON ``records()``
+    and ``summary``."""
+    command = reporting.build_command(subcommand, config)
     if args.format == "csv":
-        text = reporting.render_csv(
-            command, config, reporting.SCAN_COLUMNS,
-            [reporting.scan_row(r) for r in records],
-        )
+        text = reporting.render_csv(command, config, columns, rows())
     else:
-        text = reporting.render_json(
-            command, config, [reporting.scan_dict(r) for r in records], summary
-        )
+        text = reporting.render_json(command, config, records(), summary)
     reporting.write_output(text, args.out)
+
+
+def _emit_scan(args, subcommand, config, records, summary=None) -> None:
+    _emit(
+        args, subcommand, config, reporting.SCAN_COLUMNS,
+        lambda: [reporting.scan_row(r) for r in records],
+        lambda: [reporting.scan_dict(r) for r in records],
+        summary,
+    )
 
 
 def _ratio_text(ratio: float | None) -> str:
@@ -220,7 +226,6 @@ def cmd_group_scan(args) -> int:
         "format": args.format,
         "threads": args.threads,
     }
-    command = reporting.build_command("group-scan", config)
     results = []
     for spectrum in spectra:
         _progress(
@@ -237,13 +242,12 @@ def cmd_group_scan(args) -> int:
         if "alpha" in ratio:
             line += f", alpha ratio {_ratio_text(ratio['alpha'])}"
         _progress(line)
-    if args.format == "csv":
-        rows = [row for res in results for row in reporting.group_rows(res)]
-        text = reporting.render_csv(command, config, reporting.GROUP_COLUMNS, rows)
-    else:
-        records = [rec for res in results for rec in reporting.group_dicts(res)]
-        text = reporting.render_json(command, config, records, summary)
-    reporting.write_output(text, args.out)
+    _emit(
+        args, "group-scan", config, reporting.GROUP_COLUMNS,
+        lambda: [row for res in results for row in reporting.group_rows(res)],
+        lambda: [rec for res in results for rec in reporting.group_dicts(res)],
+        summary,
+    )
     return 0
 
 
@@ -274,7 +278,6 @@ def cmd_mnist(args) -> int:
         "optimizer": args.optimizer,
         "format": args.format,
     }
-    command = reporting.build_command("mnist", config)
     _progress(
         f"mnist: loading up to {args.train_limit}/{args.test_limit} examples "
         f"from {data_dir}"
@@ -300,16 +303,10 @@ def cmd_mnist(args) -> int:
             f"mnist: L={cell['L']} D={cell['D']} "
             f"accuracy {cell['mean_accuracy']:.4f} +/- {cell['std_accuracy']:.4f}"
         )
-    if args.format == "csv":
-        text = reporting.render_csv(
-            command, config, reporting.mnist_columns(args.epochs),
-            reporting.mnist_rows(cells),
-        )
-    else:
-        text = reporting.render_json(
-            command, config, reporting.mnist_dicts(cells), summary
-        )
-    reporting.write_output(text, args.out)
+    _emit(
+        args, "mnist", config, reporting.mnist_columns(args.epochs),
+        lambda: reporting.mnist_rows(cells), lambda: reporting.mnist_dicts(cells), summary,
+    )
     return 0
 
 
@@ -329,7 +326,7 @@ def cmd_grad_check(args) -> int:
         D = int(rng.integers(1, 4))
         L = 1 << int(rng.integers(0, m + 1))
         model = make_model(m, n, L, k, D)
-        flat = rng.uniform(0.0, TWO_PI, num_params(model))
+        flat = sample_params(model, rng)
         param_id = int(rng.integers(0, num_params(model)))
         if n not in observables:
             observables[n] = _observable_for("Z0", n)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ArchitectureError, CapacityError, LcqnnError
 from .gradients import (
-    TWO_PI,
     GradStats,
+    angle_rows,
     default_probe_param,
     estimate_grad_stats,
     run_chunked,
@@ -29,13 +29,7 @@ from .model import (
     make_model,
     tree_node,
 )
-from .sim import (
-    PauliZSum,
-    chunk_generators,
-    diagonal_expectations,
-    haar_columns,
-    init_zero,
-)
+from .sim import PauliZSum, chunk_generators, diagonal_expectations, haar_columns
 # perfbench/spans.py wraps these names here to count or time their calls
 from .sim import gate_matrix, haar_unitary  # noqa: F401
 
@@ -296,14 +290,13 @@ def _ansatz_values(dim: int, depth: int, gens, angles) -> np.ndarray:
     """
     q = (dim - 1).bit_length()
     gates = entangling_gates(range(q), depth)
-    params = np.array([gen.uniform(0.0, TWO_PI, 3 * q * depth) for gen in gens])
+    params = angle_rows(gens, 3 * q * depth)[None]
     if angles is not None:
-        params = np.tile(params, (len(angles), 1))
-        params[:, 0] = np.ravel(angles)
+        params = np.repeat(params, len(angles), axis=0)
+        params[..., 0] = angles
     diag = np.zeros(1 << q)
     diag[:dim] = balanced_z_diag(dim)
-    psi_in = init_zero(q).amps.reshape((2,) * q)
-    return diagonal_expectations(psi_in, gates, params, diag).reshape(-1, len(gens))
+    return diagonal_expectations(q, gates, params, diag)
 
 
 @dataclass
@@ -368,10 +361,8 @@ def group_block_variance(
     def chunk(lo: int, hi: int) -> tuple[GradStats, GradStats]:
         alpha_gens, probe_gens, *block_gens = chunk_generators(root_seed, lo, hi, components)
         batch = hi - lo
-        alpha = np.array(
-            [gen.uniform(0.0, TWO_PI, num_leaves - 1) for gen in alpha_gens]
-        ).reshape(batch, num_leaves - 1)
-        probe = np.array([gen.uniform(0.0, TWO_PI) for gen in probe_gens])
+        alpha = angle_rows(alpha_gens, num_leaves - 1)
+        probe = angle_rows(probe_gens, 1)[:, 0]
         values = np.zeros((batch, num_leaves))
         grad0 = np.zeros(batch)
         for b, gens in zip(drawn, block_gens):
@@ -384,13 +375,11 @@ def group_block_variance(
                 grad0 = 0.5 * (up - down)
             else:
                 values[:, b] = block_values(dim, gens, None)[0]
-        theta_part, alpha_part = GradStats(), GradStats()
-        for grad in coeff_probabilities(alpha)[:, 0] * grad0:
-            theta_part.add(float(grad))
+        theta_part = GradStats().extend(coeff_probabilities(alpha)[:, 0] * grad0)
+        alpha_part = GradStats()
         if probe_node is not None:
             jac_row = coeff_probability_gradients(alpha)[:, probe_node]
-            for grad in np.sum(jac_row * values, axis=-1):
-                alpha_part.add(float(grad))
+            alpha_part.extend(np.sum(jac_row * values, axis=-1))
         return theta_part, alpha_part
 
     theta_stats, alpha_stats = GradStats(), GradStats()

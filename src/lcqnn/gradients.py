@@ -80,6 +80,13 @@ def sample_params(model: LcqnnModel, generator) -> np.ndarray:
     return generator.uniform(0.0, TWO_PI, num_params(model))
 
 
+def angle_rows(generators, size: int) -> np.ndarray:
+    """One row of ``size`` angles drawn uniformly from [0, 2*pi) by each
+    generator, in order: shape (len(generators), size)."""
+    rows = [gen.uniform(0.0, TWO_PI, size) for gen in generators]
+    return np.array(rows).reshape(len(rows), size)
+
+
 def cost_flat(
     model: LcqnnModel, flat, obs: PauliZSum, input_state: StateVector | None = None
 ) -> float | np.ndarray:
@@ -210,6 +217,12 @@ class GradStats:
         self.mean += delta / self.count
         self.m2 += delta * (value - self.mean)
 
+    def extend(self, values) -> "GradStats":
+        """Add every value of ``values`` in order."""
+        for value in values:
+            self.add(float(value))
+        return self
+
     def merge(self, other: "GradStats") -> "GradStats":
         if other.count == 0:
             return self
@@ -286,12 +299,9 @@ def sample_param_draws(
     alpha_gens, theta_gens = chunk_generators(
         root_seed, lo, hi, (ALPHA_COMPONENT, THETA_COMPONENT)
     )
-    batch = hi - lo
     if num_theta is None:
         num_theta = theta_layout_size(model)
-    alpha = np.array([gen.uniform(0.0, TWO_PI, model.num_alpha) for gen in alpha_gens])
-    theta = np.array([gen.uniform(0.0, TWO_PI, num_theta) for gen in theta_gens])
-    return alpha.reshape(batch, model.num_alpha), theta.reshape(batch, num_theta)
+    return angle_rows(alpha_gens, model.num_alpha), angle_rows(theta_gens, num_theta)
 
 
 def probe_gradients(
@@ -355,10 +365,7 @@ def estimate_grad_stats(
         raise LcqnnError("need at least one sample")
 
     def chunk(lo: int, hi: int) -> GradStats:
-        part = GradStats()
-        for grad in probe_gradients(model, obs, param_id, root_seed, lo, hi):
-            part.add(float(grad))
-        return part
+        return GradStats().extend(probe_gradients(model, obs, param_id, root_seed, lo, hi))
 
     stats = GradStats()
     for part in run_chunked(num_samples, chunk):

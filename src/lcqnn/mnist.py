@@ -15,19 +15,19 @@ import math
 import os
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from . import sim
 from .errors import EncodingError, IdxFormatError, TrainingError
 from .gradients import (
-    TWO_PI,
     grad_full,  # noqa: F401  (perfbench/spans.py times calls through this name)
     mixture_gradients,
     num_params,
+    sample_params,
     split_params,
 )
 from .model import (
@@ -46,6 +46,7 @@ from .sim import (
     amplitude_encode,
     apply_gates,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
+    row_runs,
 )
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,10 @@ def parse_idx(source) -> np.ndarray:
     else:
         data = bytes(source)
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"corrupt gzip stream: {exc}") from exc
     if len(data) < 4:
         raise IdxFormatError(f"file too short for an IDX header ({len(data)} bytes)")
     (magic,) = struct.unpack(">I", data[:4])
@@ -248,13 +252,6 @@ def encode_examples(examples) -> EncodedExamples:
     )
 
 
-def _example_runs(model: LcqnnModel, count: int) -> list[slice]:
-    """Consecutive runs of whole examples whose rows, L per example, hold at
-    most ``sim.BATCH_AMPLITUDES`` amplitudes (one example at least)."""
-    step = max(1, sim.BATCH_AMPLITUDES // (model.branch_count << model.num_working))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
 def _forward_sweep(model: LcqnnModel, alpha, theta, states) -> tuple:
     """One batched forward sweep over the rows (b, j): example ``b``'s
     encoded state ``states[b]`` under branch ``j``'s angles, which every
@@ -310,9 +307,9 @@ def minibatch_loss_and_grads(
     """Cross-entropy losses, shape (B,), and full parameter gradients,
     shape (B, P), of B encoded examples ``states`` with ``labels``.
 
-    Each run of whole examples that fits ``sim.BATCH_AMPLITUDES`` makes one
-    forward sweep over its (example, branch) rows and one adjoint sweep
-    back. The chain rule folds each example's softmax residuals into one
+    Each ``row_runs`` run of whole examples, L rows each, makes one forward
+    sweep over its (example, branch) rows and one adjoint sweep back. The
+    chain rule folds each example's softmax residuals into one
     diagonal sum_c (softmax_c - onehot_c) Z_c on its rows, so the adjoint
     sweep covers all four logits and reuses the forward sweep's output.
     Rows never mix, so an example's loss and gradient do not depend on the
@@ -324,7 +321,7 @@ def minibatch_loss_and_grads(
     diags = _z_diagonals(model.num_working)
     losses = np.empty(len(labels))
     grads = np.empty((len(labels), num_params(model)))
-    for run in _example_runs(model, len(labels)):
+    for run in row_runs(len(labels), model.branch_count << model.num_working):
         psi, logits = _forward_sweep(model, alpha, theta, states[run])
         batch = logits.shape[0]
         losses[run] = cross_entropy(logits, labels[run])
@@ -358,7 +355,7 @@ def evaluate_accuracy(
     alpha, theta = split_params(model, flat_params)
     data = encode_examples(examples)
     correct = 0
-    for run in _example_runs(model, len(data)):
+    for run in row_runs(len(data), model.branch_count << model.num_working):
         logits = _forward_sweep(model, alpha, theta, data.states[run])[1]
         correct += int(np.sum(np.argmax(logits, axis=-1) == data.labels[run]))
     return correct / len(data)
@@ -444,7 +441,7 @@ def train_single_run(
         raise TrainingError("empty training or test set")
     model = config.make_model()
     stream = RngStream(config.root_seed, run_index)
-    params = stream.component_generator(0).uniform(0.0, TWO_PI, num_params(model))
+    params = sample_params(model, stream.component_generator(0))
     shuffle = stream.component_generator(1)
     optimizer = _make_optimizer(
         config.optimizer, num_params(model), config.learning_rate

@@ -56,20 +56,9 @@ def coeff_probabilities(alpha) -> np.ndarray:
     its last axis; any leading axes are a batch, so shape (..., L-1) gives
     (..., L). An angle ``a`` contributes ``cos^2(a)`` to the 0-child and
     ``sin^2(a)`` to the 1-child, so the compiled rotation gate angle is
-    ``2a``.
+    ``2a``. Each product runs root first.
     """
-    alpha, t = _tree(alpha)
-    batch = alpha.shape[:-1]
-    probs = np.ones(batch + (1,))
-    for level in range(t):
-        base = tree_node(level)
-        angles = alpha[..., base : base + (1 << level)]
-        c2, s2 = np.cos(angles) ** 2, np.sin(angles) ** 2
-        nxt = np.empty(batch + (2 << level,))
-        nxt[..., 0::2] = probs * c2
-        nxt[..., 1::2] = probs * s2
-        probs = nxt
-    return probs
+    return np.prod(_path_factors(alpha)[1], axis=-2)
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +72,15 @@ def _leaf_paths(tree_depth: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, bits
 
 
+def _path_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The angle at each level of every leaf's root path and its cos^2 or
+    sin^2 factor, each of shape (..., t, L) for angles of shape (..., L-1)."""
+    alpha, t = _tree(alpha)
+    nodes, bits = _leaf_paths(t)
+    a = alpha[..., nodes]
+    return a, np.where(bits, np.sin(a) ** 2, np.cos(a) ** 2)
+
+
 def coeff_probability_gradients(alpha) -> np.ndarray:
     """Jacobian d p_j / d alpha_node, shape (..., L-1, L) for angles of shape
     (..., L-1).
@@ -91,14 +89,12 @@ def coeff_probability_gradients(alpha) -> np.ndarray:
     factor is replaced by its derivative (-sin(2a) on the 0-side, +sin(2a) on
     the 1-side).
     """
-    alpha, t = _tree(alpha)
-    L = 1 << t
+    a, factors = _path_factors(alpha)
+    t, L = a.shape[-2:]
     nodes, bits = _leaf_paths(t)
-    a = alpha[..., nodes]  # (..., t, L): the angle at each level of each path
-    factors = np.where(bits, np.sin(a) ** 2, np.cos(a) ** 2)
     sin2 = np.sin(2 * a)
     derivs = np.where(bits, sin2, -sin2)
-    jac = np.zeros(alpha.shape[:-1] + (L - 1, L))
+    jac = np.zeros(a.shape[:-2] + (L - 1, L))
     leaves = np.arange(L)
     for level in range(t):
         rest = np.prod(factors[..., :level, :], axis=-2) * np.prod(
@@ -367,11 +363,7 @@ class LightCone:
         """``<0| U' O U |0>`` of every branch block on the last axis of
         ``blocks``, shape (..., stride) to (...)."""
         params = np.asarray(blocks, dtype=np.float64)[..., self.columns]
-        batch = params.shape[:-1]
-        rows = params.reshape(int(np.prod(batch)), len(self.columns))
-        psi_in = init_zero(self.num_qubits).amps.reshape((2,) * self.num_qubits)
-        values = diagonal_expectations(psi_in, self.gates, rows, self.obs.diagonal())
-        return values.reshape(batch)
+        return diagonal_expectations(self.num_qubits, self.gates, params, self.obs.diagonal())
 
 
 @lru_cache(maxsize=64)
@@ -406,5 +398,6 @@ def cost(
     if state.amps.ndim == 1:
         return expectation(state, obs)
     rows = state.amps.reshape(-1, state.amps.shape[-1])
+    # per row: a batched readout (marginals @ diag) rounds differently, changing grad-check
     values = [expectation(StateVector(state.num_qubits, row), obs) for row in rows]
     return np.array(values).reshape(state.amps.shape[:-1])

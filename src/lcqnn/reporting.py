@@ -156,26 +156,12 @@ def group_dicts(result: GroupScanResult) -> list[dict]:
         "samples": result.samples,
         "seed": result.seed,
     }
-    records = [
-        dict(
-            base,
-            probe="theta",
-            mean=result.theta_stats.mean,
-            variance=result.theta_stats.variance,
-            stderr=result.theta_stats.stderr,
-        )
+    probes = [("theta", result.theta_stats), ("alpha", result.alpha_stats)]
+    return [
+        dict(base, probe=probe, mean=stats.mean, variance=stats.variance, stderr=stats.stderr)
+        for probe, stats in probes
+        if stats is not None
     ]
-    if result.alpha_stats is not None:
-        records.append(
-            dict(
-                base,
-                probe="alpha",
-                mean=result.alpha_stats.mean,
-                variance=result.alpha_stats.variance,
-                stderr=result.alpha_stats.stderr,
-            )
-        )
-    return records
 
 
 def group_rows(result: GroupScanResult) -> list[list]:

@@ -162,7 +162,7 @@ def gate_matrix(op: GateOp, params) -> np.ndarray:
 
 
 #: amplitudes one batched kernel call may hold (2**13 complex128 = 128 KiB);
-#: larger batches run as consecutive sub-batches of whole rows
+#: read only by ``row_runs``, which splits larger batches into runs of whole rows
 BATCH_AMPLITUDES = 1 << 13
 
 
@@ -206,6 +206,13 @@ def _rotation_entries(
     return entries.reshape(entries.shape + (1,) * (ndim - len(batch) - 1))
 
 
+def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``tensor`` at 0 and at 1 on ``axis``."""
+    lo = (slice(None),) * axis + (0,)
+    hi = (slice(None),) * axis + (1,)
+    return tensor[lo], tensor[hi]
+
+
 def _rotate(tensor: np.ndarray, axis: int, m) -> np.ndarray:
     """A new tensor with the 2x2 matrix ``m = (m00, m01, m10, m11)`` applied
     on ``axis``.
@@ -213,12 +220,11 @@ def _rotate(tensor: np.ndarray, axis: int, m) -> np.ndarray:
     Each output amplitude combines the two amplitudes of its own sample, so
     a sample's values do not depend on the batch around it.
     """
-    lo = (slice(None),) * axis + (0,)
-    hi = (slice(None),) * axis + (1,)
-    a0, a1 = tensor[lo], tensor[hi]
+    a0, a1 = _halves(tensor, axis)
     out = np.empty(tensor.shape, dtype=np.complex128)
-    out[lo] = m[0] * a0 + m[1] * a1
-    out[hi] = m[2] * a0 + m[3] * a1
+    out0, out1 = _halves(out, axis)
+    out0[...] = m[0] * a0 + m[1] * a1
+    out1[...] = m[2] * a0 + m[3] * a1
     return out
 
 
@@ -234,13 +240,6 @@ def _cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
     out[flip0] = tensor[flip1]
     out[flip1] = tensor[flip0]
     return out
-
-
-def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of ``tensor`` at 0 and at 1 on ``axis``."""
-    lo = (slice(None),) * axis + (0,)
-    hi = (slice(None),) * axis + (1,)
-    return tensor[lo], tensor[hi]
 
 
 def _batch_axes(tensor: np.ndarray, params: np.ndarray) -> int:
@@ -284,22 +283,29 @@ def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
     return tensor
 
 
-def diagonal_expectations(psi_in: np.ndarray, gates, params, diag: np.ndarray) -> np.ndarray:
-    """``diag . |U(params[b]) psi_in|**2`` for each row ``b`` of ``params``.
+def row_runs(count: int, row_amps: int) -> list[slice]:
+    """Consecutive runs of ``count`` rows of ``row_amps`` amplitudes each,
+    every run holding at most ``BATCH_AMPLITUDES`` amplitudes (one row at
+    least). Rows never mix, so the runs a batch splits into cannot change a
+    value."""
+    step = max(1, BATCH_AMPLITUDES // row_amps)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
-    ``psi_in`` is one rank-(2,...,2) input tensor shared by every row. Rows
-    run in sub-batches of at most ``BATCH_AMPLITUDES`` amplitudes (one row at
-    least), which cannot change a value because samples never mix.
-    """
+
+def diagonal_expectations(num_qubits: int, gates, params, diag: np.ndarray) -> np.ndarray:
+    """``diag . |U(params[b]) |0...0>|**2`` on ``num_qubits`` qubits for each
+    row ``b`` of ``params``, shape (*batch, P) to ``batch``, evaluated in the
+    ``row_runs`` of the flattened batch."""
     params = np.asarray(params, dtype=np.float64)
-    rows = max(1, BATCH_AMPLITUDES >> psi_in.ndim)
-    out = np.empty(params.shape[0])
-    for lo in range(0, params.shape[0], rows):
-        part = params[lo : lo + rows]
+    rows = params.reshape(math.prod(params.shape[:-1]), params.shape[-1])
+    psi_in = init_zero(num_qubits).amps.reshape((2,) * num_qubits)
+    out = np.empty(len(rows))
+    for run in row_runs(len(rows), psi_in.size):
+        part = rows[run]
         batch = np.broadcast_to(psi_in, (part.shape[0],) + psi_in.shape)
         psi = apply_gates(batch, gates, part).reshape(part.shape[0], -1)
-        out[lo : lo + rows] = np.sum(diag * np.abs(psi) ** 2, axis=-1)
-    return out
+        out[run] = np.sum(diag * np.abs(psi) ** 2, axis=-1)
+    return out.reshape(params.shape[:-1])
 
 
 def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
@@ -316,9 +322,8 @@ def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
     The backward sweep carries ``diag * psi`` back through the inverse gates
     and uncomputes ``psi`` beside it, so it stores no state per gate
     (adjoint differentiation, Jones & Gacon, arXiv:2009.02823). Rows never
-    mix and run in sub-batches along the first axis of at most
-    ``BATCH_AMPLITUDES`` amplitudes (one index at least), so a row's result
-    is the same in any batch.
+    mix and run in the ``row_runs`` of the first axis, so a row's result is
+    the same in any batch.
     """
     params = np.asarray(params, dtype=np.float64)
     if params.ndim == 1:
@@ -329,11 +334,9 @@ def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
     size = math.prod(psi.shape[axes:])
     diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), batch + (size,))
     slots = _rotation_slots(gates)
-    step = max(1, BATCH_AMPLITUDES // math.prod(psi.shape[1:]))
     values = np.empty(batch)
     grads = np.zeros(batch + params.shape[-1:])
-    for lo in range(0, batch[0], step):
-        part = slice(lo, lo + step)
+    for part in row_runs(batch[0], math.prod(psi.shape[1:])):
         values[part] = _backward_sweep(
             psi[part], gates, slots, params if len(params) == 1 else params[part],
             diag[part], grads[part],

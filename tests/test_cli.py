@@ -4,7 +4,10 @@ import gzip
 import json
 import shlex
 import struct
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +365,27 @@ def test_mnist_malformed_idx_exits_2(tmp_path, capsys):
     assert "magic" in err
 
 
+def test_mnist_truncated_gzip_exits_2(tmp_path):
+    # a separate process, so an escaping exception would print its traceback
+    write_synthetic_idx(tmp_path)
+    images = tmp_path / "t10k-images-idx3-ubyte.gz"
+    images.write_bytes(images.read_bytes()[:-40])
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcqnn.cli", "mnist", "--data-dir", str(tmp_path),
+         "--L-list", "1", "--D-list", "1", "--runs", "1", "--epochs", "1"],
+        cwd=Path(__file__).resolve().parents[1] / "src", capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [
+        "error: corrupt gzip stream: Compressed file ended before the end-of-stream "
+        "marker was reached"
+    ]
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5", "0"])
 def test_mnist_bad_learning_rate_exits_2(tmp_path, capsys, lr):
     write_synthetic_idx(tmp_path)
@@ -531,10 +555,11 @@ def test_thread_count_does_not_change_output(tmp_path, capsys):
 )
 def test_scan_rows_are_bit_identical_under_any_amplitude_budget(argv, monkeypatch, capsys):
     # rows never mix, so the budget that sizes kernel calls changes no row:
-    # 2**6 amplitudes splits every 64-sample chunk, 2**16 splits none
+    # 1 amplitude leaves one row per call (the floor of sim.row_runs), 2**6
+    # splits every 64-sample chunk, 2**16 splits none
     code, reference, _ = run_cli(capsys, argv)
     assert code == 0
-    for budget in (1 << 6, 1 << 16):
+    for budget in (1, 1 << 6, 1 << 16):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
         code, out, _ = run_cli(capsys, argv)
         assert code == 0

@@ -3,6 +3,7 @@
 import gzip
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ def test_parse_idx_rejects_short_and_truncated():
         parse_idx(pack_images(images)[:-5])
     with pytest.raises(IdxFormatError, match="payload"):
         parse_idx(pack_images(images) + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "corrupt, cause",
+    [
+        (lambda blob: blob[: len(blob) // 2], EOFError),  # truncated stream
+        (lambda blob: blob[:10] + b"\xff" + blob[11:], zlib.error),  # bad block type
+        (lambda blob: blob[:-8] + bytes(4) + blob[-4:], gzip.BadGzipFile),  # bad CRC
+    ],
+)
+def test_parse_idx_rejects_corrupt_gzip(corrupt, cause):
+    blob = gzip.compress(pack_labels(np.arange(50) % 4))
+    with pytest.raises(IdxFormatError, match="corrupt gzip") as info:
+        parse_idx(corrupt(blob))
+    assert isinstance(info.value.__cause__, cause)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,22 @@ def test_coeff_probabilities_sum_to_one():
         assert coeff_probabilities(alpha).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_coeff_probabilities_equal_level_by_level_products():
+    # every row of every report depends on these bits: each leaf's product
+    # runs root first, as a tree grown one level at a time multiplies it
+    rng = np.random.default_rng(41)
+    for t in range(6):
+        alpha = rng.uniform(0, 2 * math.pi, (3, (1 << t) - 1))
+        probs = np.ones((3, 1))
+        for level in range(t):
+            angles = alpha[:, tree_node(level) : tree_node(level + 1)]
+            grown = np.empty((3, 2 << level))
+            grown[:, 0::2] = probs * np.cos(angles) ** 2
+            grown[:, 1::2] = probs * np.sin(angles) ** 2
+            probs = grown
+        assert np.array_equal(coeff_probabilities(alpha), probs)
+
+
 def test_coeff_gradients_match_finite_differences():
     rng = np.random.default_rng(31)
     h = 1e-6
