@@ -23,7 +23,13 @@ from .experiments import (
     select_blocks,
     su2_block_dims,
 )
-from .gradients import finite_diff_grad, num_params, param_shift_grad, sample_params
+from .gradients import (
+    finite_diff_grad,  # noqa: F401  (perfbench/spans.py times calls through this name)
+    num_params,
+    param_shift_grad,  # noqa: F401  (perfbench/spans.py times calls through this name)
+    sample_params,
+    shift_and_fd_grads,
+)
 from .mnist import (
     data_files_present,
     default_data_dir,
@@ -35,6 +41,10 @@ from .model import make_model
 from .sim import PauliZSum
 
 GRAD_CHECK_TOLERANCE = 1e-5
+
+#: probes that grad-check draws before it evaluates them, grouped by model:
+#: the rows held at once are bounded by this, whatever ``--probes`` is
+GRAD_CHECK_WINDOW = 4096
 
 
 def _progress(message: str) -> None:
@@ -310,6 +320,37 @@ def cmd_mnist(args) -> int:
     return 0
 
 
+def _grad_check_window(rng, first: int, count: int, shift_scale: float, observables):
+    """Draw probes ``first .. first+count-1`` in order, then evaluate both
+    rules of every probe one model at a time: each model's probes are the
+    rows of one ``shift_and_fd_grads`` call. Returns, in probe order, each
+    probe's label, shift-rule gradient and finite difference."""
+    labels, groups = [], {}
+    for probe in range(first, first + count):
+        m = int(rng.integers(0, 4))
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(1, n + 1))
+        D = int(rng.integers(1, 4))
+        L = 1 << int(rng.integers(0, m + 1))
+        model = make_model(m, n, L, k, D)
+        flat = sample_params(model, rng)
+        param_id = int(rng.integers(0, num_params(model)))
+        labels.append(f"probe {probe} (m={m} n={n} L={L} k={k} D={D}, param {param_id})")
+        groups.setdefault(model, []).append((len(labels) - 1, flat, param_id))
+    grads = [None] * count
+    for model, members in groups.items():
+        n = model.num_working
+        if n not in observables:
+            observables[n] = _observable_for("Z0", n)
+        indices, flats, param_ids = zip(*members)
+        shifts, fds = shift_and_fd_grads(
+            model, flats, observables[n], param_ids, shift_scale=shift_scale
+        )
+        for index, shift, fd in zip(indices, shifts, fds):
+            grads[index] = (shift, fd)
+    return [(label, *grad) for label, grad in zip(labels, grads)]
+
+
 def cmd_grad_check(args) -> int:
     _require(args.probes >= 1, "--probes must be >= 1")
     _require(args.seed >= 0, "--seed must be >= 0")
@@ -319,34 +360,22 @@ def cmd_grad_check(args) -> int:
     worst_detail = ""
     failures = 0
     observables = {}  # the Z0 observable of each working width, built once
-    for probe in range(args.probes):
-        m = int(rng.integers(0, 4))
-        n = int(rng.integers(1, 7))
-        k = int(rng.integers(1, n + 1))
-        D = int(rng.integers(1, 4))
-        L = 1 << int(rng.integers(0, m + 1))
-        model = make_model(m, n, L, k, D)
-        flat = sample_params(model, rng)
-        param_id = int(rng.integers(0, num_params(model)))
-        if n not in observables:
-            observables[n] = _observable_for("Z0", n)
-        obs = observables[n]
-        shift = param_shift_grad(
-            model, flat, obs, param_id, shift_scale=args.shift_scale
-        )
-        fd = finite_diff_grad(model, flat, obs, param_id)
-        # the error scale floors at 1e-3: parameters outside the observable's
-        # block have exactly zero gradient, where a pure ratio would divide
-        # finite-difference rounding noise (~1e-10) by itself
-        rel = abs(shift - fd) / max(abs(shift), abs(fd), 1e-3)
-        detail = (
-            f"probe {probe} (m={m} n={n} L={L} k={k} D={D}, param {param_id}): "
-            f"shift={shift!r} fd={fd!r} rel={rel:.3e}"
-        )
-        if rel > worst_rel:
-            worst_rel, worst_detail = rel, detail
-        if not rel <= GRAD_CHECK_TOLERANCE:  # a NaN error fails too
-            failures += 1
+    for first in range(0, args.probes, GRAD_CHECK_WINDOW):
+        count = min(GRAD_CHECK_WINDOW, args.probes - first)
+        for label, shift, fd in _grad_check_window(
+            rng, first, count, args.shift_scale, observables
+        ):
+            # the error scale floors at 1e-3: parameters outside the
+            # observable's block have exactly zero gradient, where a pure
+            # ratio would divide finite-difference rounding noise (~1e-10)
+            # by itself
+            rel = abs(shift - fd) / max(abs(shift), abs(fd), 1e-3)
+            # a NaN error outranks every other, the first one staying worst
+            if rel > worst_rel or (math.isnan(rel) and not math.isnan(worst_rel)):
+                worst_rel = rel
+                worst_detail = f"{label}: shift={shift!r} fd={fd!r} rel={rel:.3e}"
+            if not rel <= GRAD_CHECK_TOLERANCE:  # a NaN error fails too
+                failures += 1
     if failures:
         print(
             f"grad-check: {failures}/{args.probes} probes exceeded "

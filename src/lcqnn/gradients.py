@@ -106,16 +106,41 @@ def _check_param_id(model: LcqnnModel, param_id: int) -> None:
         )
 
 
-def _two_point_difference(model, flat, obs, param_id, step, input_state) -> float:
-    """``C(x + step) - C((x + step) - 2 step)`` in parameter ``param_id``: the
-    two points are the rows of one ``cost_flat`` batch."""
-    _check_param_id(model, param_id)
-    flat = np.asarray(flat, dtype=np.float64).ravel()
-    points = np.array((flat, flat))
-    points[:, param_id] += step
-    points[1, param_id] -= 2.0 * step
-    up, down = cost_flat(model, points, obs, input_state)
-    return float(up - down)
+def _rule_differences(
+    model: LcqnnModel,
+    flats,
+    obs: PauliZSum,
+    param_ids,
+    steps,
+    input_state: StateVector | None = None,
+) -> np.ndarray:
+    """``C(x + s) - C((x + s) - 2s)`` for each row ``(x, i, s)`` of
+    ``flats`` (shape (B, P)), ``param_ids`` and ``steps``, with ``s`` added
+    to parameter ``i`` alone: the 2B points are the rows of one
+    ``cost_flat`` batch, and rows never mix, so a row's value does not
+    depend on the rows around it."""
+    for param_id in param_ids:
+        _check_param_id(model, param_id)
+    steps = np.asarray(steps, dtype=np.float64)
+    points = np.repeat(np.asarray(flats, dtype=np.float64)[:, None], 2, axis=1)
+    rows = np.arange(len(points))
+    points[rows, :, param_ids] += steps[:, None]
+    points[rows, 1, param_ids] -= 2.0 * steps
+    values = cost_flat(model, points, obs, input_state)
+    return values[:, 0] - values[:, 1]
+
+
+def _shift_rule(model: LcqnnModel, param_id: int, shift_scale: float = 1.0) -> tuple:
+    """Shift and prefactor of the exact rule of ``param_id`` (see
+    ``param_shift_grad``)."""
+    if param_id < model.num_alpha:
+        return math.pi / 4.0 * shift_scale, 1.0
+    return math.pi / 2.0 * shift_scale, 0.5
+
+
+def _check_step(h: float) -> None:
+    if not 1e-7 <= h <= 1e-3:
+        raise LcqnnError(f"step {h} outside the stable range [1e-7, 1e-3]")
 
 
 def param_shift_grad(
@@ -135,12 +160,9 @@ def param_shift_grad(
     exists only as a negative-control hook: any value other than 1 breaks
     the rule on purpose.
     """
-    if param_id < model.num_alpha:
-        shift, prefactor = math.pi / 4.0, 1.0
-    else:
-        shift, prefactor = math.pi / 2.0, 0.5
-    shift *= shift_scale
-    return prefactor * _two_point_difference(model, flat, obs, param_id, shift, input_state)
+    shift, prefactor = _shift_rule(model, param_id, shift_scale)
+    diff = _rule_differences(model, [np.ravel(flat)], obs, [param_id], [shift], input_state)
+    return prefactor * float(diff[0])
 
 
 def finite_diff_grad(
@@ -152,9 +174,32 @@ def finite_diff_grad(
     h: float = 1e-5,
 ) -> float:
     """Central difference, for cross-checking the exact rules."""
-    if not 1e-7 <= h <= 1e-3:
-        raise LcqnnError(f"step {h} outside the stable range [1e-7, 1e-3]")
-    return _two_point_difference(model, flat, obs, param_id, h, input_state) / (2.0 * h)
+    _check_step(h)
+    diff = _rule_differences(model, [np.ravel(flat)], obs, [param_id], [h], input_state)
+    return float(diff[0]) / (2.0 * h)
+
+
+def shift_and_fd_grads(
+    model: LcqnnModel,
+    flats,
+    obs: PauliZSum,
+    param_ids,
+    input_state: StateVector | None = None,
+    shift_scale: float = 1.0,
+    h: float = 1e-5,
+) -> tuple[list[float], list[float]]:
+    """``param_shift_grad`` and ``finite_diff_grad`` at every row ``(x, i)``
+    of ``flats`` and ``param_ids``, bit-equal to those calls, from one
+    forward pass over the four points of every row: ``x + s``,
+    ``(x + s) - 2s``, ``x + h`` and ``(x + h) - 2h``."""
+    _check_step(h)
+    rules = [_shift_rule(model, param_id, shift_scale) for param_id in param_ids]
+    steps = [step for shift, _ in rules for step in (shift, h)]
+    diffs = _rule_differences(
+        model, np.repeat(flats, 2, axis=0), obs, np.repeat(param_ids, 2), steps, input_state
+    )
+    shifts = [prefactor * float(d) for (_, prefactor), d in zip(rules, diffs[0::2])]
+    return shifts, [float(d) / (2.0 * h) for d in diffs[1::2]]
 
 
 # ---------------------------------------------------------------------------

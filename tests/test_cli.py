@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcqnn import GridCell, RunMetrics, __version__, sim
+from lcqnn import GridCell, RunMetrics, __version__, cli, sim
+from lcqnn import model as model_module
 from lcqnn.cli import main
 from lcqnn.reporting import (
     GROUP_COLUMNS,
@@ -506,12 +507,54 @@ def test_grad_check_non_finite_shift_exits_2(capsys, scale):
 
 
 def test_grad_check_nan_error_counts_as_failure(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "lcqnn.cli.param_shift_grad", lambda *args, **kwargs: float("nan")
-    )
+    def nan_grads(model, flats, obs, param_ids, **kwargs):
+        return [float("nan")] * len(flats), [float("nan")] * len(flats)
+
+    monkeypatch.setattr("lcqnn.cli.shift_and_fd_grads", nan_grads)
     code, out, _ = run_cli(capsys, ["grad-check", "--probes", "3"])
     assert code == 1
     assert out.startswith("grad-check: 3/3 probes exceeded")
+    assert "worst offender: probe 0 (" in out
+
+
+def test_grad_check_overflowing_shift_names_first_nan_probe(capsys):
+    # 2 * shift overflows to inf, so every shifted cost and every error is NaN
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(capsys, ["grad-check", "--probes", "3", "--shift-scale", "1e308"])
+    assert code == 1
+    first, worst = out.splitlines()
+    assert first == "grad-check: 3/3 probes exceeded 1e-05 relative error"
+    assert worst.startswith("worst offender: probe 0 (")
+    assert worst.endswith("rel=nan")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "42"],
+        ["--seed", "7"],
+        ["--seed", "5", "--shift-scale", "1.3"],
+    ],
+)
+def test_grad_check_report_is_identical_at_any_probe_window(argv, capsys, monkeypatch):
+    # probes are drawn in order and grouped by model within a window; rows
+    # never mix, so the window size changes neither the report nor the exit
+    passes = []
+    forward = model_module.lcqnn_forward
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "lcqnn_forward", counting)
+    argv = ["grad-check", "--probes", "200", *argv]
+    code, reference, _ = run_cli(capsys, argv)
+    assert len(passes) < 200  # several probes share a model and its pass
+    for window in (7, 1):
+        monkeypatch.setattr(cli, "GRAD_CHECK_WINDOW", window)
+        passes.clear()
+        assert run_cli(capsys, argv) == (code, reference, "")
+    assert len(passes) == 200  # one pass per probe at a window of 1
 
 
 def test_grad_check_zero_probes(capsys):

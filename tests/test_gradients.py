@@ -19,6 +19,7 @@ from lcqnn.gradients import (
     param_shift_grad,
     probe_gradients,
     sample_param_draw,
+    shift_and_fd_grads,
     split_params,
 )
 from lcqnn import gradients, sim
@@ -129,6 +130,35 @@ def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
             rule = finite_diff_grad(model, flat, obs, pid, input_state, h)
             assert len(passes) == before + 1
             assert rule == (up - down) / (2.0 * h)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 8, 1, 1), (0, 2, 1, 2, 1)])
+def test_batched_rules_equal_per_probe_rules(shape, monkeypatch):
+    # a stack of probes of one model runs its four points per probe as the
+    # rows of one forward pass; each row is bit-equal to its own rule calls
+    model = make_model(*shape)
+    n = model.num_working
+    obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1))], num_qubits=n)
+    rng = np.random.default_rng(sum(shape) + 5)
+    flats = rng.uniform(0, 2 * math.pi, (12, num_params(model)))
+    param_ids = [int(pid) for pid in rng.integers(0, num_params(model), len(flats))]
+    param_ids[:2] = [0, num_params(model) - 1]  # a tree angle when there is one
+    forward, passes = model_module.lcqnn_forward, []
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "lcqnn_forward", counting)
+    for input_state in (None, oracles.random_state(n, rng)):
+        for scale in (1.0, 1.25):
+            before = len(passes)
+            shifts, fds = shift_and_fd_grads(model, flats, obs, param_ids, input_state, scale)
+            assert len(passes) == before + 1
+            for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
+                assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
+                assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
+                assert type(shift) is float and type(fd) is float
 
 
 def test_grad_full_matches_shift_rule_everywhere():

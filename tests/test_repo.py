@@ -58,12 +58,20 @@ def test_patch_only_imports_are_wrapped_by_the_benchmark():
 def test_bench_files_record_parent_machine_claim_and_runs():
     # a performance claim counts only with the commit it is measured against,
     # the machine it ran on, the claim itself and the runs behind it
+    # (a workload and a metric that BENCHMARK.json declares, and the pairs won)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"] + declared["per_layer"]}
     paths = sorted(ROOT.glob("BENCH_*.json"))
     assert paths
     for path in paths:
         bench = json.loads(path.read_text())
         missing = {"parent_commit", "machine", "claim", "runs"} - bench.keys()
         assert not missing, f"{path.name} lacks {sorted(missing)}"
+        claim = bench["claim"]
+        assert claim.get("workload") in workloads, f"{path.name}: unknown claim workload"
+        assert claim.get("metric") in metrics, f"{path.name}: unknown claim metric"
+        assert "pairs_won" in claim, f"{path.name}: claim lacks pairs_won"
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
