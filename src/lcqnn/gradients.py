@@ -38,6 +38,7 @@ from .sim import (
 )
 
 TWO_PI = 2.0 * math.pi
+FD_STEP = 1e-5  # central-difference step of finite_diff_grad and shift_and_fd_grads
 
 # ---------------------------------------------------------------------------
 # flat parameter vectors
@@ -138,11 +139,6 @@ def _shift_rule(model: LcqnnModel, param_id: int, shift_scale: float = 1.0) -> t
     return math.pi / 2.0 * shift_scale, 0.5
 
 
-def _check_step(h: float) -> None:
-    if not 1e-7 <= h <= 1e-3:
-        raise LcqnnError(f"step {h} outside the stable range [1e-7, 1e-3]")
-
-
 def param_shift_grad(
     model: LcqnnModel,
     flat,
@@ -171,10 +167,11 @@ def finite_diff_grad(
     obs: PauliZSum,
     param_id: int,
     input_state: StateVector | None = None,
-    h: float = 1e-5,
+    h: float = FD_STEP,
 ) -> float:
     """Central difference, for cross-checking the exact rules."""
-    _check_step(h)
+    if not 1e-7 <= h <= 1e-3:
+        raise LcqnnError(f"step {h} outside the stable range [1e-7, 1e-3]")
     diff = _rule_differences(model, [np.ravel(flat)], obs, [param_id], [h], input_state)
     return float(diff[0]) / (2.0 * h)
 
@@ -186,20 +183,18 @@ def shift_and_fd_grads(
     param_ids,
     input_state: StateVector | None = None,
     shift_scale: float = 1.0,
-    h: float = 1e-5,
 ) -> tuple[list[float], list[float]]:
-    """``param_shift_grad`` and ``finite_diff_grad`` at every row ``(x, i)``
-    of ``flats`` and ``param_ids``, bit-equal to those calls, from one
-    forward pass over the four points of every row: ``x + s``,
-    ``(x + s) - 2s``, ``x + h`` and ``(x + h) - 2h``."""
-    _check_step(h)
+    """``param_shift_grad`` and ``finite_diff_grad`` (step ``FD_STEP``) at
+    every row ``(x, i)`` of ``flats`` and ``param_ids``, bit-equal to those
+    calls, from one forward pass over the four points of every row:
+    ``x + s``, ``(x + s) - 2s``, ``x + h`` and ``(x + h) - 2h``."""
     rules = [_shift_rule(model, param_id, shift_scale) for param_id in param_ids]
-    steps = [step for shift, _ in rules for step in (shift, h)]
+    steps = [step for shift, _ in rules for step in (shift, FD_STEP)]
     diffs = _rule_differences(
         model, np.repeat(flats, 2, axis=0), obs, np.repeat(param_ids, 2), steps, input_state
     )
     shifts = [prefactor * float(d) for (_, prefactor), d in zip(rules, diffs[0::2])]
-    return shifts, [float(d) / (2.0 * h) for d in diffs[1::2]]
+    return shifts, [float(d) / (2.0 * FD_STEP) for d in diffs[1::2]]
 
 
 # ---------------------------------------------------------------------------
