@@ -42,7 +42,7 @@ from .sim import PauliZSum
 
 GRAD_CHECK_TOLERANCE = 1e-5
 
-#: probes that grad-check draws before it evaluates them, grouped by model:
+#: probes that grad-check draws before it evaluates them, grouped by branch circuit:
 #: the rows held at once are bounded by this, whatever ``--probes`` is
 GRAD_CHECK_WINDOW = 4096
 
@@ -322,10 +322,11 @@ def cmd_mnist(args) -> int:
 
 def _grad_check_window(rng, first: int, count: int, shift_scale: float, observables):
     """Draw probes ``first .. first+count-1`` in order, then evaluate both
-    rules of every probe one model at a time: each model's probes are the
-    rows of one ``shift_and_fd_grads`` call. Returns, in probe order, each
-    probe's label, shift-rule gradient and finite difference."""
-    labels, groups = [], {}
+    rules of every probe one branch circuit at a time: the probes whose
+    models share their block groups (any control width and branch count)
+    are the rows of one ``shift_and_fd_grads`` call. Returns, in probe
+    order, each probe's label, shift-rule gradient and finite difference."""
+    labels, circuits = [], {}
     for probe in range(first, first + count):
         m = int(rng.integers(0, 4))
         n = int(rng.integers(1, 7))
@@ -336,16 +337,18 @@ def _grad_check_window(rng, first: int, count: int, shift_scale: float, observab
         flat = sample_params(model, rng)
         param_id = int(rng.integers(0, num_params(model)))
         labels.append(f"probe {probe} (m={m} n={n} L={L} k={k} D={D}, param {param_id})")
-        groups.setdefault(model, []).append((len(labels) - 1, flat, param_id))
+        circuits.setdefault(model.groups, []).append((len(labels) - 1, model, flat, param_id))
     grads = [None] * count
-    for model, members in groups.items():
-        n = model.num_working
+    for members in circuits.values():
+        indices, models, flats, param_ids = zip(*members)
+        n = models[0].num_working
         if n not in observables:
             observables[n] = _observable_for("Z0", n)
-        indices, flats, param_ids = zip(*members)
-        shifts, fds = shift_and_fd_grads(
-            model, flats, observables[n], param_ids, shift_scale=shift_scale
-        )
+        # an overflowing --shift-scale makes NaN costs, reported as failed probes
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifts, fds = shift_and_fd_grads(
+                models, flats, observables[n], param_ids, shift_scale=shift_scale
+            )
         for index, shift, fd in zip(indices, shifts, fds):
             grads[index] = (shift, fd)
     return [(label, *grad) for label, grad in zip(labels, grads)]

@@ -22,6 +22,7 @@ from .model import (
     coeff_probabilities,
     coeff_probability_gradients,
     cost,
+    costs,
     light_cone,
     theta_layout_size,
     tree_node,
@@ -108,27 +109,38 @@ def _check_param_id(model: LcqnnModel, param_id: int) -> None:
 
 
 def _rule_differences(
-    model: LcqnnModel,
+    models,
     flats,
     obs: PauliZSum,
     param_ids,
     steps,
     input_state: StateVector | None = None,
 ) -> np.ndarray:
-    """``C(x + s) - C((x + s) - 2s)`` for each row ``(x, i, s)`` of
-    ``flats`` (shape (B, P)), ``param_ids`` and ``steps``, with ``s`` added
-    to parameter ``i`` alone: the 2B points are the rows of one
-    ``cost_flat`` batch, and rows never mix, so a row's value does not
-    depend on the rows around it."""
-    for param_id in param_ids:
-        _check_param_id(model, param_id)
+    """``C(x + s) - C((x + s) - 2s)`` for each step ``s`` of each row
+    ``(model, x, i, steps)`` of ``models``, ``flats``, ``param_ids`` and
+    ``steps`` (shape (B, S) to (B, S)), with ``s`` added to parameter ``i``
+    alone. The models share one branch circuit: the points of a model's rows
+    are the parameter rows of its tree stage, and every point runs in one
+    ``costs`` pass. Rows never mix, so a row's value does not depend on the
+    rows around it."""
     steps = np.asarray(steps, dtype=np.float64)
-    points = np.repeat(np.asarray(flats, dtype=np.float64)[:, None], 2, axis=1)
-    rows = np.arange(len(points))
-    points[rows, :, param_ids] += steps[:, None]
-    points[rows, 1, param_ids] -= 2.0 * steps
-    values = cost_flat(model, points, obs, input_state)
-    return values[:, 0] - values[:, 1]
+    by_model: dict[LcqnnModel, list[int]] = {}
+    for row, (model, param_id) in enumerate(zip(models, param_ids)):
+        _check_param_id(model, param_id)
+        by_model.setdefault(model, []).append(row)
+    parts = []
+    for model, rows in by_model.items():
+        flat = np.array([flats[row] for row in rows], dtype=np.float64)
+        points = np.empty((len(rows), steps.shape[1], 2, flat.shape[1]))
+        points[...] = flat[:, None, None]
+        index, ids = np.arange(len(rows)), [param_ids[row] for row in rows]
+        points[index, :, :, ids] += steps[rows, :, None]
+        points[index, :, 1, ids] -= 2.0 * steps[rows]
+        parts.append((model, *split_params(model, points)))
+    diffs = np.empty(steps.shape)
+    for rows, values in zip(by_model.values(), costs(parts, obs, input_state)):
+        diffs[rows] = values[..., 0] - values[..., 1]
+    return diffs
 
 
 def _shift_rule(model: LcqnnModel, param_id: int, shift_scale: float = 1.0) -> tuple:
@@ -157,8 +169,8 @@ def param_shift_grad(
     the rule on purpose.
     """
     shift, prefactor = _shift_rule(model, param_id, shift_scale)
-    diff = _rule_differences(model, [np.ravel(flat)], obs, [param_id], [shift], input_state)
-    return prefactor * float(diff[0])
+    diff = _rule_differences([model], [np.ravel(flat)], obs, [param_id], [[shift]], input_state)
+    return prefactor * float(diff[0, 0])
 
 
 def finite_diff_grad(
@@ -172,12 +184,12 @@ def finite_diff_grad(
     """Central difference, for cross-checking the exact rules."""
     if not 1e-7 <= h <= 1e-3:
         raise LcqnnError(f"step {h} outside the stable range [1e-7, 1e-3]")
-    diff = _rule_differences(model, [np.ravel(flat)], obs, [param_id], [h], input_state)
-    return float(diff[0]) / (2.0 * h)
+    diff = _rule_differences([model], [np.ravel(flat)], obs, [param_id], [[h]], input_state)
+    return float(diff[0, 0]) / (2.0 * h)
 
 
 def shift_and_fd_grads(
-    model: LcqnnModel,
+    models,
     flats,
     obs: PauliZSum,
     param_ids,
@@ -185,16 +197,16 @@ def shift_and_fd_grads(
     shift_scale: float = 1.0,
 ) -> tuple[list[float], list[float]]:
     """``param_shift_grad`` and ``finite_diff_grad`` (step ``FD_STEP``) at
-    every row ``(x, i)`` of ``flats`` and ``param_ids``, bit-equal to those
-    calls, from one forward pass over the four points of every row:
-    ``x + s``, ``(x + s) - 2s``, ``x + h`` and ``(x + h) - 2h``."""
-    rules = [_shift_rule(model, param_id, shift_scale) for param_id in param_ids]
-    steps = [step for shift, _ in rules for step in (shift, FD_STEP)]
-    diffs = _rule_differences(
-        model, np.repeat(flats, 2, axis=0), obs, np.repeat(param_ids, 2), steps, input_state
-    )
-    shifts = [prefactor * float(d) for (_, prefactor), d in zip(rules, diffs[0::2])]
-    return shifts, [float(d) / (2.0 * FD_STEP) for d in diffs[1::2]]
+    every probe ``(model, x, i)`` of ``models``, ``flats`` and
+    ``param_ids``, bit-equal to those calls. The models share one branch
+    circuit (``model.groups``), and one branch pass evaluates the four
+    points of every probe: ``x + s``, ``(x + s) - 2s``, ``x + h`` and
+    ``(x + h) - 2h``."""
+    rules = [_shift_rule(model, pid, shift_scale) for model, pid in zip(models, param_ids)]
+    steps = [(shift, FD_STEP) for shift, _ in rules]
+    diffs = _rule_differences(models, flats, obs, param_ids, steps, input_state)
+    shifts = [prefactor * float(d) for (_, prefactor), d in zip(rules, diffs[:, 0])]
+    return shifts, [float(d) / (2.0 * FD_STEP) for d in diffs[:, 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ branch unitary ``U_j`` is a tensor product of per-group entangling circuits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from .sim import (
     diagonal_expectations,
     expectation,
     init_zero,
+    row_runs,
     ry,
     u3,
 )
@@ -299,17 +301,16 @@ def working_amps(
     return input_state.amps
 
 
-def lcqnn_forward(
-    model: LcqnnModel, alpha, theta, input_state: StateVector | None = None
-) -> StateVector:
-    """Run the full circuit: coefficient tree, then every controlled branch.
+def _control_rows(
+    model: LcqnnModel, alpha, theta, input_state: StateVector | None
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The tree stage of the forward pass, split into branch rows.
 
-    ``input_state`` is a working-register state (default |0...0>); the control
-    register always starts at |0...0>. Leading axes of ``alpha`` and
-    ``theta`` are a batch of parameter rows, the same for both: angles of
-    shape (*batch, L-1) and (*batch, T) give amplitudes of shape
-    (*batch, 2**(m+n)), and rows never mix, so each row is the state of its
-    own parameters alone.
+    Returns the batch shape of the parameter rows, the full-register state
+    after the coefficient tree as one row of 2**n amplitudes per (parameter
+    row, control value), shape (R, 2**n), and the branch block each row
+    runs, shape (R, stride): control value r runs branch r >> idle, idle
+    bits included, so the whole register is simulated.
     """
     alpha = tree_angles(model, alpha)
     blocks = branch_angles(model, theta)
@@ -326,13 +327,53 @@ def lcqnn_forward(
     amps = np.zeros(1 << total, dtype=np.complex128)
     amps[: 1 << n] = working_amps(model, input_state)
     state = apply_coefficient_layer(StateVector(total, amps), alpha)
-    # row r of the control register runs branch r >> idle: every control
-    # value, idle bits included, so the whole register is simulated
+    count = math.prod(batch) << m
     rows = np.repeat(blocks, 1 << (m - model.tree_depth), axis=-2)
-    out = apply_gates(
-        state.amps.reshape(batch + (1 << m,) + (2,) * n), branch_gates(model), rows
-    )
-    return StateVector(total, out.reshape(batch + (-1,)))
+    return batch, state.amps.reshape(count, 1 << n), rows.reshape(count, blocks.shape[-1])
+
+
+def forward_states(parts, input_state: StateVector | None = None) -> list[StateVector]:
+    """The forward state of each ``(model, alpha, theta)`` of ``parts`` (see
+    ``lcqnn_forward``), from one branch pass.
+
+    The branch unitaries depend only on a model's block groups, so models
+    that share them (any control width and branch count) share one branch
+    circuit: each part runs its own tree stage, then the control rows of
+    every part run through that circuit together, in the ``row_runs`` of
+    all of them. Rows never mix, so each state is bit-equal to its own
+    ``lcqnn_forward`` call.
+    """
+    first = parts[0][0]
+    if any(model.groups != first.groups for model, _, _ in parts):
+        raise LcqnnError("models of one branch pass must share their block groups")
+    batches, rows, blocks = zip(*(_control_rows(*part, input_state) for part in parts))
+    sizes = [len(part) for part in rows]
+    rows, blocks = np.concatenate(rows), np.concatenate(blocks)
+    tensor = rows.reshape((len(rows),) + (2,) * first.num_working)
+    gates = branch_gates(first)
+    for run in row_runs(len(rows), rows.shape[1]):
+        tensor[run] = apply_gates(tensor[run], gates, blocks[run])
+    states, lo = [], 0
+    for (model, _, _), batch, size in zip(parts, batches, sizes):
+        amps = rows[lo : lo + size].reshape(batch + (-1,))
+        lo += size
+        states.append(StateVector(model.num_controls + model.num_working, amps))
+    return states
+
+
+def lcqnn_forward(
+    model: LcqnnModel, alpha, theta, input_state: StateVector | None = None
+) -> StateVector:
+    """Run the full circuit: coefficient tree, then every controlled branch.
+
+    ``input_state`` is a working-register state (default |0...0>); the control
+    register always starts at |0...0>. Leading axes of ``alpha`` and
+    ``theta`` are a batch of parameter rows, the same for both: angles of
+    shape (*batch, L-1) and (*batch, T) give amplitudes of shape
+    (*batch, 2**(m+n)), and rows never mix, so each row is the state of its
+    own parameters alone.
+    """
+    return forward_states([(model, alpha, theta)], input_state)[0]
 
 
 def branch_block_probabilities(model: LcqnnModel, state: StateVector) -> np.ndarray:
@@ -384,6 +425,20 @@ def light_cone(model: LcqnnModel, obs: PauliZSum) -> LightCone:
     return LightCone(len(remap), tuple(gates), tuple(columns), PauliZSum(terms, len(remap)))
 
 
+def costs(parts, obs: PauliZSum, input_state: StateVector | None = None) -> list[np.ndarray]:
+    """``cost`` of each ``(model, alpha, theta)`` of ``parts`` from one
+    ``forward_states`` pass: per part an array of its batch shape, one
+    ``expectation`` per row."""
+    working_amps(parts[0][0], input_state, obs)
+    values = []
+    for state in forward_states(parts, input_state):
+        rows = state.amps.reshape(-1, state.amps.shape[-1])
+        # per row: a batched readout (marginals @ diag) rounds differently, changing grad-check
+        row_values = [expectation(StateVector(state.num_qubits, row), obs) for row in rows]
+        values.append(np.array(row_values).reshape(state.amps.shape[:-1]))
+    return values
+
+
 def cost(
     model: LcqnnModel, alpha, theta, obs: PauliZSum, input_state: StateVector | None = None
 ) -> float | np.ndarray:
@@ -391,13 +446,7 @@ def cost(
 
     Equals ``sum_j p_j(alpha) * <input| U_j' O U_j |input>``. A batch of
     parameter rows (see ``lcqnn_forward``) runs as one forward pass and gives
-    an array of the batch's shape, one ``expectation`` per row.
+    an array of the batch's shape.
     """
-    working_amps(model, input_state, obs)
-    state = lcqnn_forward(model, alpha, theta, input_state)
-    if state.amps.ndim == 1:
-        return expectation(state, obs)
-    rows = state.amps.reshape(-1, state.amps.shape[-1])
-    # per row: a batched readout (marginals @ diag) rounds differently, changing grad-check
-    values = [expectation(StateVector(state.num_qubits, row), obs) for row in rows]
-    return np.array(values).reshape(state.amps.shape[:-1])
+    value = costs([(model, alpha, theta)], obs, input_state)[0]
+    return float(value) if value.ndim == 0 else value

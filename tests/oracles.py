@@ -8,6 +8,7 @@ cross-check each other.
 import numpy as np
 
 from lcqnn import sim
+from lcqnn.model import branch_gates
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -79,6 +80,23 @@ def dense_observable(obs, n):
             term = term @ embed_1q(Z, lead + q, n)
         total += weight * term
     return total
+
+
+def dense_cost(model, alpha, theta, observable, state_in=None):
+    """An LCQNN cost from dense matrices: the tree on the control register,
+    then each control value's branch circuit (branch ``value >> idle``) on
+    the working register, from ``state_in`` (default |0...0>), read out with
+    the dense working-register ``observable``."""
+    m, n = model.num_controls, model.num_working
+    psi_in = np.eye(1 << n)[0] if state_in is None else state_in.amps
+    blocks = np.reshape(theta, (model.branch_count, -1))
+    controls = dense_tree(alpha, m)[:, 0]
+    idle = m - model.tree_depth
+    value = 0.0
+    for row, amp in enumerate(controls):
+        psi = dense_circuit(branch_gates(model), blocks[row >> idle], n) @ psi_in
+        value += abs(amp) ** 2 * (psi.conj() @ observable @ psi).real
+    return value
 
 
 def random_state(n, rng):

@@ -507,7 +507,7 @@ def test_grad_check_non_finite_shift_exits_2(capsys, scale):
 
 
 def test_grad_check_nan_error_counts_as_failure(capsys, monkeypatch):
-    def nan_grads(model, flats, obs, param_ids, **kwargs):
+    def nan_grads(models, flats, obs, param_ids, **kwargs):
         return [float("nan")] * len(flats), [float("nan")] * len(flats)
 
     monkeypatch.setattr("lcqnn.cli.shift_and_fd_grads", nan_grads)
@@ -528,6 +528,35 @@ def test_grad_check_overflowing_shift_names_first_nan_probe(capsys):
     assert worst.endswith("rel=nan")
 
 
+def test_grad_check_overflowing_shift_keeps_stderr_clean():
+    # a separate process with NumPy's default error handling: the overflow
+    # shows only as NaN probes in the report, with no RuntimeWarning
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcqnn.cli", "grad-check", "--probes", "3",
+         "--shift-scale", "1e308"],
+        cwd=Path(__file__).resolve().parents[1] / "src", capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("grad-check: 3/3 probes exceeded")
+    assert proc.stdout.rstrip().endswith("rel=nan")
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == ""
+
+
+def _count_branch_passes(monkeypatch) -> list:
+    """The block groups of every branch pass, in call order."""
+    passes = []
+    forward_states = model_module.forward_states
+
+    def counting(parts, *args, **kwargs):
+        passes.append(parts[0][0].groups)
+        return forward_states(parts, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward_states", counting)
+    return passes
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -537,24 +566,31 @@ def test_grad_check_overflowing_shift_names_first_nan_probe(capsys):
     ],
 )
 def test_grad_check_report_is_identical_at_any_probe_window(argv, capsys, monkeypatch):
-    # probes are drawn in order and grouped by model within a window; rows
-    # never mix, so the window size changes neither the report nor the exit
-    passes = []
-    forward = model_module.lcqnn_forward
-
-    def counting(*args, **kwargs):
-        passes.append(args)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(model_module, "lcqnn_forward", counting)
+    # probes are drawn in order and grouped by branch circuit within a
+    # window; rows never mix, so the window size changes neither the report
+    # nor the exit
+    passes = _count_branch_passes(monkeypatch)
     argv = ["grad-check", "--probes", "200", *argv]
     code, reference, _ = run_cli(capsys, argv)
-    assert len(passes) < 200  # several probes share a model and its pass
+    circuits = list(passes)
+    assert len(circuits) < 200  # several probes share a branch circuit and its pass
+    assert len(set(circuits)) == len(circuits)  # one pass per distinct branch circuit
     for window in (7, 1):
         monkeypatch.setattr(cli, "GRAD_CHECK_WINDOW", window)
         passes.clear()
         assert run_cli(capsys, argv) == (code, reference, "")
     assert len(passes) == 200  # one pass per probe at a window of 1
+    assert set(passes) == set(circuits)
+
+
+def test_grad_check_makes_one_branch_pass_per_branch_circuit(capsys, monkeypatch):
+    # the 400 probes of seed 42 draw 259 architectures (m, n, L, k, D) but
+    # only 62 branch circuits (n, k, D): one branch kernel pass each
+    passes = _count_branch_passes(monkeypatch)
+    code, out, _ = run_cli(capsys, ["grad-check", "--probes", "400", "--seed", "42"])
+    assert code == 0
+    assert out.startswith("grad-check: 400/400 probes within")
+    assert len(passes) == len(set(passes)) == 62
 
 
 def test_grad_check_zero_probes(capsys):

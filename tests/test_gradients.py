@@ -24,7 +24,7 @@ from lcqnn.gradients import (
 )
 from lcqnn import gradients, sim
 from lcqnn import model as model_module
-from lcqnn.model import branch_gates, make_model, theta_layout_size
+from lcqnn.model import costs, make_model, theta_layout_size
 from lcqnn.sim import PauliZSum, RngStream
 
 Z0_1 = PauliZSum([(1.0, (0,))], num_qubits=1)
@@ -95,6 +95,18 @@ def _two_single_row_costs(model, flat, obs, pid, step, input_state):
     return cost_flat(model, up, obs, input_state), cost_flat(model, down, obs, input_state)
 
 
+def _count_branch_passes(monkeypatch) -> list:
+    """The parts of every branch pass (``model.forward_states`` call)."""
+    forward_states, passes = model_module.forward_states, []
+
+    def counting(parts, *args, **kwargs):
+        passes.append(parts)
+        return forward_states(parts, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward_states", counting)
+    return passes
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 2, 1, 1), (0, 2, 1, 2, 1)])
 def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
     # each rule runs its two points as the rows of one forward pass; a row
@@ -104,13 +116,7 @@ def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
     obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1)), (0.2, ())], num_qubits=n)
     rng = np.random.default_rng(sum(shape))
     flat = rng.uniform(0, 2 * math.pi, num_params(model))
-    forward, passes = model_module.lcqnn_forward, []
-
-    def counting(*args, **kwargs):
-        passes.append(args)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(model_module, "lcqnn_forward", counting)
+    passes = _count_branch_passes(monkeypatch)
     h = 1e-5
     for input_state in (None, oracles.random_state(n, rng)):
         for pid in range(num_params(model)):
@@ -135,7 +141,7 @@ def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 8, 1, 1), (0, 2, 1, 2, 1)])
 def test_batched_rules_equal_per_probe_rules(shape, monkeypatch):
     # a stack of probes of one model runs its four points per probe as the
-    # rows of one forward pass; each row is bit-equal to its own rule calls
+    # rows of one branch pass; each row is bit-equal to its own rule calls
     model = make_model(*shape)
     n = model.num_working
     obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1))], num_qubits=n)
@@ -143,22 +149,59 @@ def test_batched_rules_equal_per_probe_rules(shape, monkeypatch):
     flats = rng.uniform(0, 2 * math.pi, (12, num_params(model)))
     param_ids = [int(pid) for pid in rng.integers(0, num_params(model), len(flats))]
     param_ids[:2] = [0, num_params(model) - 1]  # a tree angle when there is one
-    forward, passes = model_module.lcqnn_forward, []
-
-    def counting(*args, **kwargs):
-        passes.append(args)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(model_module, "lcqnn_forward", counting)
+    passes = _count_branch_passes(monkeypatch)
     for input_state in (None, oracles.random_state(n, rng)):
         for scale in (1.0, 1.25):
             before = len(passes)
-            shifts, fds = shift_and_fd_grads(model, flats, obs, param_ids, input_state, scale)
+            shifts, fds = shift_and_fd_grads(
+                [model] * len(flats), flats, obs, param_ids, input_state, scale
+            )
             assert len(passes) == before + 1
             for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
                 assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
                 assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
                 assert type(shift) is float and type(fd) is float
+
+
+@pytest.mark.parametrize("layout", [(2, 1, 2), (3, 2, 1), (4, 3, 1)])
+def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, monkeypatch):
+    # models of every control width m <= 3 and branch count L <= 2**m (idle
+    # controls among them) share the branch circuit of (n, k, D): their
+    # probes, interleaved, run in one branch pass, and each row is bit-equal
+    # to its own model's rule calls
+    n, k, D = layout
+    models = [make_model(m, n, 1 << t, k, D) for m in range(4) for t in range(m + 1)]
+    obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1)), (0.2, ())], num_qubits=n)
+    rng = np.random.default_rng(sum(layout))
+    rows = [models[i] for i in rng.permutation(np.repeat(np.arange(len(models)), 2))]
+    flats = [rng.uniform(0, 2 * math.pi, num_params(model)) for model in rows]
+    param_ids = [int(rng.integers(0, num_params(model))) for model in rows]
+    param_ids[:2] = [0, num_params(rows[1]) - 1]  # a tree angle when there is one
+    passes = _count_branch_passes(monkeypatch)
+    for input_state in (None, oracles.random_state(n, rng)):
+        for scale in (1.0, 1.25):
+            before = len(passes)
+            shifts, fds = shift_and_fd_grads(rows, flats, obs, param_ids, input_state, scale)
+            assert len(passes) == before + 1
+            for model, flat, pid, shift, fd in zip(rows, flats, param_ids, shifts, fds):
+                assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
+                assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
+        parts = [
+            (model, *split_params(model, rng.uniform(0, 2 * math.pi, (2, num_params(model)))))
+            for model in models
+        ]
+        before = len(passes)
+        values = costs(parts, obs, input_state)
+        assert len(passes) == before + 1
+        observable = oracles.dense_observable(obs, n)
+        for (model, alphas, thetas), row_values in zip(parts, values):
+            assert row_values.shape == (2,)
+            for alpha, theta, value in zip(alphas, thetas, row_values):
+                dense = oracles.dense_cost(model, alpha, theta, observable, input_state)
+                assert abs(value - dense) <= 1e-12
+    apart = [make_model(1, n, 2, k, D), make_model(1, n, 2, k, D + 1)]
+    with pytest.raises(LcqnnError, match="share their block groups"):
+        shift_and_fd_grads(apart, [np.zeros(num_params(model)) for model in apart], obs, [0, 0])
 
 
 def test_grad_full_matches_shift_rule_everywhere():
@@ -415,18 +458,7 @@ def test_estimate_is_bit_identical_under_any_amplitude_budget(monkeypatch):
 # light cone against the full register and a dense oracle
 
 def _dense_cost(model, flat, observable):
-    """The cost from dense matrices: the tree on the control register, then
-    each control value's branch circuit on the working register."""
-    m, n = model.num_controls, model.num_working
-    alpha, theta = split_params(model, flat)
-    blocks = theta.reshape(model.branch_count, -1)
-    controls = oracles.dense_tree(alpha, m)[:, 0]
-    idle = m - model.tree_depth
-    value = 0.0
-    for row, amp in enumerate(controls):
-        psi = oracles.dense_circuit(branch_gates(model), blocks[row >> idle], n)[:, 0]
-        value += abs(amp) ** 2 * (psi.conj() @ observable @ psi).real
-    return value
+    return oracles.dense_cost(model, *split_params(model, flat), observable)
 
 
 def _dense_shift_grad(model, flat, observable, pid):
