@@ -21,8 +21,6 @@ from .sim import (
     expectation,
     haar_unitary,
     init_zero,
-    ry,
-    ry_matrix,
     u3,
     u3_matrix,
 )
@@ -42,7 +40,6 @@ from .gradients import (
 from .model import (
     LcqnnModel,
     LocalBlockSpec,
-    apply_coefficient_layer,
     branch_angles,
     branch_block_probabilities,
     branch_gates,

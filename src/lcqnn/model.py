@@ -4,6 +4,9 @@ controlled entangling blocks on the working register.
 The prepared state is ``sum_j sqrt(p_j(alpha)) |j> (x) U_j(theta_j) |input>``
 where the ``p_j`` come from a binary tree of controlled RY rotations and each
 branch unitary ``U_j`` is a tensor product of per-group entangling circuits.
+The tree acts on |0...0> controls, so the forward pass writes the tree's
+amplitudes in closed form, as products of cos/sin path factors; only the
+branch circuits run through the gate kernel, and no RY gate runs anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .sim import (
     expectation,
     init_zero,
     row_runs,
-    ry,
     u3,
 )
 
@@ -104,30 +106,6 @@ def coeff_probability_gradients(alpha) -> np.ndarray:
         )
         jac[..., nodes[level], leaves] = rest * derivs[..., level, :]
     return jac
-
-
-def apply_coefficient_layer(state: StateVector, alpha) -> StateVector:
-    """Apply the tree of ``alpha`` to a state whose leading qubits are
-    controls.
-
-    Node (level l, prefix q) is RY(2 * alpha[node]) on qubit l where qubits
-    0..l-1 read q; later qubits are untouched. Leading axes of ``alpha`` are
-    a batch of parameter rows: angles of shape (*batch, L-1) give a state
-    whose amplitudes have shape (*batch, 2**n), row b under ``alpha[b]``.
-    Level l is one batched call whose rows are the (row, prefix) blocks.
-    """
-    alpha, t = _tree(alpha)
-    total = state.num_qubits
-    if t > total:
-        raise LcqnnError(f"a {t}-level tree does not fit a {total}-qubit state")
-    batch = alpha.shape[:-1]
-    amps = np.empty(batch + state.amps.shape, dtype=np.complex128)
-    amps[...] = state.amps
-    for level in range(t):
-        rows = amps.reshape(batch + (1 << level,) + (2,) * (total - level))
-        angles = 2.0 * alpha[..., tree_node(level) : tree_node(level + 1)]
-        amps = apply_gates(rows, (ry(0, 0),), angles[..., None])
-    return StateVector(total, amps.reshape(batch + (-1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +289,12 @@ def _control_rows(
     row, control value), shape (R, 2**n), and the branch block each row
     runs, shape (R, stride): control value r runs branch r >> idle, idle
     bits included, so the whole register is simulated.
+
+    The tree is in closed form: from |0...0> on the controls, its RY(2a)
+    rotations leave row ``j << idle`` holding the input times the cos/sin
+    factors of leaf ``j``'s root path, root first, and every other row zero.
+    Each factor's angle is halved from ``2a``, so it rounds (and overflows
+    to NaN) as the rotation's would.
     """
     alpha = tree_angles(model, alpha)
     blocks = branch_angles(model, theta)
@@ -320,16 +304,20 @@ def _control_rows(
             f"tree angles of batch shape {alpha.shape[:-1]} do not match "
             f"branch angles of batch shape {batch}"
         )
-    m, n = model.num_controls, model.num_working
-    total = m + n
-    if total > MAX_QUBITS:
-        raise CapacityError(f"{total} qubits exceed the supported maximum {MAX_QUBITS}")
-    amps = np.zeros(1 << total, dtype=np.complex128)
-    amps[: 1 << n] = working_amps(model, input_state)
-    state = apply_coefficient_layer(StateVector(total, amps), alpha)
+    m, n, t = model.num_controls, model.num_working, model.tree_depth
+    if m + n > MAX_QUBITS:
+        raise CapacityError(f"{m + n} qubits exceed the supported maximum {MAX_QUBITS}")
+    nodes, bits = _leaf_paths(t)
+    half = 0.5 * (2.0 * alpha[..., nodes])
+    factors = np.where(bits, np.sin(half), np.cos(half))  # (*batch, t, L)
+    leaves = np.broadcast_to(working_amps(model, input_state), batch + (1 << t, 1 << n))
+    for level in range(t):
+        leaves = leaves * factors[..., level, :, None]
+    amps = np.zeros(batch + (1 << m, 1 << n), dtype=np.complex128)
+    amps[..., :: 1 << (m - t), :] = leaves
     count = math.prod(batch) << m
-    rows = np.repeat(blocks, 1 << (m - model.tree_depth), axis=-2)
-    return batch, state.amps.reshape(count, 1 << n), rows.reshape(count, blocks.shape[-1])
+    rows = np.repeat(blocks, 1 << (m - t), axis=-2)
+    return batch, amps.reshape(count, 1 << n), rows.reshape(count, blocks.shape[-1])
 
 
 def forward_states(parts, input_state: StateVector | None = None) -> list[StateVector]:

@@ -6,7 +6,6 @@ Conventions used throughout the package:
   register composed as ``|control> (x) |working>`` stores the control value in
   the top bits of the index and block ``j`` of the flat amplitude array is the
   contiguous slice ``amps[j * 2**n_working : (j + 1) * 2**n_working]``.
-* ``RY(phi) = [[cos(phi/2), -sin(phi/2)], [sin(phi/2), cos(phi/2)]]``
 * ``U3(theta, phi, lam) = [[cos(theta/2),            -e^{i lam} sin(theta/2)],
   [e^{i phi} sin(theta/2), e^{i (phi+lam)} cos(theta/2)]]``
 * CNOT qubits are given as ``(control, target)``.
@@ -93,7 +92,7 @@ class GateOp:
 
     ``qubits`` are global qubit indices; for "cnot" they are
     ``(control, target)``. ``param_slots`` index into the parameter vector
-    passed at application time ("ry" takes one slot, "u3" three, "cnot" none).
+    passed at application time ("u3" takes three, "cnot" none).
     """
 
     kind: str
@@ -101,7 +100,7 @@ class GateOp:
     param_slots: tuple[int, ...] = ()
 
     def __post_init__(self):
-        expected = {"ry": (1, 1), "u3": (1, 3), "cnot": (2, 0)}
+        expected = {"u3": (1, 3), "cnot": (2, 0)}
         if self.kind not in expected:
             raise LcqnnError(f"unknown gate kind {self.kind!r}")
         n_qubits, n_params = expected[self.kind]
@@ -117,21 +116,12 @@ class GateOp:
             )
 
 
-def ry(qubit: int, slot: int) -> GateOp:
-    return GateOp("ry", (qubit,), (slot,))
-
-
 def u3(qubit: int, slot_theta: int, slot_phi: int, slot_lam: int) -> GateOp:
     return GateOp("u3", (qubit,), (slot_theta, slot_phi, slot_lam))
 
 
 def cnot(control: int, target: int) -> GateOp:
     return GateOp("cnot", (control, target))
-
-
-def ry_matrix(phi: float) -> np.ndarray:
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -153,8 +143,6 @@ CNOT_MATRIX = np.array(
 
 def gate_matrix(op: GateOp, params) -> np.ndarray:
     """Dense matrix for ``op`` with its angles bound from ``params``."""
-    if op.kind == "ry":
-        return ry_matrix(float(params[op.param_slots[0]]))
     if op.kind == "u3":
         a, b, c = (float(params[s]) for s in op.param_slots)
         return u3_matrix(a, b, c)
@@ -167,16 +155,10 @@ BATCH_AMPLITUDES = 1 << 13
 
 
 def _rotation_slots(gates) -> np.ndarray:
-    """(theta, phi, lam) parameter slots of every rotation in ``gates``, in
-    order, shape (G, 3). RY is U3 with phi = lam = 0, read from slot -1: the
-    zero column that ``_rotation_entries`` appends."""
+    """(theta, phi, lam) parameter slots of every U3 in ``gates``, in order,
+    shape (G, 3)."""
     return np.array(
-        [
-            op.param_slots if op.kind == "u3" else (op.param_slots[0], -1, -1)
-            for op in gates
-            if op.kind != "cnot"
-        ],
-        dtype=np.intp,
+        [op.param_slots for op in gates if op.kind == "u3"], dtype=np.intp
     ).reshape(-1, 3)
 
 
@@ -191,8 +173,7 @@ def _rotation_entries(
     one half of a batched tensor of rank ``ndim``.
     """
     batch = params.shape[:-1]
-    padded = np.concatenate((params, np.zeros(batch + (1,))), axis=-1)
-    ang = padded.transpose((-1,) + tuple(range(len(batch))))[slots]  # (G, 3, *batch)
+    ang = params.transpose((-1,) + tuple(range(len(batch))))[slots]  # (G, 3, *batch)
     half = 0.5 * ang[:, 0]
     ct, st = np.cos(half), np.sin(half)
     if d_theta:
@@ -382,8 +363,7 @@ def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
             1j * (m[1] * s01 + m[3] * s11),
         )
         for slot, part in zip(slots[k], parts):
-            if slot >= 0:
-                grads[..., slot] += 2.0 * part.real
+            grads[..., slot] += 2.0 * part.real
         lam = _rotate(lam, axis, inverse)
     return values
 

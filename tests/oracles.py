@@ -16,6 +16,12 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def ry(phi):
+    """RY(phi) = [[cos(phi/2), -sin(phi/2)], [sin(phi/2), cos(phi/2)]]."""
+    c, s = np.cos(phi / 2), np.sin(phi / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
 def embed_1q(mat, qubit, n):
     """Embed a one-qubit matrix; qubit 0 is the leftmost kron factor (MSB)."""
     out = np.eye(1, dtype=complex)
@@ -38,9 +44,9 @@ def dense_circuit(gates, params, n):
     return m
 
 
-def dense_controlled(controls, value, gates, params, n):
-    """Explicit block-diagonal operator: subcircuit where controls match, else I."""
-    u_sub = dense_circuit(gates, params, n)
+def dense_controlled(controls, value, u_sub, n):
+    """Explicit block-diagonal operator: the n-qubit matrix ``u_sub`` where
+    the controls read ``value``, else I."""
     total = np.zeros((1 << n, 1 << n), dtype=complex)
     for v in range(1 << len(controls)):
         proj = np.eye(1 << n, dtype=complex)
@@ -62,9 +68,8 @@ def dense_tree(alpha, n):
     for level in range((alpha.size + 1).bit_length() - 1):
         for prefix in range(1 << level):
             angle = 2 * alpha[(1 << level) - 1 + prefix]
-            node = dense_controlled(
-                tuple(range(level)), prefix, [sim.ry(level, 0)], [angle], n
-            )
+            rotation = embed_1q(ry(angle), level, n)
+            node = dense_controlled(tuple(range(level)), prefix, rotation, n)
             tree = node @ tree
     return tree
 

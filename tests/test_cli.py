@@ -585,12 +585,22 @@ def test_grad_check_report_is_identical_at_any_probe_window(argv, capsys, monkey
 
 def test_grad_check_makes_one_branch_pass_per_branch_circuit(capsys, monkeypatch):
     # the 400 probes of seed 42 draw 259 architectures (m, n, L, k, D) but
-    # only 62 branch circuits (n, k, D): one branch kernel pass each
+    # only 62 branch circuits (n, k, D): one branch kernel pass each, and the
+    # coefficient tree, in closed form, makes no kernel call of its own
     passes = _count_branch_passes(monkeypatch)
+    kernel_calls = []
+    apply_gates = model_module.apply_gates
+
+    def counting(*args, **kwargs):
+        kernel_calls.append(None)
+        return apply_gates(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "apply_gates", counting)
     code, out, _ = run_cli(capsys, ["grad-check", "--probes", "400", "--seed", "42"])
     assert code == 0
     assert out.startswith("grad-check: 400/400 probes within")
     assert len(passes) == len(set(passes)) == 62
+    assert len(kernel_calls) == 62
 
 
 def test_grad_check_zero_probes(capsys):

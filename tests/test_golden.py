@@ -102,6 +102,11 @@ COMMANDS = {
     "grad_check_negative_control": [
         "grad-check", "--probes", "8", "--seed", "1", "--shift-scale", "1.1",
     ],
+    "grad_check_probes400": ["grad-check", "--probes", "400", "--seed", "42"],
+    # 2 * shift overflows to inf: every shifted cost, and so every error, is NaN
+    "grad_check_overflow": [
+        "grad-check", "--probes", "50", "--seed", "2", "--shift-scale", "1e308",
+    ],
 }
 
 

@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_controlled, dense_observable, dense_tree, random_state
+from oracles import (
+    dense_circuit,
+    dense_controlled,
+    dense_observable,
+    dense_tree,
+    random_state,
+)
 
 from lcqnn.errors import ArchitectureError, LcqnnError
 from lcqnn.model import (
-    apply_coefficient_layer,
     branch_angles,
     branch_block_probabilities,
     branch_gates,
@@ -45,8 +50,6 @@ def test_coefficient_layer_validation():
             coeff_probabilities(bad)
         with pytest.raises(ArchitectureError, match="do not fill a binary tree"):
             coeff_probability_gradients(bad)
-        with pytest.raises(ArchitectureError, match="do not fill a binary tree"):
-            apply_coefficient_layer(init_zero(3), bad)
 
 
 def test_coeff_probabilities_closed_form():
@@ -130,48 +133,6 @@ def test_tree_node_numbers_levels_in_order():
     nodes = [tree_node(level, q) for level in range(4) for q in range(1 << level)]
     assert nodes == list(range(15))
     assert tree_node(2) == 3  # first node of level 2, prefix defaults to 0
-
-
-def test_apply_coefficient_layer_amplitudes():
-    # one control qubit: amplitudes are cos(a), sin(a) directly.
-    a = math.pi / 3
-    out = apply_coefficient_layer(init_zero(1), [a])
-    np.testing.assert_allclose(out.amps, [0.5, math.sqrt(3) / 2], atol=1e-12)
-
-    # an idle control qubit stays |0>: the branch blocks land on |00>, |10>.
-    out = apply_coefficient_layer(init_zero(2), [math.pi / 4])
-    r = math.sqrt(0.5)
-    np.testing.assert_allclose(out.amps, [r, 0, r, 0], atol=1e-12)
-
-
-def test_coefficient_circuit_matches_closed_form():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        m = int(rng.integers(1, 4))
-        t = int(rng.integers(1, m + 1))
-        alpha = rng.uniform(0, 2 * math.pi, (1 << t) - 1)
-        out = apply_coefficient_layer(init_zero(m), alpha)
-        idle = m - t
-        sim_probs = np.abs(out.amps[:: 1 << idle] if idle else out.amps) ** 2
-        np.testing.assert_allclose(sim_probs, coeff_probabilities(alpha), atol=1e-12)
-
-
-def test_coefficient_layer_matches_dense_oracle_on_any_state():
-    # random full-register states: tree qubits not in |0>, then idle control
-    # and working qubits that the tree leaves alone
-    rng = np.random.default_rng(31)
-    for t in (1, 2, 3):
-        for rest in range(4):
-            total = t + rest
-            alpha = rng.uniform(0, 2 * math.pi, (1 << t) - 1)
-            state = random_state(total, rng)
-            out = apply_coefficient_layer(state, alpha)
-            expected = dense_tree(alpha, total) @ state.amps
-            np.testing.assert_allclose(out.amps, expected, rtol=0, atol=1e-10)
-    # a state narrower than the tree is rejected
-    for width, angles in ((1, 3), (2, 7), (0, 1)):
-        with pytest.raises(LcqnnError, match="tree does not fit"):
-            apply_coefficient_layer(init_zero(width), np.zeros(angles))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +239,8 @@ def _dense_forward(model, alpha, theta, state_in):
     stride = model.branch_param_count
     tree = tuple(range(model.tree_depth))
     for j in range(model.branch_count):
-        vec = (
-            dense_controlled(tree, j, shifted, theta[j * stride : (j + 1) * stride], total)
-            @ vec
-        )
+        branch = dense_circuit(shifted, theta[j * stride : (j + 1) * stride], total)
+        vec = dense_controlled(tree, j, branch, total) @ vec
     return vec
 
 
@@ -388,6 +347,24 @@ def test_forward_degenerate_single_branch():
     for g in branch_gates(model):
         manual = apply_gate(manual, g, theta)
     np.testing.assert_allclose(out.amps, manual.amps, atol=1e-12)
+
+
+def test_forward_tree_stage_matches_dense_tree():
+    # at depth 0 every branch is the identity, so the forward state is the
+    # tree's on |0...0> controls times the input: the closed-form tree stage
+    # against the dense RY tree, idle controls (L < 2**m) included
+    rng = np.random.default_rng(31)
+    for m in range(4):
+        for t in range(m + 1):
+            for n in (1, 2, 3):
+                model = make_model(m, n, 1 << t, 1, 0)
+                alphas = rng.uniform(0, 2 * math.pi, (5, model.num_alpha))
+                state_in = random_state(n, rng)
+                out = lcqnn_forward(model, alphas, np.zeros((5, 0)), state_in)
+                assert out.amps.shape == (5, 1 << (m + n))
+                for alpha, amps in zip(alphas, out.amps):
+                    expected = np.kron(dense_tree(alpha, m)[:, 0], state_in.amps)
+                    np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-15)
 
 
 def test_forward_depth_zero_is_coefficient_layer_only():

@@ -17,11 +17,10 @@ from lcqnn.sim import (
     expectation,
     haar_unitary,
     init_zero,
-    ry,
     u3,
 )
 
-from oracles import dense_circuit, embed_1q, random_state
+from oracles import dense_circuit, embed_1q, random_state, ry
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +82,18 @@ def test_amplitude_encode_errors():
 def test_u3_reduces_to_ry():
     theta = 0.87
     np.testing.assert_allclose(
-        sim.u3_matrix(theta, 0.0, 0.0), sim.ry_matrix(theta), atol=1e-15
+        sim.u3_matrix(theta, 0.0, 0.0), ry(theta), atol=1e-15
     )
 
 
 def test_ry_flips_basis_state():
-    s = apply_gate(init_zero(1), ry(0, 0), [math.pi])
+    s = apply_gate(init_zero(1), u3(0, 0, 1, 2), [math.pi, 0.0, 0.0])
     np.testing.assert_allclose(s.amps, [0, 1], atol=1e-15)
 
 
 def test_ry_on_msb_qubit():
     # qubit 0 is the most significant bit: RY(pi/2) on |00> populates |10>.
-    s = apply_gate(init_zero(2), ry(0, 0), [math.pi / 2])
+    s = apply_gate(init_zero(2), u3(0, 0, 1, 2), [math.pi / 2, 0.0, 0.0])
     r = math.sqrt(0.5)
     np.testing.assert_allclose(s.amps, [r, 0, r, 0], atol=1e-15)
 
@@ -149,7 +148,10 @@ def test_apply_gate_validation():
     with pytest.raises(LcqnnError):
         sim.GateOp("cnot", (1, 1))
     with pytest.raises(LcqnnError):
-        sim.GateOp("ry", (0,), ())
+        sim.GateOp("u3", (0,), ())
+    # RY is U3 with phi = lam = 0 and has no gate kind of its own
+    with pytest.raises(LcqnnError, match="unknown gate kind"):
+        sim.GateOp("ry", (0,), (0,))
 
 
 def _random_circuit(n, rng, max_gates=6):
@@ -159,13 +161,10 @@ def _random_circuit(n, rng, max_gates=6):
     params = list(rng.uniform(0, 2 * math.pi, 3 * max_gates))
     slot = 0
     for _ in range(int(rng.integers(1, max_gates + 1))):
-        kind = rng.choice(["ry", "u3", "cnot"] if n >= 2 else ["ry", "u3"])
+        kind = rng.choice(["u3", "cnot"] if n >= 2 else ["u3"])
         if kind == "cnot":
             c, t = rng.choice(qubits, size=2, replace=False)
             gates.append(cnot(int(c), int(t)))
-        elif kind == "ry":
-            gates.append(ry(int(rng.choice(qubits)), slot))
-            slot += 1
         else:
             gates.append(u3(int(rng.choice(qubits)), slot, slot + 1, slot + 2))
             slot += 3
@@ -199,7 +198,7 @@ def test_z_eigenstates():
 
 def test_equatorial_state_expectation():
     obs = PauliZSum([(1.0, (0,))], num_qubits=1)
-    s = apply_gate(init_zero(1), ry(0, 0), [math.pi / 2])
+    s = apply_gate(init_zero(1), u3(0, 0, 1, 2), [math.pi / 2, 0.0, 0.0])
     assert expectation(s, obs) == pytest.approx(0.0, abs=1e-12)
 
 
