@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ArchitectureError, CapacityError, LcqnnError
 from .gradients import (
+    TWO_PI,
     GradStats,
-    angle_rows,
     default_probe_param,
     estimate_grad_stats,
     run_chunked,
@@ -29,7 +29,15 @@ from .model import (
     make_model,
     tree_node,
 )
-from .sim import PauliZSum, chunk_generators, diagonal_expectations, haar_columns
+from .sim import (
+    PauliZSum,
+    chunk_generators,
+    chunk_seeds,
+    diagonal_expectations,
+    diagonal_readout,
+    haar_columns,
+    pcg64_random,
+)
 # perfbench/spans.py wraps these names here to count or time their calls
 from .sim import gate_matrix, haar_unitary  # noqa: F401
 
@@ -276,12 +284,12 @@ def _haar_values(dim: int, gens, angles) -> np.ndarray:
         angles = np.zeros((1, len(gens)))
     c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
     psi = cols[..., 0] * c[..., None] + cols[..., 1] * s[..., None]
-    return np.sum(balanced_z_diag(dim) * np.abs(psi) ** 2, axis=-1)
+    return diagonal_readout(balanced_z_diag(dim), psi)
 
 
-def _ansatz_values(dim: int, depth: int, gens, angles) -> np.ndarray:
+def _ansatz_values(dim: int, depth: int, words, angles) -> np.ndarray:
     """Block expectations under layered circuits on the block's padded qubit
-    register, angles drawn from each generator.
+    register, with the angles of each stream's seed ``words`` (B, 4).
 
     Row ``s`` of ``angles`` (shape (k, B)) replaces every sample's first
     rotation polar angle (the probe); ``None`` keeps the drawn angles. The
@@ -290,7 +298,7 @@ def _ansatz_values(dim: int, depth: int, gens, angles) -> np.ndarray:
     """
     q = (dim - 1).bit_length()
     gates = entangling_gates(range(q), depth)
-    params = angle_rows(gens, 3 * q * depth)[None]
+    params = TWO_PI * pcg64_random(words, 3 * q * depth)[None]
     if angles is not None:
         params = np.repeat(params, len(angles), axis=0)
         params[..., 0] = angles
@@ -349,32 +357,38 @@ def group_block_variance(
     probe_node = tree_node(tree_depth - 1) if tree_depth else None
     dims = [d * mult for d, mult in spectrum.blocks]
 
-    def block_values(dim, gens, angles):
+    def block_values(dim, streams, angles):
         if mode == "haar":
-            return _haar_values(dim, gens, angles)
-        return _ansatz_values(dim, depth, gens, angles)
+            return _haar_values(dim, streams, angles)
+        return _ansatz_values(dim, depth, streams, angles)
 
     # balanced_z_diag(1) is 0: a dimension-1 block's value and gradient vanish
     drawn = [b for b, dim in enumerate(dims) if dim != 1]
-    components = [0, 1] + [_BLOCK_COMPONENT_BASE + b for b in drawn]
+    block_components = [_BLOCK_COMPONENT_BASE + b for b in drawn]
+    # Haar blocks draw normals, which need a Generator per stream
+    angle_components = [0, 1] + (block_components if mode == "ansatz" else [])
 
     def chunk(lo: int, hi: int) -> tuple[GradStats, GradStats]:
-        alpha_gens, probe_gens, *block_gens = chunk_generators(root_seed, lo, hi, components)
+        alpha_words, probe_words, *block_streams = chunk_seeds(
+            root_seed, lo, hi, angle_components
+        )
+        if mode == "haar":
+            block_streams = chunk_generators(root_seed, lo, hi, block_components)
         batch = hi - lo
-        alpha = angle_rows(alpha_gens, num_leaves - 1)
-        probe = angle_rows(probe_gens, 1)[:, 0]
+        alpha = TWO_PI * pcg64_random(alpha_words, num_leaves - 1)
+        probe = TWO_PI * pcg64_random(probe_words, 1)[:, 0]
         values = np.zeros((batch, num_leaves))
         grad0 = np.zeros(batch)
-        for b, gens in zip(drawn, block_gens):
+        for b, streams in zip(drawn, block_streams):
             dim = dims[b]
             if b == 0:
                 at, up, down = block_values(
-                    dim, gens, np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))
+                    dim, streams, np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))
                 )
                 values[:, 0] = at
                 grad0 = 0.5 * (up - down)
             else:
-                values[:, b] = block_values(dim, gens, None)[0]
+                values[:, b] = block_values(dim, streams, None)[0]
         theta_part = GradStats().extend(coeff_probabilities(alpha)[:, 0] * grad0)
         alpha_part = GradStats()
         if probe_node is not None:

@@ -34,8 +34,9 @@ from .sim import (
     StateVector,
     adjoint_gradient,
     apply_gates,
-    chunk_generators,
+    chunk_seeds,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
+    pcg64_random,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -80,13 +81,6 @@ def alpha_probe_param(model: LcqnnModel) -> int:
 def sample_params(model: LcqnnModel, generator) -> np.ndarray:
     """Draw every angle independently and uniformly from [0, 2*pi)."""
     return generator.uniform(0.0, TWO_PI, num_params(model))
-
-
-def angle_rows(generators, size: int) -> np.ndarray:
-    """One row of ``size`` angles drawn uniformly from [0, 2*pi) by each
-    generator, in order: shape (len(generators), size)."""
-    rows = [gen.uniform(0.0, TWO_PI, size) for gen in generators]
-    return np.array(rows).reshape(len(rows), size)
 
 
 def cost_flat(
@@ -341,19 +335,20 @@ def sample_param_draws(
     model: LcqnnModel, root_seed: int, lo: int, hi: int, num_theta: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``alpha[b], theta[b]`` equal to ``sample_param_draw(model,
-    root_seed, lo + b)`` for the samples ``lo .. hi-1``, from streams seeded
-    for the whole range in one pass.
+    root_seed, lo + b)`` for the samples ``lo .. hi-1``, drawn for the
+    whole range at once by ``sim.pcg64_random``.
 
     ``num_theta``, when given, draws only the leading ``num_theta`` branch
-    angles of each row: a generator fills its output in order, so they are
+    angles of each row: a stream yields its draws in order, so they are
     the same numbers as the leading values of the full draw.
     """
-    alpha_gens, theta_gens = chunk_generators(
+    alpha_words, theta_words = chunk_seeds(
         root_seed, lo, hi, (ALPHA_COMPONENT, THETA_COMPONENT)
     )
     if num_theta is None:
         num_theta = theta_layout_size(model)
-    return angle_rows(alpha_gens, model.num_alpha), angle_rows(theta_gens, num_theta)
+    alpha = TWO_PI * pcg64_random(alpha_words, model.num_alpha)
+    return alpha, TWO_PI * pcg64_random(theta_words, num_theta)
 
 
 def probe_gradients(

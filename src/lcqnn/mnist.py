@@ -45,6 +45,7 @@ from .sim import (
     adjoint_gradient,
     amplitude_encode,
     apply_gates,
+    diagonal_readout,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
     row_runs,
 )
@@ -266,8 +267,7 @@ def _forward_sweep(model: LcqnnModel, alpha, theta, states) -> tuple:
     batch = states.shape[0]
     rows = np.broadcast_to(states.reshape((batch, 1) + (2,) * n), (batch, L) + (2,) * n)
     psi = apply_gates(rows, branch_gates(model), branch_angles(model, theta)[None])
-    weights = np.abs(psi.reshape(batch, L, 1, -1)) ** 2
-    z = np.sum(_z_diagonals(n) * weights, axis=-1)
+    z = diagonal_readout(_z_diagonals(n), psi.reshape(batch, L, 1, -1))
     logits = np.zeros((batch, n))
     for j in range(L):
         logits += probs[j] * z[:, j]

@@ -273,6 +273,12 @@ def row_runs(count: int, row_amps: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+def diagonal_readout(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``sum(diag * |psi|**2)`` over the last axis: each state's expectation
+    of a diagonal observable, for states in any leading batch layout."""
+    return np.sum(diag * np.abs(psi) ** 2, axis=-1)
+
+
 def diagonal_expectations(num_qubits: int, gates, params, diag: np.ndarray) -> np.ndarray:
     """``diag . |U(params[b]) |0...0>|**2`` on ``num_qubits`` qubits for each
     row ``b`` of ``params``, shape (*batch, P) to ``batch``, evaluated in the
@@ -285,7 +291,7 @@ def diagonal_expectations(num_qubits: int, gates, params, diag: np.ndarray) -> n
         part = rows[run]
         batch = np.broadcast_to(psi_in, (part.shape[0],) + psi_in.shape)
         psi = apply_gates(batch, gates, part).reshape(part.shape[0], -1)
-        out[run] = np.sum(diag * np.abs(psi) ** 2, axis=-1)
+        out[run] = diagonal_readout(diag, psi)
     return out.reshape(params.shape[:-1])
 
 
@@ -331,7 +337,7 @@ def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
     axes = params.ndim - 1
     batch = psi.shape[:axes]
     flat = psi.reshape(batch + (-1,))
-    values = np.sum(diag * np.abs(flat) ** 2, axis=-1)
+    values = diagonal_readout(diag, flat)
     lam = (diag * flat).reshape(psi.shape)
     entries = _rotation_entries(slots, params, psi.ndim)
     d_theta = _rotation_entries(slots, params, psi.ndim, d_theta=True)
@@ -508,51 +514,57 @@ def _words32(value: int) -> list[int]:
     return words
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constants ``init * mult**i`` mod 2**32
+    for i = 0 .. count, as a uint32 column: the i-th hash XORs with row i
+    and multiplies by row i + 1."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
 def _pool_seeds(entropy: list, five_words) -> np.ndarray:
     """The four uint64 words PCG64 asks of ``SeedSequence(key)``, one row
     per key, for keys given as uint32 word columns.
 
     ``entropy`` holds four or five word arrays, zero-padded, which is what
     SeedSequence's pool does with a short key; a fifth word counts only
-    where ``five_words`` is true.
+    where ``five_words`` is true. Successive hashes of values that do not
+    change in between run as one array, a row per hash constant.
     """
-    hash_const = _INIT_A
+    # 4 pool words, 4 x 3 cross mixes, then 4 hashes of a fifth word
+    consts = _hash_constants(_INIT_A, _MULT_A, 20)
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
+    def hashmix(value, first: int, count: int):
+        value = (value ^ consts[first : first + count]) * consts[first + 1 : first + count + 1]
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> 16)
 
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = hashmix(np.stack(entropy[:4]), 0, 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [np.where(five_words, mix(p, hashmix(word)), p) for p in pool]
+        # pool[src] stays fixed while it mixes into the other three words
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    if len(entropy) > 4:
+        pool = np.where(five_words, mix(pool, hashmix(entropy[4], 16, 4)), pool)
 
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append(value ^ (value >> 16))
-    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    out = _hash_constants(_INIT_B, _MULT_B, 8)
+    value = (np.tile(pool, (2, 1)) ^ out[:8]) * out[1:]
+    state = value ^ (value >> 16)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 @lru_cache(maxsize=None)
 def _pcg64_generator():
     """A function from four uint64 seed words to a PCG64 Generator, the one
     ``default_rng(SeedSequence(key))`` builds when those words are the
-    key's. Built at first use, so ``import lcqnn`` leaves ``numpy.random``
-    unloaded."""
+    key's. Built at first use, so ``import lcqnn`` and every run that draws
+    only uniform angles (``variance-scan``, ``variance-layers``,
+    ``group-scan --mode ansatz``) leave ``numpy.random`` unloaded."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -566,14 +578,14 @@ def _pcg64_generator():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
-def chunk_generators(root_seed: int, lo: int, hi: int, components) -> list[list]:
-    """Generators of samples ``lo .. hi-1``, one row per listed component:
-    row ``c``, column ``b`` draws exactly what
-    ``RngStream(root_seed, lo + b).component_generator(components[c])`` does.
+def chunk_seeds(root_seed: int, lo: int, hi: int, components) -> np.ndarray:
+    """The four uint64 words PCG64 takes from each stream's SeedSequence,
+    shape (C, B, 4): entry ``[c, b]`` seeds
+    ``RngStream(root_seed, lo + b).component_generator(components[c])``.
 
     One uint32 array pass hashes every (sample, component) key of the chunk,
-    in place of one SeedSequence each; only the PCG64 set-up stays per
-    stream. Sample indices may take one or two 32-bit words.
+    in place of one SeedSequence each. Sample indices may take one or two
+    32-bit words.
     """
     components = [int(c) for c in components]
     if not 0 <= lo <= hi <= 1 << 64:
@@ -592,10 +604,121 @@ def chunk_generators(root_seed: int, lo: int, hi: int, components) -> list[list]
         np.where(two_words, high, component),
         np.where(two_words, component, np.uint32(0)),
     ]
-    seeds = _pool_seeds(entropy, two_words)
+    return _pool_seeds(entropy, two_words).reshape(len(components), batch, 4)
+
+
+def chunk_generators(root_seed: int, lo: int, hi: int, components) -> list[list]:
+    """Generators of samples ``lo .. hi-1``, one row per listed component:
+    row ``c``, column ``b`` draws exactly what
+    ``RngStream(root_seed, lo + b).component_generator(components[c])`` does.
+
+    Seeded by ``chunk_seeds``. Only the Haar blocks' normals need these: the
+    ziggurat takes a varying number of words per normal, so unlike
+    ``pcg64_random`` it cannot jump ahead, and each stream runs its own
+    Generator.
+    """
     make = _pcg64_generator()
-    gens = [make(words) for words in seeds]
-    return [gens[c * batch : (c + 1) * batch] for c in range(len(components))]
+    return [[make(words) for words in rows] for rows in chunk_seeds(root_seed, lo, hi, components)]
+
+
+# PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+# Good Algorithms for Random Number Generation", HMC-CS-2014-0905): a 128-bit
+# LCG, state -> M * state + inc with inc odd, each step yielding its XSL-RR
+# output. t steps take a state s to A_t * s + G_t * inc, with A_t = M**t and
+# G_t = 1 + M + ... + M**(t-1) mod 2**128 (Brown, "Random Number Generation
+# with Arbitrary Strides", Trans. Am. Nucl. Soc. 71, 1994).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+#: draws per block of step constants: ``pcg64_random`` computes a row's
+#: first block from the constants and each later block from the one before
+DRAW_BLOCK = 128
+
+
+@lru_cache(maxsize=None)
+def _step_table() -> tuple:
+    """``(A_t, G_t)`` for t = 2 .. DRAW_BLOCK + 1, each a tuple of uint64
+    arrays ``(low word, its low 32 bits, its high 32 bits, high word)``.
+    Built at the first draw, with Python ints."""
+    a, g = _PCG_MULT, 1
+    steps = []
+    for _ in range(DRAW_BLOCK):
+        a, g = a * _PCG_MULT & _MASK128, (g * _PCG_MULT + 1) & _MASK128
+        steps.append((a, g))
+
+    def limbs(values):
+        low = np.array([v & _UINT64_MASK for v in values], dtype=np.uint64)
+        high = np.array([v >> 64 for v in values], dtype=np.uint64)
+        return low, low & _MASK32, low >> 32, high
+
+    return tuple(limbs(column) for column in zip(*steps))
+
+
+def _mul128(const, value) -> tuple:
+    """``const * value`` mod 2**128 as (high, low) uint64 words, for
+    ``const`` in ``_step_table`` limbs and ``value`` a (high, low) pair of
+    arrays that broadcast against them. The high word of the low words'
+    product is summed from 32-bit halves."""
+    c_lo, c0, c1, c_hi = const
+    x_hi, x_lo = value
+    x0, x1 = x_lo & _MASK32, x_lo >> 32
+    p00 = c0 * x0
+    mid = c1 * x0 + (p00 >> 32)
+    cross = c0 * x1 + (mid & _MASK32)
+    high = c1 * x1 + (mid >> 32) + (cross >> 32)
+    return high + c_lo * x_hi + c_hi * x_lo, c_lo * x_lo
+
+
+def _add128(x, y) -> tuple:
+    """``x + y`` mod 2**128 of two (high, low) pairs."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < y[1]), low
+
+
+def _xsl_rr_doubles(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The doubles PCG64 draws at the given states: the XSL-RR output's top
+    53 bits, scaled to [0, 1)."""
+    mixed = high ^ low
+    rot = high >> 58
+    mixed = (mixed >> rot) | (mixed << ((64 - rot) & 63))
+    return (mixed >> 11) * (1.0 / 9007199254740992.0)
+
+
+def pcg64_random(words: np.ndarray, size: int) -> np.ndarray:
+    """Doubles in [0, 1), shape (B, size): row ``b`` is bit for bit
+    ``Generator(PCG64(w)).random(size)`` for the seed words
+    ``w = words[b]`` (a (B, 4) slice of ``chunk_seeds``), so ``2*pi`` times
+    it is that Generator's ``.uniform(0, 2*pi, size)``.
+
+    Seeding sets the state to ``inc``, adds the initial state ``init`` and
+    steps once, and each draw steps first, so draw t comes from state
+    ``A_{t+2} * (init + inc) + G_{t+2} * inc``. Every draw of every row is
+    thus a few uint64 array operations, and no Generator is built.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    out = np.empty((len(words), size))
+    if size == 0:
+        return out
+    a_table, g_table = _step_table()
+    inc = ((words[:, 2:3] << 1) | (words[:, 3:4] >> 63), (words[:, 3:4] << 1) | 1)
+    base = _add128((words[:, 0:1], words[:, 1:2]), inc)
+    width = min(size, DRAW_BLOCK)
+    state = _add128(
+        _mul128([limb[:width] for limb in a_table], base),
+        _mul128([limb[:width] for limb in g_table], inc),
+    )
+    out[:, :width] = _xsl_rr_doubles(*state)
+    if size > DRAW_BLOCK:
+        # each later block is the block before, DRAW_BLOCK steps on; the
+        # table's row DRAW_BLOCK - 2 holds t = DRAW_BLOCK
+        jump = [limb[DRAW_BLOCK - 2] for limb in a_table]
+        jump_inc = _mul128([limb[DRAW_BLOCK - 2] for limb in g_table], inc)
+        for start in range(DRAW_BLOCK, size, DRAW_BLOCK):
+            state = _add128(_mul128(jump, state), jump_inc)
+            out[:, start : start + DRAW_BLOCK] = _xsl_rr_doubles(
+                *(word[:, : size - start] for word in state)
+            )
+    return out
 
 
 def ginibre(dim: int, gen: np.random.Generator) -> np.ndarray:

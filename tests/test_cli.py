@@ -279,6 +279,50 @@ def test_group_scan_zero_variance_ratio_is_null(capsys):
     jsonschema.validate(payload, load_schema("group_scan.schema.json"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance-scan", "--samples", "8"],
+        ["group-scan", "--mode", "ansatz", "--dims", "3:1,5:1", "--depth", "2",
+         "--samples", "8"],
+    ],
+)
+def test_uniform_scans_leave_numpy_random_unloaded(argv):
+    # every uniform angle is a jump-ahead PCG64 draw (sim.pcg64_random), so a
+    # whole scan that draws no normals never loads numpy.random
+    code = (
+        "import contextlib, io, sys\n"
+        "from lcqnn.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=Path(__file__).resolve().parents[1] / "src", capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_haar_group_scan_builds_generators_for_haar_blocks_only(capsys, monkeypatch):
+    # a Generator per Haar block stream, for its normals, and none for the
+    # tree and probe angles: 64 samples x 2 blocks
+    make = sim._pcg64_generator()
+    built = []
+
+    def counting(words):
+        built.append(words)
+        return make(words)
+
+    monkeypatch.setattr(sim, "_pcg64_generator", lambda: counting)
+    code, _, _ = run_cli(
+        capsys, ["group-scan", "--mode", "haar", "--dims", "16:1,16:1", "--samples", "64"]
+    )
+    assert code == 0
+    assert len(built) == 128
+
+
 def test_group_scan_usage_errors(capsys):
     assert run_cli(capsys, ["group-scan", "--samples", "4"])[0] == 2
     assert (

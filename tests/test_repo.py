@@ -75,8 +75,9 @@ def test_bench_files_record_parent_machine_claim_and_runs():
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # the scans build their generators at the first draw, so importing the
-    # CLI (the benchmark's set-up time) pays nothing for numpy.random
+    # numpy.random loads with the first Generator a run builds, never at
+    # import, so importing the CLI (the benchmark's set-up time) pays nothing
+    # for it
     code = "import sys, lcqnn.cli; print('numpy.random' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True,

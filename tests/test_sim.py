@@ -1,6 +1,7 @@
 """Statevector core: gates, controlled blocks, observables, Haar sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,46 @@ def test_chunk_generators_match_rng_stream(seed, lo, hi):
             ref = RngStream(seed, lo + b).component_generator(c)
             assert gen.bit_generator.state == ref.bit_generator.state
             np.testing.assert_array_equal(gen.random(3), ref.random(3))
+
+
+def test_pcg64_random_matches_generator_uniform():
+    # the jump-ahead draws are the uniforms a per-stream Generator gives, bit
+    # for bit, at any block boundary; scalar uint64 arithmetic that overflows
+    # would warn, and here fails
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    block = sim.DRAW_BLOCK
+    two_pi = 2.0 * math.pi
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        seed=st.one_of(st.sampled_from([0, -1, 2**63, 2**64 - 1]),
+                       st.integers(-(2**63), 2**64 - 1)),
+        lo=st.one_of(st.sampled_from([0, 2**32 - 2, 2**64 - 3]), st.integers(0, 2**64 - 3)),
+        count=st.integers(0, 3),
+        component=st.sampled_from([0, 1, 5, 2**32 - 1]),
+        size=st.one_of(st.sampled_from([0, 1, block, block + 1, 576]),
+                       st.integers(0, 3 * block)),
+    )
+    @hypothesis.example(seed=0, lo=0, count=3, component=0, size=576)
+    @hypothesis.example(seed=-1, lo=2**32 - 2, count=3, component=1, size=block)
+    @hypothesis.example(seed=2**63 + 1, lo=2**64 - 3, count=3, component=2, size=block + 1)
+    @hypothesis.example(seed=7, lo=2**64 - 2, count=2, component=0, size=1)
+    @hypothesis.example(seed=7, lo=5, count=2, component=0, size=0)
+    def check(seed, lo, count, component, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = sim.chunk_seeds(seed, lo, lo + count, [component])
+            assert words.shape == (1, count, 4)
+            got = two_pi * sim.pcg64_random(words[0], size)
+        ref = np.array([
+            RngStream(seed, i).component_generator(component).uniform(0.0, two_pi, size)
+            for i in range(lo, lo + count)
+        ]).reshape(count, size)
+        assert got.shape == (count, size)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    check()
 
 
 def test_chunk_generators_validation():
