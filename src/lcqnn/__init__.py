@@ -1,6 +1,6 @@
 """Statevector simulation and trainability experiments for linear-combination QNNs."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     ArchitectureError,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -186,7 +186,7 @@ class LcqnnModel:
     def num_alpha(self) -> int:
         return self.branch_count - 1
 
-    @property
+    @cached_property
     def branch_param_count(self) -> int:
         return sum(g.param_count for g in self.groups)
 
@@ -284,17 +284,17 @@ def _control_rows(
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The tree stage of the forward pass, split into branch rows.
 
-    Returns the batch shape of the parameter rows, the full-register state
+    Returns the batch shape of the parameter rows, the live control rows
     after the coefficient tree as one row of 2**n amplitudes per (parameter
-    row, control value), shape (R, 2**n), and the branch block each row
-    runs, shape (R, stride): control value r runs branch r >> idle, idle
-    bits included, so the whole register is simulated.
+    row, leaf), shape (R, 2**n), and the branch block each row runs, shape
+    (R, stride).
 
     The tree is in closed form: from |0...0> on the controls, its RY(2a)
     rotations leave row ``j << idle`` holding the input times the cos/sin
     factors of leaf ``j``'s root path, root first, and every other row zero.
     Each factor's angle is halved from ``2a``, so it rounds (and overflows
-    to NaN) as the rotation's would.
+    to NaN) as the rotation's would. The zero rows stay zero under any
+    branch, so only the leaf rows are returned.
     """
     alpha = tree_angles(model, alpha)
     blocks = branch_angles(model, theta)
@@ -313,11 +313,8 @@ def _control_rows(
     leaves = np.broadcast_to(working_amps(model, input_state), batch + (1 << t, 1 << n))
     for level in range(t):
         leaves = leaves * factors[..., level, :, None]
-    amps = np.zeros(batch + (1 << m, 1 << n), dtype=np.complex128)
-    amps[..., :: 1 << (m - t), :] = leaves
-    count = math.prod(batch) << m
-    rows = np.repeat(blocks, 1 << (m - t), axis=-2)
-    return batch, amps.reshape(count, 1 << n), rows.reshape(count, blocks.shape[-1])
+    count = math.prod(batch) << t
+    return batch, leaves.reshape(count, 1 << n), blocks.reshape(count, blocks.shape[-1])
 
 
 def forward_states(parts, input_state: StateVector | None = None) -> list[StateVector]:
@@ -326,10 +323,11 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
 
     The branch unitaries depend only on a model's block groups, so models
     that share them (any control width and branch count) share one branch
-    circuit: each part runs its own tree stage, then the control rows of
-    every part run through that circuit together, in the ``row_runs`` of
-    all of them. Rows never mix, so each state is bit-equal to its own
-    ``lcqnn_forward`` call.
+    circuit: each part runs its own tree stage, then the live control rows
+    of every part run through that circuit together, in the ``row_runs`` of
+    all of them, and are scattered back into full-register states whose
+    idle rows are zero. Rows never mix, so each state is bit-equal to its
+    own ``lcqnn_forward`` call.
     """
     first = parts[0][0]
     if any(model.groups != first.groups for model, _, _ in parts):
@@ -343,9 +341,11 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
         tensor[run] = apply_gates(tensor[run], gates, blocks[run])
     states, lo = [], 0
     for (model, _, _), batch, size in zip(parts, batches, sizes):
-        amps = rows[lo : lo + size].reshape(batch + (-1,))
+        m, n, t = model.num_controls, model.num_working, model.tree_depth
+        amps = np.zeros(batch + (1 << m, 1 << n), dtype=np.complex128)
+        amps[..., :: 1 << (m - t), :] = rows[lo : lo + size].reshape(batch + (1 << t, 1 << n))
         lo += size
-        states.append(StateVector(model.num_controls + model.num_working, amps))
+        states.append(StateVector(m + n, amps.reshape(batch + (-1,))))
     return states
 
 
@@ -413,18 +413,11 @@ def light_cone(model: LcqnnModel, obs: PauliZSum) -> LightCone:
     return LightCone(len(remap), tuple(gates), tuple(columns), PauliZSum(terms, len(remap)))
 
 
-def costs(parts, obs: PauliZSum, input_state: StateVector | None = None) -> list[np.ndarray]:
+def costs(parts, obs: PauliZSum, input_state: StateVector | None = None) -> list:
     """``cost`` of each ``(model, alpha, theta)`` of ``parts`` from one
-    ``forward_states`` pass: per part an array of its batch shape, one
-    ``expectation`` per row."""
+    ``forward_states`` pass, with one batched ``expectation`` per part."""
     working_amps(parts[0][0], input_state, obs)
-    values = []
-    for state in forward_states(parts, input_state):
-        rows = state.amps.reshape(-1, state.amps.shape[-1])
-        # per row: a batched readout (marginals @ diag) rounds differently, changing grad-check
-        row_values = [expectation(StateVector(state.num_qubits, row), obs) for row in rows]
-        values.append(np.array(row_values).reshape(state.amps.shape[:-1]))
-    return values
+    return [expectation(state, obs) for state in forward_states(parts, input_state)]
 
 
 def cost(
@@ -436,5 +429,4 @@ def cost(
     parameter rows (see ``lcqnn_forward``) runs as one forward pass and gives
     an array of the batch's shape.
     """
-    value = costs([(model, alpha, theta)], obs, input_state)[0]
-    return float(value) if value.ndim == 0 else value
+    return costs([(model, alpha, theta)], obs, input_state)[0]

@@ -449,19 +449,22 @@ class PauliZSum:
         return "+".join(parts)
 
 
-def expectation(state: StateVector, obs: PauliZSum) -> float:
-    """<state| I (x) obs |state>, with obs on the trailing sub-register, of
-    one state (not a batch)."""
-    if state.amps.ndim != 1:
-        raise LcqnnError(f"expectation takes one state, not amplitudes {state.amps.shape}")
+def expectation(state: StateVector, obs: PauliZSum) -> float | np.ndarray:
+    """<state| I (x) obs |state>, with obs on the trailing sub-register.
+
+    Leading axes of ``state.amps`` are a batch: amplitudes of shape
+    (*batch, 2**q) give values of shape ``batch`` (one state gives a float),
+    each summed per state, so no value depends on the batch around it."""
     if obs.num_qubits > state.num_qubits:
         raise LcqnnError(
             f"observable on {obs.num_qubits} qubit(s) does not fit a "
             f"{state.num_qubits}-qubit state"
         )
-    rows = state.amps.reshape(-1, 1 << obs.num_qubits)
-    marginal = np.sum(np.abs(rows) ** 2, axis=0)
-    return float(obs._diag @ marginal)
+    amps = state.amps
+    rows = amps.reshape(amps.shape[:-1] + (-1, 1 << obs.num_qubits))
+    marginal = np.sum(np.abs(rows) ** 2, axis=-2)
+    values = np.sum(obs._diag * marginal, axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

@@ -630,21 +630,30 @@ def test_grad_check_report_is_identical_at_any_probe_window(argv, capsys, monkey
 def test_grad_check_makes_one_branch_pass_per_branch_circuit(capsys, monkeypatch):
     # the 400 probes of seed 42 draw 259 architectures (m, n, L, k, D) but
     # only 62 branch circuits (n, k, D): one branch kernel pass each, and the
-    # coefficient tree, in closed form, makes no kernel call of its own
+    # coefficient tree, in closed form, makes no kernel call of its own. Only
+    # the live control rows run (3408; 6036 with the idle rows), and each
+    # architecture's costs are read out in one expectation call (not 1600)
     passes = _count_branch_passes(monkeypatch)
-    kernel_calls = []
-    apply_gates = model_module.apply_gates
+    kernel_rows, readouts = [], []
+    apply_gates, expectation = model_module.apply_gates, model_module.expectation
 
-    def counting(*args, **kwargs):
-        kernel_calls.append(None)
-        return apply_gates(*args, **kwargs)
+    def counting_kernel(tensor, *args, **kwargs):
+        kernel_rows.append(len(tensor))
+        return apply_gates(tensor, *args, **kwargs)
 
-    monkeypatch.setattr(model_module, "apply_gates", counting)
+    def counting_readout(*args, **kwargs):
+        readouts.append(None)
+        return expectation(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "apply_gates", counting_kernel)
+    monkeypatch.setattr(model_module, "expectation", counting_readout)
     code, out, _ = run_cli(capsys, ["grad-check", "--probes", "400", "--seed", "42"])
     assert code == 0
     assert out.startswith("grad-check: 400/400 probes within")
     assert len(passes) == len(set(passes)) == 62
-    assert len(kernel_calls) == 62
+    assert len(kernel_rows) == 62
+    assert sum(kernel_rows) == 3408
+    assert len(readouts) == 259
 
 
 def test_grad_check_zero_probes(capsys):

@@ -30,7 +30,7 @@ from lcqnn.model import (
     tree_angles,
     tree_node,
 )
-from lcqnn.sim import GateOp, PauliZSum, cnot, expectation, init_zero, u3
+from lcqnn.sim import GateOp, PauliZSum, StateVector, cnot, expectation, init_zero, u3
 
 # ---------------------------------------------------------------------------
 # coefficient tree
@@ -293,8 +293,40 @@ def test_batched_forward_and_cost_rows_equal_single_rows_and_dense_oracle(shape)
             assert abs(values[b] - (vec.conj() @ observable @ vec).real) <= 1e-12
     with pytest.raises(LcqnnError, match="batch"):
         lcqnn_forward(model, alphas[:2], thetas)
-    with pytest.raises(LcqnnError, match="one state"):
-        expectation(out, obs)
+    # a batch of states reads out in one call, each row as its own call would
+    batched = expectation(out, obs)
+    grid = expectation(StateVector(m + n, out.amps.reshape(1, batch, -1)), obs)
+    assert batched.shape == (batch,) and grid.shape == (1, batch)
+    assert grid[0].tolist() == batched.tolist()
+    for b in range(batch):
+        assert batched[b] == expectation(StateVector(m + n, out.amps[b]), obs)
+        dense = (out.amps[b].conj() @ observable @ out.amps[b]).real
+        assert abs(batched[b] - dense) <= 1e-12
+
+
+def test_idle_control_qubits_cost_nothing():
+    # the LCU state sum_j sqrt(p_j) |j> (x) U_j |in> lives on the leaf rows
+    # j << idle of the control register: every other row is exactly 0, so
+    # control qubits beyond the tree's t change no cost, not even by an ulp
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        n, t = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+        k, D, L = int(rng.integers(1, n + 1)), int(rng.integers(0, 3)), 1 << t
+        obs = PauliZSum(
+            [(1.0, (int(rng.integers(n)),)), (-0.4, tuple(range(n))), (0.3, ())], num_qubits=n
+        )
+        base = make_model(t, n, L, k, D)
+        alpha = rng.uniform(0, 2 * math.pi, (2, L - 1))
+        theta = rng.uniform(0, 2 * math.pi, (2, theta_layout_size(base)))
+        state_in = random_state(n, rng)
+        values = cost(base, alpha, theta, obs, state_in)
+        for m in range(t + 1, 4):
+            model = make_model(m, n, L, k, D)
+            rows = lcqnn_forward(model, alpha, theta, state_in).amps.reshape(2, 1 << m, 1 << n)
+            idle = np.ones(1 << m, dtype=bool)
+            idle[:: 1 << (m - t)] = False
+            assert np.all(rows[:, idle] == 0)
+            assert cost(model, alpha, theta, obs, state_in).tolist() == values.tolist()
 
 
 def test_forward_block_norms_match_coefficients():

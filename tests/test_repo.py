@@ -1,6 +1,6 @@
 """Checks on the files around the package: the README's example, the
-benchmark's trace hooks, the committed BENCH files and what importing the
-CLI loads."""
+benchmark's trace hooks, the committed BENCH files, the version each file
+records and what importing the CLI loads."""
 
 import ast
 import importlib.util
@@ -8,7 +8,10 @@ import json
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
+
+from lcqnn import __version__
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,6 +75,21 @@ def test_bench_files_record_parent_machine_claim_and_runs():
         assert claim.get("workload") in workloads, f"{path.name}: unknown claim workload"
         assert claim.get("metric") in metrics, f"{path.name}: unknown claim metric"
         assert "pairs_won" in claim, f"{path.name}: claim lacks pairs_won"
+
+
+def test_version_is_one_across_pyproject_package_and_golden_files():
+    # a version bump lands whole: the project metadata, the package and every
+    # golden report header (text "# lcqnn V", JSON "version") carry one version
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == __version__
+    header = re.compile(r'^(?:# lcqnn |  "version": ")(\S+?)"?$')
+    versioned = 0
+    for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
+        lines = json.loads(path.read_text())["stdout"]
+        found = {m[1] for m in map(header.match, (line.rstrip("\n") for line in lines)) if m}
+        assert found <= {__version__}, f"{path.name} records version {sorted(found)}"
+        versioned += bool(found)
+    assert versioned, "no golden file records a version"
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
