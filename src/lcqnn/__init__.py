@@ -26,7 +26,6 @@ from .sim import (
 )
 from .gradients import (
     GradStats,
-    alpha_probe_param,
     cost_flat,
     default_probe_param,
     estimate_grad_stats,
@@ -41,7 +40,6 @@ from .model import (
     LcqnnModel,
     LocalBlockSpec,
     branch_angles,
-    branch_block_probabilities,
     branch_gates,
     coeff_probabilities,
     coeff_probability_gradients,
@@ -62,7 +60,6 @@ from .experiments import (
     fit_log2_slope,
     group_block_variance,
     run_variance_point,
-    scan_variance_global,
     scan_variance_vs_L,
     select_blocks,
     su2_block_dims,
@@ -73,7 +70,6 @@ from .mnist import (
     MnistExample,
     RunMetrics,
     TrainConfig,
-    classify_logits,
     evaluate_accuracy,
     example_loss_and_grad,
     fetch_instructions,

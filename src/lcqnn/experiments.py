@@ -138,23 +138,6 @@ def scan_variance_vs_L(
     ]
 
 
-def scan_variance_global(
-    m_list=(1, 2),
-    n_list=(2, 3, 4, 5),
-    D: int = 3,
-    samples: int = 500,
-    root_seed: int = 42,
-) -> list[ScanRecord]:
-    """Fully global variant: one branch per control basis state (L = 2^m)
-    and a single working-register-wide block (k = n), scanned over total
-    register size m + n."""
-    return [
-        run_variance_point(m, n, 1 << m, n, D, samples, root_seed)
-        for m in m_list
-        for n in n_list
-    ]
-
-
 def fit_log2_slope(xs, variances) -> float:
     """Least-squares slope of log2(variance) against ``xs``."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -196,10 +179,6 @@ class BlockSpectrum:
     @property
     def d_max(self) -> int:
         return max(d * mult for d, mult in self.blocks)
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(d * mult for d, mult in self.blocks)
 
 
 def su2_block_dims(N: int) -> BlockSpectrum:

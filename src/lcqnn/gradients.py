@@ -25,7 +25,6 @@ from .model import (
     costs,
     light_cone,
     theta_layout_size,
-    tree_node,
     working_amps,
 )
 from .sim import (
@@ -64,18 +63,6 @@ def default_probe_param(model: LcqnnModel) -> int:
     if theta_layout_size(model) == 0:
         raise LcqnnError("model has no branch angles to probe")
     return model.num_alpha
-
-
-def alpha_probe_param(model: LcqnnModel) -> int:
-    """Flat index of the first deepest-level tree angle.
-
-    Deepest-level nodes multiply a single leaf pair, which makes their
-    gradient statistics comparable across tree sizes; the root would instead
-    see its scale change with every extra level below it.
-    """
-    if model.branch_count < 2:
-        raise LcqnnError("a single-branch model has no coefficient angles")
-    return tree_node(model.tree_depth - 1)
 
 
 def sample_params(model: LcqnnModel, generator) -> np.ndarray:

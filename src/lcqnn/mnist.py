@@ -282,11 +282,6 @@ def working_z_expectations(
     return _forward_sweep(model, alpha, theta, input_state.amps[None])[1][0]
 
 
-def classify_logits(model: LcqnnModel, alpha, theta, pixels) -> np.ndarray:
-    """Amplitude-encode the pixels and return the four working-qubit <Z>."""
-    return working_z_expectations(model, alpha, theta, amplitude_encode(pixels))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     shifted = np.exp(logits - np.max(logits, axis=-1, keepdims=True))

@@ -318,16 +318,17 @@ def _control_rows(
 
 
 def forward_states(parts, input_state: StateVector | None = None) -> list[StateVector]:
-    """The forward state of each ``(model, alpha, theta)`` of ``parts`` (see
-    ``lcqnn_forward``), from one branch pass.
+    """The live forward state of each ``(model, alpha, theta)`` of ``parts``,
+    from one branch pass.
 
-    The branch unitaries depend only on a model's block groups, so models
-    that share them (any control width and branch count) share one branch
-    circuit: each part runs its own tree stage, then the live control rows
-    of every part run through that circuit together, in the ``row_runs`` of
-    all of them, and are scattered back into full-register states whose
-    idle rows are zero. Rows never mix, so each state is bit-equal to its
-    own ``lcqnn_forward`` call.
+    A part's live state holds only the ``2**t`` leaf rows of its control
+    register, on ``t + n`` qubits: its row ``j`` is row ``j << (m - t)`` of
+    the ``lcqnn_forward`` state, whose other rows are zero. The branch
+    unitaries depend only on a model's block groups, so models that share
+    them (any control width and branch count) share one branch circuit:
+    each part runs its own tree stage, then the leaf rows of every part run
+    through that circuit together, in the ``row_runs`` of all of them. Rows
+    never mix, so each state is bit-equal to its own one-part call.
     """
     first = parts[0][0]
     if any(model.groups != first.groups for model, _, _ in parts):
@@ -341,11 +342,12 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
         tensor[run] = apply_gates(tensor[run], gates, blocks[run])
     states, lo = [], 0
     for (model, _, _), batch, size in zip(parts, batches, sizes):
-        m, n, t = model.num_controls, model.num_working, model.tree_depth
-        amps = np.zeros(batch + (1 << m, 1 << n), dtype=np.complex128)
-        amps[..., :: 1 << (m - t), :] = rows[lo : lo + size].reshape(batch + (1 << t, 1 << n))
+        # a one-leaf part's rows broadcast its input, so ``rows`` may be
+        # column-major; in C order a readout adds the control rows one by
+        # one, as it does on the padded state
+        live = np.ascontiguousarray(rows[lo : lo + size]).reshape(batch + (-1,))
         lo += size
-        states.append(StateVector(m + n, amps.reshape(batch + (-1,))))
+        states.append(StateVector(model.tree_depth + model.num_working, live))
     return states
 
 
@@ -359,18 +361,15 @@ def lcqnn_forward(
     ``theta`` are a batch of parameter rows, the same for both: angles of
     shape (*batch, L-1) and (*batch, T) give amplitudes of shape
     (*batch, 2**(m+n)), and rows never mix, so each row is the state of its
-    own parameters alone.
+    own parameters alone. The live rows of ``forward_states`` land on
+    control rows ``j << (m - t)``; every other row is exactly zero.
     """
-    return forward_states([(model, alpha, theta)], input_state)[0]
-
-
-def branch_block_probabilities(model: LcqnnModel, state: StateVector) -> np.ndarray:
-    """Squared norm of each branch's block of the full-register state."""
-    if state.num_qubits != model.num_controls + model.num_working:
-        raise LcqnnError("state size does not match the model register")
-    idle = model.num_controls - model.tree_depth
-    rows = state.amps.reshape(1 << model.num_controls, 1 << model.num_working)
-    return np.sum(np.abs(rows[:: 1 << idle]) ** 2, axis=1)
+    live = forward_states([(model, alpha, theta)], input_state)[0].amps
+    m, n, t = model.num_controls, model.num_working, model.tree_depth
+    batch = live.shape[:-1]
+    amps = np.zeros(batch + (1 << m, 1 << n), dtype=np.complex128)
+    amps[..., :: 1 << (m - t), :] = live.reshape(batch + (1 << t, 1 << n))
+    return StateVector(m + n, amps.reshape(batch + (-1,)))
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,10 @@ def build_command(subcommand: str, config: dict) -> str:
     """Reconstruct the invocation that reproduces an output's data rows."""
     parts = ["lcqnn", subcommand]
     for key, value in config.items():
-        if value is None or value is False:
+        if value is None:
             continue
         flag = "--" + key.replace("_", "-")
-        if value is True:
-            parts.append(flag)
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)):
             if value and isinstance(value[0], str):
                 for item in value:  # repeatable flags (e.g. --dims)
                     parts += [flag, str(item)]

@@ -42,10 +42,6 @@ class StateVector:
     num_qubits: int
     amps: np.ndarray
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 def _check_width(num_qubits: int) -> None:
     """Reject a register width before anything of size 2**num_qubits exists."""
@@ -434,12 +430,6 @@ class PauliZSum:
     def diagonal(self) -> np.ndarray:
         """The operator's diagonal, built once; read-only."""
         return self._diag
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._diag * vec
-
-    def trace(self) -> float:
-        return float(sum(w * (1 << self.num_qubits) for w, qs in self.terms if not qs))
 
     def describe(self) -> str:
         parts = []

@@ -588,19 +588,6 @@ def test_grad_check_overflowing_shift_keeps_stderr_clean():
     assert proc.stderr == ""
 
 
-def _count_branch_passes(monkeypatch) -> list:
-    """The block groups of every branch pass, in call order."""
-    passes = []
-    forward_states = model_module.forward_states
-
-    def counting(parts, *args, **kwargs):
-        passes.append(parts[0][0].groups)
-        return forward_states(parts, *args, **kwargs)
-
-    monkeypatch.setattr(model_module, "forward_states", counting)
-    return passes
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -609,31 +596,33 @@ def _count_branch_passes(monkeypatch) -> list:
         ["--seed", "5", "--shift-scale", "1.3"],
     ],
 )
-def test_grad_check_report_is_identical_at_any_probe_window(argv, capsys, monkeypatch):
+def test_grad_check_report_is_identical_at_any_probe_window(
+    argv, capsys, monkeypatch, branch_passes
+):
     # probes are drawn in order and grouped by branch circuit within a
     # window; rows never mix, so the window size changes neither the report
     # nor the exit
-    passes = _count_branch_passes(monkeypatch)
     argv = ["grad-check", "--probes", "200", *argv]
     code, reference, _ = run_cli(capsys, argv)
-    circuits = list(passes)
+    circuits = list(branch_passes)
     assert len(circuits) < 200  # several probes share a branch circuit and its pass
     assert len(set(circuits)) == len(circuits)  # one pass per distinct branch circuit
     for window in (7, 1):
         monkeypatch.setattr(cli, "GRAD_CHECK_WINDOW", window)
-        passes.clear()
+        branch_passes.clear()
         assert run_cli(capsys, argv) == (code, reference, "")
-    assert len(passes) == 200  # one pass per probe at a window of 1
-    assert set(passes) == set(circuits)
+    assert len(branch_passes) == 200  # one pass per probe at a window of 1
+    assert set(branch_passes) == set(circuits)
 
 
-def test_grad_check_makes_one_branch_pass_per_branch_circuit(capsys, monkeypatch):
+def test_grad_check_makes_one_branch_pass_per_branch_circuit(
+    capsys, monkeypatch, branch_passes
+):
     # the 400 probes of seed 42 draw 259 architectures (m, n, L, k, D) but
     # only 62 branch circuits (n, k, D): one branch kernel pass each, and the
     # coefficient tree, in closed form, makes no kernel call of its own. Only
     # the live control rows run (3408; 6036 with the idle rows), and each
     # architecture's costs are read out in one expectation call (not 1600)
-    passes = _count_branch_passes(monkeypatch)
     kernel_rows, readouts = [], []
     apply_gates, expectation = model_module.apply_gates, model_module.expectation
 
@@ -650,7 +639,7 @@ def test_grad_check_makes_one_branch_pass_per_branch_circuit(capsys, monkeypatch
     code, out, _ = run_cli(capsys, ["grad-check", "--probes", "400", "--seed", "42"])
     assert code == 0
     assert out.startswith("grad-check: 400/400 probes within")
-    assert len(passes) == len(set(passes)) == 62
+    assert len(branch_passes) == len(set(branch_passes)) == 62
     assert len(kernel_rows) == 62
     assert sum(kernel_rows) == 3408
     assert len(readouts) == 259

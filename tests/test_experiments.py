@@ -13,7 +13,6 @@ from lcqnn.experiments import (
     fit_log2_slope,
     group_block_variance,
     run_variance_point,
-    scan_variance_global,
     scan_variance_vs_L,
     select_blocks,
     su2_block_dims,
@@ -33,13 +32,13 @@ def test_su2_block_dims_small_cases():
     assert n4.blocks == ((5, 1), (3, 3), (1, 2))
     assert n4.blocks[2] == (1, 2)  # smallest block, multiplicity 2
     assert n4.d_max == 9
-    assert n4.total_dimension == 16
+    assert sum(d * mult for d, mult in n4.blocks) == 16
 
 
 def test_su2_block_dims_completeness():
     for N in range(1, 21):
         spectrum = su2_block_dims(N)
-        assert spectrum.total_dimension == 1 << N
+        assert sum(d * mult for d, mult in spectrum.blocks) == 1 << N
         assert all(d >= 1 and m >= 1 for d, m in spectrum.blocks)
 
 
@@ -107,9 +106,8 @@ def test_scan_vs_L_validation_and_single_branch_equivalence():
 
 
 def test_scan_global_uses_full_tree_and_global_blocks():
-    records = scan_variance_global(
-        m_list=(1,), n_list=(2, 3), D=1, samples=20, root_seed=3
-    )
+    # the global scan: one branch per control state and a register-wide block
+    records = [run_variance_point(1, n, 2, n, 1, samples=20, root_seed=3) for n in (2, 3)]
     assert [(r.m, r.n, r.L, r.k) for r in records] == [(1, 2, 2, 2), (1, 3, 2, 3)]
 
 

@@ -34,6 +34,12 @@ COMMANDS = {
     "variance_scan_tree_probe": _SCAN + [
         "--k-list", "2", "--n-list", "3,4", "--samples", "70", "--param-id", "1",
     ],
+    # a tree-angle probe at L = 8 draws 288 branch angles per sample, past
+    # sim.DRAW_BLOCK, so the jump-ahead's later blocks reach the report
+    "variance_scan_tree_probe_long": [
+        "variance-scan", "--m", "3", "--L", "8", "--k-list", "2", "--n-list", "4",
+        "--depth", "3", "--param-id", "0", "--samples", "70", "--seed", "7",
+    ],
     # Z0's light cone is group 0; parameter 15 is branch 0's first angle in group 1
     "variance_scan_outside_cone": _SCAN + [
         "--k-list", "2", "--n-list", "4", "--samples", "70", "--param-id", "15",

@@ -9,7 +9,6 @@ import oracles
 from lcqnn.errors import LcqnnError
 from lcqnn.gradients import (
     GradStats,
-    alpha_probe_param,
     cost_flat,
     default_probe_param,
     estimate_grad_stats,
@@ -23,8 +22,7 @@ from lcqnn.gradients import (
     split_params,
 )
 from lcqnn import gradients, sim
-from lcqnn import model as model_module
-from lcqnn.model import costs, make_model, theta_layout_size
+from lcqnn.model import costs, make_model, theta_layout_size, tree_node
 from lcqnn.sim import PauliZSum, RngStream
 
 Z0_1 = PauliZSum([(1.0, (0,))], num_qubits=1)
@@ -95,20 +93,8 @@ def _two_single_row_costs(model, flat, obs, pid, step, input_state):
     return cost_flat(model, up, obs, input_state), cost_flat(model, down, obs, input_state)
 
 
-def _count_branch_passes(monkeypatch) -> list:
-    """The parts of every branch pass (``model.forward_states`` call)."""
-    forward_states, passes = model_module.forward_states, []
-
-    def counting(parts, *args, **kwargs):
-        passes.append(parts)
-        return forward_states(parts, *args, **kwargs)
-
-    monkeypatch.setattr(model_module, "forward_states", counting)
-    return passes
-
-
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 2, 1, 1), (0, 2, 1, 2, 1)])
-def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
+def test_point_rules_equal_two_single_row_costs(shape, branch_passes):
     # each rule runs its two points as the rows of one forward pass; a row
     # is bit-equal to its own single-row cost, so each rule is too
     model = make_model(*shape)
@@ -116,7 +102,6 @@ def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
     obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1)), (0.2, ())], num_qubits=n)
     rng = np.random.default_rng(sum(shape))
     flat = rng.uniform(0, 2 * math.pi, num_params(model))
-    passes = _count_branch_passes(monkeypatch)
     h = 1e-5
     for input_state in (None, oracles.random_state(n, rng)):
         for pid in range(num_params(model)):
@@ -127,19 +112,19 @@ def test_point_rules_equal_two_single_row_costs(shape, monkeypatch):
                 up, down = _two_single_row_costs(
                     model, flat, obs, pid, scale * shift, input_state
                 )
-                before = len(passes)
+                before = len(branch_passes)
                 rule = param_shift_grad(model, flat, obs, pid, input_state, scale)
-                assert len(passes) == before + 1
+                assert len(branch_passes) == before + 1
                 assert rule == prefactor * (up - down)
             up, down = _two_single_row_costs(model, flat, obs, pid, h, input_state)
-            before = len(passes)
+            before = len(branch_passes)
             rule = finite_diff_grad(model, flat, obs, pid, input_state, h)
-            assert len(passes) == before + 1
+            assert len(branch_passes) == before + 1
             assert rule == (up - down) / (2.0 * h)
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 8, 1, 1), (0, 2, 1, 2, 1)])
-def test_batched_rules_equal_per_probe_rules(shape, monkeypatch):
+def test_batched_rules_equal_per_probe_rules(shape, branch_passes):
     # a stack of probes of one model runs its four points per probe as the
     # rows of one branch pass; each row is bit-equal to its own rule calls
     model = make_model(*shape)
@@ -149,14 +134,13 @@ def test_batched_rules_equal_per_probe_rules(shape, monkeypatch):
     flats = rng.uniform(0, 2 * math.pi, (12, num_params(model)))
     param_ids = [int(pid) for pid in rng.integers(0, num_params(model), len(flats))]
     param_ids[:2] = [0, num_params(model) - 1]  # a tree angle when there is one
-    passes = _count_branch_passes(monkeypatch)
     for input_state in (None, oracles.random_state(n, rng)):
         for scale in (1.0, 1.25):
-            before = len(passes)
+            before = len(branch_passes)
             shifts, fds = shift_and_fd_grads(
                 [model] * len(flats), flats, obs, param_ids, input_state, scale
             )
-            assert len(passes) == before + 1
+            assert len(branch_passes) == before + 1
             for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
                 assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
                 assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
@@ -164,7 +148,7 @@ def test_batched_rules_equal_per_probe_rules(shape, monkeypatch):
 
 
 @pytest.mark.parametrize("layout", [(2, 1, 2), (3, 2, 1), (4, 3, 1)])
-def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, monkeypatch):
+def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, branch_passes):
     # models of every control width m <= 3 and branch count L <= 2**m (idle
     # controls among them) share the branch circuit of (n, k, D): their
     # probes, interleaved, run in one branch pass, and each row is bit-equal
@@ -177,12 +161,11 @@ def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, monk
     flats = [rng.uniform(0, 2 * math.pi, num_params(model)) for model in rows]
     param_ids = [int(rng.integers(0, num_params(model))) for model in rows]
     param_ids[:2] = [0, num_params(rows[1]) - 1]  # a tree angle when there is one
-    passes = _count_branch_passes(monkeypatch)
     for input_state in (None, oracles.random_state(n, rng)):
         for scale in (1.0, 1.25):
-            before = len(passes)
+            before = len(branch_passes)
             shifts, fds = shift_and_fd_grads(rows, flats, obs, param_ids, input_state, scale)
-            assert len(passes) == before + 1
+            assert len(branch_passes) == before + 1
             for model, flat, pid, shift, fd in zip(rows, flats, param_ids, shifts, fds):
                 assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
                 assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
@@ -190,9 +173,9 @@ def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, monk
             (model, *split_params(model, rng.uniform(0, 2 * math.pi, (2, num_params(model)))))
             for model in models
         ]
-        before = len(passes)
+        before = len(branch_passes)
         values = costs(parts, obs, input_state)
-        assert len(passes) == before + 1
+        assert len(branch_passes) == before + 1
         observable = oracles.dense_observable(obs, n)
         for (model, alphas, thetas), row_values in zip(parts, values):
             assert row_values.shape == (2,)
@@ -244,11 +227,6 @@ def test_param_layout_helpers():
     model = make_model(2, 4, 4, 2, 8)
     assert num_params(model) == 3 + theta_layout_size(model)
     assert default_probe_param(model) == 3
-    assert alpha_probe_param(model) == 1  # first node of the deepest level
-    assert alpha_probe_param(make_model(1, 1, 2, 1, 1)) == 0
-    assert alpha_probe_param(make_model(3, 1, 8, 1, 1)) == 3
-    with pytest.raises(LcqnnError):
-        alpha_probe_param(make_model(0, 1, 1, 1, 1))
 
     flat = np.arange(num_params(model), dtype=float)
     alpha, theta = split_params(model, flat)
@@ -321,7 +299,7 @@ def test_estimate_matches_explicit_shift_loop():
 def test_estimate_alpha_probe_matches_shift_loop():
     model = make_model(2, 1, 4, 1, 1)
     obs = Z0_1
-    pid = alpha_probe_param(model)
+    pid = tree_node(model.tree_depth - 1)
     stats = estimate_grad_stats(model, obs, pid, 10, 7)
     manual = []
     for i in range(10):
@@ -411,7 +389,7 @@ def test_estimate_tail_chunks_match_shift_loop(samples):
     # 65 and 130 samples end in a 1- and a 2-sample chunk
     model = make_model(2, 2, 4, 2, 1)
     obs = PauliZSum([(1.0, (0,)), (-0.5, (0, 1))], num_qubits=2)
-    for pid in (default_probe_param(model) + 4, alpha_probe_param(model)):
+    for pid in (default_probe_param(model) + 4, tree_node(model.tree_depth - 1)):
         stats = estimate_grad_stats(model, obs, pid, samples, 5)
         manual = _shift_loop(model, obs, pid, 5, samples)
         assert stats.count == samples
@@ -445,7 +423,7 @@ def test_probe_gradients_split_invariance():
 def test_estimate_is_bit_identical_under_any_amplitude_budget(monkeypatch):
     model = make_model(2, 3, 4, 3, 2)
     obs = _z0(3)
-    probes = (alpha_probe_param(model), default_probe_param(model))
+    probes = (tree_node(model.tree_depth - 1), default_probe_param(model))
     reference = [estimate_grad_stats(model, obs, pid, 70, 3) for pid in probes]
     # one row per sub-batch, then three
     for budget in (1, 3 << model.num_working):

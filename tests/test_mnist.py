@@ -29,7 +29,6 @@ from lcqnn.mnist import (
     MnistExample,
     RunMetrics,
     TrainConfig,
-    classify_logits,
     cross_entropy,
     data_files_present,
     evaluate_accuracy,
@@ -253,12 +252,17 @@ def test_missing_data_dir_reports_instructions(tmp_path):
 # classifier
 
 
+def _logits(model, alpha, theta, pixels):
+    """The four working-qubit <Z> of amplitude-encoded pixels."""
+    return working_z_expectations(model, alpha, theta, amplitude_encode(pixels))
+
+
 def test_logits_at_zero_theta_reflect_the_input_state():
     # with no entangling layers the blocks are exactly identity, so the
     # logits are the <Z> values of the encoded input, whatever alpha is
     model = make_model(2, 4, 4, 2, 0)
     pixels = preprocess(np.arange(1, 785, dtype=np.float64).reshape(28, 28) % 256)
-    logits = classify_logits(model, [0.3, 0.9, 1.4], np.zeros(0), pixels)
+    logits = _logits(model, [0.3, 0.9, 1.4], np.zeros(0), pixels)
     state = amplitude_encode(pixels)
     expected = [
         expectation(state, PauliZSum([(1.0, (c,))], num_qubits=4)) for c in range(4)
@@ -270,7 +274,7 @@ def test_logits_at_zero_theta_on_basis_zero_input():
     # CNOT rings fix |0...0>, so zero angles leave the basis-zero input alone
     model = make_model(2, 4, 4, 2, 2)
     theta = np.zeros(model.branch_count * model.branch_param_count)
-    logits = classify_logits(model, [0.3, 0.9, 1.4], theta, np.eye(16)[0])
+    logits = _logits(model, [0.3, 0.9, 1.4], theta, np.eye(16)[0])
     np.testing.assert_allclose(logits, np.ones(4), atol=1e-12)
 
 
@@ -280,7 +284,7 @@ def test_logits_match_full_register_expectations():
     alpha = rng.uniform(0, 2 * math.pi, model.num_alpha)
     theta = rng.uniform(0, 2 * math.pi, model.branch_count * model.branch_param_count)
     pixels = preprocess(rng.integers(0, 256, size=(28, 28), dtype=np.uint8))
-    logits = classify_logits(model, alpha, theta, pixels)
+    logits = _logits(model, alpha, theta, pixels)
     state = lcqnn_forward(model, alpha, theta, input_state=amplitude_encode(pixels))
     for c in range(4):
         full_obs = PauliZSum([(1.0, (model.num_controls + c,))], num_qubits=6)
@@ -293,8 +297,8 @@ def test_logits_single_branch_match_plain_circuit():
     rng = np.random.default_rng(3)
     theta = rng.uniform(0, 2 * math.pi, wrapped.branch_param_count)
     pixels = preprocess(rng.integers(0, 256, size=(28, 28), dtype=np.uint8))
-    wrapped_logits = classify_logits(wrapped, [], theta, pixels)
-    plain_logits = classify_logits(plain, [], theta, pixels)
+    wrapped_logits = _logits(wrapped, [], theta, pixels)
+    plain_logits = _logits(plain, [], theta, pixels)
     np.testing.assert_allclose(wrapped_logits, plain_logits, atol=1e-12)
 
 
@@ -307,7 +311,7 @@ def test_logits_stay_bounded():
             0, 2 * math.pi, model.branch_count * model.branch_param_count
         )
         pixels = preprocess(rng.integers(0, 256, size=(28, 28), dtype=np.uint8))
-        logits = classify_logits(model, alpha, theta, pixels)
+        logits = _logits(model, alpha, theta, pixels)
         assert np.all(np.abs(logits) <= 1.0 + 1e-12)
 
 
@@ -349,7 +353,7 @@ def test_example_loss_matches_direct_evaluation():
         preprocess(rng.integers(0, 256, size=(28, 28), dtype=np.uint8)), 2
     )
     loss, grad = example_loss_and_grad(model, params, example)
-    logits = classify_logits(
+    logits = _logits(
         model, params[: model.num_alpha], params[model.num_alpha :], example.pixels
     )
     assert math.isclose(loss, cross_entropy(logits, 2), rel_tol=1e-12)
@@ -366,7 +370,7 @@ def test_example_gradient_against_finite_differences():
     _, grad = example_loss_and_grad(model, params, example)
 
     def loss_at(p):
-        logits = classify_logits(
+        logits = _logits(
             model, p[: model.num_alpha], p[model.num_alpha :], example.pixels
         )
         return cross_entropy(logits, example.label)
@@ -411,7 +415,7 @@ def test_minibatch_matches_example_loss_and_grad(L, D):
         loss, grad = example_loss_and_grad(model, params, ex)
         assert loss == losses[b]
         assert np.array_equal(grad, grads[b])
-        logits = classify_logits(model, alpha, theta, ex.pixels)
+        logits = _logits(model, alpha, theta, ex.pixels)
         assert abs(loss - cross_entropy(logits, ex.label)) <= 1e-12
         residual = softmax(logits) - np.eye(4)[ex.label]
         effective = PauliZSum([(residual[c], (c,)) for c in range(4)], num_qubits=4)
@@ -595,7 +599,7 @@ def test_evaluate_accuracy_matches_per_example_argmax():
     examples = _random_examples(rng, 40)
     alpha, theta = split_params(model, params)
     hits = [
-        int(np.argmax(classify_logits(model, alpha, theta, ex.pixels))) == ex.label
+        int(np.argmax(_logits(model, alpha, theta, ex.pixels))) == ex.label
         for ex in examples
     ]
     assert evaluate_accuracy(model, params, examples) == sum(hits) / len(examples)

@@ -16,13 +16,14 @@ from oracles import (
 from lcqnn.errors import ArchitectureError, LcqnnError
 from lcqnn.model import (
     branch_angles,
-    branch_block_probabilities,
     branch_gates,
     coeff_probabilities,
     coeff_probability_gradients,
     cost,
+    costs,
     default_groups,
     entangling_gates,
+    forward_states,
     lcqnn_forward,
     light_cone,
     make_model,
@@ -329,6 +330,40 @@ def test_idle_control_qubits_cost_nothing():
             assert cost(model, alpha, theta, obs, state_in).tolist() == values.tolist()
 
 
+def test_forward_states_hold_only_the_live_rows():
+    # a part's live state is the 2**t leaf rows of its control register, on
+    # t + n qubits and in C order: lcqnn_forward pads exactly these rows to
+    # rows j << (m - t) of the full register, and costs reads every part of
+    # one branch pass as that part's own cost
+    rng = np.random.default_rng(67)
+    for _ in range(6):
+        n = int(rng.integers(1, 5))
+        k, D = int(rng.integers(1, n + 1)), int(rng.integers(0, 3))
+        obs = PauliZSum(
+            [(1.0, (int(rng.integers(n)),)), (-0.4, tuple(range(n))), (0.3, ())], num_qubits=n
+        )
+        state_in = random_state(n, rng)
+        parts = []
+        for m in range(4):
+            for t in range(m + 1):
+                model = make_model(m, n, 1 << t, k, D)
+                alpha = rng.uniform(0, 2 * math.pi, (3, model.num_alpha))
+                theta = rng.uniform(0, 2 * math.pi, (3, theta_layout_size(model)))
+                parts.append((model, alpha, theta))
+        values = costs(parts, obs, state_in)
+        for (model, alpha, theta), state, value in zip(
+            parts, forward_states(parts, state_in), values
+        ):
+            m, t = model.num_controls, model.tree_depth
+            assert state.num_qubits == t + n
+            assert state.amps.shape == (3, 1 << (t + n))
+            assert state.amps.flags.c_contiguous
+            full = lcqnn_forward(model, alpha, theta, state_in).amps
+            leaves = full.reshape(3, 1 << m, 1 << n)[:, :: 1 << (m - t)]
+            assert state.amps.tobytes() == np.ascontiguousarray(leaves).tobytes()
+            assert value.tolist() == cost(model, alpha, theta, obs, state_in).tolist()
+
+
 def test_forward_block_norms_match_coefficients():
     rng = np.random.default_rng(43)
     for m, n, L, k, D in [(2, 2, 4, 2, 1), (3, 2, 4, 2, 2), (3, 1, 8, 1, 1)]:
@@ -336,12 +371,13 @@ def test_forward_block_norms_match_coefficients():
         alpha = rng.uniform(0, 2 * math.pi, L - 1)
         theta = rng.uniform(0, 2 * math.pi, theta_layout_size(model))
         out = lcqnn_forward(model, alpha, theta)
+        idle = m - model.tree_depth
+        blocks = out.amps.reshape(1 << m, 1 << n)[:: 1 << idle]
         np.testing.assert_allclose(
-            branch_block_probabilities(model, out), coeff_probabilities(alpha), atol=1e-12
+            np.sum(np.abs(blocks) ** 2, axis=1), coeff_probabilities(alpha), atol=1e-12
         )
         # nothing leaks outside the branch blocks
         mask = np.ones(out.amps.size, dtype=bool)
-        idle = m - model.tree_depth
         for j in range(L):
             start = (j << idle) << n
             mask[start : start + (1 << n)] = False

@@ -58,6 +58,43 @@ def test_patch_only_imports_are_wrapped_by_the_benchmark():
     assert marked <= wrapped, f"not wrapped by perfbench/spans.py: {sorted(marked - wrapped)}"
 
 
+def _public_definitions(tree):
+    """The public functions and classes of a parsed module, and the public
+    methods and properties of those classes, as (label, node) pairs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # each public name of src/lcqnn must appear somewhere besides its own
+    # definition: elsewhere in the package (the exports in __init__.py do
+    # not count), in perfbench/*.py or in a README example. A name that
+    # only the tests read is code no production path needs.
+    sources = {
+        path: path.read_text()
+        for path in sorted((ROOT / "src" / "lcqnn").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    unread = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        others = [other for key, other in sources.items() if key != path] + readers
+        for label, node in _public_definitions(ast.parse(text)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(map(word.search, [rest, *others])):
+                unread.append(f"{path.stem}.{label}")
+    assert not unread, f"read only by the tests, or by nobody: {unread}"
+
+
 def test_bench_files_record_parent_machine_claim_and_runs():
     # a performance claim counts only with the commit it is measured against,
     # the machine it ran on, the claim itself and the runs behind it

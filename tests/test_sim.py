@@ -34,7 +34,7 @@ def test_init_zero():
         assert s.amps.shape == (1 << n,)
         assert s.amps[0] == 1.0
         assert np.all(s.amps[1:] == 0.0)
-        assert abs(s.norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
 
 
 def test_init_zero_capacity():
@@ -64,7 +64,7 @@ def test_amplitude_encode_scale_invariance():
     a = amplitude_encode(x)
     b = amplitude_encode(3.5 * x)
     np.testing.assert_allclose(a.amps, b.amps, atol=1e-14)
-    assert abs(a.norm - 1.0) < 1e-12
+    assert abs(np.linalg.norm(a.amps) - 1.0) < 1e-12
 
 
 def test_amplitude_encode_errors():
@@ -182,7 +182,7 @@ def test_norm_preserved_over_random_circuits():
         out = state
         for g in gates:
             out = apply_gate(out, g, params)
-        worst = max(worst, abs(out.norm - 1.0))
+        worst = max(worst, abs(np.linalg.norm(out.amps) - 1.0))
     assert worst < 1e-9
 
 
@@ -240,7 +240,6 @@ def test_pauli_z_sum_diagonal_matches_dense():
                 term = term @ embed_1q(z, q, n)
             dense += w * term
         np.testing.assert_allclose(obs.diagonal(), np.diagonal(dense).real, atol=1e-12)
-        assert obs.trace() == pytest.approx(np.trace(dense).real, abs=1e-9)
 
 
 def test_observable_validation():
