@@ -324,8 +324,9 @@ def _grad_check_window(rng, first: int, count: int, shift_scale: float, observab
     """Draw probes ``first .. first+count-1`` in order, then evaluate both
     rules of every probe one branch circuit at a time: the probes whose
     models share their block groups (any control width and branch count)
-    are the rows of one ``shift_and_fd_grads`` call. Returns, in probe
-    order, each probe's label, shift-rule gradient and finite difference."""
+    make one ``shift_and_fd_grads`` call, with one part per model. Returns,
+    in probe order, each probe's label, shift-rule gradient and finite
+    difference."""
     labels, circuits = [], {}
     for probe in range(first, first + count):
         m = int(rng.integers(0, 4))
@@ -337,21 +338,21 @@ def _grad_check_window(rng, first: int, count: int, shift_scale: float, observab
         flat = sample_params(model, rng)
         param_id = int(rng.integers(0, num_params(model)))
         labels.append(f"probe {probe} (m={m} n={n} L={L} k={k} D={D}, param {param_id})")
-        circuits.setdefault(model.groups, []).append((len(labels) - 1, model, flat, param_id))
-    grads = [None] * count
-    for members in circuits.values():
-        indices, models, flats, param_ids = zip(*members)
-        n = models[0].num_working
+        by_model = circuits.setdefault(model.groups, {})
+        by_model.setdefault(model, []).append((probe - first, flat, param_id))
+    shifts, fds = np.empty(count), np.empty(count)
+    for by_model in circuits.values():
+        n = next(iter(by_model)).num_working
         if n not in observables:
             observables[n] = _observable_for("Z0", n)
+        probes = [tuple(map(np.array, zip(*rows))) for rows in by_model.values()]
+        parts = [(model, flats, ids) for model, (_, flats, ids) in zip(by_model, probes)]
         # an overflowing --shift-scale makes NaN costs, reported as failed probes
         with np.errstate(over="ignore", invalid="ignore"):
-            shifts, fds = shift_and_fd_grads(
-                models, flats, observables[n], param_ids, shift_scale=shift_scale
-            )
-        for index, shift, fd in zip(indices, shifts, fds):
-            grads[index] = (shift, fd)
-    return [(label, *grad) for label, grad in zip(labels, grads)]
+            grads = shift_and_fd_grads(parts, observables[n], shift_scale=shift_scale)
+        for (indices, _, _), (shift, fd) in zip(probes, grads):
+            shifts[indices], fds[indices] = shift, fd
+    return list(zip(labels, shifts.tolist(), fds.tolist()))
 
 
 def cmd_grad_check(args) -> int:

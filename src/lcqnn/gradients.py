@@ -39,7 +39,7 @@ from .sim import (
 )
 
 TWO_PI = 2.0 * math.pi
-FD_STEP = 1e-5  # central-difference step of finite_diff_grad and shift_and_fd_grads
+FD_STEP = 1e-5  # central-difference step of shift_and_fd_grads
 
 # ---------------------------------------------------------------------------
 # flat parameter vectors
@@ -82,54 +82,55 @@ def cost_flat(
 # point rules
 
 
-def _check_param_id(model: LcqnnModel, param_id: int) -> None:
-    if not 0 <= param_id < num_params(model):
-        raise LcqnnError(
-            f"parameter id {param_id} out of range 0..{num_params(model) - 1}"
-        )
+def _check_param_id(model: LcqnnModel, param_ids) -> None:
+    """Raise for the first of ``param_ids`` (an int or an array of them)
+    outside the flat layout of ``model``."""
+    ids = np.atleast_1d(param_ids)
+    bad = ids[(ids < 0) | (ids >= num_params(model))]
+    if bad.size:
+        raise LcqnnError(f"parameter id {bad[0]} out of range 0..{num_params(model) - 1}")
 
 
-def _rule_differences(
-    models,
-    flats,
-    obs: PauliZSum,
-    param_ids,
-    steps,
-    input_state: StateVector | None = None,
-) -> np.ndarray:
-    """``C(x + s) - C((x + s) - 2s)`` for each step ``s`` of each row
-    ``(model, x, i, steps)`` of ``models``, ``flats``, ``param_ids`` and
-    ``steps`` (shape (B, S) to (B, S)), with ``s`` added to parameter ``i``
-    alone. The models share one branch circuit: the points of a model's rows
-    are the parameter rows of its tree stage, and every point runs in one
-    ``costs`` pass. Rows never mix, so a row's value does not depend on the
-    rows around it."""
-    steps = np.asarray(steps, dtype=np.float64)
-    by_model: dict[LcqnnModel, list[int]] = {}
-    for row, (model, param_id) in enumerate(zip(models, param_ids)):
-        _check_param_id(model, param_id)
-        by_model.setdefault(model, []).append(row)
-    parts = []
-    for model, rows in by_model.items():
-        flat = np.array([flats[row] for row in rows], dtype=np.float64)
-        points = np.empty((len(rows), steps.shape[1], 2, flat.shape[1]))
-        points[...] = flat[:, None, None]
-        index, ids = np.arange(len(rows)), [param_ids[row] for row in rows]
-        points[index, :, :, ids] += steps[rows, :, None]
-        points[index, :, 1, ids] -= 2.0 * steps[rows]
-        parts.append((model, *split_params(model, points)))
-    diffs = np.empty(steps.shape)
-    for rows, values in zip(by_model.values(), costs(parts, obs, input_state)):
-        diffs[rows] = values[..., 0] - values[..., 1]
-    return diffs
+def shift_and_fd_grads(
+    parts, obs: PauliZSum, input_state: StateVector | None = None, shift_scale: float = 1.0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The exact shift-rule gradient and the central difference (step
+    ``FD_STEP``) of every probe ``(x, i)`` of each ``(model, flats (R, P),
+    param_ids (R,))`` of ``parts``: one ``(shifts, fds)`` pair of arrays of
+    shape (R,) per part.
 
+    Branch angles generate a single frequency, so the standard rule
+    ``(C(+pi/2) - C(-pi/2)) / 2`` applies. A tree angle ``a`` enters the
+    circuit as a rotation by ``2a``; rescaling the rule gives shift ``pi/4``
+    with unit prefactor. ``shift_scale`` multiplies the shift offsets and
+    exists only as a negative-control hook: any value other than 1 breaks
+    the rule on purpose.
 
-def _shift_rule(model: LcqnnModel, param_id: int, shift_scale: float = 1.0) -> tuple:
-    """Shift and prefactor of the exact rule of ``param_id`` (see
-    ``param_shift_grad``)."""
-    if param_id < model.num_alpha:
-        return math.pi / 4.0 * shift_scale, 1.0
-    return math.pi / 2.0 * shift_scale, 0.5
+    The models share one branch circuit (``model.groups``), and one
+    ``costs`` pass evaluates the four points of every probe, with the step
+    added to parameter ``i`` alone: ``x + s``, ``(x + s) - 2s``, ``x + h``
+    and ``(x + h) - 2h``. Rows never mix, so a probe's values do not depend
+    on the probes around it.
+    """
+    points, prefactors = [], []
+    for model, flats, param_ids in parts:
+        flats, ids = np.asarray(flats, dtype=np.float64), np.asarray(param_ids)
+        _check_param_id(model, ids)
+        tree = ids < model.num_alpha
+        shift = np.where(tree, math.pi / 4.0, math.pi / 2.0) * shift_scale
+        steps = np.stack((shift, np.full(len(ids), FD_STEP)), axis=1)
+        x = np.empty((len(ids), 2, 2, flats.shape[1]))
+        x[...] = flats[:, None, None]
+        rows = np.arange(len(ids))
+        x[rows, :, :, ids] += steps[..., None]
+        x[rows, :, 1, ids] -= 2.0 * steps
+        points.append((model, *split_params(model, x)))
+        prefactors.append(np.where(tree, 1.0, 0.5))
+    grads = []
+    for values, prefactor in zip(costs(points, obs, input_state), prefactors):
+        diffs = values[..., 0] - values[..., 1]
+        grads.append((prefactor * diffs[:, 0], diffs[:, 1] / (2.0 * FD_STEP)))
+    return grads
 
 
 def param_shift_grad(
@@ -140,18 +141,9 @@ def param_shift_grad(
     input_state: StateVector | None = None,
     shift_scale: float = 1.0,
 ) -> float:
-    """Exact derivative from two shifted cost evaluations.
-
-    Branch angles generate a single frequency, so the standard rule
-    ``(C(+pi/2) - C(-pi/2)) / 2`` applies.  A tree angle ``a`` enters the
-    circuit as a rotation by ``2a``; rescaling the rule gives shift ``pi/4``
-    with unit prefactor.  ``shift_scale`` multiplies the shift offsets and
-    exists only as a negative-control hook: any value other than 1 breaks
-    the rule on purpose.
-    """
-    shift, prefactor = _shift_rule(model, param_id, shift_scale)
-    diff = _rule_differences([model], [np.ravel(flat)], obs, [param_id], [[shift]], input_state)
-    return prefactor * float(diff[0, 0])
+    """Exact derivative of one probe: ``shift_and_fd_grads``'s shift rule."""
+    probe = [(model, np.ravel(flat)[None], [param_id])]
+    return float(shift_and_fd_grads(probe, obs, input_state, shift_scale)[0][0][0])
 
 
 def finite_diff_grad(
@@ -160,34 +152,11 @@ def finite_diff_grad(
     obs: PauliZSum,
     param_id: int,
     input_state: StateVector | None = None,
-    h: float = FD_STEP,
 ) -> float:
-    """Central difference, for cross-checking the exact rules."""
-    if not 1e-7 <= h <= 1e-3:
-        raise LcqnnError(f"step {h} outside the stable range [1e-7, 1e-3]")
-    diff = _rule_differences([model], [np.ravel(flat)], obs, [param_id], [[h]], input_state)
-    return float(diff[0, 0]) / (2.0 * h)
-
-
-def shift_and_fd_grads(
-    models,
-    flats,
-    obs: PauliZSum,
-    param_ids,
-    input_state: StateVector | None = None,
-    shift_scale: float = 1.0,
-) -> tuple[list[float], list[float]]:
-    """``param_shift_grad`` and ``finite_diff_grad`` (step ``FD_STEP``) at
-    every probe ``(model, x, i)`` of ``models``, ``flats`` and
-    ``param_ids``, bit-equal to those calls. The models share one branch
-    circuit (``model.groups``), and one branch pass evaluates the four
-    points of every probe: ``x + s``, ``(x + s) - 2s``, ``x + h`` and
-    ``(x + h) - 2h``."""
-    rules = [_shift_rule(model, pid, shift_scale) for model, pid in zip(models, param_ids)]
-    steps = [(shift, FD_STEP) for shift, _ in rules]
-    diffs = _rule_differences(models, flats, obs, param_ids, steps, input_state)
-    shifts = [prefactor * float(d) for (_, prefactor), d in zip(rules, diffs[:, 0])]
-    return shifts, [float(d) / (2.0 * FD_STEP) for d in diffs[:, 1]]
+    """Central difference of one probe, for cross-checking the exact rules:
+    ``shift_and_fd_grads``'s finite difference."""
+    probe = [(model, np.ravel(flat)[None], [param_id])]
+    return float(shift_and_fd_grads(probe, obs, input_state)[0][1][0])
 
 
 # ---------------------------------------------------------------------------

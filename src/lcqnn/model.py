@@ -335,17 +335,17 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
         raise LcqnnError("models of one branch pass must share their block groups")
     batches, rows, blocks = zip(*(_control_rows(*part, input_state) for part in parts))
     sizes = [len(part) for part in rows]
-    rows, blocks = np.concatenate(rows), np.concatenate(blocks)
+    # one C-order buffer: a one-leaf part's rows broadcast its input, and a
+    # plain concatenate may lay them out column-major
+    out = np.empty((sum(sizes), rows[0].shape[1]), dtype=np.complex128)
+    rows, blocks = np.concatenate(rows, out=out), np.concatenate(blocks)
     tensor = rows.reshape((len(rows),) + (2,) * first.num_working)
     gates = branch_gates(first)
     for run in row_runs(len(rows), rows.shape[1]):
         tensor[run] = apply_gates(tensor[run], gates, blocks[run])
     states, lo = [], 0
     for (model, _, _), batch, size in zip(parts, batches, sizes):
-        # a one-leaf part's rows broadcast its input, so ``rows`` may be
-        # column-major; in C order a readout adds the control rows one by
-        # one, as it does on the padded state
-        live = np.ascontiguousarray(rows[lo : lo + size]).reshape(batch + (-1,))
+        live = rows[lo : lo + size].reshape(batch + (-1,))
         lo += size
         states.append(StateVector(model.tree_depth + model.num_working, live))
     return states

@@ -551,8 +551,8 @@ def test_grad_check_non_finite_shift_exits_2(capsys, scale):
 
 
 def test_grad_check_nan_error_counts_as_failure(capsys, monkeypatch):
-    def nan_grads(models, flats, obs, param_ids, **kwargs):
-        return [float("nan")] * len(flats), [float("nan")] * len(flats)
+    def nan_grads(parts, obs, **kwargs):
+        return [(np.full(len(ids), np.nan), np.full(len(ids), np.nan)) for _, _, ids in parts]
 
     monkeypatch.setattr("lcqnn.cli.shift_and_fd_grads", nan_grads)
     code, out, _ = run_cli(capsys, ["grad-check", "--probes", "3"])
@@ -619,12 +619,18 @@ def test_grad_check_makes_one_branch_pass_per_branch_circuit(
     capsys, monkeypatch, branch_passes
 ):
     # the 400 probes of seed 42 draw 259 architectures (m, n, L, k, D) but
-    # only 62 branch circuits (n, k, D): one branch kernel pass each, and the
+    # only 62 branch circuits (n, k, D): one shift_and_fd_grads call and one
+    # branch kernel pass each, with one part per architecture, and the
     # coefficient tree, in closed form, makes no kernel call of its own. Only
     # the live control rows run (3408; 6036 with the idle rows), and each
     # architecture's costs are read out in one expectation call (not 1600)
-    kernel_rows, readouts = [], []
+    kernel_rows, readouts, rule_parts = [], [], []
     apply_gates, expectation = model_module.apply_gates, model_module.expectation
+    shift_and_fd_grads = cli.shift_and_fd_grads
+
+    def counting_rules(parts, *args, **kwargs):
+        rule_parts.append(len(parts))
+        return shift_and_fd_grads(parts, *args, **kwargs)
 
     def counting_kernel(tensor, *args, **kwargs):
         kernel_rows.append(len(tensor))
@@ -636,9 +642,12 @@ def test_grad_check_makes_one_branch_pass_per_branch_circuit(
 
     monkeypatch.setattr(model_module, "apply_gates", counting_kernel)
     monkeypatch.setattr(model_module, "expectation", counting_readout)
+    monkeypatch.setattr(cli, "shift_and_fd_grads", counting_rules)
     code, out, _ = run_cli(capsys, ["grad-check", "--probes", "400", "--seed", "42"])
     assert code == 0
     assert out.startswith("grad-check: 400/400 probes within")
+    assert len(rule_parts) == 62
+    assert sum(rule_parts) == 259
     assert len(branch_passes) == len(set(branch_passes)) == 62
     assert len(kernel_rows) == 62
     assert sum(kernel_rows) == 3408

@@ -102,25 +102,27 @@ def test_point_rules_equal_two_single_row_costs(shape, branch_passes):
     obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1)), (0.2, ())], num_qubits=n)
     rng = np.random.default_rng(sum(shape))
     flat = rng.uniform(0, 2 * math.pi, num_params(model))
-    h = 1e-5
+    h = gradients.FD_STEP
     for input_state in (None, oracles.random_state(n, rng)):
         for pid in range(num_params(model)):
             shift, prefactor = (
                 (math.pi / 4, 1.0) if pid < model.num_alpha else (math.pi / 2, 0.5)
             )
+            fd_up, fd_down = _two_single_row_costs(model, flat, obs, pid, h, input_state)
             for scale in (1.0, 1.1):
                 up, down = _two_single_row_costs(
                     model, flat, obs, pid, scale * shift, input_state
                 )
                 before = len(branch_passes)
-                rule = param_shift_grad(model, flat, obs, pid, input_state, scale)
+                [(shifts, fds)] = shift_and_fd_grads(
+                    [(model, flat[None], [pid])], obs, input_state, scale
+                )
                 assert len(branch_passes) == before + 1
-                assert rule == prefactor * (up - down)
-            up, down = _two_single_row_costs(model, flat, obs, pid, h, input_state)
-            before = len(branch_passes)
-            rule = finite_diff_grad(model, flat, obs, pid, input_state, h)
-            assert len(branch_passes) == before + 1
-            assert rule == (up - down) / (2.0 * h)
+                assert shifts.shape == fds.shape == (1,)
+                assert shifts[0] == prefactor * (up - down)
+                assert fds[0] == (fd_up - fd_down) / (2.0 * h)
+                assert param_shift_grad(model, flat, obs, pid, input_state, scale) == shifts[0]
+            assert finite_diff_grad(model, flat, obs, pid, input_state) == fds[0]
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 8, 1, 1), (0, 2, 1, 2, 1)])
@@ -137,38 +139,41 @@ def test_batched_rules_equal_per_probe_rules(shape, branch_passes):
     for input_state in (None, oracles.random_state(n, rng)):
         for scale in (1.0, 1.25):
             before = len(branch_passes)
-            shifts, fds = shift_and_fd_grads(
-                [model] * len(flats), flats, obs, param_ids, input_state, scale
+            [(shifts, fds)] = shift_and_fd_grads(
+                [(model, flats, param_ids)], obs, input_state, scale
             )
             assert len(branch_passes) == before + 1
+            assert shifts.shape == fds.shape == (len(flats),)
             for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
                 assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
                 assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
-                assert type(shift) is float and type(fd) is float
 
 
 @pytest.mark.parametrize("layout", [(2, 1, 2), (3, 2, 1), (4, 3, 1)])
 def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, branch_passes):
     # models of every control width m <= 3 and branch count L <= 2**m (idle
-    # controls among them) share the branch circuit of (n, k, D): their
-    # probes, interleaved, run in one branch pass, and each row is bit-equal
-    # to its own model's rule calls
+    # controls among them) share the branch circuit of (n, k, D): a part of
+    # probes per model runs in one branch pass, and each row is bit-equal to
+    # its own model's rule calls
     n, k, D = layout
     models = [make_model(m, n, 1 << t, k, D) for m in range(4) for t in range(m + 1)]
     obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1)), (0.2, ())], num_qubits=n)
     rng = np.random.default_rng(sum(layout))
-    rows = [models[i] for i in rng.permutation(np.repeat(np.arange(len(models)), 2))]
-    flats = [rng.uniform(0, 2 * math.pi, num_params(model)) for model in rows]
-    param_ids = [int(rng.integers(0, num_params(model))) for model in rows]
-    param_ids[:2] = [0, num_params(rows[1]) - 1]  # a tree angle when there is one
+    probes = []
+    for model in [models[i] for i in rng.permutation(len(models))]:
+        flats = rng.uniform(0, 2 * math.pi, (2, num_params(model)))
+        probes.append((model, flats, rng.integers(0, num_params(model), 2)))
+    probes[0][2][:] = [0, num_params(probes[0][0]) - 1]  # a tree angle when there is one
     for input_state in (None, oracles.random_state(n, rng)):
         for scale in (1.0, 1.25):
             before = len(branch_passes)
-            shifts, fds = shift_and_fd_grads(rows, flats, obs, param_ids, input_state, scale)
+            grads = shift_and_fd_grads(probes, obs, input_state, scale)
             assert len(branch_passes) == before + 1
-            for model, flat, pid, shift, fd in zip(rows, flats, param_ids, shifts, fds):
-                assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
-                assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
+            assert len(grads) == len(probes)
+            for (model, flats, param_ids), (shifts, fds) in zip(probes, grads):
+                for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
+                    assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
+                    assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
         parts = [
             (model, *split_params(model, rng.uniform(0, 2 * math.pi, (2, num_params(model)))))
             for model in models
@@ -184,7 +189,22 @@ def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, bran
                 assert abs(value - dense) <= 1e-12
     apart = [make_model(1, n, 2, k, D), make_model(1, n, 2, k, D + 1)]
     with pytest.raises(LcqnnError, match="share their block groups"):
-        shift_and_fd_grads(apart, [np.zeros(num_params(model)) for model in apart], obs, [0, 0])
+        shift_and_fd_grads([(each, np.zeros((1, num_params(each))), [0]) for each in apart], obs)
+
+
+def test_out_of_range_id_in_any_row_raises_before_a_branch_pass(branch_passes):
+    # every row's id of every part is checked before the call's branch pass
+    models = [make_model(1, 2, 2, 1, 1), make_model(2, 2, 4, 1, 1)]
+    obs = PauliZSum([(1.0, (0,))], num_qubits=2)
+    for part, model in enumerate(models):
+        P = num_params(model)
+        for bad in (-1, P, P + 3):
+            probes = [(each, np.zeros((3, num_params(each))), [0, 1, 2]) for each in models]
+            probes[part][2][1] = bad
+            message = rf"parameter id {bad} out of range 0\.\.{P - 1}$"
+            with pytest.raises(LcqnnError, match=message):
+                shift_and_fd_grads(probes, obs)
+    assert branch_passes == []
 
 
 def test_grad_full_matches_shift_rule_everywhere():
@@ -213,8 +233,6 @@ def test_point_rule_validation():
     flat = np.zeros(num_params(model))
     with pytest.raises(LcqnnError):
         param_shift_grad(model, flat, Z0_1, num_params(model))
-    with pytest.raises(LcqnnError):
-        finite_diff_grad(model, flat, Z0_1, 0, h=1e-9)
     with pytest.raises(LcqnnError):
         grad_full(model, flat, PauliZSum([(1.0, (0,))], num_qubits=2))
 

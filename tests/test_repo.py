@@ -8,8 +8,9 @@ import json
 import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
+
+import pytest
 
 from lcqnn import __version__
 
@@ -117,6 +118,7 @@ def test_bench_files_record_parent_machine_claim_and_runs():
 def test_version_is_one_across_pyproject_package_and_golden_files():
     # a version bump lands whole: the project metadata, the package and every
     # golden report header (text "# lcqnn V", JSON "version") carry one version
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["version"] == __version__
     header = re.compile(r'^(?:# lcqnn |  "version": ")(\S+?)"?$')
