@@ -38,7 +38,7 @@ from .mnist import (
     run_accuracy_grid,
 )
 from .model import make_model
-from .sim import PauliZSum
+from .sim import PauliZSum, Pcg64Stream
 
 GRAD_CHECK_TOLERANCE = 1e-5
 
@@ -359,7 +359,7 @@ def cmd_grad_check(args) -> int:
     _require(args.probes >= 1, "--probes must be >= 1")
     _require(args.seed >= 0, "--seed must be >= 0")
     _require(math.isfinite(args.shift_scale), "--shift-scale must be finite")
-    rng = np.random.default_rng(args.seed)
+    rng = Pcg64Stream.from_seed(args.seed)
     worst_rel = -1.0
     worst_detail = ""
     failures = 0

@@ -66,7 +66,7 @@ def default_probe_param(model: LcqnnModel) -> int:
 
 
 def sample_params(model: LcqnnModel, generator) -> np.ndarray:
-    """Draw every angle independently and uniformly from [0, 2*pi)."""
+    """Draw every angle uniformly from [0, 2*pi) by any ``generator`` with NumPy's ``uniform``."""
     return generator.uniform(0.0, TWO_PI, num_params(model))
 
 

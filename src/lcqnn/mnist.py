@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import EncodingError, IdxFormatError, TrainingError
 from .gradients import (
+    TWO_PI,
     grad_full,  # noqa: F401  (perfbench/spans.py times calls through this name)
     mixture_gradients,
     num_params,
-    sample_params,
     split_params,
 )
 from .model import (
@@ -40,13 +40,15 @@ from .model import (
 )
 from .sim import (
     PauliZSum,
-    RngStream,
+    Pcg64Stream,
     StateVector,
     adjoint_gradient,
     amplitude_encode,
     apply_gates,
+    chunk_seeds,
     diagonal_readout,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
+    pcg64_random,
     row_runs,
 )
 
@@ -431,13 +433,14 @@ def train_single_run(
     """One training run: init from the run's seed stream, minibatch descent,
     then held-out accuracy.  Batch gradients accumulate in example order, so
     a rerun reproduces the loss curve bit for bit.  Either set may be a list
-    of MnistExample or EncodedExamples."""
+    of MnistExample or EncodedExamples.  Its initial angles and epoch shuffles
+    are jump-ahead draws of ``RngStream(root_seed, run_index)`` components 0, 1."""
     if not train_set or not test_set:
         raise TrainingError("empty training or test set")
     model = config.make_model()
-    stream = RngStream(config.root_seed, run_index)
-    params = sample_params(model, stream.component_generator(0))
-    shuffle = stream.component_generator(1)
+    param_words, shuffle_words = chunk_seeds(config.root_seed, run_index, run_index + 1, (0, 1))
+    params = TWO_PI * pcg64_random(param_words, num_params(model))[0]
+    shuffle = Pcg64Stream(shuffle_words[0])
     optimizer = _make_optimizer(
         config.optimizer, num_params(model), config.learning_rate
     )

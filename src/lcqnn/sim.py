@@ -517,17 +517,17 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _pool_seeds(entropy: list, five_words) -> np.ndarray:
+def _pool_seeds(entropy: list, size) -> np.ndarray:
     """The four uint64 words PCG64 asks of ``SeedSequence(key)``, one row
     per key, for keys given as uint32 word columns.
 
-    ``entropy`` holds four or five word arrays, zero-padded, which is what
-    SeedSequence's pool does with a short key; a fifth word counts only
-    where ``five_words`` is true. Successive hashes of values that do not
-    change in between run as one array, a row per hash constant.
+    ``entropy`` holds at least four word arrays, zero-padded, which is what
+    SeedSequence's pool does with a short key; word ``i >= 4`` counts only
+    where ``i < size``, the key's word count. Successive hashes of values
+    that do not change in between run as one array, a row per hash constant.
     """
-    # 4 pool words, 4 x 3 cross mixes, then 4 hashes of a fifth word
-    consts = _hash_constants(_INIT_A, _MULT_A, 20)
+    # 4 pool words, 4 x 3 cross mixes, then 4 hashes of each later word
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
 
     def hashmix(value, first: int, count: int):
         value = (value ^ consts[first : first + count]) * consts[first + 1 : first + count + 1]
@@ -542,8 +542,8 @@ def _pool_seeds(entropy: list, five_words) -> np.ndarray:
         # pool[src] stays fixed while it mixes into the other three words
         dst = [d for d in range(4) if d != src]
         pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
-    if len(entropy) > 4:
-        pool = np.where(five_words, mix(pool, hashmix(entropy[4], 16, 4)), pool)
+    for i in range(4, len(entropy)):
+        pool = np.where(i < size, mix(pool, hashmix(entropy[i], 4 * i, 4)), pool)
 
     out = _hash_constants(_INIT_B, _MULT_B, 8)
     value = (np.tile(pool, (2, 1)) ^ out[:8]) * out[1:]
@@ -555,9 +555,8 @@ def _pool_seeds(entropy: list, five_words) -> np.ndarray:
 def _pcg64_generator():
     """A function from four uint64 seed words to a PCG64 Generator, the one
     ``default_rng(SeedSequence(key))`` builds when those words are the
-    key's. Built at first use, so ``import lcqnn`` and every run that draws
-    only uniform angles (``variance-scan``, ``variance-layers``,
-    ``group-scan --mode ansatz``) leave ``numpy.random`` unloaded."""
+    key's. Built at first use, so ``import lcqnn`` and every run but a Haar
+    ``group-scan`` leave ``numpy.random`` unloaded."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -597,7 +596,7 @@ def chunk_seeds(root_seed: int, lo: int, hi: int, components) -> np.ndarray:
         np.where(two_words, high, component),
         np.where(two_words, component, np.uint32(0)),
     ]
-    return _pool_seeds(entropy, two_words).reshape(len(components), batch, 4)
+    return _pool_seeds(entropy, len(seed) + 2 + two_words).reshape(len(components), batch, 4)
 
 
 def chunk_generators(root_seed: int, lo: int, hi: int, components) -> list[list]:
@@ -626,6 +625,8 @@ _MASK128 = (1 << 128) - 1
 #: draws per block of step constants: ``pcg64_random`` computes a row's
 #: first block from the constants and each later block from the one before
 DRAW_BLOCK = 128
+#: blocks a ``Pcg64Stream`` computes at least per refill, one row each
+STREAM_ROWS = 8
 
 
 @lru_cache(maxsize=None)
@@ -668,13 +669,39 @@ def _add128(x, y) -> tuple:
     return x[0] + y[0] + (low < y[1]), low
 
 
-def _xsl_rr_doubles(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """The doubles PCG64 draws at the given states: the XSL-RR output's top
-    53 bits, scaled to [0, 1)."""
+def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """PCG64's 64-bit XSL-RR outputs at the given states."""
     mixed = high ^ low
     rot = high >> 58
-    mixed = (mixed >> rot) | (mixed << ((64 - rot) & 63))
-    return (mixed >> 11) * (1.0 / 9007199254740992.0)
+    return (mixed >> rot) | (mixed << ((64 - rot) & 63))
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """NumPy's doubles in [0, 1) from raw words: their top 53 bits, scaled."""
+    return (words >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _pcg64_words(base: tuple, inc: tuple, size: int) -> np.ndarray:
+    """Raw PCG64 outputs, shape (B, size), for (high, low) pairs of uint64
+    columns ``base`` and ``inc``: word t of row b is the output at the
+    state ``A_{t+2} * base[b] + G_{t+2} * inc[b]``."""
+    out = np.empty((len(base[1]), size), dtype=np.uint64)
+    a_table, g_table = _step_table()
+    width = min(size, DRAW_BLOCK)
+    state = _add128(
+        _mul128([limb[:width] for limb in a_table], base),
+        _mul128([limb[:width] for limb in g_table], inc),
+    )
+    out[:, :width] = _xsl_rr(*state)
+    if size > DRAW_BLOCK:
+        # each later block is the block before, DRAW_BLOCK steps on; the
+        # table's row DRAW_BLOCK - 2 holds t = DRAW_BLOCK
+        jump = [limb[DRAW_BLOCK - 2] for limb in a_table]
+        jump_inc = _mul128([limb[DRAW_BLOCK - 2] for limb in g_table], inc)
+        for start in range(DRAW_BLOCK, size, DRAW_BLOCK):
+            state = _add128(_mul128(jump, state), jump_inc)
+            out[:, start : start + DRAW_BLOCK] = _xsl_rr(*(w[:, : size - start] for w in state))
+    return out
 
 
 def pcg64_random(words: np.ndarray, size: int) -> np.ndarray:
@@ -689,29 +716,79 @@ def pcg64_random(words: np.ndarray, size: int) -> np.ndarray:
     thus a few uint64 array operations, and no Generator is built.
     """
     words = np.asarray(words, dtype=np.uint64)
-    out = np.empty((len(words), size))
-    if size == 0:
-        return out
-    a_table, g_table = _step_table()
     inc = ((words[:, 2:3] << 1) | (words[:, 3:4] >> 63), (words[:, 3:4] << 1) | 1)
     base = _add128((words[:, 0:1], words[:, 1:2]), inc)
-    width = min(size, DRAW_BLOCK)
-    state = _add128(
-        _mul128([limb[:width] for limb in a_table], base),
-        _mul128([limb[:width] for limb in g_table], inc),
-    )
-    out[:, :width] = _xsl_rr_doubles(*state)
-    if size > DRAW_BLOCK:
-        # each later block is the block before, DRAW_BLOCK steps on; the
-        # table's row DRAW_BLOCK - 2 holds t = DRAW_BLOCK
-        jump = [limb[DRAW_BLOCK - 2] for limb in a_table]
-        jump_inc = _mul128([limb[DRAW_BLOCK - 2] for limb in g_table], inc)
-        for start in range(DRAW_BLOCK, size, DRAW_BLOCK):
-            state = _add128(_mul128(jump, state), jump_inc)
-            out[:, start : start + DRAW_BLOCK] = _xsl_rr_doubles(
-                *(word[:, : size - start] for word in state)
-            )
-    return out
+    return _doubles(_pcg64_words(base, inc, size))
+
+
+class Pcg64Stream:
+    """What ``Generator(PCG64(w))`` draws for seed words ``w``, bit for bit, from
+    rows of DRAW_BLOCK words that each start by one Python-int jump and that
+    ``_pcg64_words`` fills at once; a 32-bit draw keeps a word's high half."""
+
+    def __init__(self, words):
+        w0, w1, w2, w3 = map(int, words)
+        self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self._base = ((w0 << 64 | w1) + self._inc) & _MASK128  # see pcg64_random
+        self._words, self._halves = np.empty(0, dtype=np.uint64), []
+
+    @classmethod
+    def from_seed(cls, seed: int) -> Pcg64Stream:
+        """The stream of ``numpy.random.default_rng(seed)``."""
+        if seed < 0:
+            raise LcqnnError(f"seed must be non-negative, got {seed}")
+        words = _words32(seed)
+        entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+        return cls(_pool_seeds(entropy, len(words))[0])
+
+    def _take(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` raw words."""
+        if count > len(self._words):
+            a, g = (int(t[3][DRAW_BLOCK - 2]) << 64 | int(t[0][DRAW_BLOCK - 2])
+                    for t in _step_table())
+            bases = [self._base]
+            for _ in range(max(STREAM_ROWS, -(-count // DRAW_BLOCK))):
+                bases.append((a * bases[-1] + g * self._inc) & _MASK128)
+            self._base = bases.pop()
+            rows = np.array([[v >> 64, v & _UINT64_MASK] for v in bases + [self._inc]], np.uint64)
+            block = _pcg64_words((rows[:-1, :1], rows[:-1, 1:]), (rows[-1:, :1], rows[-1:, 1:]),
+                                 DRAW_BLOCK)
+            self._words = np.concatenate((self._words, block.ravel()))
+        words, self._words = self._words[:count], self._words[count:]
+        return words
+
+    def _next32(self) -> int:
+        """NumPy's ``next_uint32``: a word's low half, then its high half."""
+        if not self._halves:
+            word = int(self._take(1)[0])
+            self._halves = [word >> 32, word & _MASK32]
+        return self._halves.pop()
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        """``Generator.uniform(low, high, size)``."""
+        return low + (high - low) * _doubles(self._take(size))
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)`` for one int, by NumPy's 32-bit
+        Lemire method, which draws nothing for a range of one."""
+        span = high - low
+        if not 1 <= span <= 1 << 32:
+            raise LcqnnError(f"integers takes 1 to 2**32 values, got {low}..{high}")
+        product = 0 if span == 1 else self._next32() * span
+        while product & _MASK32 < (1 << 32) % span:
+            product = self._next32() * span
+        return low + (product >> 32)
+
+    def permutation(self, n: int) -> np.ndarray:
+        """``Generator.permutation(n)``: Fisher-Yates from the top, each
+        swap index drawn by masked rejection on 32-bit draws."""
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := self._next32() & mask) > i:
+                pass
+            order[i], order[j] = order[j], order[i]
+        return np.array(order, dtype=np.int64)
 
 
 def ginibre(dim: int, gen: np.random.Generator) -> np.ndarray:

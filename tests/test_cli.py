@@ -279,21 +279,13 @@ def test_group_scan_zero_variance_ratio_is_null(capsys):
     jsonschema.validate(payload, load_schema("group_scan.schema.json"))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["variance-scan", "--samples", "8"],
-        ["group-scan", "--mode", "ansatz", "--dims", "3:1,5:1", "--depth", "2",
-         "--samples", "8"],
-    ],
-)
-def test_uniform_scans_leave_numpy_random_unloaded(argv):
-    # every uniform angle is a jump-ahead PCG64 draw (sim.pcg64_random), so a
-    # whole scan that draws no normals never loads numpy.random
+def _loads_numpy_random(argv) -> bool:
+    """Whether a whole CLI run of ``argv``, in a fresh interpreter, leaves
+    ``numpy.random`` in ``sys.modules``; the run must succeed."""
     code = (
         "import contextlib, io, sys\n"
         "from lcqnn.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(code, 'numpy.random' in sys.modules)"
     )
@@ -302,7 +294,36 @@ def test_uniform_scans_leave_numpy_random_unloaded(argv):
         cwd=Path(__file__).resolve().parents[1] / "src", capture_output=True, text=True,
         timeout=120,
     )
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    code, loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance-scan", "--samples", "8"],
+        ["group-scan", "--mode", "ansatz", "--dims", "3:1,5:1", "--depth", "2",
+         "--samples", "8"],
+        ["grad-check", "--probes", "20"],
+        ["mnist", "--data-dir", "{data}", "--L-list", "1", "--D-list", "1", "--runs", "1",
+         "--epochs", "2"],
+    ],
+)
+def test_uniform_scans_leave_numpy_random_unloaded(argv, tmp_path):
+    # every uniform angle, integer and shuffle is a jump-ahead PCG64 draw
+    # (sim.pcg64_random, sim.Pcg64Stream), so a run that draws no normals
+    # never loads numpy.random
+    if argv[0] == "mnist":
+        write_synthetic_idx(tmp_path)
+    assert not _loads_numpy_random([arg.format(data=tmp_path) for arg in argv])
+
+
+def test_haar_group_scan_loads_numpy_random():
+    # the control: Haar blocks draw their normals from numpy Generators
+    assert _loads_numpy_random(
+        ["group-scan", "--mode", "haar", "--dims", "3:1,5:1", "--samples", "8"]
+    )
 
 
 def test_haar_group_scan_builds_generators_for_haar_blocks_only(capsys, monkeypatch):

@@ -142,3 +142,58 @@ def test_cli_import_leaves_numpy_random_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _reaches_numpy_random(node) -> bool:
+    """Whether an AST node reads ``np.random``/``numpy.random`` or imports it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or (
+            module == "numpy" and any(alias.name == "random" for alias in node.names)
+        )
+    return False
+
+
+def _numpy_random_uses(tree):
+    """The nodes of a parsed module that load or import ``numpy.random``,
+    with the top-level function or class each sits in (None at module level).
+    Annotations are skipped: under ``from __future__ import annotations``
+    they stay strings, and nothing evaluates them."""
+    future = any(
+        isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+        for node in tree.body
+    )
+    annotations = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.add(node.annotation)
+        elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+            annotations.add(node.returns)
+    skipped = {id(n) for a in annotations for n in ast.walk(a)} if future else set()
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if id(node) not in skipped and _reaches_numpy_random(node):
+                yield scope, node
+
+
+def test_only_haar_streams_evaluate_numpy_random():
+    # importing numpy.random costs a process about 10-13 ms and 6 MB, and
+    # only the Haar normals need it: every other draw is a jump-ahead PCG64
+    # one, so only sim.RngStream and sim._pcg64_generator may reach it
+    allowed = {("sim", "RngStream"), ("sim", "_pcg64_generator")}
+    seen, stray = set(), []
+    for path in sorted((ROOT / "src" / "lcqnn").glob("*.py")):
+        for scope, node in _numpy_random_uses(ast.parse(path.read_text())):
+            if (path.stem, scope) in allowed:
+                seen.add((path.stem, scope))
+            else:
+                stray.append(f"{path.name}:{node.lineno} (in {scope or 'module'})")
+    assert not stray, f"numpy.random evaluated outside the Haar streams: {stray}"
+    assert seen == allowed, "the check no longer finds the Haar streams' own uses"

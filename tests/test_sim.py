@@ -411,3 +411,99 @@ def test_chunk_generators_validation():
     ]:
         with pytest.raises(LcqnnError):
             sim.chunk_generators(5, lo, hi, components)
+
+
+def _replay(stream, gen, ops) -> bool:
+    """Whether ``stream`` draws bit for bit what the Generator ``gen`` draws
+    over ``ops``: ("uniform", low, high, size), ("integers", low, high) or
+    ("permutation", n), in order."""
+    for name, *args in ops:
+        got, want = getattr(stream, name)(*args), getattr(gen, name)(*args)
+        if name == "integers":
+            same = got == want
+        else:
+            if name == "uniform":
+                got, want = got.view(np.uint64), want.view(np.uint64)
+            same = got.dtype == want.dtype and np.array_equal(got, want)
+        if not same:
+            return False
+    return True
+
+
+# a range of 3 * 2**30 + 1 values rejects about a quarter of 32-bit draws
+_LEMIRE = ("integers", 0, 3 * 2**30 + 1)
+
+
+def test_pcg64_stream_matches_generator():
+    # sized uniforms, scalar integers and permutations interleave, so the
+    # high half a 32-bit draw keeps carries from one call to the next, also
+    # across a refill of the stream's words
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    refill = sim.STREAM_ROWS * sim.DRAW_BLOCK
+    ops = st.lists(st.one_of(
+        st.tuples(st.just("uniform"), st.sampled_from([0.0, -1.5]),
+                  st.sampled_from([2.0 * math.pi, 2.0]), st.integers(0, refill + 3)),
+        st.builds(lambda low, span: ("integers", low, low + span),
+                  st.integers(-5, 5), st.one_of(st.integers(1, 9), st.integers(1, 2**32))),
+        st.tuples(st.just("permutation"), st.integers(0, 70)),
+    ), max_size=12)
+    seeds = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200]
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.one_of(st.sampled_from(seeds), st.integers(0, 2**130)), ops=ops)
+    @hypothesis.example(seed=seeds[0], ops=[("integers", 0, 7), ("uniform", 0.0, 1.0, refill),
+                                             ("integers", 0, 7), ("permutation", 3)])
+    @hypothesis.example(seed=seeds[1], ops=[_LEMIRE] * 40 + [("permutation", 64)])
+    @hypothesis.example(seed=seeds[2], ops=[("integers", 2, 3), ("integers", 0, 2**32)] * 3)
+    @hypothesis.example(seed=seeds[3], ops=[("permutation", 2), ("uniform", 0.0, 1.0, 1)] * 3)
+    @hypothesis.example(seed=seeds[4], ops=[("uniform", -1.5, 2.0, 5), _LEMIRE] * 3)
+    def check(seed, ops):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = sim.Pcg64Stream.from_seed(seed)
+            assert _replay(stream, np.random.default_rng(seed), ops)
+
+    check()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4000])
+def test_pcg64_stream_shuffles_like_a_component_generator(n):
+    # mnist's epoch shuffles: a stream on chunk_seeds' words for one run's
+    # component 1, over several successive epochs
+    stream = sim.Pcg64Stream(sim.chunk_seeds(42, 3, 4, (1,))[0, 0])
+    assert _replay(stream, RngStream(42, 3).component_generator(1), [("permutation", n)] * 4)
+
+
+def test_pcg64_stream_rejects_as_lemire_does():
+    class Counting(sim.Pcg64Stream):
+        draws = 0
+
+        def _next32(self):
+            self.draws += 1
+            return super()._next32()
+
+    stream = Counting.from_seed(7)
+    assert _replay(stream, np.random.default_rng(7), [_LEMIRE] * 64)
+    assert stream.draws > 64, "no draw was rejected"
+
+
+def test_pcg64_stream_negative_control_drops_the_kept_half():
+    # a stream that forgets the high half between 32-bit draws must fail
+    class DropsHalf(sim.Pcg64Stream):
+        def _next32(self):
+            self._halves = []
+            return super()._next32()
+
+    ops = [("integers", 0, 2**31)] * 2
+    assert _replay(sim.Pcg64Stream.from_seed(5), np.random.default_rng(5), ops)
+    assert not _replay(DropsHalf.from_seed(5), np.random.default_rng(5), ops)
+
+
+def test_pcg64_stream_validation():
+    stream = sim.Pcg64Stream.from_seed(1)
+    for low, high in [(0, 0), (3, 2), (0, 2**32 + 1)]:
+        with pytest.raises(LcqnnError):
+            stream.integers(low, high)
+    with pytest.raises(LcqnnError):
+        sim.Pcg64Stream.from_seed(-1)
