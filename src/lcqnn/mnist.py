@@ -430,11 +430,10 @@ def _make_optimizer(name: str, size: int, lr: float):
 def train_single_run(
     config: TrainConfig, train_set, test_set, run_index: int
 ) -> RunMetrics:
-    """One training run: init from the run's seed stream, minibatch descent,
-    then held-out accuracy.  Batch gradients accumulate in example order, so
-    a rerun reproduces the loss curve bit for bit.  Either set may be a list
-    of MnistExample or EncodedExamples.  Its initial angles and epoch shuffles
-    are jump-ahead draws of ``RngStream(root_seed, run_index)`` components 0, 1."""
+    """One training run: init and epoch shuffles as the run's RngStream components
+    0 and 1 draw them, minibatch descent, then held-out accuracy.  Batch gradients
+    accumulate in example order, so a rerun reproduces the loss curve bit for
+    bit.  Either set may be a list of MnistExample or EncodedExamples."""
     if not train_set or not test_set:
         raise TrainingError("empty training or test set")
     model = config.make_model()

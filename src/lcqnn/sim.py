@@ -704,32 +704,31 @@ def _pcg64_words(base: tuple, inc: tuple, size: int) -> np.ndarray:
     return out
 
 
+def _pcg64_seed(words) -> tuple:
+    """``(init + inc, inc)`` for rows of seed words, as (high, low) uint64 columns:
+    PCG64 seeding sets the state to ``inc``, adds ``init`` and steps, and each draw
+    steps first, so draw t is at state ``A_{t+2} * (init + inc) + G_{t+2} * inc``."""
+    words = np.asarray(words, dtype=np.uint64)
+    inc = ((words[:, 2:3] << 1) | (words[:, 3:4] >> 63), (words[:, 3:4] << 1) | 1)
+    return _add128((words[:, 0:1], words[:, 1:2]), inc), inc
+
+
 def pcg64_random(words: np.ndarray, size: int) -> np.ndarray:
     """Doubles in [0, 1), shape (B, size): row ``b`` is bit for bit
     ``Generator(PCG64(w)).random(size)`` for the seed words
     ``w = words[b]`` (a (B, 4) slice of ``chunk_seeds``), so ``2*pi`` times
-    it is that Generator's ``.uniform(0, 2*pi, size)``.
-
-    Seeding sets the state to ``inc``, adds the initial state ``init`` and
-    steps once, and each draw steps first, so draw t comes from state
-    ``A_{t+2} * (init + inc) + G_{t+2} * inc``. Every draw of every row is
-    thus a few uint64 array operations, and no Generator is built.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    inc = ((words[:, 2:3] << 1) | (words[:, 3:4] >> 63), (words[:, 3:4] << 1) | 1)
-    base = _add128((words[:, 0:1], words[:, 1:2]), inc)
-    return _doubles(_pcg64_words(base, inc, size))
+    it is that Generator's ``.uniform(0, 2*pi, size)``. Every draw of every
+    row is a few uint64 array operations, and no Generator is built."""
+    return _doubles(_pcg64_words(*_pcg64_seed(words), size))
 
 
 class Pcg64Stream:
-    """What ``Generator(PCG64(w))`` draws for seed words ``w``, bit for bit, from
-    rows of DRAW_BLOCK words that each start by one Python-int jump and that
-    ``_pcg64_words`` fills at once; a 32-bit draw keeps a word's high half."""
+    """What ``Generator(PCG64(w))`` draws for seed words ``w``, bit for bit, from rows
+    of DRAW_BLOCK words, each started by one Python-int jump, that ``_pcg64_words`` fills."""
 
     def __init__(self, words):
-        w0, w1, w2, w3 = map(int, words)
-        self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        self._base = ((w0 << 64 | w1) + self._inc) & _MASK128  # see pcg64_random
+        self._base, self._inc = (int(high[0, 0]) << 64 | int(low[0, 0])
+                                 for high, low in _pcg64_seed([words]))
         self._words, self._halves = np.empty(0, dtype=np.uint64), []
 
     @classmethod
@@ -757,12 +756,13 @@ class Pcg64Stream:
         words, self._words = self._words[:count], self._words[count:]
         return words
 
-    def _next32(self) -> int:
-        """NumPy's ``next_uint32``: a word's low half, then its high half."""
-        if not self._halves:
-            word = int(self._take(1)[0])
-            self._halves = [word >> 32, word & _MASK32]
-        return self._halves.pop()
+    def _uint32s(self, count: int) -> list:
+        """NumPy's next ``count`` ``next_uint32`` draws, read off a little-endian
+        uint32 view of words (low half first); a high half left over is kept."""
+        words = np.asarray(self._take((count - len(self._halves) + 1) // 2), "<u8")
+        halves = self._halves + words.view("<u4").tolist()
+        self._halves = halves[count:]
+        return halves[:count]
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
         """``Generator.uniform(low, high, size)``."""
@@ -774,20 +774,21 @@ class Pcg64Stream:
         span = high - low
         if not 1 <= span <= 1 << 32:
             raise LcqnnError(f"integers takes 1 to 2**32 values, got {low}..{high}")
-        product = 0 if span == 1 else self._next32() * span
+        product = 0 if span == 1 else self._uint32s(1)[0] * span
         while product & _MASK32 < (1 << 32) % span:
-            product = self._next32() * span
+            product = self._uint32s(1)[0] * span
         return low + (product >> 32)
 
     def permutation(self, n: int) -> np.ndarray:
         """``Generator.permutation(n)``: Fisher-Yates from the top, each
         swap index drawn by masked rejection on 32-bit draws."""
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while (j := self._next32() & mask) > i:
-                pass
-            order[i], order[j] = order[j], order[i]
+        order, i = list(range(n)), n - 1
+        while i > 0:
+            # each of the i steps left takes a draw, so all of these are used
+            for draw in self._uint32s(i):
+                if (j := draw & ((1 << i.bit_length()) - 1)) <= i:
+                    order[i], order[j] = order[j], order[i]
+                    i -= 1
         return np.array(order, dtype=np.int64)
 
 

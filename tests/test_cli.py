@@ -281,11 +281,12 @@ def test_group_scan_zero_variance_ratio_is_null(capsys):
 
 def _loads_numpy_random(argv) -> bool:
     """Whether a whole CLI run of ``argv``, in a fresh interpreter, leaves
-    ``numpy.random`` in ``sys.modules``; the run must succeed."""
+    ``numpy.random`` in ``sys.modules``; the run must succeed, and its
+    stderr is the failure message if it does not."""
     code = (
         "import contextlib, io, sys\n"
         "from lcqnn.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(code, 'numpy.random' in sys.modules)"
     )
@@ -294,6 +295,7 @@ def _loads_numpy_random(argv) -> bool:
         cwd=Path(__file__).resolve().parents[1] / "src", capture_output=True, text=True,
         timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
     code, loaded = proc.stdout.split()
     assert code == "0", proc.stderr
     return loaded == "True"
@@ -308,6 +310,7 @@ def _loads_numpy_random(argv) -> bool:
         ["grad-check", "--probes", "20"],
         ["mnist", "--data-dir", "{data}", "--L-list", "1", "--D-list", "1", "--runs", "1",
          "--epochs", "2"],
+        ["variance-layers", "--samples", "8"],
     ],
 )
 def test_uniform_scans_leave_numpy_random_unloaded(argv, tmp_path):

@@ -479,9 +479,9 @@ def test_pcg64_stream_rejects_as_lemire_does():
     class Counting(sim.Pcg64Stream):
         draws = 0
 
-        def _next32(self):
-            self.draws += 1
-            return super()._next32()
+        def _uint32s(self, count):
+            self.draws += count
+            return super()._uint32s(count)
 
     stream = Counting.from_seed(7)
     assert _replay(stream, np.random.default_rng(7), [_LEMIRE] * 64)
@@ -489,15 +489,19 @@ def test_pcg64_stream_rejects_as_lemire_does():
 
 
 def test_pcg64_stream_negative_control_drops_the_kept_half():
-    # a stream that forgets the high half between 32-bit draws must fail
+    # a stream that forgets the high half between 32-bit draws must fail,
+    # whether the half is left by or taken by a scalar draw or a shuffle
     class DropsHalf(sim.Pcg64Stream):
-        def _next32(self):
+        def _uint32s(self, count):
             self._halves = []
-            return super()._next32()
+            return super()._uint32s(count)
 
-    ops = [("integers", 0, 2**31)] * 2
-    assert _replay(sim.Pcg64Stream.from_seed(5), np.random.default_rng(5), ops)
-    assert not _replay(DropsHalf.from_seed(5), np.random.default_rng(5), ops)
+    # a range of 2**31 never rejects and permutation(2) never does either, so
+    # each takes one 32-bit draw and leaves a word's high half over
+    half = ("integers", 0, 2**31)
+    for ops in ([half] * 2, [("permutation", 2), half], [half, ("permutation", 40)]):
+        assert _replay(sim.Pcg64Stream.from_seed(5), np.random.default_rng(5), ops)
+        assert not _replay(DropsHalf.from_seed(5), np.random.default_rng(5), ops), ops
 
 
 def test_pcg64_stream_validation():
