@@ -31,6 +31,7 @@ from .gradients import (
     shift_and_fd_grads,
 )
 from .mnist import (
+    TrainConfig,
     data_files_present,
     default_data_dir,
     fetch_instructions,
@@ -101,6 +102,13 @@ def _check_common(args) -> None:
     _require(args.threads >= 1, "--threads must be >= 1")
 
 
+def _config(args, flags, **normalised) -> dict:
+    """A report's replayed settings, keyed in ``flags`` order: each flag's
+    parsed value (tuples as lists), or the normalised value passed for it."""
+    values = {**vars(args), **normalised}
+    return {k: list(values[k]) if isinstance(values[k], tuple) else values[k] for k in flags}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -109,19 +117,8 @@ def cmd_variance_scan(args) -> int:
     _check_common(args)
     # validate the observable shape up front against the smallest register
     obs_name = _observable_for(args.obs, min(args.n_list)).describe()
-    config = {
-        "m": args.m,
-        "L": args.L,
-        "k_list": list(args.k_list),
-        "n_list": list(args.n_list),
-        "depth": args.depth,
-        "samples": args.samples,
-        "seed": args.seed,
-        "obs": obs_name,
-        "param_id": args.param_id,
-        "format": args.format,
-        "threads": args.threads,
-    }
+    config = _config(args, ("m", "L", "k_list", "n_list", "depth", "samples", "seed", "obs",
+                            "param_id", "format", "threads"), obs=obs_name)
     records = []
     for k in args.k_list:
         for n in args.n_list:
@@ -148,19 +145,8 @@ def cmd_variance_layers(args) -> int:
     _check_common(args)
     _require(len(set(args.L_list)) >= 2, "--L-list needs two distinct values for the slope fit")
     obs = _observable_for(args.obs, args.n)
-    config = {
-        "m": args.m,
-        "n": args.n,
-        "k": args.k,
-        "depth": args.depth,
-        "L_list": list(args.L_list),
-        "samples": args.samples,
-        "seed": args.seed,
-        "obs": obs.describe(),
-        "param_id": args.param_id,
-        "format": args.format,
-        "threads": args.threads,
-    }
+    config = _config(args, ("m", "n", "k", "depth", "L_list", "samples", "seed", "obs",
+                            "param_id", "format", "threads"), obs=obs.describe())
     _progress(
         f"variance-layers: L in {list(args.L_list)} ({args.samples} samples each)"
     )
@@ -221,21 +207,9 @@ def cmd_group_scan(args) -> int:
         spectra = [spectrum]
     else:
         raise LcqnnError("one of --dims or --su2-N is required")
-    config = {
-        "dims": (
-            [",".join(f"{d}:{mult}" for d, mult in s.blocks) for s in spectra]
-            if args.dims
-            else None
-        ),
-        "su2_N": args.su2_N,
-        "select_j": list(args.select_j) if args.select_j is not None else None,
-        "mode": args.mode,
-        "depth": args.depth,
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-        "threads": args.threads,
-    }
+    dims = [",".join(f"{d}:{mult}" for d, mult in s.blocks) for s in spectra]
+    config = _config(args, ("dims", "su2_N", "select_j", "mode", "depth", "samples", "seed",
+                            "format", "threads"), dims=dims if args.dims else None)
     results = []
     for spectrum in spectra:
         _progress(
@@ -274,39 +248,21 @@ def cmd_mnist(args) -> int:
     if not data_files_present(data_dir):
         print(fetch_instructions(data_dir), file=sys.stderr)
         return 2
-    config = {
-        "data_dir": str(data_dir),
-        "L_list": list(args.L_list),
-        "D_list": list(args.D_list),
-        "runs": args.runs,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "batch": args.batch,
-        "train_limit": args.train_limit,
-        "test_limit": args.test_limit,
-        "seed": args.seed,
-        "optimizer": args.optimizer,
-        "format": args.format,
-    }
+    config = _config(args, ("data_dir", "L_list", "D_list", "runs", "epochs", "lr", "batch",
+                            "train_limit", "test_limit", "seed", "optimizer", "format"),
+                     data_dir=str(data_dir))
     _progress(
         f"mnist: loading up to {args.train_limit}/{args.test_limit} examples "
         f"from {data_dir}"
     )
     train_set, test_set = load_dataset(data_dir, args.train_limit, args.test_limit)
     _progress(f"mnist: {len(train_set)} train / {len(test_set)} test examples")
-    cells = run_accuracy_grid(
-        train_set,
-        test_set,
-        args.L_list,
-        args.D_list,
-        args.runs,
-        args.seed,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        optimizer=args.optimizer,
-        progress=_progress,
-    )
+    configs = [
+        TrainConfig(L, D, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+                    runs=args.runs, root_seed=args.seed, optimizer=args.optimizer)
+        for L in args.L_list for D in args.D_list
+    ]
+    cells = run_accuracy_grid(train_set, test_set, configs, progress=_progress)
     summary = reporting.mnist_summary(cells)
     for cell in summary["cells"]:
         _progress(
@@ -405,6 +361,16 @@ def _add_output_flags(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_variance_flags(parser) -> None:
+    parser.add_argument("--m", type=int, default=3, help="control qubits")
+    parser.add_argument("--depth", type=int, default=3, help="entangling layers per block")
+    parser.add_argument("--obs", default="Z0", help="observable, Z<qubit>")
+    parser.add_argument(
+        "--param-id", type=int, default=None,
+        help="flat probe-parameter index (default: branch 0's first rotation)",
+    )
+
+
 def _add_sampling_flags(parser) -> None:
     parser.add_argument("--samples", type=int, default=500)
     parser.add_argument(
@@ -427,17 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser(
         "variance-scan", help="gradient variance vs working-register size"
     )
-    scan.add_argument("--m", type=int, default=3, help="control qubits")
+    _add_variance_flags(scan)
     scan.add_argument("--L", type=int, default=8, help="branch count (power of two)")
     scan.add_argument("--k-list", type=_int_list, default=(3, 5), help="block localities")
     scan.add_argument(
         "--n-list", type=_int_list, default=(3, 4, 6, 8), help="working-register sizes"
-    )
-    scan.add_argument("--depth", type=int, default=3, help="entangling layers per block")
-    scan.add_argument("--obs", default="Z0", help="observable, Z<qubit>")
-    scan.add_argument(
-        "--param-id", type=int, default=None,
-        help="flat probe-parameter index (default: branch 0's first rotation)",
     )
     _add_sampling_flags(scan)
     _add_output_flags(scan)
@@ -446,13 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     layers = sub.add_parser(
         "variance-layers", help="gradient variance vs branch count"
     )
-    layers.add_argument("--m", type=int, default=3)
+    _add_variance_flags(layers)
     layers.add_argument("--n", type=int, default=6)
     layers.add_argument("--k", type=int, default=5)
-    layers.add_argument("--depth", type=int, default=3)
     layers.add_argument("--L-list", type=_int_list, default=(1, 2, 4, 8))
-    layers.add_argument("--obs", default="Z0")
-    layers.add_argument("--param-id", type=int, default=None)
     _add_sampling_flags(layers)
     _add_output_flags(layers)
     layers.set_defaults(handler=cmd_variance_layers)

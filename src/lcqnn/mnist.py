@@ -512,45 +512,18 @@ class GridCell:
         return float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
 
 
-def run_accuracy_grid(
-    train_set,
-    test_set,
-    L_list=(1, 2, 4),
-    D_list=(1, 2, 4, 8),
-    runs: int = 5,
-    root_seed: int = 42,
-    *,
-    learning_rate: float = 0.008,
-    epochs: int = 2,
-    batch_size: int = 32,
-    optimizer: str = "adam",
-    progress=None,
-) -> list[GridCell]:
-    """Train every (L, D) cell and collect per-run metrics.
+def run_accuracy_grid(train_set, test_set, configs, progress=None) -> list[GridCell]:
+    """Train every cell's TrainConfig, in order, and collect per-run metrics.
 
     Every cell's model is built before the first one trains, so a bad L or D
     fails at once rather than after the cells before it."""
-    configs = [
-        TrainConfig(
-            L=L,
-            D=D,
-            learning_rate=learning_rate,
-            epochs=epochs,
-            batch_size=batch_size,
-            runs=runs,
-            root_seed=root_seed,
-            optimizer=optimizer,
-        )
-        for L in L_list
-        for D in D_list
-    ]
     for config in configs:
         config.make_model()
     train_set, test_set = encode_examples(train_set), encode_examples(test_set)
     cells = []
     for config in configs:
         if progress is not None:
-            progress(f"training L={config.L} D={config.D} ({runs} run(s))")
+            progress(f"training L={config.L} D={config.D} ({config.runs} run(s))")
         cells.append(
             GridCell(L=config.L, D=config.D, metrics=train(config, train_set, test_set))
         )

@@ -259,6 +259,14 @@ def branch_angles(model: LcqnnModel, theta) -> np.ndarray:
     return theta.reshape(theta.shape[:-1] + (model.branch_count, model.branch_param_count))
 
 
+def _check_observable(model: LcqnnModel, obs: PauliZSum) -> None:
+    if obs.num_qubits != model.num_working:
+        raise LcqnnError(
+            f"observable on {obs.num_qubits} qubit(s) must address exactly the "
+            f"{model.num_working}-qubit working register"
+        )
+
+
 def working_amps(
     model: LcqnnModel, input_state: StateVector | None = None, obs: PauliZSum | None = None
 ) -> np.ndarray:
@@ -267,11 +275,8 @@ def working_amps(
     ``obs``, when given, must address exactly the working register.
     """
     n = model.num_working
-    if obs is not None and obs.num_qubits != n:
-        raise LcqnnError(
-            f"observable on {obs.num_qubits} qubit(s) must address exactly the "
-            f"{n}-qubit working register"
-        )
+    if obs is not None:
+        _check_observable(model, obs)
     if input_state is None:
         return init_zero(n).amps
     if input_state.num_qubits != n:
@@ -398,7 +403,7 @@ class LightCone:
 def light_cone(model: LcqnnModel, obs: PauliZSum) -> LightCone:
     """The ``LightCone`` of a working-register observable, built once per
     ``(model, obs)`` pair (an observable is keyed by identity)."""
-    working_amps(model, obs=obs)  # the observable's width check
+    _check_observable(model, obs)
     touched = {q for _, qubits in obs.terms for q in qubits}
     remap, gates, columns, slot = {}, [], [], 0
     for spec in model.groups:

@@ -421,14 +421,16 @@ class PauliZSum:
             raise LcqnnError("observable needs at least one term")
         self.terms = tuple(norm_terms)
         self.num_qubits = int(num_qubits)
-        diag = np.zeros(1 << self.num_qubits)
-        for weight, qubits in self.terms:
-            diag += weight * _z_signs(self.num_qubits, qubits)
-        diag.flags.writeable = False
-        self._diag = diag
+        self._diag = None
 
     def diagonal(self) -> np.ndarray:
-        """The operator's diagonal, built once; read-only."""
+        """The operator's diagonal, built on the first call; read-only."""
+        if self._diag is None:
+            diag = np.zeros(1 << self.num_qubits)
+            for weight, qubits in self.terms:
+                diag += weight * _z_signs(self.num_qubits, qubits)
+            diag.flags.writeable = False
+            self._diag = diag
         return self._diag
 
     def describe(self) -> str:
@@ -453,7 +455,7 @@ def expectation(state: StateVector, obs: PauliZSum) -> float | np.ndarray:
     amps = state.amps
     rows = amps.reshape(amps.shape[:-1] + (-1, 1 << obs.num_qubits))
     marginal = np.sum(np.abs(rows) ** 2, axis=-2)
-    values = np.sum(obs._diag * marginal, axis=-1)
+    values = np.sum(obs.diagonal() * marginal, axis=-1)
     return float(values) if values.ndim == 0 else values
 
 

@@ -26,6 +26,7 @@ from lcqnn import (
 from lcqnn.cli import main
 from lcqnn.gradients import TWO_PI, default_probe_param, probe_gradients
 from lcqnn.mnist import (
+    TrainConfig,
     data_files_present,
     default_data_dir,
     fetch_instructions,
@@ -345,10 +346,10 @@ def mnist_grid():
         )
     train_set, test_set = load_dataset(data_dir, 4000, 1000)
     start = time.monotonic()
-    cells = run_accuracy_grid(
-        train_set, test_set, L_list=(1, 4), D_list=(1, 2, 4, 8),
-        runs=5, root_seed=ROOT_SEED,
-    )
+    configs = [
+        TrainConfig(L=L, D=D, runs=5, root_seed=ROOT_SEED) for L in (1, 4) for D in (1, 2, 4, 8)
+    ]
+    cells = run_accuracy_grid(train_set, test_set, configs)
     elapsed = time.monotonic() - start
     return cells, elapsed
 

@@ -6,6 +6,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -170,6 +171,21 @@ def test_register_too_wide_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: num_qubits=40 exceeds the supported maximum of 24\n"
+
+
+def test_wide_scan_allocates_only_its_light_cone(capsys):
+    # Z0 on 24 qubits reads a 3-qubit light cone, so no 2**24 diagonal
+    # (128 MB) of the full-width observable may be built for the scan
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, ["variance-scan", "--n-list", "24", "--k-list", "3", "--samples", "2"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 64 << 20, f"peak {peak / 2**20:.0f} MB"
 
 
 # ---------------------------------------------------------------------------

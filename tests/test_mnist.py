@@ -561,16 +561,8 @@ def test_train_returns_one_metrics_record_per_run():
 def test_accuracy_grid_shapes_and_stats():
     data = tiny_dataset()
     seen = []
-    cells = run_accuracy_grid(
-        data,
-        data,
-        L_list=(1, 2),
-        D_list=(1,),
-        runs=2,
-        epochs=1,
-        batch_size=8,
-        progress=seen.append,
-    )
+    configs = [TrainConfig(L=L, D=1, epochs=1, batch_size=8, runs=2) for L in (1, 2)]
+    cells = run_accuracy_grid(data, data, configs, progress=seen.append)
     assert [(c.L, c.D) for c in cells] == [(1, 1), (2, 1)]
     assert len(seen) == 2
     for cell in cells:

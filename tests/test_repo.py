@@ -71,29 +71,141 @@ def _public_definitions(tree):
                         yield f"{node.name}.{item.name}", item
 
 
+def _reads(tree, skip=None):
+    """What a parsed module reads, outside the subtree ``skip``: the
+    attributes it loads from receivers that are not an ``np.``, ``numpy.``
+    or ``args.`` chain, and its string constants other than docstrings and
+    bare string statements."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    skipped |= {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    attributes, strings = set(), []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in ("np", "numpy", "args")):
+                attributes.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.append(node.value)
+    return attributes, strings
+
+
+def _unread_public_names(sources: dict, readers: list) -> list:
+    """The public names of the ``sources`` modules (stem -> text) that are
+    read nowhere besides their own definition: neither elsewhere in the
+    sources nor in the ``readers`` texts. A function or class counts as read
+    by its name as a whole word; a method or property only as an attribute
+    read (see ``_reads``) or as its qualified ``Class.name`` inside a string."""
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    reader_reads = [_reads(ast.parse(text)) for text in readers]
+    unread = []
+    for stem, text in sources.items():
+        lines = text.splitlines()
+        others = [other for key, other in sources.items() if key != stem] + readers
+        other_reads = [_reads(tree) for key, tree in trees.items() if key != stem]
+        for label, node in _public_definitions(trees[stem]):
+            if "." in label:
+                qualified = re.compile(rf"\b{re.escape(label)}\b")
+                read = any(
+                    node.name in attributes or any(map(qualified.search, strings))
+                    for attributes, strings in [
+                        _reads(trees[stem], skip=node), *other_reads, *reader_reads
+                    ]
+                )
+            else:
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+                word = re.compile(rf"\b{node.name}\b")
+                read = any(map(word.search, [rest, *others]))
+            if not read:
+                unread.append(f"{stem}.{label}")
+    return unread
+
+
 def test_every_public_name_is_read_outside_the_tests():
     # each public name of src/lcqnn must appear somewhere besides its own
     # definition: elsewhere in the package (the exports in __init__.py do
     # not count), in perfbench/*.py or in a README example. A name that
     # only the tests read is code no production path needs.
     sources = {
-        path: path.read_text()
+        path.stem: path.read_text()
         for path in sorted((ROOT / "src" / "lcqnn").glob("*.py"))
         if path.name != "__init__.py"
     }
     readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     readers += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    unread = []
-    for path, text in sources.items():
-        lines = text.splitlines()
-        others = [other for key, other in sources.items() if key != path] + readers
-        for label, node in _public_definitions(ast.parse(text)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(map(word.search, [rest, *others])):
-                unread.append(f"{path.stem}.{label}")
+    unread = _unread_public_names(sources, readers)
     assert not unread, f"read only by the tests, or by nobody: {unread}"
+
+
+def test_public_name_check_flags_methods_matched_only_by_foreign_reads():
+    # a method that shares its name with a NumPy function or a CLI flag is
+    # not read by np.linalg.norm or args.trace; a real attribute read and a
+    # qualified name in a string still count
+    module = (
+        "class Meter:\n"
+        "    def norm(self): ...\n"
+        "    def trace(self): ...\n"
+        "    def reading(self): ...\n"
+        "    def label(self): ...\n"
+    )
+    reader = (
+        '"""Meter.norm and Meter.trace, named in a docstring only."""\n'
+        "import numpy as np\n"
+        "from meters import Meter\n"
+        "def report(args, values):\n"
+        "    print(np.linalg.norm(values), args.trace, Meter().reading())\n"
+        "WRAPPED = ('meters', 'Meter.label')\n"
+    )
+    assert _unread_public_names({"meters": module}, [reader]) == [
+        "meters.Meter.norm", "meters.Meter.trace"
+    ]
+
+
+def _unused_imports(text: str) -> list:
+    """The names a module imports and never reads, as ``name (line N)``;
+    ``from __future__`` imports and ``# noqa: F401`` lines are exempt."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the exports of __init__.py are the package's API, and a patch-only
+    # import is covered by test_patch_only_imports_are_wrapped_by_the_benchmark
+    unused = {
+        path.name: found
+        for path in sorted((ROOT / "src" / "lcqnn").glob("*.py"))
+        if path.name != "__init__.py" and (found := _unused_imports(path.read_text()))
+    }
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_unused_import_check_flags_a_dead_import():
+    module = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from sys import argv, exit\n"
+        "from json import dumps  # noqa: F401  (kept for a wrapper)\n"
+        "exit(os.path.basename(argv[0]))\n"
+    )
+    assert _unused_imports(module) == ["math (line 2)"]
 
 
 def test_bench_files_record_parent_machine_claim_and_runs():
