@@ -60,7 +60,6 @@ from .experiments import (
     fit_log2_slope,
     group_block_variance,
     run_variance_point,
-    scan_variance_vs_L,
     select_blocks,
     su2_block_dims,
     z0_observable,

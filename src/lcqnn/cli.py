@@ -19,7 +19,6 @@ from .experiments import (
     BlockSpectrum,
     group_block_variance,
     run_variance_point,
-    scan_variance_vs_L,
     select_blocks,
     su2_block_dims,
 )
@@ -150,17 +149,15 @@ def cmd_variance_layers(args) -> int:
     _progress(
         f"variance-layers: L in {list(args.L_list)} ({args.samples} samples each)"
     )
-    records = scan_variance_vs_L(
-        args.m,
-        args.n,
-        args.k,
-        args.depth,
-        args.L_list,
-        args.samples,
-        args.seed,
-        obs=obs,
-        param_id=args.param_id,
-    )
+    for L in args.L_list:
+        _require(L >= 1 and not L & (L - 1), f"branch counts must be powers of two, got {L}")
+        _require(args.m >= 0 and L <= 1 << args.m,
+                 f"branch count {L} does not fit {args.m} control qubit(s)")
+    records = [
+        run_variance_point(args.m, args.n, L, args.k, args.depth, args.samples, args.seed,
+                           obs=obs, param_id=args.param_id)
+        for L in args.L_list
+    ]
     summary = reporting.layers_summary(records)
     slope = summary["log2_slope_vs_log2_L"]
     _progress(f"variance-layers: slope {'n/a' if slope is None else f'{slope:+.4f}'}")

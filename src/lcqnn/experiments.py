@@ -97,45 +97,16 @@ def run_variance_point(
     samples: int,
     root_seed: int,
     *,
-    obs=None,
-    param_id: int | None = None,
+    obs: PauliZSum,
+    param_id: int | None,
 ) -> ScanRecord:
-    """Estimate one configuration; the probe defaults to branch 0's first
-    rotation angle, which exists for every architecture with D >= 1."""
+    """Estimate one configuration; a ``param_id`` of None probes branch 0's
+    first rotation angle, which exists for every architecture with D >= 1."""
     model = make_model(m, n, L, k, D)
-    if obs is None:
-        obs = z0_observable(n)
     if param_id is None:
         param_id = default_probe_param(model)
     stats = estimate_grad_stats(model, obs, param_id, samples, root_seed)
     return _record(model, k, obs, param_id, samples, root_seed, stats)
-
-
-def scan_variance_vs_L(
-    m: int = 3,
-    n: int = 6,
-    k: int = 5,
-    D: int = 3,
-    L_list=(1, 2, 4, 8),
-    samples: int = 500,
-    root_seed: int = 42,
-    *,
-    obs=None,
-    param_id: int | None = None,
-) -> list[ScanRecord]:
-    """Variance against branch count at fixed register and depth.
-
-    The probe lives in branch 0, which keeps a nonzero weight for every L.
-    """
-    for L in L_list:
-        if L < 1 or L & (L - 1):
-            raise ArchitectureError(f"branch counts must be powers of two, got {L}")
-        if L > (1 << m):
-            raise ArchitectureError(f"branch count {L} does not fit {m} control qubit(s)")
-    return [
-        run_variance_point(m, n, L, k, D, samples, root_seed, obs=obs, param_id=param_id)
-        for L in L_list
-    ]
 
 
 def fit_log2_slope(xs, variances) -> float:
@@ -185,26 +156,18 @@ def su2_block_dims(N: int) -> BlockSpectrum:
     """Collective-SU(2) block structure of N qubits.
 
     Block j (j = 0..floor(N/2)) has dimension N - 2j + 1 and multiplicity
-    N! (N-2j+1)! / ((N-j+1)! j! (N-2j)!), evaluated in exact integer
-    arithmetic.  Low-j blocks stay polynomial in N while mid-j multiplicities
-    grow exponentially.
+    C(N, j) - C(N, j-1) (1 for j = 0), in exact integer arithmetic.  Low-j
+    blocks stay polynomial in N while mid-j multiplicities grow
+    exponentially.
     """
     if N < 1:
         raise ArchitectureError(f"need at least one qubit, got {N}")
     if N > 64:
         raise CapacityError(f"supported range is N <= 64, got {N}")
-    blocks = []
-    for j in range(N // 2 + 1):
-        d = N - 2 * j + 1
-        mult_num = math.factorial(N) * math.factorial(N - 2 * j + 1)
-        mult_den = (
-            math.factorial(N - j + 1) * math.factorial(j) * math.factorial(N - 2 * j)
-        )
-        mult, rem = divmod(mult_num, mult_den)
-        if rem:
-            raise LcqnnError(f"non-integer multiplicity for N={N}, j={j}")
-        blocks.append((d, mult))
-    return BlockSpectrum(tuple(blocks))
+    return BlockSpectrum(tuple(
+        (N - 2 * j + 1, math.comb(N, j) - math.comb(N, j - 1) if j else 1)
+        for j in range(N // 2 + 1)
+    ))
 
 
 def select_blocks(spectrum: BlockSpectrum, indices) -> BlockSpectrum:
@@ -300,11 +263,7 @@ class GroupScanResult:
 
 
 def group_block_variance(
-    spectrum: BlockSpectrum,
-    samples: int = 500,
-    mode: str = "haar",
-    root_seed: int = 42,
-    depth: int = 8,
+    spectrum: BlockSpectrum, samples: int, mode: str, root_seed: int, depth: int
 ) -> GroupScanResult:
     """Gradient statistics of C = sum_mu p_mu(alpha) <psi_mu| O_mu |psi_mu>.
 

@@ -70,12 +70,9 @@ def sample_params(model: LcqnnModel, generator) -> np.ndarray:
     return generator.uniform(0.0, TWO_PI, num_params(model))
 
 
-def cost_flat(
-    model: LcqnnModel, flat, obs: PauliZSum, input_state: StateVector | None = None
-) -> float | np.ndarray:
+def cost_flat(model: LcqnnModel, flat, obs: PauliZSum) -> float | np.ndarray:
     """``cost`` of flat parameters, batched like ``split_params``."""
-    alpha, theta = split_params(model, flat)
-    return cost(model, alpha, theta, obs, input_state)
+    return cost(model, *split_params(model, flat), obs)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,7 @@ def _check_param_id(model: LcqnnModel, param_ids) -> None:
 
 
 def shift_and_fd_grads(
-    parts, obs: PauliZSum, input_state: StateVector | None = None, shift_scale: float = 1.0
+    parts, obs: PauliZSum, shift_scale: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The exact shift-rule gradient and the central difference (step
     ``FD_STEP``) of every probe ``(x, i)`` of each ``(model, flats (R, P),
@@ -102,9 +99,9 @@ def shift_and_fd_grads(
     Branch angles generate a single frequency, so the standard rule
     ``(C(+pi/2) - C(-pi/2)) / 2`` applies. A tree angle ``a`` enters the
     circuit as a rotation by ``2a``; rescaling the rule gives shift ``pi/4``
-    with unit prefactor. ``shift_scale`` multiplies the shift offsets and
-    exists only as a negative-control hook: any value other than 1 breaks
-    the rule on purpose.
+    with unit prefactor. ``shift_scale`` multiplies the shift offsets: 1 is
+    the exact rule, and grad-check's negative control breaks it on purpose
+    with any other value.
 
     The models share one branch circuit (``model.groups``), and one
     ``costs`` pass evaluates the four points of every probe, with the step
@@ -127,36 +124,23 @@ def shift_and_fd_grads(
         points.append((model, *split_params(model, x)))
         prefactors.append(np.where(tree, 1.0, 0.5))
     grads = []
-    for values, prefactor in zip(costs(points, obs, input_state), prefactors):
+    for values, prefactor in zip(costs(points, obs), prefactors):
         diffs = values[..., 0] - values[..., 1]
         grads.append((prefactor * diffs[:, 0], diffs[:, 1] / (2.0 * FD_STEP)))
     return grads
 
 
-def param_shift_grad(
-    model: LcqnnModel,
-    flat,
-    obs: PauliZSum,
-    param_id: int,
-    input_state: StateVector | None = None,
-    shift_scale: float = 1.0,
-) -> float:
+def param_shift_grad(model: LcqnnModel, flat, obs: PauliZSum, param_id: int) -> float:
     """Exact derivative of one probe: ``shift_and_fd_grads``'s shift rule."""
     probe = [(model, np.ravel(flat)[None], [param_id])]
-    return float(shift_and_fd_grads(probe, obs, input_state, shift_scale)[0][0][0])
+    return float(shift_and_fd_grads(probe, obs, 1.0)[0][0][0])
 
 
-def finite_diff_grad(
-    model: LcqnnModel,
-    flat,
-    obs: PauliZSum,
-    param_id: int,
-    input_state: StateVector | None = None,
-) -> float:
+def finite_diff_grad(model: LcqnnModel, flat, obs: PauliZSum, param_id: int) -> float:
     """Central difference of one probe, for cross-checking the exact rules:
     ``shift_and_fd_grads``'s finite difference."""
     probe = [(model, np.ravel(flat)[None], [param_id])]
-    return float(shift_and_fd_grads(probe, obs, input_state)[0][1][0])
+    return float(shift_and_fd_grads(probe, obs, 1.0)[0][1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -75,16 +75,13 @@ def default_data_dir() -> Path:
     return Path(os.environ.get(DATA_DIR_ENV, "data"))
 
 
-def parse_idx(source) -> np.ndarray:
-    """Decode an IDX payload (path or raw bytes; gzip detected by magic).
+def parse_idx(path) -> np.ndarray:
+    """Decode the IDX file at ``path``, plain or gzipped (detected by magic).
 
-    Images (magic``0x803``) come back as a (count, rows, cols) uint8 array,
+    Images (magic ``0x803``) come back as a (count, rows, cols) uint8 array,
     labels (magic ``0x801``) as a (count,) uint8 array.
     """
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = bytes(source)
+    data = Path(path).read_bytes()
     if data[:2] == b"\x1f\x8b":
         try:
             data = gzip.decompress(data)
@@ -202,7 +199,7 @@ def fetch_instructions(data_dir) -> str:
 
 
 def load_dataset(
-    data_dir, train_limit: int = 4000, test_limit: int = 1000
+    data_dir, train_limit: int, test_limit: int
 ) -> tuple[list[MnistExample], list[MnistExample]]:
     """Load and preprocess both splits, stratified to digits 0-3."""
     train = load_examples(
@@ -245,10 +242,7 @@ class EncodedExamples:
 
 
 def encode_examples(examples) -> EncodedExamples:
-    """Amplitude-encode a list of MnistExample once; EncodedExamples pass
-    through, so a grid encodes its sets once for all cells and runs."""
-    if isinstance(examples, EncodedExamples):
-        return examples
+    """Amplitude-encode a list of MnistExample: one state row and one label each."""
     return EncodedExamples(
         np.array([amplitude_encode(ex.pixels).amps for ex in examples], dtype=np.complex128),
         np.array([ex.label for ex in examples], dtype=np.int64),
@@ -343,14 +337,13 @@ def example_loss_and_grad(
 
 
 def evaluate_accuracy(
-    model: LcqnnModel, flat_params: np.ndarray, examples
+    model: LcqnnModel, flat_params: np.ndarray, data: EncodedExamples
 ) -> float:
-    """Fraction of ``examples`` (MnistExample or EncodedExamples) whose
-    largest logit is their label, from batched forward sweeps."""
-    if len(examples) == 0:
+    """Fraction of the encoded examples ``data`` whose largest logit is
+    their label, from batched forward sweeps."""
+    if len(data) == 0:
         raise TrainingError("no examples to evaluate")
     alpha, theta = split_params(model, flat_params)
-    data = encode_examples(examples)
     correct = 0
     for run in row_runs(len(data), model.branch_count << model.num_working):
         logits = _forward_sweep(model, alpha, theta, data.states[run])[1]
@@ -371,12 +364,12 @@ CLASSIFIER_SHAPE = (2, 4, 2)
 class TrainConfig:
     L: int
     D: int
-    learning_rate: float = 0.008
-    epochs: int = 2
-    batch_size: int = 32
-    runs: int = 5
-    root_seed: int = 42
-    optimizer: str = "adam"
+    learning_rate: float
+    epochs: int
+    batch_size: int
+    runs: int
+    root_seed: int
+    optimizer: str
 
     def make_model(self) -> LcqnnModel:
         m, n, k = CLASSIFIER_SHAPE
@@ -394,8 +387,10 @@ class RunMetrics:
 class AdamOptimizer:
     """Standard Adam with bias correction, minimizing the loss."""
 
-    def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, lr: float):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -428,12 +423,12 @@ def _make_optimizer(name: str, size: int, lr: float):
 
 
 def train_single_run(
-    config: TrainConfig, train_set, test_set, run_index: int
+    config: TrainConfig, train_set: EncodedExamples, test_set: EncodedExamples, run_index: int
 ) -> RunMetrics:
     """One training run: init and epoch shuffles as the run's RngStream components
     0 and 1 draw them, minibatch descent, then held-out accuracy.  Batch gradients
     accumulate in example order, so a rerun reproduces the loss curve bit for
-    bit.  Either set may be a list of MnistExample or EncodedExamples."""
+    bit."""
     if not train_set or not test_set:
         raise TrainingError("empty training or test set")
     model = config.make_model()
@@ -446,8 +441,7 @@ def train_single_run(
     if config.batch_size < 1 or config.epochs < 1:
         raise TrainingError("batch_size and epochs must be >= 1")
 
-    train_data = encode_examples(train_set)
-    states, labels = train_data.states, train_data.labels
+    states, labels = train_set.states, train_set.labels
     epoch_losses = []
     for epoch in range(config.epochs):
         order = shuffle.permutation(len(train_set))
@@ -482,14 +476,11 @@ def train_single_run(
     )
 
 
-def train(config: TrainConfig, train_set, test_set) -> list[RunMetrics]:
-    """All runs of one configuration, seeded independently per run, on sets
-    encoded once."""
-    train_data, test_data = encode_examples(train_set), encode_examples(test_set)
-    return [
-        train_single_run(config, train_data, test_data, run)
-        for run in range(config.runs)
-    ]
+def train(
+    config: TrainConfig, train_set: EncodedExamples, test_set: EncodedExamples
+) -> list[RunMetrics]:
+    """All runs of one configuration, seeded independently per run."""
+    return [train_single_run(config, train_set, test_set, run) for run in range(config.runs)]
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +503,10 @@ class GridCell:
         return float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
 
 
-def run_accuracy_grid(train_set, test_set, configs, progress=None) -> list[GridCell]:
-    """Train every cell's TrainConfig, in order, and collect per-run metrics.
+def run_accuracy_grid(train_set, test_set, configs, progress) -> list[GridCell]:
+    """Train every cell's TrainConfig, in order, on lists of MnistExample
+    encoded once for all cells and runs, and collect per-run metrics;
+    ``progress`` gets one line as each cell starts.
 
     Every cell's model is built before the first one trains, so a bad L or D
     fails at once rather than after the cells before it."""
@@ -522,8 +515,7 @@ def run_accuracy_grid(train_set, test_set, configs, progress=None) -> list[GridC
     train_set, test_set = encode_examples(train_set), encode_examples(test_set)
     cells = []
     for config in configs:
-        if progress is not None:
-            progress(f"training L={config.L} D={config.D} ({config.runs} run(s))")
+        progress(f"training L={config.L} D={config.D} ({config.runs} run(s))")
         cells.append(
             GridCell(L=config.L, D=config.D, metrics=train(config, train_set, test_set))
         )

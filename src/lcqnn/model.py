@@ -420,7 +420,7 @@ def light_cone(model: LcqnnModel, obs: PauliZSum) -> LightCone:
 def costs(parts, obs: PauliZSum, input_state: StateVector | None = None) -> list:
     """``cost`` of each ``(model, alpha, theta)`` of ``parts`` from one
     ``forward_states`` pass, with one batched ``expectation`` per part."""
-    working_amps(parts[0][0], input_state, obs)
+    _check_observable(parts[0][0], obs)
     return [expectation(state, obs) for state in forward_states(parts, input_state)]
 
 

@@ -101,8 +101,8 @@ def render_json(command: str, config: dict, records, summary=None) -> str:
     return text + "\n"
 
 
-def write_output(text: str, path=None) -> None:
-    """Write to the path, or to standard output when no path is given."""
+def write_output(text: str, path) -> None:
+    """Write to the path, or to standard output when the path is None."""
     if path is None:
         sys.stdout.write(text)
     else:

@@ -19,24 +19,30 @@ from lcqnn import (
     lcqnn_forward,
     make_model,
     run_variance_point,
-    scan_variance_vs_L,
     su2_block_dims,
     z0_observable,
 )
 from lcqnn.cli import main
 from lcqnn.gradients import TWO_PI, default_probe_param, probe_gradients
 from lcqnn.mnist import (
-    TrainConfig,
     data_files_present,
     default_data_dir,
     fetch_instructions,
     load_dataset,
     run_accuracy_grid,
 )
+from test_mnist import train_config
 
 SAMPLES = 500
 ROOT_SEED = 42
 LAYER_SEEDS = (11, 42, 97)
+
+
+def variance_point(m, n, L, k, D, seed=ROOT_SEED):
+    """One scan row as the CLI runs it: Z0 and branch 0's first angle."""
+    return run_variance_point(
+        m, n, L, k, D, SAMPLES, seed, obs=z0_observable(n), param_id=None
+    )
 
 
 def data_rows(text: str) -> list[str]:
@@ -56,9 +62,7 @@ def fig4_records():
     for k in (3, 5):
         for n in (3, 4, 6, 8):
             if k <= n:
-                records[(k, n)] = run_variance_point(
-                    3, n, 8, k, 3, SAMPLES, ROOT_SEED
-                )
+                records[(k, n)] = variance_point(3, n, 8, k, 3)
     assert time.monotonic() - start < 900.0
     return records
 
@@ -67,9 +71,7 @@ def fig4_records():
 def companion_records():
     """Same architecture with one register-wide block per branch (k = n)."""
     start = time.monotonic()
-    records = [
-        run_variance_point(3, n, 8, n, 3, SAMPLES, ROOT_SEED) for n in (3, 4, 6, 8)
-    ]
+    records = [variance_point(3, n, 8, n, 3) for n in (3, 4, 6, 8)]
     assert time.monotonic() - start < 900.0
     return records
 
@@ -79,7 +81,7 @@ def layers_by_seed():
     """Variance vs branch count, repeated under three seeds."""
     start = time.monotonic()
     scans = {
-        seed: scan_variance_vs_L(3, 6, 5, 3, (1, 2, 4, 8), SAMPLES, seed)
+        seed: [variance_point(3, 6, L, 5, 3, seed) for L in (1, 2, 4, 8)]
         for seed in LAYER_SEEDS
     }
     assert time.monotonic() - start < 900.0
@@ -91,7 +93,7 @@ def global_records():
     """One branch per control state and a register-wide block, vs m + n."""
     start = time.monotonic()
     records = [
-        run_variance_point(m, n, 1 << m, n, 3, SAMPLES, ROOT_SEED)
+        variance_point(m, n, 1 << m, n, 3)
         for m in (1, 2)
         for n in (2, 3, 4, 5)
     ]
@@ -115,7 +117,7 @@ RATIO_SAMPLES = 20000
 def group_results_high():
     start = time.monotonic()
     results = {
-        label: group_block_variance(spec, RATIO_SAMPLES, "haar", ROOT_SEED)
+        label: group_block_variance(spec, RATIO_SAMPLES, "haar", ROOT_SEED, depth=8)
         for label, spec in GROUP_SPECTRA.items()
     }
     assert time.monotonic() - start < 600.0
@@ -125,7 +127,7 @@ def group_results_high():
 @pytest.fixture(scope="module")
 def group_results_500():
     return {
-        label: group_block_variance(spec, SAMPLES, "haar", ROOT_SEED)
+        label: group_block_variance(spec, SAMPLES, "haar", ROOT_SEED, depth=8)
         for label, spec in GROUP_SPECTRA.items()
     }
 
@@ -347,9 +349,9 @@ def mnist_grid():
     train_set, test_set = load_dataset(data_dir, 4000, 1000)
     start = time.monotonic()
     configs = [
-        TrainConfig(L=L, D=D, runs=5, root_seed=ROOT_SEED) for L in (1, 4) for D in (1, 2, 4, 8)
+        train_config(L, D, runs=5, root_seed=ROOT_SEED) for L in (1, 4) for D in (1, 2, 4, 8)
     ]
-    cells = run_accuracy_grid(train_set, test_set, configs)
+    cells = run_accuracy_grid(train_set, test_set, configs, progress=print)
     elapsed = time.monotonic() - start
     return cells, elapsed
 

@@ -226,12 +226,21 @@ def test_variance_layers_probe_outside_cone_has_no_slope(capsys):
 
 
 def test_variance_layers_bad_branch_count(capsys):
-    for L_list, message in (("1,3", "power"), ("4", "two distinct"), ("2,2", "two distinct")):
-        code, _, err = run_cli(
-            capsys, ["variance-layers", "--L-list", L_list, "--samples", "2"]
-        )
-        assert code == 2
-        assert message in err
+    # every branch count is checked before the first point runs
+    not_power = "branch counts must be powers of two, got 3"
+    two_values = "--L-list needs two distinct values for the slope fit"
+    for flags, message in (
+        (["--L-list", "1,3"], not_power),
+        (["--L-list", "4"], two_values),
+        (["--L-list", "2,2"], two_values),
+        (["--m", "2", "--L-list", "1,3,8"], not_power),
+        (["--m", "2", "--L-list", "1,8"], "branch count 8 does not fit 2 control qubit(s)"),
+        (["--m", "2", "--L-list", "1,8,3"], "branch count 8 does not fit 2 control qubit(s)"),
+        (["--m", "-1", "--L-list", "1,2"], "branch count 1 does not fit -1 control qubit(s)"),
+    ):
+        code, out, err = run_cli(capsys, ["variance-layers", *flags, "--samples", "2"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +701,24 @@ def test_grad_check_makes_one_branch_pass_per_branch_circuit(
     assert len(kernel_rows) == 62
     assert sum(kernel_rows) == 3408
     assert len(readouts) == 259
+
+
+def test_grad_check_builds_each_input_state_once(capsys, monkeypatch):
+    # the 259 architectures of the 400 probes of seed 42 each build their
+    # |0...0> input once, in the tree stage of their branch pass; checking
+    # the observable builds none
+    built = []
+    init_zero = model_module.init_zero
+
+    def counting_init_zero(num_qubits):
+        built.append(num_qubits)
+        return init_zero(num_qubits)
+
+    monkeypatch.setattr(model_module, "init_zero", counting_init_zero)
+    code, out, _ = run_cli(capsys, ["grad-check", "--probes", "400", "--seed", "42"])
+    assert code == 0
+    assert out.startswith("grad-check: 400/400 probes within")
+    assert len(built) == 259
 
 
 def test_grad_check_zero_probes(capsys):

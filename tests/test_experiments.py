@@ -13,7 +13,6 @@ from lcqnn.experiments import (
     fit_log2_slope,
     group_block_variance,
     run_variance_point,
-    scan_variance_vs_L,
     select_blocks,
     su2_block_dims,
     z0_observable,
@@ -51,6 +50,18 @@ def test_su2_multiplicity_growth():
     assert max(mults) > 10000
 
 
+def test_su2_multiplicities_equal_the_factorial_formula():
+    # the multiplicity of total spin N/2 - j among N spin-1/2s, in its
+    # factorial form N! (N-2j+1)! / ((N-j+1)! j! (N-2j)!)
+    f = math.factorial
+    for N in range(1, 65):
+        expected = [
+            (N - 2 * j + 1, f(N) * f(N - 2 * j + 1) // (f(N - j + 1) * f(j) * f(N - 2 * j)))
+            for j in range(N // 2 + 1)
+        ]
+        assert list(su2_block_dims(N).blocks) == expected, f"N={N}"
+
+
 def test_su2_block_dims_validation():
     with pytest.raises(ArchitectureError):
         su2_block_dims(0)
@@ -80,8 +91,15 @@ def test_balanced_z_diag():
 # architecture scans
 
 
+def _point(m, n, L, k, D, samples, root_seed):
+    """run_variance_point with the CLI's default observable and probe."""
+    return run_variance_point(
+        m, n, L, k, D, samples, root_seed, obs=z0_observable(n), param_id=None
+    )
+
+
 def test_run_variance_point_record_fields():
-    rec = run_variance_point(2, 3, 4, 5, 1, samples=30, root_seed=5)
+    rec = _point(2, 3, 4, 5, 1, samples=30, root_seed=5)
     assert (rec.m, rec.n, rec.L, rec.D) == (2, 3, 4, 1)
     assert rec.k == 5  # requested locality recorded even though capped to n
     assert rec.observable == "Z0"
@@ -91,28 +109,23 @@ def test_run_variance_point_record_fields():
     assert math.isfinite(rec.stderr)
 
 
-def test_scan_vs_L_validation_and_single_branch_equivalence():
-    with pytest.raises(ArchitectureError):
-        scan_variance_vs_L(m=2, L_list=(3,), samples=2)
-    with pytest.raises(ArchitectureError):
-        scan_variance_vs_L(m=2, L_list=(8,), samples=2)
-
+def test_single_branch_equivalence():
     # L=1 with idle control qubits is exactly a plain QNN: the branch-0 probe
     # sees identical draws and weights, so the estimates agree bit for bit.
-    combined = run_variance_point(3, 2, 1, 2, 1, samples=60, root_seed=21)
-    plain = run_variance_point(0, 2, 1, 2, 1, samples=60, root_seed=21)
+    combined = _point(3, 2, 1, 2, 1, samples=60, root_seed=21)
+    plain = _point(0, 2, 1, 2, 1, samples=60, root_seed=21)
     assert combined.mean == plain.mean
     assert combined.variance == plain.variance
 
 
 def test_scan_global_uses_full_tree_and_global_blocks():
     # the global scan: one branch per control state and a register-wide block
-    records = [run_variance_point(1, n, 2, n, 1, samples=20, root_seed=3) for n in (2, 3)]
+    records = [_point(1, n, 2, n, 1, samples=20, root_seed=3) for n in (2, 3)]
     assert [(r.m, r.n, r.L, r.k) for r in records] == [(1, 2, 2, 2), (1, 3, 2, 3)]
 
 
 def test_scan_records_zero_mean():
-    rec = run_variance_point(1, 2, 2, 2, 2, samples=200, root_seed=13)
+    rec = _point(1, 2, 2, 2, 2, samples=200, root_seed=13)
     assert abs(rec.mean) <= 4 * rec.stderr
 
 
@@ -127,9 +140,9 @@ def test_fit_log2_slope():
 
 
 def test_custom_observable_flows_into_record():
-    obs = z0_observable(2)
-    rec = run_variance_point(1, 2, 2, 2, 1, samples=10, root_seed=1, obs=obs)
-    assert rec.observable == "Z0"
+    for obs, name in ((z0_observable(2), "Z0"), (sim.PauliZSum([(1.0, (1,))], num_qubits=2), "Z1")):
+        rec = run_variance_point(1, 2, 2, 2, 1, 10, 1, obs=obs, param_id=None)
+        assert rec.observable == name
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +153,7 @@ def test_single_block_haar_matches_analytic_variance():
     # one 2-dimensional block: the rotation-probe gradient under a Haar
     # unitary has variance 1/(d+1) = 1/3.
     result = group_block_variance(
-        BlockSpectrum(((2, 1),)), samples=20000, mode="haar", root_seed=101
+        BlockSpectrum(((2, 1),)), samples=20000, mode="haar", root_seed=101, depth=8
     )
     assert result.alpha_stats is None
     assert result.theta_stats.variance == pytest.approx(1.0 / 3.0, rel=0.1)
@@ -149,7 +162,7 @@ def test_single_block_haar_matches_analytic_variance():
 
 def test_group_scan_two_blocks_has_alpha_probe():
     result = group_block_variance(
-        BlockSpectrum(((4, 1), (4, 1))), samples=400, mode="haar", root_seed=7
+        BlockSpectrum(((4, 1), (4, 1))), samples=400, mode="haar", root_seed=7, depth=8
     )
     assert result.alpha_stats is not None
     assert result.alpha_stats.count == 400
@@ -159,23 +172,23 @@ def test_group_scan_two_blocks_has_alpha_probe():
 
 def test_group_scan_deterministic_and_thread_invariant():
     spectrum = BlockSpectrum(((4, 1), (2, 2)))
-    a = group_block_variance(spectrum, samples=130, mode="haar", root_seed=5)
-    b = group_block_variance(spectrum, samples=130, mode="haar", root_seed=5)
+    a = group_block_variance(spectrum, samples=130, mode="haar", root_seed=5, depth=8)
+    b = group_block_variance(spectrum, samples=130, mode="haar", root_seed=5, depth=8)
     assert (a.theta_stats.mean, a.alpha_stats.variance) == (
         b.theta_stats.mean,
         b.alpha_stats.variance,
     )
-    other = group_block_variance(spectrum, samples=130, mode="haar", root_seed=6)
+    other = group_block_variance(spectrum, samples=130, mode="haar", root_seed=6, depth=8)
     assert other.theta_stats.variance != a.theta_stats.variance
 
 
 def test_group_scan_dimension_halving_ratio():
     # doubling every block dimension should roughly halve the probe variance.
     small = group_block_variance(
-        BlockSpectrum(((8, 1), (8, 1))), samples=2000, mode="haar", root_seed=31
+        BlockSpectrum(((8, 1), (8, 1))), samples=2000, mode="haar", root_seed=31, depth=8
     )
     large = group_block_variance(
-        BlockSpectrum(((16, 1), (16, 1))), samples=2000, mode="haar", root_seed=31
+        BlockSpectrum(((16, 1), (16, 1))), samples=2000, mode="haar", root_seed=31, depth=8
     )
     ratio = large.theta_stats.variance / small.theta_stats.variance
     assert 0.3 <= ratio <= 0.8
@@ -185,7 +198,7 @@ def test_haar_and_ansatz_modes_agree_on_power_of_two_block():
     # at depth >= 8 the layered circuit is close enough to Haar for the
     # second-moment probe statistics to match within 50%.
     spectrum = BlockSpectrum(((8, 1),))
-    haar = group_block_variance(spectrum, samples=4000, mode="haar", root_seed=19)
+    haar = group_block_variance(spectrum, samples=4000, mode="haar", root_seed=19, depth=8)
     ansatz = group_block_variance(
         spectrum, samples=4000, mode="ansatz", root_seed=19, depth=8
     )
@@ -263,14 +276,14 @@ def test_group_scan_is_bit_identical_under_any_amplitude_budget(monkeypatch):
 def test_group_scan_validation():
     spectrum = BlockSpectrum(((2, 1),))
     with pytest.raises(LcqnnError):
-        group_block_variance(spectrum, mode="random")
+        group_block_variance(spectrum, 500, "random", 42, 8)
     with pytest.raises(LcqnnError):
-        group_block_variance(spectrum, samples=0)
+        group_block_variance(spectrum, 0, "haar", 42, 8)
     with pytest.raises(LcqnnError, match="depth"):
-        group_block_variance(spectrum, mode="ansatz", depth=0)
+        group_block_variance(spectrum, 500, "ansatz", 42, 0)
     with pytest.raises(CapacityError):
-        group_block_variance(BlockSpectrum(((512, 1),)), mode="haar", samples=2)
+        group_block_variance(BlockSpectrum(((512, 1),)), 2, "haar", 42, 8)
     with pytest.raises(CapacityError):
-        group_block_variance(BlockSpectrum(((1 << 13, 1),)), mode="ansatz", samples=2)
+        group_block_variance(BlockSpectrum(((1 << 13, 1),)), 2, "ansatz", 42, 8)
     with pytest.raises(ArchitectureError):
         BlockSpectrum(((0, 1),))

@@ -84,13 +84,23 @@ def test_point_rules_cross_check_property():
                 assert full[pid] == pytest.approx(shift, abs=1e-9)
 
 
-def _two_single_row_costs(model, flat, obs, pid, step, input_state):
+def _two_single_row_costs(model, flat, obs, pid, step):
     """cost_flat at x + step and at (x + step) - 2 step, one call each."""
     up = np.array(flat, dtype=np.float64)
     up[pid] += step
     down = up.copy()
     down[pid] -= 2.0 * step
-    return cost_flat(model, up, obs, input_state), cost_flat(model, down, obs, input_state)
+    return cost_flat(model, up, obs), cost_flat(model, down, obs)
+
+
+def _single_probe_rules(model, flat, obs, pid, scale):
+    """Both rules of one probe, each in a call of its own: param_shift_grad
+    and finite_diff_grad at the exact shift, a one-probe shift_and_fd_grads
+    at any other shift scale."""
+    if scale == 1.0:
+        return param_shift_grad(model, flat, obs, pid), finite_diff_grad(model, flat, obs, pid)
+    [(shifts, fds)] = shift_and_fd_grads([(model, flat[None], [pid])], obs, scale)
+    return shifts[0], fds[0]
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 2, 1, 1), (0, 2, 1, 2, 1)])
@@ -103,26 +113,20 @@ def test_point_rules_equal_two_single_row_costs(shape, branch_passes):
     rng = np.random.default_rng(sum(shape))
     flat = rng.uniform(0, 2 * math.pi, num_params(model))
     h = gradients.FD_STEP
-    for input_state in (None, oracles.random_state(n, rng)):
-        for pid in range(num_params(model)):
-            shift, prefactor = (
-                (math.pi / 4, 1.0) if pid < model.num_alpha else (math.pi / 2, 0.5)
-            )
-            fd_up, fd_down = _two_single_row_costs(model, flat, obs, pid, h, input_state)
-            for scale in (1.0, 1.1):
-                up, down = _two_single_row_costs(
-                    model, flat, obs, pid, scale * shift, input_state
-                )
-                before = len(branch_passes)
-                [(shifts, fds)] = shift_and_fd_grads(
-                    [(model, flat[None], [pid])], obs, input_state, scale
-                )
-                assert len(branch_passes) == before + 1
-                assert shifts.shape == fds.shape == (1,)
-                assert shifts[0] == prefactor * (up - down)
-                assert fds[0] == (fd_up - fd_down) / (2.0 * h)
-                assert param_shift_grad(model, flat, obs, pid, input_state, scale) == shifts[0]
-            assert finite_diff_grad(model, flat, obs, pid, input_state) == fds[0]
+    for pid in range(num_params(model)):
+        shift, prefactor = (math.pi / 4, 1.0) if pid < model.num_alpha else (math.pi / 2, 0.5)
+        fd_up, fd_down = _two_single_row_costs(model, flat, obs, pid, h)
+        for scale in (1.0, 1.1):
+            up, down = _two_single_row_costs(model, flat, obs, pid, scale * shift)
+            before = len(branch_passes)
+            [(shifts, fds)] = shift_and_fd_grads([(model, flat[None], [pid])], obs, scale)
+            assert len(branch_passes) == before + 1
+            assert shifts.shape == fds.shape == (1,)
+            assert shifts[0] == prefactor * (up - down)
+            assert fds[0] == (fd_up - fd_down) / (2.0 * h)
+            if scale == 1.0:
+                assert param_shift_grad(model, flat, obs, pid) == shifts[0]
+        assert finite_diff_grad(model, flat, obs, pid) == fds[0]
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2, 2), (3, 2, 8, 1, 1), (0, 2, 1, 2, 1)])
@@ -136,17 +140,13 @@ def test_batched_rules_equal_per_probe_rules(shape, branch_passes):
     flats = rng.uniform(0, 2 * math.pi, (12, num_params(model)))
     param_ids = [int(pid) for pid in rng.integers(0, num_params(model), len(flats))]
     param_ids[:2] = [0, num_params(model) - 1]  # a tree angle when there is one
-    for input_state in (None, oracles.random_state(n, rng)):
-        for scale in (1.0, 1.25):
-            before = len(branch_passes)
-            [(shifts, fds)] = shift_and_fd_grads(
-                [(model, flats, param_ids)], obs, input_state, scale
-            )
-            assert len(branch_passes) == before + 1
-            assert shifts.shape == fds.shape == (len(flats),)
-            for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
-                assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
-                assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
+    for scale in (1.0, 1.25):
+        before = len(branch_passes)
+        [(shifts, fds)] = shift_and_fd_grads([(model, flats, param_ids)], obs, scale)
+        assert len(branch_passes) == before + 1
+        assert shifts.shape == fds.shape == (len(flats),)
+        for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
+            assert (shift, fd) == _single_probe_rules(model, flat, obs, pid, scale)
 
 
 @pytest.mark.parametrize("layout", [(2, 1, 2), (3, 2, 1), (4, 3, 1)])
@@ -164,16 +164,17 @@ def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, bran
         flats = rng.uniform(0, 2 * math.pi, (2, num_params(model)))
         probes.append((model, flats, rng.integers(0, num_params(model), 2)))
     probes[0][2][:] = [0, num_params(probes[0][0]) - 1]  # a tree angle when there is one
+    for scale in (1.0, 1.25):
+        before = len(branch_passes)
+        grads = shift_and_fd_grads(probes, obs, scale)
+        assert len(branch_passes) == before + 1
+        assert len(grads) == len(probes)
+        for (model, flats, param_ids), (shifts, fds) in zip(probes, grads):
+            for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
+                assert (shift, fd) == _single_probe_rules(model, flat, obs, pid, scale)
+    # the costs of every model, from any input state, match the dense oracle
+    observable = oracles.dense_observable(obs, n)
     for input_state in (None, oracles.random_state(n, rng)):
-        for scale in (1.0, 1.25):
-            before = len(branch_passes)
-            grads = shift_and_fd_grads(probes, obs, input_state, scale)
-            assert len(branch_passes) == before + 1
-            assert len(grads) == len(probes)
-            for (model, flats, param_ids), (shifts, fds) in zip(probes, grads):
-                for flat, pid, shift, fd in zip(flats, param_ids, shifts, fds):
-                    assert shift == param_shift_grad(model, flat, obs, pid, input_state, scale)
-                    assert fd == finite_diff_grad(model, flat, obs, pid, input_state)
         parts = [
             (model, *split_params(model, rng.uniform(0, 2 * math.pi, (2, num_params(model)))))
             for model in models
@@ -181,7 +182,6 @@ def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, bran
         before = len(branch_passes)
         values = costs(parts, obs, input_state)
         assert len(branch_passes) == before + 1
-        observable = oracles.dense_observable(obs, n)
         for (model, alphas, thetas), row_values in zip(parts, values):
             assert row_values.shape == (2,)
             for alpha, theta, value in zip(alphas, thetas, row_values):
@@ -189,7 +189,9 @@ def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, bran
                 assert abs(value - dense) <= 1e-12
     apart = [make_model(1, n, 2, k, D), make_model(1, n, 2, k, D + 1)]
     with pytest.raises(LcqnnError, match="share their block groups"):
-        shift_and_fd_grads([(each, np.zeros((1, num_params(each))), [0]) for each in apart], obs)
+        shift_and_fd_grads(
+            [(each, np.zeros((1, num_params(each))), [0]) for each in apart], obs, 1.0
+        )
 
 
 def test_out_of_range_id_in_any_row_raises_before_a_branch_pass(branch_passes):
@@ -203,7 +205,7 @@ def test_out_of_range_id_in_any_row_raises_before_a_branch_pass(branch_passes):
             probes[part][2][1] = bad
             message = rf"parameter id {bad} out of range 0\.\.{P - 1}$"
             with pytest.raises(LcqnnError, match=message):
-                shift_and_fd_grads(probes, obs)
+                shift_and_fd_grads(probes, obs, 1.0)
     assert branch_passes == []
 
 

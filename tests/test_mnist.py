@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lcqnn import mnist, sim
+from lcqnn.cli import build_parser
 from lcqnn import (
     EncodingError,
     IdxFormatError,
@@ -31,6 +32,7 @@ from lcqnn.mnist import (
     TrainConfig,
     cross_entropy,
     data_files_present,
+    encode_examples,
     evaluate_accuracy,
     example_loss_and_grad,
     fetch_instructions,
@@ -60,6 +62,13 @@ def pack_labels(labels) -> bytes:
     return struct.pack(">II", 0x801, labels.size) + labels.tobytes()
 
 
+def parse_blob(tmp_path, blob: bytes):
+    """parse_idx of ``blob``, written to a file first."""
+    path = tmp_path / "blob"
+    path.write_bytes(blob)
+    return parse_idx(path)
+
+
 def block_image(block_row: int, block_col: int, value: int = 255) -> np.ndarray:
     """A 28x28 image lighting exactly one 7x7 pooling block."""
     img = np.zeros((28, 28), dtype=np.uint8)
@@ -73,17 +82,17 @@ def block_image(block_row: int, block_col: int, value: int = 255) -> np.ndarray:
 # IDX parsing
 
 
-def test_parse_idx_images_round_trip():
+def test_parse_idx_images_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(2, 28, 28), dtype=np.uint8)
-    decoded = parse_idx(pack_images(images))
+    decoded = parse_blob(tmp_path, pack_images(images))
     assert decoded.shape == (2, 28, 28)
     assert decoded.dtype == np.uint8
     np.testing.assert_array_equal(decoded, images)
 
 
-def test_parse_idx_labels_round_trip():
-    decoded = parse_idx(pack_labels([3, 0, 1, 2, 9]))
+def test_parse_idx_labels_round_trip(tmp_path):
+    decoded = parse_blob(tmp_path, pack_labels([3, 0, 1, 2, 9]))
     np.testing.assert_array_equal(decoded, [3, 0, 1, 2, 9])
 
 
@@ -97,22 +106,22 @@ def test_parse_idx_reads_files_and_gzip(tmp_path):
     np.testing.assert_array_equal(parse_idx(zipped), images)
 
 
-def test_parse_idx_rejects_bad_magic():
+def test_parse_idx_rejects_bad_magic(tmp_path):
     blob = struct.pack(">II", 0x802, 1)
     with pytest.raises(IdxFormatError, match="magic"):
-        parse_idx(blob)
+        parse_blob(tmp_path, blob)
 
 
-def test_parse_idx_rejects_short_and_truncated():
+def test_parse_idx_rejects_short_and_truncated(tmp_path):
     with pytest.raises(IdxFormatError, match="short"):
-        parse_idx(b"\x00\x00")
+        parse_blob(tmp_path, b"\x00\x00")
     images = np.zeros((2, 28, 28), dtype=np.uint8)
     with pytest.raises(IdxFormatError, match="header"):
-        parse_idx(pack_images(images)[:10])
+        parse_blob(tmp_path, pack_images(images)[:10])
     with pytest.raises(IdxFormatError, match="payload"):
-        parse_idx(pack_images(images)[:-5])
+        parse_blob(tmp_path, pack_images(images)[:-5])
     with pytest.raises(IdxFormatError, match="payload"):
-        parse_idx(pack_images(images) + b"\x00")
+        parse_blob(tmp_path, pack_images(images) + b"\x00")
 
 
 @pytest.mark.parametrize(
@@ -123,10 +132,10 @@ def test_parse_idx_rejects_short_and_truncated():
         (lambda blob: blob[:-8] + bytes(4) + blob[-4:], gzip.BadGzipFile),  # bad CRC
     ],
 )
-def test_parse_idx_rejects_corrupt_gzip(corrupt, cause):
+def test_parse_idx_rejects_corrupt_gzip(tmp_path, corrupt, cause):
     blob = gzip.compress(pack_labels(np.arange(50) % 4))
     with pytest.raises(IdxFormatError, match="corrupt gzip") as info:
-        parse_idx(corrupt(blob))
+        parse_blob(tmp_path, corrupt(blob))
     assert isinstance(info.value.__cause__, cause)
 
 
@@ -424,8 +433,8 @@ def test_minibatch_matches_example_loss_and_grad(L, D):
 
 
 def test_training_is_bit_identical_under_any_amplitude_budget(monkeypatch):
-    data = tiny_dataset(per_class=5)
-    config = TrainConfig(L=4, D=1, epochs=2, batch_size=8, runs=1, root_seed=6)
+    data = encode_examples(tiny_dataset(per_class=5))
+    config = train_config(4, 1, epochs=2, batch_size=8, runs=1, root_seed=6)
     reference = train_single_run(config, data, data, run_index=0)
     # one example per forward sweep and one row per adjoint sub-batch; then
     # three examples (twelve rows) per sweep, which splits every minibatch
@@ -452,9 +461,11 @@ def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
     monkeypatch.setattr(
         mnist, "adjoint_gradient", counting("adjoint", mnist.adjoint_gradient)
     )
-    data = tiny_dataset(per_class=4)
-    config = TrainConfig(L=4, D=2, epochs=1, batch_size=8, runs=1, root_seed=2)
-    train_single_run(config, data, data[:5], run_index=0)
+    examples = tiny_dataset(per_class=4)
+    config = train_config(4, 2, epochs=1, batch_size=8, runs=1, root_seed=2)
+    train_single_run(
+        config, encode_examples(examples), encode_examples(examples[:5]), run_index=0
+    )
     # two training steps, then one forward sweep over the five test examples
     assert calls == {"forward": 3, "adjoint": 2}
 
@@ -484,6 +495,15 @@ def test_adam_minimizes_a_quadratic():
     assert np.all(np.abs(params) < 1e-3)
 
 
+def train_config(L, D, **fields):
+    """A TrainConfig with the mnist subcommand's defaults for every field
+    not given."""
+    args = build_parser().parse_args(["mnist"])
+    defaults = dict(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+                    runs=args.runs, root_seed=args.seed, optimizer=args.optimizer)
+    return TrainConfig(L, D, **{**defaults, **fields})
+
+
 def tiny_dataset(per_class: int = 4, seed: int = 0):
     """Separable toy data: each class lights a distinct pooling block."""
     rng = np.random.default_rng(seed)
@@ -498,8 +518,8 @@ def tiny_dataset(per_class: int = 4, seed: int = 0):
 
 
 def test_training_run_is_reproducible():
-    data = tiny_dataset()
-    config = TrainConfig(L=2, D=1, epochs=1, batch_size=4, runs=1, root_seed=5)
+    data = encode_examples(tiny_dataset())
+    config = train_config(2, 1, epochs=1, batch_size=4, runs=1, root_seed=5)
     first = train_single_run(config, data, data, run_index=0)
     second = train_single_run(config, data, data, run_index=0)
     assert first.epoch_losses == second.epoch_losses
@@ -509,49 +529,43 @@ def test_training_run_is_reproducible():
 
 
 def test_training_learns_separable_data():
-    data = tiny_dataset(per_class=8)
-    config = TrainConfig(
-        L=1, D=2, learning_rate=0.05, epochs=6, batch_size=8, runs=1, root_seed=3
-    )
+    data = encode_examples(tiny_dataset(per_class=8))
+    config = train_config(1, 2, learning_rate=0.05, epochs=6, batch_size=8, runs=1, root_seed=3)
     metrics = train_single_run(config, data, data, run_index=0)
     assert metrics.epoch_losses[-1] < metrics.epoch_losses[0]
     assert metrics.test_accuracy >= 0.5
 
 
 def test_training_with_sgd_flag():
-    data = tiny_dataset()
-    config = TrainConfig(
-        L=1, D=1, epochs=1, batch_size=8, runs=1, optimizer="sgd", learning_rate=0.1
-    )
+    data = encode_examples(tiny_dataset())
+    config = train_config(1, 1, epochs=1, batch_size=8, runs=1, optimizer="sgd", learning_rate=0.1)
     metrics = train_single_run(config, data, data, run_index=0)
     assert len(metrics.epoch_losses) == 1
     assert math.isfinite(metrics.epoch_losses[0])
     with pytest.raises(TrainingError, match="optimizer"):
         train_single_run(
-            (TrainConfig(L=1, D=1, optimizer="momentum")), data, data, 0
+            (train_config(1, 1, optimizer="momentum")), data, data, 0
         )
 
 
 def test_training_rejects_degenerate_inputs():
-    data = tiny_dataset()
+    data = encode_examples(tiny_dataset())
     with pytest.raises(TrainingError, match="empty"):
-        train_single_run(TrainConfig(L=1, D=1), [], data, 0)
+        train_single_run(train_config(1, 1), encode_examples([]), data, 0)
     with pytest.raises(TrainingError, match=">= 1"):
-        train_single_run(TrainConfig(L=1, D=1, batch_size=0), data, data, 0)
+        train_single_run(train_config(1, 1, batch_size=0), data, data, 0)
 
 
 def test_training_flags_nonfinite_loss():
-    data = tiny_dataset()
-    config = TrainConfig(
-        L=1, D=1, learning_rate=np.inf, epochs=2, batch_size=4, runs=1
-    )
+    data = encode_examples(tiny_dataset())
+    config = train_config(1, 1, learning_rate=np.inf, epochs=2, batch_size=4, runs=1)
     with pytest.raises(TrainingError, match="non-finite"):
         train_single_run(config, data, data, run_index=0)
 
 
 def test_train_returns_one_metrics_record_per_run():
-    data = tiny_dataset()
-    config = TrainConfig(L=1, D=1, epochs=1, batch_size=8, runs=3, root_seed=9)
+    data = encode_examples(tiny_dataset())
+    config = train_config(1, 1, epochs=1, batch_size=8, runs=3, root_seed=9)
     metrics = train(config, data, data)
     assert [m.run_index for m in metrics] == [0, 1, 2]
     assert all(m.run_seed == 9 for m in metrics)
@@ -561,7 +575,7 @@ def test_train_returns_one_metrics_record_per_run():
 def test_accuracy_grid_shapes_and_stats():
     data = tiny_dataset()
     seen = []
-    configs = [TrainConfig(L=L, D=1, epochs=1, batch_size=8, runs=2) for L in (1, 2)]
+    configs = [train_config(L, 1, epochs=1, batch_size=8, runs=2) for L in (1, 2)]
     cells = run_accuracy_grid(data, data, configs, progress=seen.append)
     assert [(c.L, c.D) for c in cells] == [(1, 1), (2, 1)]
     assert len(seen) == 2
@@ -580,7 +594,7 @@ def test_evaluate_accuracy_counts_argmax_matches():
     # at theta = 0 the logits are the encoded input's <Z> values
     basis_hit = MnistExample(np.eye(16)[0], 0)  # |0000> -> argmax is class 0
     basis_miss = MnistExample(np.eye(16)[15], 3)  # |1111> -> argmax stays at 0
-    acc = evaluate_accuracy(model, params, [basis_hit, basis_miss])
+    acc = evaluate_accuracy(model, params, encode_examples([basis_hit, basis_miss]))
     assert acc == 0.5
 
 
@@ -594,10 +608,11 @@ def test_evaluate_accuracy_matches_per_example_argmax():
         int(np.argmax(_logits(model, alpha, theta, ex.pixels))) == ex.label
         for ex in examples
     ]
-    assert evaluate_accuracy(model, params, examples) == sum(hits) / len(examples)
+    accuracy = evaluate_accuracy(model, params, encode_examples(examples))
+    assert accuracy == sum(hits) / len(examples)
 
 
 def test_evaluate_accuracy_rejects_an_empty_set():
     model = make_model(2, 4, 1, 2, 1)
     with pytest.raises(TrainingError, match="no examples"):
-        evaluate_accuracy(model, np.zeros(num_params(model)), [])
+        evaluate_accuracy(model, np.zeros(num_params(model)), encode_examples([]))
