@@ -302,16 +302,13 @@ def group_block_variance(
 
     # balanced_z_diag(1) is 0: a dimension-1 block's value and gradient vanish
     drawn = [b for b, dim in enumerate(dims) if dim != 1]
-    block_components = [_BLOCK_COMPONENT_BASE + b for b in drawn]
-    # Haar blocks draw normals, which need a Generator per stream
-    angle_components = [0, 1] + (block_components if mode == "ansatz" else [])
+    components = [0, 1] + [_BLOCK_COMPONENT_BASE + b for b in drawn]
 
     def chunk(lo: int, hi: int) -> tuple[GradStats, GradStats]:
-        alpha_words, probe_words, *block_streams = chunk_seeds(
-            root_seed, lo, hi, angle_components
-        )
+        alpha_words, probe_words, *block_streams = chunk_seeds(root_seed, lo, hi, components)
         if mode == "haar":
-            block_streams = chunk_generators(root_seed, lo, hi, block_components)
+            # Haar blocks draw normals, which need a Generator per stream
+            block_streams = chunk_generators(block_streams)
         batch = hi - lo
         alpha = TWO_PI * pcg64_random(alpha_words, num_leaves - 1)
         probe = TWO_PI * pcg64_random(probe_words, 1)[:, 0]

@@ -49,7 +49,6 @@ from .sim import (
     diagonal_readout,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
     pcg64_random,
-    row_runs,
 )
 
 # ---------------------------------------------------------------------------
@@ -298,32 +297,26 @@ def minibatch_loss_and_grads(
     """Cross-entropy losses, shape (B,), and full parameter gradients,
     shape (B, P), of B encoded examples ``states`` with ``labels``.
 
-    Each ``row_runs`` run of whole examples, L rows each, makes one forward
-    sweep over its (example, branch) rows and one adjoint sweep back. The
-    chain rule folds each example's softmax residuals into one
+    One forward sweep over the (example, branch) rows and one adjoint sweep
+    back. The chain rule folds each example's softmax residuals into one
     diagonal sum_c (softmax_c - onehot_c) Z_c on its rows, so the adjoint
     sweep covers all four logits and reuses the forward sweep's output.
     Rows never mix, so an example's loss and gradient do not depend on the
     batch around it.
     """
     alpha, theta = split_params(model, flat_params)
-    blocks = branch_angles(model, theta)
-    gates = branch_gates(model)
     diags = _z_diagonals(model.num_working)
-    losses = np.empty(len(labels))
-    grads = np.empty((len(labels), num_params(model)))
-    for run in row_runs(len(labels), model.branch_count << model.num_working):
-        psi, logits = _forward_sweep(model, alpha, theta, states[run])
-        batch = logits.shape[0]
-        losses[run] = cross_entropy(logits, labels[run])
-        residual = softmax(logits)
-        residual[np.arange(batch), labels[run]] -= 1.0
-        diag = np.zeros((batch, 1, diags.shape[1]))
-        for c in range(model.num_working):
-            diag += residual[:, c, None, None] * diags[c]
-        values, local = adjoint_gradient(psi, gates, blocks[None], diag)
-        grads[run] = mixture_gradients(model, alpha, values, local)
-    return losses, grads
+    psi, logits = _forward_sweep(model, alpha, theta, states)
+    losses = cross_entropy(logits, labels)
+    residual = softmax(logits)
+    residual[np.arange(len(labels)), labels] -= 1.0
+    diag = np.zeros((len(labels), 1, diags.shape[1]))
+    for c in range(model.num_working):
+        diag += residual[:, c, None, None] * diags[c]
+    values, local = adjoint_gradient(
+        psi, branch_gates(model), branch_angles(model, theta)[None], diag
+    )
+    return losses, mixture_gradients(model, alpha, values, local)
 
 
 def example_loss_and_grad(
@@ -340,15 +333,11 @@ def evaluate_accuracy(
     model: LcqnnModel, flat_params: np.ndarray, data: EncodedExamples
 ) -> float:
     """Fraction of the encoded examples ``data`` whose largest logit is
-    their label, from batched forward sweeps."""
+    their label, from one batched forward sweep."""
     if len(data) == 0:
         raise TrainingError("no examples to evaluate")
-    alpha, theta = split_params(model, flat_params)
-    correct = 0
-    for run in row_runs(len(data), model.branch_count << model.num_working):
-        logits = _forward_sweep(model, alpha, theta, data.states[run])[1]
-        correct += int(np.sum(np.argmax(logits, axis=-1) == data.labels[run]))
-    return correct / len(data)
+    logits = _forward_sweep(model, *split_params(model, flat_params), data.states)[1]
+    return int(np.sum(np.argmax(logits, axis=-1) == data.labels)) / len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .sim import (
     diagonal_expectations,
     expectation,
     init_zero,
-    row_runs,
     u3,
 )
 
@@ -332,25 +331,19 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
     unitaries depend only on a model's block groups, so models that share
     them (any control width and branch count) share one branch circuit:
     each part runs its own tree stage, then the leaf rows of every part run
-    through that circuit together, in the ``row_runs`` of all of them. Rows
-    never mix, so each state is bit-equal to its own one-part call.
+    through that circuit together, in one kernel call. Rows never mix, so
+    each state is bit-equal to its own one-part call.
     """
     first = parts[0][0]
     if any(model.groups != first.groups for model, _, _ in parts):
         raise LcqnnError("models of one branch pass must share their block groups")
     batches, rows, blocks = zip(*(_control_rows(*part, input_state) for part in parts))
     sizes = [len(part) for part in rows]
-    # one C-order buffer: a one-leaf part's rows broadcast its input, and a
-    # plain concatenate may lay them out column-major
-    out = np.empty((sum(sizes), rows[0].shape[1]), dtype=np.complex128)
-    rows, blocks = np.concatenate(rows, out=out), np.concatenate(blocks)
-    tensor = rows.reshape((len(rows),) + (2,) * first.num_working)
-    gates = branch_gates(first)
-    for run in row_runs(len(rows), rows.shape[1]):
-        tensor[run] = apply_gates(tensor[run], gates, blocks[run])
+    tensor = np.concatenate(rows).reshape((sum(sizes),) + (2,) * first.num_working)
+    out = apply_gates(tensor, branch_gates(first), np.concatenate(blocks)).reshape(len(tensor), -1)
     states, lo = [], 0
     for (model, _, _), batch, size in zip(parts, batches, sizes):
-        live = rows[lo : lo + size].reshape(batch + (-1,))
+        live = out[lo : lo + size].reshape(batch + (-1,))
         lo += size
         states.append(StateVector(model.tree_depth + model.num_working, live))
     return states

@@ -145,8 +145,8 @@ def gate_matrix(op: GateOp, params) -> np.ndarray:
     return CNOT_MATRIX
 
 
-#: amplitudes one batched kernel call may hold (2**13 complex128 = 128 KiB);
-#: read only by ``row_runs``, which splits larger batches into runs of whole rows
+#: amplitudes one batched kernel run may hold (2**13 complex128 = 128 KiB);
+#: read only by ``_row_runs``, which splits larger stacks into runs of whole rows
 BATCH_AMPLITUDES = 1 << 13
 
 
@@ -221,7 +221,9 @@ def _cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
 
 def _batch_axes(tensor: np.ndarray, params: np.ndarray) -> int:
     """The number of leading batch axes: one per leading axis of ``params``,
-    each of the tensor's size or 1."""
+    at least one, each of the tensor's size or 1."""
+    if params.ndim < 2:
+        raise LcqnnError(f"parameters need a row axis, shape (*batch, P), got {params.shape}")
     axes = params.ndim - 1
     batch = tensor.shape[:axes]
     if len(batch) < axes or any(p not in (1, t) for p, t in zip(params.shape, batch)):
@@ -232,41 +234,47 @@ def _batch_axes(tensor: np.ndarray, params: np.ndarray) -> int:
     return axes
 
 
-def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
-    """Apply ``gates`` in order to a rank-(2,2,...,2) tensor, or to a batch.
-
-    Unbatched: ``tensor`` of shape (2,...,2) and ``params`` of shape (P,).
-    Batched: ``tensor`` of shape (*batch, 2,...,2) and ``params`` of shape
-    (*batch, P), where a parameter axis of size 1 shares its angles along
-    that batch axis; row ``r`` binds its angles from ``params[r]``, and rows
-    never mix, so a row's result is the same in any batch. Each gate's
-    qubits are axes of one row's tensor. A row may be a sample, a branch, an
-    (example, branch) pair, or the block of a larger register at one value
-    of its leading (control) qubits: a controlled circuit is the batch whose
-    rows carry their own angles. The input is not modified.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    if params.ndim == 1:
-        return apply_gates(tensor[None], gates, params[None])[0]
-    axes = _batch_axes(tensor, params)
-    entries = _rotation_entries(_rotation_slots(gates), params, tensor.ndim)
-    k = 0
-    for op in gates:
-        if op.kind == "cnot":
-            tensor = _cnot(tensor, op.qubits[0] + axes, op.qubits[1] + axes)
-        else:
-            tensor = _rotate(tensor, op.qubits[0] + axes, entries[k])
-            k += 1
-    return tensor
-
-
-def row_runs(count: int, row_amps: int) -> list[slice]:
+def _row_runs(count: int, row_amps: int, params: np.ndarray):
     """Consecutive runs of ``count`` rows of ``row_amps`` amplitudes each,
     every run holding at most ``BATCH_AMPLITUDES`` amplitudes (one row at
-    least). Rows never mix, so the runs a batch splits into cannot change a
-    value."""
+    least), each with its rows of ``params``, or all of them on a shared
+    first axis of size 1. Rows never mix, so the runs a stack splits into
+    cannot change a value."""
     step = max(1, BATCH_AMPLITUDES // row_amps)
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+    for lo in range(0, count, step):
+        run = slice(lo, lo + step)
+        yield run, params if len(params) == 1 else params[run]
+
+
+def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
+    """Apply ``gates`` in order to a stack of rank-(2,2,...,2) tensors.
+
+    ``tensor`` has shape (*batch, 2,...,2) and ``params`` shape (*batch, P),
+    where a parameter axis of size 1 shares its angles along that batch
+    axis; row ``r`` binds its angles from ``params[r]``, and rows never mix,
+    so a row's result is the same in any batch. Each gate's qubits are axes
+    of one row's tensor. A row may be a sample, a branch, an (example,
+    branch) pair, or the block of a larger register at one value of its
+    leading (control) qubits: a controlled circuit is the batch whose rows
+    carry their own angles. The first axis runs in ``_row_runs``, all
+    written into one new C-order array; the input is not modified.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    axes = _batch_axes(tensor, params)
+    slots = _rotation_slots(gates)
+    out = np.empty(tensor.shape, dtype=np.complex128)
+    for part, rows in _row_runs(len(tensor), math.prod(tensor.shape[1:]), params):
+        run = tensor[part]
+        entries = _rotation_entries(slots, rows, tensor.ndim)
+        k = 0
+        for op in gates:
+            if op.kind == "cnot":
+                run = _cnot(run, op.qubits[0] + axes, op.qubits[1] + axes)
+            else:
+                run = _rotate(run, op.qubits[0] + axes, entries[k])
+                k += 1
+        out[part] = run
+    return out
 
 
 def diagonal_readout(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -278,13 +286,13 @@ def diagonal_readout(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def diagonal_expectations(num_qubits: int, gates, params, diag: np.ndarray) -> np.ndarray:
     """``diag . |U(params[b]) |0...0>|**2`` on ``num_qubits`` qubits for each
     row ``b`` of ``params``, shape (*batch, P) to ``batch``, evaluated in the
-    ``row_runs`` of the flattened batch."""
+    ``_row_runs`` of the flattened batch, each read out before the next
+    runs, so only one run's states are held at a time."""
     params = np.asarray(params, dtype=np.float64)
     rows = params.reshape(math.prod(params.shape[:-1]), params.shape[-1])
     psi_in = init_zero(num_qubits).amps.reshape((2,) * num_qubits)
     out = np.empty(len(rows))
-    for run in row_runs(len(rows), psi_in.size):
-        part = rows[run]
+    for run, part in _row_runs(len(rows), psi_in.size, rows):
         batch = np.broadcast_to(psi_in, (part.shape[0],) + psi_in.shape)
         psi = apply_gates(batch, gates, part).reshape(part.shape[0], -1)
         out[run] = diagonal_readout(diag, psi)
@@ -295,23 +303,19 @@ def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
     """Values ``diag . |psi|**2`` and their gradients in ``params``, read
     from the forward output ``psi = apply_gates(tensor, gates, params)``.
 
-    Batched like ``apply_gates``: ``psi`` of shape (*batch, 2,...,2),
+    A stack like ``apply_gates``: ``psi`` of shape (*batch, 2,...,2),
     ``params`` of shape (*batch, P) with 1 on a shared axis, and ``diag`` a
     real diagonal of length 2**n that broadcasts to (*batch, 2**n), so each
     row may carry its own; the result is the values, shape ``batch``, and
-    the gradients, shape (*batch, P). Unbatched, ``psi`` of shape (2,...,2)
-    and ``params`` of shape (P,) give a float and a (P,) gradient.
+    the gradients, shape (*batch, P).
 
     The backward sweep carries ``diag * psi`` back through the inverse gates
     and uncomputes ``psi`` beside it, so it stores no state per gate
     (adjoint differentiation, Jones & Gacon, arXiv:2009.02823). Rows never
-    mix and run in the ``row_runs`` of the first axis, so a row's result is
+    mix and run in the ``_row_runs`` of the first axis, so a row's result is
     the same in any batch.
     """
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim == 1:
-        values, grads = adjoint_gradient(psi[None], gates, params[None], diag)
-        return float(values[0]), grads[0]
     axes = _batch_axes(psi, params)
     batch = psi.shape[:axes]
     size = math.prod(psi.shape[axes:])
@@ -319,16 +323,13 @@ def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
     slots = _rotation_slots(gates)
     values = np.empty(batch)
     grads = np.zeros(batch + params.shape[-1:])
-    for part in row_runs(batch[0], math.prod(psi.shape[1:])):
-        values[part] = _backward_sweep(
-            psi[part], gates, slots, params if len(params) == 1 else params[part],
-            diag[part], grads[part],
-        )
+    for part, rows in _row_runs(batch[0], math.prod(psi.shape[1:]), params):
+        values[part] = _backward_sweep(psi[part], gates, slots, rows, diag[part], grads[part])
     return values, grads
 
 
 def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
-    """One sub-batch of ``adjoint_gradient``: adds each row's gradient into
+    """One run of ``adjoint_gradient``: adds each row's gradient into
     ``grads`` and returns its values."""
     axes = params.ndim - 1
     batch = psi.shape[:axes]
@@ -377,8 +378,8 @@ def apply_gate(state: StateVector, op: GateOp, params=()) -> StateVector:
             raise LcqnnError(
                 f"gate qubit {q} out of range for a {state.num_qubits}-qubit state"
             )
-    out = apply_gates(state.amps.reshape((2,) * state.num_qubits), (op,), params)
-    return StateVector(state.num_qubits, np.ascontiguousarray(out.reshape(-1)))
+    out = apply_gates(state.amps.reshape((1,) + (2,) * state.num_qubits), (op,), [params])
+    return StateVector(state.num_qubits, out.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +602,17 @@ def chunk_seeds(root_seed: int, lo: int, hi: int, components) -> np.ndarray:
     return _pool_seeds(entropy, len(seed) + 2 + two_words).reshape(len(components), batch, 4)
 
 
-def chunk_generators(root_seed: int, lo: int, hi: int, components) -> list[list]:
-    """Generators of samples ``lo .. hi-1``, one row per listed component:
-    row ``c``, column ``b`` draws exactly what
-    ``RngStream(root_seed, lo + b).component_generator(components[c])`` does.
+def chunk_generators(words) -> list[list]:
+    """A Generator per row of seed words, shape (C, B, 4): entry ``[c][b]``
+    draws exactly what ``Generator(PCG64(words[c, b]))`` does, which for a
+    ``chunk_seeds`` entry is its ``RngStream`` component generator.
 
-    Seeded by ``chunk_seeds``. Only the Haar blocks' normals need these: the
-    ziggurat takes a varying number of words per normal, so unlike
-    ``pcg64_random`` it cannot jump ahead, and each stream runs its own
-    Generator.
+    Only the Haar blocks' normals need these: the ziggurat takes a varying
+    number of words per normal, so unlike ``pcg64_random`` it cannot jump
+    ahead, and each stream runs its own Generator.
     """
     make = _pcg64_generator()
-    return [[make(words) for words in rows] for rows in chunk_seeds(root_seed, lo, hi, components)]
+    return [[make(row) for row in rows] for rows in words]
 
 
 # PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically

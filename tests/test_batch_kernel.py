@@ -26,8 +26,9 @@ from test_sim import _random_circuit  # noqa: E402
 def test_batched_apply_gates_matches_dense_oracle(seed, n, batch):
     # every row of a batch is its own circuit evaluation: row b binds its
     # angles from params[b], matches the dense oracle on its own state, and
-    # equals bit for bit the unbatched call on that row, so that batching
-    # branches or control values cannot move a value
+    # equals bit for bit that row alone as a one-row stack and the stack run
+    # in one-row runs, so that batching branches or control values cannot
+    # move a value
     rng = np.random.default_rng(seed)
     gates, params = _random_circuit(n, rng, max_gates=8)
     rows = rng.uniform(0, 2 * math.pi, (batch, len(params)))
@@ -38,9 +39,13 @@ def test_batched_apply_gates_matches_dense_oracle(seed, n, batch):
     for b in range(batch):
         expected = dense_circuit(gates, rows[b], n) @ states[b]
         np.testing.assert_allclose(out[b].reshape(-1), expected, rtol=0, atol=1e-12)
-        alone = apply_gates(states[b].reshape((2,) * n), gates, rows[b])
-        assert np.array_equal(out[b], alone)
+        alone = apply_gates(states[b].reshape((1,) + (2,) * n), gates, rows[b : b + 1])
+        assert np.array_equal(out[b], alone[0])
     np.testing.assert_array_equal(states, before)  # input left as it was
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "BATCH_AMPLITUDES", 1 << n)
+        split = apply_gates(states.reshape((batch,) + (2,) * n), gates, rows)
+    assert np.array_equal(split, out) and split.flags.c_contiguous
     # a leading batch axis of size 1 in the parameters shares their angles
     # along that axis of the tensor (examples under shared branch angles)
     tensor = states.reshape((batch,) + (2,) * n)
@@ -57,7 +62,7 @@ def test_batched_apply_gates_matches_dense_oracle(seed, n, batch):
 def test_batched_adjoint_gradient_matches_dense_oracle(seed, n, batch):
     # each row carries its own input, angles and real diagonal; its value
     # and gradient match the dense oracle and central differences, and equal
-    # bit for bit the same row run alone or in one-row sub-batches
+    # bit for bit the same row as a one-row stack or in one-row runs
     rng = np.random.default_rng(seed)
     gates, params = _random_circuit(n, rng, max_gates=8)
     rows = rng.uniform(0, 2 * math.pi, (batch, len(params)))
@@ -84,9 +89,11 @@ def test_batched_adjoint_gradient_matches_dense_oracle(seed, n, batch):
             down[slot] -= h
             fd = (oracle(b, up) - oracle(b, down)) / (2 * h)
             assert abs(grads[b, slot] - fd) <= 1e-7
-        value, grad = adjoint_gradient(psi[b], gates, rows[b], diags[b])
-        assert value == values[b]
-        assert np.array_equal(grad, grads[b])
+        value, grad = adjoint_gradient(
+            psi[b : b + 1], gates, rows[b : b + 1], diags[b : b + 1]
+        )
+        assert value[0] == values[b]
+        assert np.array_equal(grad[0], grads[b])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "BATCH_AMPLITUDES", 1 << n)
         split = adjoint_gradient(psi, gates, rows, diags)

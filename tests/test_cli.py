@@ -762,8 +762,8 @@ def test_thread_count_does_not_change_output(tmp_path, capsys):
 )
 def test_scan_rows_are_bit_identical_under_any_amplitude_budget(argv, monkeypatch, capsys):
     # rows never mix, so the budget that sizes kernel calls changes no row:
-    # 1 amplitude leaves one row per call (the floor of sim.row_runs), 2**6
-    # splits every 64-sample chunk, 2**16 splits none
+    # 1 amplitude leaves one row per kernel run (the floor of sim._row_runs),
+    # 2**6 splits every 64-sample chunk, 2**16 splits none
     code, reference, _ = run_cli(capsys, argv)
     assert code == 0
     for budget in (1, 1 << 6, 1 << 16):

@@ -240,7 +240,9 @@ def _group_scan_per_sample(spectrum, samples, mode, seed, depth):
 
                 def value(theta, gates=gates, params=params, diag=diag, q=q):
                     ps = np.concatenate(([theta], params[1:]))
-                    psi = sim.apply_gates(sim.init_zero(q).amps.reshape((2,) * q), gates, ps)
+                    psi = sim.apply_gates(
+                        sim.init_zero(q).amps.reshape((1,) + (2,) * q), gates, ps[None]
+                    )
                     return diag @ np.abs(psi.reshape(-1)) ** 2
             if b == 0:
                 values[0] = value(probe)

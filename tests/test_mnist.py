@@ -436,8 +436,8 @@ def test_training_is_bit_identical_under_any_amplitude_budget(monkeypatch):
     data = encode_examples(tiny_dataset(per_class=5))
     config = train_config(4, 1, epochs=2, batch_size=8, runs=1, root_seed=6)
     reference = train_single_run(config, data, data, run_index=0)
-    # one example per forward sweep and one row per adjoint sub-batch; then
-    # three examples (twelve rows) per sweep, which splits every minibatch
+    # one example per forward and adjoint run; then three examples (twelve
+    # rows) per run, which splits every minibatch
     for budget in (16, 3 * 4 * 16):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
         metrics = train_single_run(config, data, data, run_index=0)
@@ -463,11 +463,16 @@ def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
     )
     examples = tiny_dataset(per_class=4)
     config = train_config(4, 2, epochs=1, batch_size=8, runs=1, root_seed=2)
-    train_single_run(
-        config, encode_examples(examples), encode_examples(examples[:5]), run_index=0
-    )
-    # two training steps, then one forward sweep over the five test examples
-    assert calls == {"forward": 3, "adjoint": 2}
+    # the kernel splits a sweep into runs itself: at 16 amplitudes a run holds
+    # one row, and the sweeps stay one call each
+    for budget in (sim.BATCH_AMPLITUDES, 16):
+        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
+        calls.update(forward=0, adjoint=0)
+        train_single_run(
+            config, encode_examples(examples), encode_examples(examples[:5]), run_index=0
+        )
+        # two training steps, then one forward sweep over the five test examples
+        assert calls == {"forward": 3, "adjoint": 2}
 
 
 def test_initial_loss_sits_near_uniform_prediction():

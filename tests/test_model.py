@@ -13,6 +13,8 @@ from oracles import (
     random_state,
 )
 
+from lcqnn import model as model_module
+from lcqnn import sim
 from lcqnn.errors import ArchitectureError, LcqnnError
 from lcqnn.model import (
     branch_angles,
@@ -362,6 +364,28 @@ def test_forward_states_hold_only_the_live_rows():
             leaves = full.reshape(3, 1 << m, 1 << n)[:, :: 1 << (m - t)]
             assert state.amps.tobytes() == np.ascontiguousarray(leaves).tobytes()
             assert value.tolist() == cost(model, alpha, theta, obs, state_in).tolist()
+
+
+def test_cost_pass_makes_one_kernel_call_under_any_budget(monkeypatch):
+    # the kernel splits a branch pass into runs itself: at a budget of one
+    # amplitude every run holds one of the 20 rows, and the pass is still one
+    # call that gives the same values
+    rng = np.random.default_rng(71)
+    model = make_model(2, 3, 4, 2, 2)
+    obs = PauliZSum([(1.0, (0,)), (-0.4, (1, 2))], num_qubits=3)
+    alpha = rng.uniform(0, 2 * math.pi, (5, model.num_alpha))
+    theta = rng.uniform(0, 2 * math.pi, (5, theta_layout_size(model)))
+    reference = cost(model, alpha, theta, obs)
+    kernel, rows = model_module.apply_gates, []
+
+    def counting_kernel(tensor, *args):
+        rows.append(len(tensor))
+        return kernel(tensor, *args)
+
+    monkeypatch.setattr(model_module, "apply_gates", counting_kernel)
+    monkeypatch.setattr(sim, "BATCH_AMPLITUDES", 1)
+    assert cost(model, alpha, theta, obs).tolist() == reference.tolist()
+    assert rows == [5 * 4]
 
 
 def test_forward_block_norms_match_coefficients():

@@ -309,3 +309,28 @@ def test_only_haar_streams_evaluate_numpy_random():
                 stray.append(f"{path.name}:{node.lineno} (in {scope or 'module'})")
     assert not stray, f"numpy.random evaluated outside the Haar streams: {stray}"
     assert seen == allowed, "the check no longer finds the Haar streams' own uses"
+
+
+def test_a_failing_hypothesis_test_leaves_the_rest_of_the_run_going(tmp_path):
+    # Hypothesis reports a failure through a plugin import chain that warns;
+    # under the project's warnings-as-errors that warning must not turn into
+    # an INTERNALERROR that stops every later test
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_sample.py").write_text(
+        "import hypothesis\n"
+        "from hypothesis import strategies as st\n\n\n"
+        "@hypothesis.settings(database=None)\n"
+        "@hypothesis.given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_sample.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

@@ -123,7 +123,7 @@ def test_apply_gate_matches_dense_oracle():
         expected = dense_circuit(gates, params, n) @ state.amps
         np.testing.assert_allclose(out.amps, expected, atol=1e-10)
         before = state.amps.copy()
-        out_nd = apply_gates(state.amps.reshape((2,) * n), gates, params)
+        out_nd = apply_gates(state.amps.reshape((1,) + (2,) * n), gates, [params])
         np.testing.assert_allclose(out_nd.reshape(-1), expected, atol=1e-10)
         np.testing.assert_array_equal(state.amps, before)  # input left as it was
 
@@ -139,6 +139,13 @@ def test_batched_apply_gates_rejects_mismatched_params():
     for bad in (np.zeros((3, 2, 3)), np.zeros((2, 1, 3))):
         with pytest.raises(LcqnnError, match="needs parameters of shape"):
             apply_gates(grid, [u3(0, 0, 1, 2)], bad)
+    # parameters with no row axis: a (P,) vector would read as P rows
+    one = np.zeros((2, 2), dtype=complex)
+    for bad in (np.zeros(3), np.float64(0.0)):
+        with pytest.raises(LcqnnError, match="need a row axis"):
+            apply_gates(one, [u3(0, 0, 1, 2)], bad)
+        with pytest.raises(LcqnnError, match="need a row axis"):
+            sim.adjoint_gradient(one, [u3(0, 0, 1, 2)], bad, np.ones(2))
 
 
 def test_apply_gate_validation():
@@ -351,7 +358,7 @@ _CHUNK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1]
 )
 def test_chunk_generators_match_rng_stream(seed, lo, hi):
     components = range(8)
-    rows = sim.chunk_generators(seed, lo, hi, components)
+    rows = sim.chunk_generators(sim.chunk_seeds(seed, lo, hi, components))
     assert len(rows) == len(components)
     for c, row in zip(components, rows):
         assert len(row) == hi - lo
@@ -401,7 +408,7 @@ def test_pcg64_random_matches_generator_uniform():
     check()
 
 
-def test_chunk_generators_validation():
+def test_chunk_seeds_validation():
     for lo, hi, components in [
         (-1, 3, [0]),
         (4, 3, [0]),
@@ -410,7 +417,7 @@ def test_chunk_generators_validation():
         (0, 2, [2**32]),
     ]:
         with pytest.raises(LcqnnError):
-            sim.chunk_generators(5, lo, hi, components)
+            sim.chunk_seeds(5, lo, hi, components)
 
 
 def _replay(stream, gen, ops) -> bool:
