@@ -17,6 +17,7 @@ from . import reporting
 from .errors import LcqnnError, TrainingError
 from .experiments import (
     BlockSpectrum,
+    check_spectrum,
     group_block_variance,
     run_variance_point,
     select_blocks,
@@ -114,28 +115,23 @@ def _config(args, flags, **normalised) -> dict:
 
 def cmd_variance_scan(args) -> int:
     _check_common(args)
-    # validate the observable shape up front against the smallest register
-    obs_name = _observable_for(args.obs, min(args.n_list)).describe()
+    points = [(k, _observable_for(args.obs, n), make_model(args.m, n, args.L, k, args.depth))
+              for k in args.k_list for n in args.n_list]
     config = _config(args, ("m", "L", "k_list", "n_list", "depth", "samples", "seed", "obs",
-                            "param_id", "format", "threads"), obs=obs_name)
+                            "param_id", "format", "threads"), obs=points[0][1].describe())
     records = []
-    for k in args.k_list:
-        for n in args.n_list:
-            obs = _observable_for(args.obs, n)
-            _progress(f"variance-scan: k={k} n={n} ({args.samples} samples)")
-            records.append(
-                run_variance_point(
-                    args.m,
-                    n,
-                    args.L,
-                    k,
-                    args.depth,
-                    args.samples,
-                    args.seed,
-                    obs=obs,
-                    param_id=args.param_id,
-                )
+    for k, obs, model in points:
+        _progress(f"variance-scan: k={k} n={model.num_working} ({args.samples} samples)")
+        records.append(
+            run_variance_point(
+                model,
+                k,
+                args.samples,
+                args.seed,
+                obs=obs,
+                param_id=args.param_id,
             )
+        )
     _emit_scan(args, "variance-scan", config, records)
     return 0
 
@@ -153,10 +149,11 @@ def cmd_variance_layers(args) -> int:
         _require(L >= 1 and not L & (L - 1), f"branch counts must be powers of two, got {L}")
         _require(args.m >= 0 and L <= 1 << args.m,
                  f"branch count {L} does not fit {args.m} control qubit(s)")
+    models = [make_model(args.m, args.n, L, args.k, args.depth) for L in args.L_list]
     records = [
-        run_variance_point(args.m, args.n, L, args.k, args.depth, args.samples, args.seed,
-                           obs=obs, param_id=args.param_id)
-        for L in args.L_list
+        run_variance_point(model, args.k, args.samples, args.seed, obs=obs,
+                           param_id=args.param_id)
+        for model in models
     ]
     summary = reporting.layers_summary(records)
     slope = summary["log2_slope_vs_log2_L"]
@@ -204,6 +201,8 @@ def cmd_group_scan(args) -> int:
         spectra = [spectrum]
     else:
         raise LcqnnError("one of --dims or --su2-N is required")
+    for spectrum in spectra:
+        check_spectrum(spectrum, args.mode)
     dims = [",".join(f"{d}:{mult}" for d, mult in s.blocks) for s in spectra]
     config = _config(args, ("dims", "su2_N", "select_j", "mode", "depth", "samples", "seed",
                             "format", "threads"), dims=dims if args.dims else None)

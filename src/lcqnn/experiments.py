@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .model import (
     coeff_probabilities,
     coeff_probability_gradients,
     entangling_gates,
-    make_model,
     tree_node,
 )
 from .sim import (
@@ -69,44 +69,35 @@ class ScanRecord:
     stderr: float
 
 
-def _record(
-    model: LcqnnModel, requested_k: int, obs, param_id, samples, seed, stats: GradStats
-) -> ScanRecord:
-    return ScanRecord(
-        m=model.num_controls,
-        n=model.num_working,
-        L=model.branch_count,
-        k=requested_k,
-        D=model.depth,
-        observable=obs.describe(),
-        param_id=param_id,
-        samples=samples,
-        seed=seed,
-        mean=stats.mean,
-        variance=stats.variance,
-        stderr=stats.stderr,
-    )
-
-
 def run_variance_point(
-    m: int,
-    n: int,
-    L: int,
+    model: LcqnnModel,
     k: int,
-    D: int,
     samples: int,
     root_seed: int,
     *,
     obs: PauliZSum,
     param_id: int | None,
 ) -> ScanRecord:
-    """Estimate one configuration; a ``param_id`` of None probes branch 0's
-    first rotation angle, which exists for every architecture with D >= 1."""
-    model = make_model(m, n, L, k, D)
+    """Estimate one configuration of ``model``, recorded with the locality
+    ``k`` it was built with; a ``param_id`` of None probes branch 0's first
+    rotation angle, which exists for every architecture with D >= 1."""
     if param_id is None:
         param_id = default_probe_param(model)
     stats = estimate_grad_stats(model, obs, param_id, samples, root_seed)
-    return _record(model, k, obs, param_id, samples, root_seed, stats)
+    return ScanRecord(
+        m=model.num_controls,
+        n=model.num_working,
+        L=model.branch_count,
+        k=k,
+        D=model.depth,
+        observable=obs.describe(),
+        param_id=param_id,
+        samples=samples,
+        seed=root_seed,
+        mean=stats.mean,
+        variance=stats.variance,
+        stderr=stats.stderr,
+    )
 
 
 def fit_log2_slope(xs, variances) -> float:
@@ -207,8 +198,9 @@ _HAAR_DIM_LIMIT = 256
 _BLOCK_DIM_LIMIT = 1 << 12
 
 
-def _haar_values(dim: int, gens, angles) -> np.ndarray:
-    """Block expectations under Haar unitaries, one drawn from each generator.
+def _haar_values(dim: int, words, angles) -> np.ndarray:
+    """Block expectations under Haar unitaries, one drawn from the Generator
+    of each stream's seed ``words`` (B, 4).
 
     The probe is a rotation by ``angles[s, b]`` in the span of the first two
     basis states, applied before sample ``b``'s unitary; mode-invariant
@@ -216,6 +208,7 @@ def _haar_values(dim: int, gens, angles) -> np.ndarray:
     the result; ``None`` is one row of zeros. Only the two columns the probe
     reaches are orthonormalized.
     """
+    gens = chunk_generators(words)
     normals = np.empty((2, dim, dim))  # sim.ginibre's draws: real parts, then imaginary
     kept = np.empty((2, len(gens), dim, 2))
     for b, gen in enumerate(gens):
@@ -229,7 +222,7 @@ def _haar_values(dim: int, gens, angles) -> np.ndarray:
     return diagonal_readout(balanced_z_diag(dim), psi)
 
 
-def _ansatz_values(dim: int, depth: int, words, angles) -> np.ndarray:
+def _ansatz_values(depth: int, dim: int, words, angles) -> np.ndarray:
     """Block expectations under layered circuits on the block's padded qubit
     register, with the angles of each stream's seed ``words`` (B, 4).
 
@@ -262,6 +255,22 @@ class GroupScanResult:
     alpha_stats: GradStats | None  # None for a single-block spectrum
 
 
+def check_spectrum(spectrum: BlockSpectrum, mode: str) -> None:
+    """Raise unless ``mode`` names a block state and every block of
+    ``spectrum`` fits it."""
+    if mode not in ("haar", "ansatz"):
+        raise LcqnnError(f"mode must be 'haar' or 'ansatz', got {mode!r}")
+    for d, mult in spectrum.blocks:
+        if d * mult > _BLOCK_DIM_LIMIT:
+            raise CapacityError(
+                f"block dimension {d * mult} exceeds the supported {_BLOCK_DIM_LIMIT}"
+            )
+        if mode == "haar" and d * mult > _HAAR_DIM_LIMIT:
+            raise CapacityError(
+                f"haar mode draws dense matrices only up to dimension {_HAAR_DIM_LIMIT}"
+            )
+
+
 def group_block_variance(
     spectrum: BlockSpectrum, samples: int, mode: str, root_seed: int, depth: int
 ) -> GroupScanResult:
@@ -274,67 +283,43 @@ def group_block_variance(
     angle inside block 0 (theta) and the first deepest-level tree angle
     (alpha, absent for a single block).
     """
-    if mode not in ("haar", "ansatz"):
-        raise LcqnnError(f"mode must be 'haar' or 'ansatz', got {mode!r}")
-    if samples < 1:
-        raise LcqnnError("need at least one sample")
+    check_spectrum(spectrum, mode)
     if mode == "ansatz" and depth < 1:
         raise LcqnnError("ansatz mode needs depth >= 1: the probe is its first rotation")
-    for d, mult in spectrum.blocks:
-        if d * mult > _BLOCK_DIM_LIMIT:
-            raise CapacityError(
-                f"block dimension {d * mult} exceeds the supported {_BLOCK_DIM_LIMIT}"
-            )
-        if mode == "haar" and d * mult > _HAAR_DIM_LIMIT:
-            raise CapacityError(
-                f"haar mode draws dense matrices only up to dimension {_HAAR_DIM_LIMIT}"
-            )
+    values_of = _haar_values if mode == "haar" else partial(_ansatz_values, depth)
     L = spectrum.num_blocks
     tree_depth = (L - 1).bit_length()
     num_leaves = 1 << tree_depth
     probe_node = tree_node(tree_depth - 1) if tree_depth else None
     dims = [d * mult for d, mult in spectrum.blocks]
-
-    def block_values(dim, streams, angles):
-        if mode == "haar":
-            return _haar_values(dim, streams, angles)
-        return _ansatz_values(dim, depth, streams, angles)
-
     # balanced_z_diag(1) is 0: a dimension-1 block's value and gradient vanish
     drawn = [b for b, dim in enumerate(dims) if dim != 1]
     components = [0, 1] + [_BLOCK_COMPONENT_BASE + b for b in drawn]
 
-    def chunk(lo: int, hi: int) -> tuple[GradStats, GradStats]:
-        alpha_words, probe_words, *block_streams = chunk_seeds(root_seed, lo, hi, components)
-        if mode == "haar":
-            # Haar blocks draw normals, which need a Generator per stream
-            block_streams = chunk_generators(block_streams)
+    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        alpha_words, probe_words, *block_words = chunk_seeds(root_seed, lo, hi, components)
         batch = hi - lo
         alpha = TWO_PI * pcg64_random(alpha_words, num_leaves - 1)
         probe = TWO_PI * pcg64_random(probe_words, 1)[:, 0]
         values = np.zeros((batch, num_leaves))
         grad0 = np.zeros(batch)
-        for b, streams in zip(drawn, block_streams):
+        for b, words in zip(drawn, block_words):
             dim = dims[b]
             if b == 0:
-                at, up, down = block_values(
-                    dim, streams, np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))
+                at, up, down = values_of(
+                    dim, words, np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))
                 )
                 values[:, 0] = at
                 grad0 = 0.5 * (up - down)
             else:
-                values[:, b] = block_values(dim, streams, None)[0]
-        theta_part = GradStats().extend(coeff_probabilities(alpha)[:, 0] * grad0)
-        alpha_part = GradStats()
-        if probe_node is not None:
-            jac_row = coeff_probability_gradients(alpha)[:, probe_node]
-            alpha_part.extend(np.sum(jac_row * values, axis=-1))
-        return theta_part, alpha_part
+                values[:, b] = values_of(dim, words, None)[0]
+        theta = coeff_probabilities(alpha)[:, 0] * grad0
+        if probe_node is None:
+            return theta, np.empty(0)
+        jac_row = coeff_probability_gradients(alpha)[:, probe_node]
+        return theta, np.sum(jac_row * values, axis=-1)
 
-    theta_stats, alpha_stats = GradStats(), GradStats()
-    for theta_part, alpha_part in run_chunked(samples, chunk):
-        theta_stats.merge(theta_part)
-        alpha_stats.merge(alpha_part)
+    theta_stats, alpha_stats = run_chunked(samples, chunk)
     return GroupScanResult(
         spectrum=spectrum,
         mode=mode,

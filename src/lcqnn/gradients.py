@@ -9,6 +9,7 @@ per branch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -244,12 +245,17 @@ THETA_COMPONENT = 1
 REDUCTION_CHUNK = 64
 
 
-def run_chunked(num_samples: int, chunk_fn) -> list:
-    """``chunk_fn(lo, hi)`` over fixed-size sample ranges, in index order."""
-    return [
-        chunk_fn(lo, min(lo + REDUCTION_CHUNK, num_samples))
-        for lo in range(0, num_samples, REDUCTION_CHUNK)
-    ]
+def run_chunked(num_samples: int, chunk_fn) -> list[GradStats]:
+    """One ``GradStats`` per statistic of ``chunk_fn(lo, hi)``, which returns
+    an array of per-sample values for each over a fixed sample range: every
+    array is folded in sample order, and the ranges are merged in index order."""
+    if num_samples < 1:
+        raise LcqnnError("need at least one sample")
+    folds = []
+    for lo in range(0, num_samples, REDUCTION_CHUNK):
+        chunk = chunk_fn(lo, min(lo + REDUCTION_CHUNK, num_samples))
+        folds.append([GradStats().extend(values) for values in chunk])
+    return [functools.reduce(GradStats.merge, parts, GradStats()) for parts in zip(*folds)]
 
 
 def sample_param_draw(
@@ -344,17 +350,10 @@ def estimate_grad_stats(
     with the working register starting at |0...0>.
 
     Sample ``i`` draws from ``RngStream(root_seed, i)``; each fixed sample
-    range is one ``probe_gradients`` batch, folded in index order, and the
-    ranges are merged in order.
+    range is one ``probe_gradients`` batch, folded by ``run_chunked``.
     """
-    _check_param_id(model, param_id)
-    if num_samples < 1:
-        raise LcqnnError("need at least one sample")
 
-    def chunk(lo: int, hi: int) -> GradStats:
-        return GradStats().extend(probe_gradients(model, obs, param_id, root_seed, lo, hi))
+    def chunk(lo: int, hi: int) -> list[np.ndarray]:
+        return [probe_gradients(model, obs, param_id, root_seed, lo, hi)]
 
-    stats = GradStats()
-    for part in run_chunked(num_samples, chunk):
-        stats.merge(part)
-    return stats
+    return run_chunked(num_samples, chunk)[0]

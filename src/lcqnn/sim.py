@@ -602,17 +602,17 @@ def chunk_seeds(root_seed: int, lo: int, hi: int, components) -> np.ndarray:
     return _pool_seeds(entropy, len(seed) + 2 + two_words).reshape(len(components), batch, 4)
 
 
-def chunk_generators(words) -> list[list]:
-    """A Generator per row of seed words, shape (C, B, 4): entry ``[c][b]``
-    draws exactly what ``Generator(PCG64(words[c, b]))`` does, which for a
-    ``chunk_seeds`` entry is its ``RngStream`` component generator.
+def chunk_generators(words) -> list:
+    """A Generator per row of seed words, shape (B, 4): entry ``b`` draws
+    exactly what ``Generator(PCG64(words[b]))`` does, which for a row of a
+    ``chunk_seeds`` component is its ``RngStream`` component generator.
 
     Only the Haar blocks' normals need these: the ziggurat takes a varying
     number of words per normal, so unlike ``pcg64_random`` it cannot jump
     ahead, and each stream runs its own Generator.
     """
     make = _pcg64_generator()
-    return [[make(row) for row in rows] for rows in words]
+    return [make(row) for row in words]
 
 
 # PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically

@@ -41,7 +41,7 @@ LAYER_SEEDS = (11, 42, 97)
 def variance_point(m, n, L, k, D, seed=ROOT_SEED):
     """One scan row as the CLI runs it: Z0 and branch 0's first angle."""
     return run_variance_point(
-        m, n, L, k, D, SAMPLES, seed, obs=z0_observable(n), param_id=None
+        make_model(m, n, L, k, D), k, SAMPLES, seed, obs=z0_observable(n), param_id=None
     )
 
 

@@ -513,6 +513,26 @@ def test_mnist_bad_grid_cell_fails_before_training(tmp_path, capsys, grid, messa
     assert err.endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["variance-scan", "--n-list", "3,25", "--k-list", "3"],
+         "num_qubits=25 exceeds the supported maximum of 24"),
+        (["variance-scan", "--k-list", "3,0", "--n-list", "3"], "locality must be >= 1, got 0"),
+        (["group-scan", "--dims", "4:1,4:1", "--dims", "300:1"],
+         "haar mode draws dense matrices only up to dimension 256"),
+        (["group-scan", "--mode", "ansatz", "--depth", "2", "--dims", "4:1", "--dims", "5000:1"],
+         "block dimension 5000 exceeds the supported 4096"),
+    ],
+)
+def test_scan_bad_grid_point_fails_before_sampling(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv + ["--samples", "4"])
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]}:" not in err  # no point sampled before the bad one was seen
+    assert err.endswith(f"error: {message}\n")
+
+
 def test_mnist_header_replays_data_dir_with_space(tmp_path, capsys):
     data_dir = tmp_path / "my data"
     data_dir.mkdir()

@@ -297,6 +297,29 @@ def test_grad_stats_merge_invariance():
     assert math.isnan(GradStats().variance)
 
 
+def test_run_chunked_folds_each_statistic_per_range_in_order():
+    # 130 samples run as the ranges 0..64, 64..128 and 128..130; each
+    # statistic folds its values in sample order and merges the ranges in
+    # index order, bit for bit
+    data = np.random.default_rng(89).standard_normal((2, 130))
+    ranges = []
+
+    def chunk(lo, hi):
+        ranges.append((lo, hi))
+        return data[0, lo:hi], data[1, lo:hi], np.empty(0)
+
+    first, second, empty = gradients.run_chunked(130, chunk)
+    assert ranges == [(0, 64), (64, 128), (128, 130)]
+    for row, stats in zip(data, (first, second)):
+        expected = GradStats()
+        for lo, hi in ranges:
+            expected.merge(GradStats().extend(row[lo:hi]))
+        assert (stats.count, stats.mean, stats.m2) == (130, expected.mean, expected.m2)
+    assert empty.count == 0
+    with pytest.raises(LcqnnError, match="need at least one sample"):
+        gradients.run_chunked(0, chunk)
+
+
 def test_estimate_matches_explicit_shift_loop():
     # the estimator must reproduce a hand-rolled loop over the documented
     # per-sample streams, with gradients from the full-register shift rule.

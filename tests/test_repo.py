@@ -26,15 +26,26 @@ def test_readme_python_blocks_run():
 
 def test_benchmark_trace_hooks_install(tmp_path):
     # Tracer.install() wraps every name perfbench/spans.py lists, whatever the
-    # command, so one short traced run fails as soon as a wrapped name is gone.
+    # command, so one short traced run fails as soon as a wrapped name is gone;
+    # each scan also runs its chunks through the benchmark's run_chunked wrapper
     report = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "op.py"), str(report), "--trace",
-         "--", "grad-check", "--probes", "2", "--seed", "1"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(report.read_text())["trace"]["spans"]
+    for argv, chunk_span in (
+        (["grad-check", "--probes", "2", "--seed", "1"], None),
+        (["variance-scan", "--samples", "2", "--n-list", "3", "--k-list", "3"],
+         "gradients.estimate_grad_stats.chunk"),
+        (["group-scan", "--dims", "4:1,4:1", "--samples", "2"],
+         "experiments.group_block_variance.chunk"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "op.py"), str(report), "--trace", "--",
+             *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads(report.read_text())["trace"]["spans"]
+        assert spans
+        if chunk_span is not None:
+            assert chunk_span in {name for _, name, *_ in spans}
 
 
 def test_patch_only_imports_are_wrapped_by_the_benchmark():

@@ -358,9 +358,10 @@ _CHUNK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1]
 )
 def test_chunk_generators_match_rng_stream(seed, lo, hi):
     components = range(8)
-    rows = sim.chunk_generators(sim.chunk_seeds(seed, lo, hi, components))
-    assert len(rows) == len(components)
-    for c, row in zip(components, rows):
+    words = sim.chunk_seeds(seed, lo, hi, components)
+    assert len(words) == len(components)
+    for c, block in zip(components, words):
+        row = sim.chunk_generators(block)
         assert len(row) == hi - lo
         for b, gen in enumerate(row):
             ref = RngStream(seed, lo + b).component_generator(c)
