@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check or run failure, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import re
 import sys
@@ -461,7 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. The first call per process freezes the import-time
+    heap (``gc.freeze``) so that interpreter exit skips collecting it."""
     args = build_parser().parse_args(argv)
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         return args.handler(args)
     except TrainingError as exc:

@@ -1,5 +1,6 @@
 """Byte identity of the CLI: stdout, stderr and exit code of a fixed command
-set, compared with the files under ``tests/golden/``.
+set, compared with the files under ``tests/golden/``; a few of them are also
+replayed in a fresh ``python -m lcqnn.cli`` process, up to its exit.
 
 After a deliberate change to the output, regenerate the files with
 ``LCQNN_REGEN_GOLDEN=1 python -m pytest tests/test_golden.py`` and review
@@ -8,6 +9,8 @@ their diff before committing it.
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,18 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch, capsys):
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(actual, indent=1) + "\n")
     assert actual == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("name", [
+    "variance_scan", "group_scan_haar", "grad_check", "variance_scan_bad_param_id",
+])
+def test_cli_process_output_matches_golden(name):
+    # what a real process writes up to its exit, frozen heap and all
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcqnn.cli", *COMMANDS[name]],
+        cwd=Path(__file__).parents[1] / "src", capture_output=True, timeout=60,
+    )
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert proc.returncode == golden["exit"]
+    assert proc.stdout == "".join(golden["stdout"]).encode()
+    assert proc.stderr == "".join(golden["stderr"]).encode()

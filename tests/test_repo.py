@@ -1,6 +1,6 @@
 """Checks on the files around the package: the README's example, the
 benchmark's trace hooks, the committed BENCH files, the version each file
-records and what importing the CLI loads."""
+records, what importing the CLI loads and what its first run freezes."""
 
 import ast
 import importlib.util
@@ -254,17 +254,91 @@ def test_version_is_one_across_pyproject_package_and_golden_files():
     assert versioned, "no golden file records a version"
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random loads with the first Generator a run builds, never at
-    # import, so importing the CLI (the benchmark's set-up time) pays nothing
-    # for it
-    code = "import sys, lcqnn.cli; print('numpy.random' in sys.modules)"
+def _run_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports from src/."""
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads with the first Generator a run builds, never at
+    # import, so importing the CLI (the benchmark's set-up time) pays nothing
+    # for it; nor does the import freeze a library user's collector
+    code = "import gc, sys, lcqnn.cli; print('numpy.random' in sys.modules, gc.get_freeze_count())"
+    assert _run_python(code).split() == ["False", "0"]
+
+
+def test_cli_main_freezes_the_heap_once_per_process():
+    # main moves the heap it finds into the permanent generation, so that
+    # interpreter exit does not collect it; a later call in the same process
+    # (pytest makes hundreds) freezes nothing more
+    code = (
+        "import contextlib, gc, io, lcqnn.cli\n"
+        "counts = []\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert lcqnn.cli.main(['grad-check', '--probes', '2']) == 0\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "print(*counts)\n"
+    )
+    first, second = map(int, _run_python(code).split())
+    assert first > 0
+    assert second == first
+
+
+def _exit_finalizers(text: str) -> list:
+    """What in a module would run at interpreter exit, as ``what (line N)``:
+    a ``__del__`` method, a ``weakref.finalize`` and an ``atexit`` registration."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__del__":
+            found.append((node.lineno, "__del__"))
+        elif isinstance(node, ast.Attribute) and (
+            isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in {("weakref", "finalize"), ("atexit", "register")}
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module == "atexit"
+            or node.module == "weakref" and any(a.name == "finalize" for a in node.names)
+        ):
+            found.append((node.lineno, f"from {node.module} import"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_no_module_runs_code_at_interpreter_exit():
+    # cli.main freezes the heap, and the collector never finalises frozen
+    # objects, so nothing in the package may rely on a finaliser at exit
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "lcqnn").glob("*.py"))
+        if (hits := _exit_finalizers(path.read_text()))
+    }
+    assert not found, f"finalisers that a frozen heap would skip: {found}"
+
+
+def test_exit_finalizer_check_flags_each_kind():
+    module = (
+        "import atexit, weakref\n"
+        "from weakref import finalize, ref\n"
+        "class Handle:\n"
+        "    def __del__(self):\n"
+        "        pass\n"
+        "weakref.finalize(Handle(), print)\n"
+        "atexit.register(print)\n"
+        "ref(Handle)\n"
+    )
+    assert _exit_finalizers(module) == [
+        "from weakref import (line 2)",
+        "__del__ (line 4)",
+        "weakref.finalize (line 6)",
+        "atexit.register (line 7)",
+    ]
+    assert _exit_finalizers("import weakref\nweakref.ref(print)\n") == []
 
 
 def _reaches_numpy_random(node) -> bool:
