@@ -243,18 +243,23 @@ THETA_COMPONENT = 1
 #: samples per reduction chunk — fixed so that the accumulation order (and
 #: therefore every floating-point result) never changes
 REDUCTION_CHUNK = 64
+#: samples per ``chunk_fn`` call, so each kernel call sees a few chunks' rows
+SAMPLE_BLOCK = 4 * REDUCTION_CHUNK
 
 
 def run_chunked(num_samples: int, chunk_fn) -> list[GradStats]:
     """One ``GradStats`` per statistic of ``chunk_fn(lo, hi)``, which returns
-    an array of per-sample values for each over a fixed sample range: every
-    array is folded in sample order, and the ranges are merged in index order."""
+    an array of per-sample values for each over a block of up to
+    ``SAMPLE_BLOCK`` samples: every ``REDUCTION_CHUNK`` range of each array
+    is folded in sample order, and the ranges are merged in index order."""
     if num_samples < 1:
         raise LcqnnError("need at least one sample")
     folds = []
-    for lo in range(0, num_samples, REDUCTION_CHUNK):
-        chunk = chunk_fn(lo, min(lo + REDUCTION_CHUNK, num_samples))
-        folds.append([GradStats().extend(values) for values in chunk])
+    for lo in range(0, num_samples, SAMPLE_BLOCK):
+        hi = min(lo + SAMPLE_BLOCK, num_samples)
+        block = chunk_fn(lo, hi)
+        for start in range(0, hi - lo, REDUCTION_CHUNK):
+            folds.append([GradStats().extend(v[start : start + REDUCTION_CHUNK]) for v in block])
     return [functools.reduce(GradStats.merge, parts, GradStats()) for parts in zip(*folds)]
 
 
@@ -350,7 +355,7 @@ def estimate_grad_stats(
     with the working register starting at |0...0>.
 
     Sample ``i`` draws from ``RngStream(root_seed, i)``; each fixed sample
-    range is one ``probe_gradients`` batch, folded by ``run_chunked``.
+    block is one ``probe_gradients`` batch, folded by ``run_chunked``.
     """
 
     def chunk(lo: int, hi: int) -> list[np.ndarray]:

@@ -158,15 +158,13 @@ def _rotation_slots(gates) -> np.ndarray:
     ).reshape(-1, 3)
 
 
-def _rotation_entries(
-    slots: np.ndarray, params: np.ndarray, ndim: int, d_theta: bool = False
-) -> np.ndarray:
+def _rotation_entries(slots: np.ndarray, params: np.ndarray, d_theta: bool = False) -> np.ndarray:
     """Entries (m00, m01, m10, m11) of the U3 rotations at ``slots``, or of
     their derivatives in the polar angle if ``d_theta``.
 
-    ``params`` has shape (*batch, P); the result has shape
-    (G, 4, *batch, 1, ..., 1), so that ``entries[g, i]`` broadcasts against
-    one half of a batched tensor of rank ``ndim``.
+    ``params`` has shape (*batch, P); the result has shape (G, 4, *batch),
+    so that ``entries[g, i]`` broadcasts against one half of a tensor whose
+    batch axes are last.
     """
     batch = params.shape[:-1]
     ang = params.transpose((-1,) + tuple(range(len(batch))))[slots]  # (G, 3, *batch)
@@ -180,7 +178,7 @@ def _rotation_entries(
     entries[:, 1] = -phase[:, 1] * st
     entries[:, 2] = phase[:, 0] * st
     entries[:, 3] = np.exp(1j * (ang[:, 1] + ang[:, 2])) * ct
-    return entries.reshape(entries.shape + (1,) * (ndim - len(batch) - 1))
+    return entries
 
 
 def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +211,15 @@ def _cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
     flip0 = tuple(sel)
     sel[target] = 1
     flip1 = tuple(sel)
-    out = np.array(tensor, dtype=np.complex128)
+    out = np.array(tensor, dtype=np.complex128, order="C")
     out[flip0] = tensor[flip1]
     out[flip1] = tensor[flip0]
     return out
+
+
+def _roll(tensor: np.ndarray, count: int) -> np.ndarray:
+    """A view of ``tensor`` with its first ``count`` axes moved last."""
+    return tensor.transpose(tuple(range(count, tensor.ndim)) + tuple(range(count)))
 
 
 def _batch_axes(tensor: np.ndarray, params: np.ndarray) -> int:
@@ -256,24 +259,25 @@ def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
     of one row's tensor. A row may be a sample, a branch, an (example,
     branch) pair, or the block of a larger register at one value of its
     leading (control) qubits: a controlled circuit is the batch whose rows
-    carry their own angles. The first axis runs in ``_row_runs``, all
-    written into one new C-order array; the input is not modified.
+    carry their own angles. The first axis runs in ``_row_runs``, each run
+    with its batch axes last, so every ufunc loops over rows innermost, and
+    copied back into one new C-order array; the input is not modified.
     """
     params = np.asarray(params, dtype=np.float64)
     axes = _batch_axes(tensor, params)
     slots = _rotation_slots(gates)
     out = np.empty(tensor.shape, dtype=np.complex128)
     for part, rows in _row_runs(len(tensor), math.prod(tensor.shape[1:]), params):
-        run = tensor[part]
-        entries = _rotation_entries(slots, rows, tensor.ndim)
+        run = _roll(tensor[part], axes)
+        entries = _rotation_entries(slots, rows)
         k = 0
         for op in gates:
             if op.kind == "cnot":
-                run = _cnot(run, op.qubits[0] + axes, op.qubits[1] + axes)
+                run = _cnot(run, *op.qubits)
             else:
-                run = _rotate(run, op.qubits[0] + axes, entries[k])
+                run = _rotate(run, op.qubits[0], entries[k])
                 k += 1
-        out[part] = run
+        out[part] = _roll(run, run.ndim - axes)
     return out
 
 
@@ -330,35 +334,33 @@ def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
 
 def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
     """One run of ``adjoint_gradient``: adds each row's gradient into
-    ``grads`` and returns its values."""
+    ``grads`` and returns its values; the sweep runs with the batch axes last."""
     axes = params.ndim - 1
     batch = psi.shape[:axes]
     flat = psi.reshape(batch + (-1,))
     values = diagonal_readout(diag, flat)
-    lam = (diag * flat).reshape(psi.shape)
-    entries = _rotation_entries(slots, params, psi.ndim)
-    d_theta = _rotation_entries(slots, params, psi.ndim, d_theta=True)
-    shared = (4,) + params.shape[:-1]
+    lam = _roll((diag * flat).reshape(psi.shape), axes)
+    psi = _roll(psi, axes)
+    entries = _rotation_entries(slots, params)
+    d_theta = _rotation_entries(slots, params, d_theta=True)
     k = len(entries)
     for op in reversed(gates):
         if op.kind == "cnot":
-            control, target = op.qubits[0] + axes, op.qubits[1] + axes
-            psi, lam = _cnot(psi, control, target), _cnot(lam, control, target)
+            psi, lam = _cnot(psi, *op.qubits), _cnot(lam, *op.qubits)
             continue
         k -= 1
-        axis = op.qubits[0] + axes
+        axis = op.qubits[0]
         # the inverse of a rotation: its conjugate transpose
         inverse = entries[k][[0, 2, 1, 3]].conj()
         psi = _rotate(psi, axis, inverse)
         # <lam| dU |psi> = sum_ij dU_ij <lam_i|psi_j> over the halves i, j
         lam0, lam1 = (half.conj() for half in _halves(lam, axis))
         psi0, psi1 = _halves(psi, axis)
-        s00, s01, s10, s11 = (
-            np.sum((a * b).reshape(batch + (-1,)), axis=-1)
-            for a, b in ((lam0, psi0), (lam0, psi1), (lam1, psi0), (lam1, psi1))
-        )
-        m = entries[k].reshape(shared)
-        d = d_theta[k].reshape(shared)
+        products = np.stack([a * b for a in (lam0, lam1) for b in (psi0, psi1)])
+        # a C-order copy, so each row sums in the order of a (*batch, 2**n) stack
+        rows_first = np.moveaxis(products, range(-axes, 0), range(1, axes + 1)).copy()
+        s00, s01, s10, s11 = np.sum(rows_first.reshape((4,) + batch + (-1,)), axis=-1)
+        m, d = entries[k], d_theta[k]
         # d/dphi multiplies the bottom row by i, d/dlam the right column
         parts = (
             d[0] * s00 + d[1] * s01 + d[2] * s10 + d[3] * s11,

@@ -772,7 +772,7 @@ def test_thread_count_does_not_change_output(tmp_path, capsys):
     "argv",
     [
         ["variance-scan", "--m", "2", "--L", "4", "--depth", "2", "--k-list", "2,3",
-         "--n-list", "3,5", "--samples", "130", "--seed", "7"],
+         "--n-list", "3,5", "--samples", "300", "--seed", "7"],
         # a tree-angle probe
         ["variance-scan", "--m", "2", "--L", "4", "--depth", "1", "--k-list", "3",
          "--n-list", "4", "--param-id", "1", "--samples", "70", "--seed", "7"],
@@ -783,7 +783,7 @@ def test_thread_count_does_not_change_output(tmp_path, capsys):
 def test_scan_rows_are_bit_identical_under_any_amplitude_budget(argv, monkeypatch, capsys):
     # rows never mix, so the budget that sizes kernel calls changes no row:
     # 1 amplitude leaves one row per kernel run (the floor of sim._row_runs),
-    # 2**6 splits every 64-sample chunk, 2**16 splits none
+    # 2**6 splits every 256-sample block, 2**16 splits none
     code, reference, _ = run_cli(capsys, argv)
     assert code == 0
     for budget in (1, 1 << 6, 1 << 16):

@@ -51,6 +51,11 @@ COMMANDS = {
         "variance-scan", "--m", "0", "--L", "1", "--k-list", "2", "--n-list", "2,3",
         "--depth", "1", "--samples", "40", "--seed", "2",
     ],
+    # several kernel blocks and a ragged tail; the k = 5, n = 5 cone's 32-amplitude
+    # rows split at sim.BATCH_AMPLITUDES
+    "variance_scan_multiblock": _SCAN + [
+        "--k-list", "2,5", "--n-list", "3,5", "--samples", "600",
+    ],
     "variance_scan_bad_param_id": _SCAN + [
         "--k-list", "2", "--n-list", "3", "--samples", "10", "--param-id", "9999",
     ],
@@ -62,6 +67,10 @@ COMMANDS = {
     "variance_layers_bad_branch_count": _LAYERS + ["--k", "2", "--L-list", "1,3"],
     "group_scan_haar": [
         "group-scan", "--dims", "4:1,4:1", "--dims", "8:1,8:1", "--samples", "100",
+        "--seed", "5",
+    ],
+    "group_scan_haar_multiblock": [
+        "group-scan", "--dims", "4:1,4:1", "--dims", "8:1,8:1", "--samples", "600",
         "--seed", "5",
     ],
     "group_scan_su2_ansatz_json_threads2": [

@@ -298,23 +298,23 @@ def test_grad_stats_merge_invariance():
 
 
 def test_run_chunked_folds_each_statistic_per_range_in_order():
-    # 130 samples run as the ranges 0..64, 64..128 and 128..130; each
-    # statistic folds its values in sample order and merges the ranges in
-    # index order, bit for bit
-    data = np.random.default_rng(89).standard_normal((2, 130))
-    ranges = []
+    # 600 samples reach chunk_fn as the blocks 0..256, 256..512 and 512..600;
+    # each statistic folds every 64-sample range of a block in sample order
+    # and merges the ranges in index order, bit for bit
+    data = np.random.default_rng(89).standard_normal((2, 600))
+    blocks = []
 
     def chunk(lo, hi):
-        ranges.append((lo, hi))
+        blocks.append((lo, hi))
         return data[0, lo:hi], data[1, lo:hi], np.empty(0)
 
-    first, second, empty = gradients.run_chunked(130, chunk)
-    assert ranges == [(0, 64), (64, 128), (128, 130)]
+    first, second, empty = gradients.run_chunked(600, chunk)
+    assert blocks == [(0, 256), (256, 512), (512, 600)]
     for row, stats in zip(data, (first, second)):
         expected = GradStats()
-        for lo, hi in ranges:
-            expected.merge(GradStats().extend(row[lo:hi]))
-        assert (stats.count, stats.mean, stats.m2) == (130, expected.mean, expected.m2)
+        for lo in range(0, 600, 64):
+            expected.merge(GradStats().extend(row[lo : lo + 64]))
+        assert (stats.count, stats.mean, stats.m2) == (600, expected.mean, expected.m2)
     assert empty.count == 0
     with pytest.raises(LcqnnError, match="need at least one sample"):
         gradients.run_chunked(0, chunk)

@@ -162,6 +162,48 @@ def test_apply_gate_validation():
         sim.GateOp("ry", (0,), (0,))
 
 
+def _bits(array):
+    """The raw bits of a float or complex array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 130])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kernel_rows_are_bitwise_batch_invariant(n, batch):
+    # a row's amplitudes, value and gradient are the same bits alone as in a
+    # stack of any size, and under angles shared along a size-1 axis; the
+    # adjoint sweep's per-row sums must not follow the stack's layout
+    rng = np.random.default_rng(10 * n + batch)
+    gates, slot = [], 0
+    for _ in range(2):
+        for q in range(n):
+            gates.append(u3(q, slot, slot + 1, slot + 2))
+            slot += 3
+        gates += [cnot(q, q + 1) for q in range(n - 1)]
+    rows = rng.uniform(0, 2 * math.pi, (batch, slot))
+    states = np.stack([random_state(n, rng).amps for _ in range(batch)])
+    states = states.reshape((batch,) + (2,) * n)
+    diags = rng.standard_normal((batch, 1 << n))
+
+    def sweep(tensor, angles, diag):
+        psi = apply_gates(tensor, gates, angles)
+        return (psi,) + sim.adjoint_gradient(psi, gates, angles, diag)
+
+    stacked = sweep(states, rows, diags)
+    shared = sweep(states, rows[:1], diags)
+    grid = sweep(np.stack([states, states]), rows[None], diags)
+    for b in range(batch):
+        alone = sweep(states[b : b + 1], rows[b : b + 1], diags[b : b + 1])
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(_bits(got[b]), _bits(want[0]))
+        for got, want in zip(grid, alone):
+            for i in range(2):
+                assert np.array_equal(_bits(got[i, b]), _bits(want[0]))
+        alone = sweep(states[b : b + 1], rows[:1], diags[b : b + 1])
+        for got, want in zip(shared, alone):
+            assert np.array_equal(_bits(got[b]), _bits(want[0]))
+
+
 def _random_circuit(n, rng, max_gates=6):
     """Random gate list on ``n`` qubits; returns (gates, params)."""
     qubits = list(range(n))
