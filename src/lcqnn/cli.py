@@ -461,18 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: set by ``main`` once it has frozen the heap (``gc.get_freeze_count`` walks it all)
-_heap_frozen = False
-
-
 def main(argv=None) -> int:
     """Run one subcommand. The first call per process freezes the import-time
     heap (``gc.freeze``) so that interpreter exit skips collecting it."""
-    global _heap_frozen
     args = build_parser().parse_args(argv)
-    if not _heap_frozen:
+    if not gc.get_freeze_count():
         gc.freeze()
-        _heap_frozen = True
     try:
         return args.handler(args)
     except TrainingError as exc:

@@ -204,6 +204,25 @@ def test_kernel_rows_are_bitwise_batch_invariant(n, batch):
             assert np.array_equal(_bits(got[b]), _bits(want[0]))
 
 
+def test_sweep_view_puts_rows_last_from_eight_rows_on():
+    # a run of 8 rows or more, over any batch axes, sweeps with them last, so
+    # ufuncs loop over rows; fewer rows (a 12-qubit block two to a run) keep
+    # them first, so ufuncs loop over a row's amplitudes
+    cases = [
+        ((8,) + (2,) * 10, 1, True),
+        ((7,) + (2,) * 3, 1, False),
+        ((2, 4) + (2,) * 5, 2, True),
+        ((2,) + (2,) * 12, 1, False),
+    ]
+    for shape, axes, last in cases:
+        run = np.zeros(shape, dtype=np.complex128)
+        view, lead, ones = sim._sweep_view(run, axes)
+        if last:
+            assert view.shape == shape[axes:] + shape[:axes] and (lead, ones) == (0, ())
+        else:
+            assert view is run and (lead, ones) == (axes, (1,) * (len(shape) - axes - 1))
+
+
 def _random_circuit(n, rng, max_gates=6):
     """Random gate list on ``n`` qubits; returns (gates, params)."""
     qubits = list(range(n))
