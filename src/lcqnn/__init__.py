@@ -77,7 +77,6 @@ from .mnist import (
     parse_idx,
     preprocess,
     run_accuracy_grid,
-    train,
     train_single_run,
 )
 

@@ -23,8 +23,10 @@ from .experiments import (
     run_variance_point,
     select_blocks,
     su2_block_dims,
+    z0_observable,
 )
 from .gradients import (
+    default_probe_param,
     finite_diff_grad,  # noqa: F401  (perfbench/spans.py times calls through this name)
     num_params,
     param_shift_grad,  # noqa: F401  (perfbench/spans.py times calls through this name)
@@ -103,6 +105,13 @@ def _check_common(args) -> None:
     _require(args.threads >= 1, "--threads must be >= 1")
 
 
+def _scan_point(args, n: int, L: int, k: int):
+    """A scan point's model and its probe: ``--param-id``, or by default
+    branch 0's first rotation."""
+    model = make_model(args.m, n, L, k, args.depth)
+    return model, default_probe_param(model) if args.param_id is None else args.param_id
+
+
 def _config(args, flags, **normalised) -> dict:
     """A report's replayed settings, keyed in ``flags`` order: each flag's
     parsed value (tuples as lists), or the normalised value passed for it."""
@@ -116,22 +125,15 @@ def _config(args, flags, **normalised) -> dict:
 
 def cmd_variance_scan(args) -> int:
     _check_common(args)
-    points = [(k, _observable_for(args.obs, n), make_model(args.m, n, args.L, k, args.depth))
+    points = [(k, _observable_for(args.obs, n), *_scan_point(args, n, args.L, k))
               for k in args.k_list for n in args.n_list]
     config = _config(args, ("m", "L", "k_list", "n_list", "depth", "samples", "seed", "obs",
                             "param_id", "format", "threads"), obs=points[0][1].describe())
     records = []
-    for k, obs, model in points:
+    for k, obs, model, param_id in points:
         _progress(f"variance-scan: k={k} n={model.num_working} ({args.samples} samples)")
         records.append(
-            run_variance_point(
-                model,
-                k,
-                args.samples,
-                args.seed,
-                obs=obs,
-                param_id=args.param_id,
-            )
+            run_variance_point(model, k, args.samples, args.seed, obs=obs, param_id=param_id)
         )
     _emit_scan(args, "variance-scan", config, records)
     return 0
@@ -140,6 +142,11 @@ def cmd_variance_scan(args) -> int:
 def cmd_variance_layers(args) -> int:
     _check_common(args)
     _require(len(set(args.L_list)) >= 2, "--L-list needs two distinct values for the slope fit")
+    # the flat layout puts the L - 1 tree angles first, so only a tree angle
+    # present at every L names one parameter across the scan
+    _require(args.param_id is None or 0 <= args.param_id < min(args.L_list) - 1,
+             f"--param-id must name a tree angle at every L, below min(--L-list) - 1 = "
+             f"{min(args.L_list) - 1}, got {args.param_id}")
     obs = _observable_for(args.obs, args.n)
     config = _config(args, ("m", "n", "k", "depth", "L_list", "samples", "seed", "obs",
                             "param_id", "format", "threads"), obs=obs.describe())
@@ -150,11 +157,10 @@ def cmd_variance_layers(args) -> int:
         _require(L >= 1 and not L & (L - 1), f"branch counts must be powers of two, got {L}")
         _require(args.m >= 0 and L <= 1 << args.m,
                  f"branch count {L} does not fit {args.m} control qubit(s)")
-    models = [make_model(args.m, args.n, L, args.k, args.depth) for L in args.L_list]
+    points = [_scan_point(args, args.n, L, args.k) for L in args.L_list]
     records = [
-        run_variance_point(model, args.k, args.samples, args.seed, obs=obs,
-                           param_id=args.param_id)
-        for model in models
+        run_variance_point(model, args.k, args.samples, args.seed, obs=obs, param_id=param_id)
+        for model, param_id in points
     ]
     summary = reporting.layers_summary(records)
     slope = summary["log2_slope_vs_log2_L"]
@@ -273,39 +279,42 @@ def cmd_mnist(args) -> int:
     return 0
 
 
-def _grad_check_window(rng, first: int, count: int, shift_scale: float, observables):
-    """Draw probes ``first .. first+count-1`` in order, then evaluate both
-    rules of every probe one branch circuit at a time: the probes whose
-    models share their block groups (any control width and branch count)
-    make one ``shift_and_fd_grads`` call, with one part per model. Returns,
-    in probe order, each probe's label, shift-rule gradient and finite
-    difference."""
-    labels, circuits = [], {}
-    for probe in range(first, first + count):
-        m = int(rng.integers(0, 4))
-        n = int(rng.integers(1, 7))
-        k = int(rng.integers(1, n + 1))
-        D = int(rng.integers(1, 4))
-        L = 1 << int(rng.integers(0, m + 1))
-        model = make_model(m, n, L, k, D)
-        flat = sample_params(model, rng)
-        param_id = int(rng.integers(0, num_params(model)))
-        labels.append(f"probe {probe} (m={m} n={n} L={L} k={k} D={D}, param {param_id})")
-        by_model = circuits.setdefault(model.groups, {})
-        by_model.setdefault(model, []).append((probe - first, flat, param_id))
-    shifts, fds = np.empty(count), np.empty(count)
-    for by_model in circuits.values():
-        n = next(iter(by_model)).num_working
-        if n not in observables:
-            observables[n] = _observable_for("Z0", n)
-        probes = [tuple(map(np.array, zip(*rows))) for rows in by_model.values()]
-        parts = [(model, flats, ids) for model, (_, flats, ids) in zip(by_model, probes)]
-        # an overflowing --shift-scale makes NaN costs, reported as failed probes
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads = shift_and_fd_grads(parts, observables[n], shift_scale=shift_scale)
-        for (indices, _, _), (shift, fd) in zip(probes, grads):
-            shifts[indices], fds[indices] = shift, fd
-    return list(zip(labels, shifts.tolist(), fds.tolist()))
+def _grad_check_results(rng, probes: int, shift_scale: float):
+    """Draw ``probes`` probes in order, in windows of ``GRAD_CHECK_WINDOW``,
+    and evaluate both rules of a window's probes one branch circuit at a
+    time: the probes whose models share their block groups (any control
+    width and branch count) make one ``shift_and_fd_grads`` call, with one
+    part per model. Yields, in probe order, each probe's label, shift-rule
+    gradient and finite difference."""
+    for first in range(0, probes, GRAD_CHECK_WINDOW):
+        count = min(GRAD_CHECK_WINDOW, probes - first)
+        labels, circuits = [], {}
+        for probe in range(first, first + count):
+            m = int(rng.integers(0, 4))
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(1, n + 1))
+            D = int(rng.integers(1, 4))
+            L = 1 << int(rng.integers(0, m + 1))
+            model = make_model(m, n, L, k, D)
+            flat = sample_params(model, rng)
+            param_id = int(rng.integers(0, num_params(model)))
+            labels.append(f"probe {probe} (m={m} n={n} L={L} k={k} D={D}, param {param_id})")
+            by_model = circuits.setdefault(model.groups, {})
+            by_model.setdefault(model, []).append((probe - first, flat, param_id))
+        shifts, fds = np.empty(count), np.empty(count)
+        observables = {}  # the Z0 observable of each working width
+        for by_model in circuits.values():
+            n = next(iter(by_model)).num_working
+            if n not in observables:
+                observables[n] = z0_observable(n)
+            grouped = [tuple(map(np.array, zip(*entries))) for entries in by_model.values()]
+            parts = [(model, flats, ids) for model, (_, flats, ids) in zip(by_model, grouped)]
+            # an overflowing --shift-scale makes NaN costs, reported as failed probes
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads = shift_and_fd_grads(parts, observables[n], shift_scale=shift_scale)
+            for (indices, _, _), (shift, fd) in zip(grouped, grads):
+                shifts[indices], fds[indices] = shift, fd
+        yield from zip(labels, shifts.tolist(), fds.tolist())
 
 
 def cmd_grad_check(args) -> int:
@@ -316,23 +325,17 @@ def cmd_grad_check(args) -> int:
     worst_rel = -1.0
     worst_detail = ""
     failures = 0
-    observables = {}  # the Z0 observable of each working width, built once
-    for first in range(0, args.probes, GRAD_CHECK_WINDOW):
-        count = min(GRAD_CHECK_WINDOW, args.probes - first)
-        for label, shift, fd in _grad_check_window(
-            rng, first, count, args.shift_scale, observables
-        ):
-            # the error scale floors at 1e-3: parameters outside the
-            # observable's block have exactly zero gradient, where a pure
-            # ratio would divide finite-difference rounding noise (~1e-10)
-            # by itself
-            rel = abs(shift - fd) / max(abs(shift), abs(fd), 1e-3)
-            # a NaN error outranks every other, the first one staying worst
-            if rel > worst_rel or (math.isnan(rel) and not math.isnan(worst_rel)):
-                worst_rel = rel
-                worst_detail = f"{label}: shift={shift!r} fd={fd!r} rel={rel:.3e}"
-            if not rel <= GRAD_CHECK_TOLERANCE:  # a NaN error fails too
-                failures += 1
+    for label, shift, fd in _grad_check_results(rng, args.probes, args.shift_scale):
+        # the error scale floors at 1e-3: parameters outside the observable's
+        # block have exactly zero gradient, where a pure ratio would divide
+        # finite-difference rounding noise (~1e-10) by itself
+        rel = abs(shift - fd) / max(abs(shift), abs(fd), 1e-3)
+        # a NaN error outranks every other, the first one staying worst
+        if rel > worst_rel or (math.isnan(rel) and not math.isnan(worst_rel)):
+            worst_rel = rel
+            worst_detail = f"{label}: shift={shift!r} fd={fd!r} rel={rel:.3e}"
+        if not rel <= GRAD_CHECK_TOLERANCE:  # a NaN error fails too
+            failures += 1
     if failures:
         print(
             f"grad-check: {failures}/{args.probes} probes exceeded "

@@ -18,7 +18,6 @@ from .errors import ArchitectureError, CapacityError, LcqnnError
 from .gradients import (
     TWO_PI,
     GradStats,
-    default_probe_param,
     estimate_grad_stats,
     run_chunked,
 )
@@ -76,13 +75,10 @@ def run_variance_point(
     root_seed: int,
     *,
     obs: PauliZSum,
-    param_id: int | None,
+    param_id: int,
 ) -> ScanRecord:
     """Estimate one configuration of ``model``, recorded with the locality
-    ``k`` it was built with; a ``param_id`` of None probes branch 0's first
-    rotation angle, which exists for every architecture with D >= 1."""
-    if param_id is None:
-        param_id = default_probe_param(model)
+    ``k`` it was built with."""
     stats = estimate_grad_stats(model, obs, param_id, samples, root_seed)
     return ScanRecord(
         m=model.num_controls,

@@ -465,13 +465,6 @@ def train_single_run(
     )
 
 
-def train(
-    config: TrainConfig, train_set: EncodedExamples, test_set: EncodedExamples
-) -> list[RunMetrics]:
-    """All runs of one configuration, seeded independently per run."""
-    return [train_single_run(config, train_set, test_set, run) for run in range(config.runs)]
-
-
 # ---------------------------------------------------------------------------
 # accuracy grid
 
@@ -505,7 +498,6 @@ def run_accuracy_grid(train_set, test_set, configs, progress) -> list[GridCell]:
     cells = []
     for config in configs:
         progress(f"training L={config.L} D={config.D} ({config.runs} run(s))")
-        cells.append(
-            GridCell(L=config.L, D=config.D, metrics=train(config, train_set, test_set))
-        )
+        runs = [train_single_run(config, train_set, test_set, run) for run in range(config.runs)]
+        cells.append(GridCell(L=config.L, D=config.D, metrics=runs))
     return cells

@@ -17,13 +17,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ArchitectureError, CapacityError, LcqnnError
+from .errors import ArchitectureError, LcqnnError
 from .sim import (
-    MAX_QUBITS,
     GateOp,
     PauliZSum,
     StateVector,
     apply_gates,
+    check_width,
     cnot,
     diagonal_expectations,
     expectation,
@@ -309,8 +309,7 @@ def _control_rows(
             f"branch angles of batch shape {batch}"
         )
     m, n, t = model.num_controls, model.num_working, model.tree_depth
-    if m + n > MAX_QUBITS:
-        raise CapacityError(f"{m + n} qubits exceed the supported maximum {MAX_QUBITS}")
+    check_width(m + n)
     nodes, bits = _leaf_paths(t)
     half = 0.5 * (2.0 * alpha[..., nodes])
     factors = np.where(bits, np.sin(half), np.cos(half))  # (*batch, t, L)

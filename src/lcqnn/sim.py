@@ -43,7 +43,7 @@ class StateVector:
     amps: np.ndarray
 
 
-def _check_width(num_qubits: int) -> None:
+def check_width(num_qubits: int) -> None:
     """Reject a register width before anything of size 2**num_qubits exists."""
     if num_qubits < 0:
         raise LcqnnError(f"num_qubits must be non-negative, got {num_qubits}")
@@ -55,7 +55,7 @@ def _check_width(num_qubits: int) -> None:
 
 def init_zero(num_qubits: int) -> StateVector:
     """Return |0...0> on ``num_qubits`` qubits."""
-    _check_width(num_qubits)
+    check_width(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -415,7 +415,7 @@ class PauliZSum:
     """
 
     def __init__(self, terms, num_qubits: int):
-        _check_width(num_qubits)
+        check_width(num_qubits)
         norm_terms = []
         for weight, qubits in terms:
             w = float(weight)

@@ -25,6 +25,7 @@ from lcqnn.reporting import (
     mnist_summary,
     render_json,
 )
+from test_mnist import pack_images, pack_labels
 
 
 def run_cli(capsys, argv):
@@ -243,6 +244,23 @@ def test_variance_layers_bad_branch_count(capsys):
         assert err.endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flags, trees", [
+    (["--L-list", "1,2", "--param-id", "0"], 0),
+    (["--L-list", "2,4", "--param-id", "1"], 1),
+    (["--L-list", "4,2,8", "--param-id", "1"], 1),
+    (["--L-list", "2,4", "--param-id", "-1"], 1),
+])
+def test_variance_layers_param_id_must_name_one_tree_angle(capsys, flags, trees):
+    # the flat layout puts the L - 1 tree angles first: an id below
+    # min(L) - 1 is the same tree angle at every L, any other id names a
+    # different parameter at each L, so the scan exits before its progress line
+    code, out, err = run_cli(capsys, ["variance-layers", "--n", "3", "--k", "3", *flags,
+                                      "--samples", "2"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: --param-id must name a tree angle at every L, below "
+                   f"min(--L-list) - 1 = {trees}, got {flags[-1]}\n")
+
+
 # ---------------------------------------------------------------------------
 # group-scan
 
@@ -396,18 +414,6 @@ def test_group_scan_usage_errors(capsys):
 # mnist
 
 
-def pack_images(images: np.ndarray) -> bytes:
-    count, rows, cols = images.shape
-    return struct.pack(">IIII", 0x803, count, rows, cols) + images.astype(
-        np.uint8
-    ).tobytes()
-
-
-def pack_labels(labels) -> bytes:
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">II", 0x801, labels.size) + labels.tobytes()
-
-
 def write_synthetic_idx(directory, per_digit_train=6, per_digit_test=3, seed=0):
     rng = np.random.default_rng(seed)
 
@@ -523,6 +529,8 @@ def test_mnist_bad_grid_cell_fails_before_training(tmp_path, capsys, grid, messa
          "haar mode draws dense matrices only up to dimension 256"),
         (["group-scan", "--mode", "ansatz", "--depth", "2", "--dims", "4:1", "--dims", "5000:1"],
          "block dimension 5000 exceeds the supported 4096"),
+        # the default probe, branch 0's first rotation, is resolved with the grid
+        (["variance-scan", "--depth", "0"], "model has no branch angles to probe"),
     ],
 )
 def test_scan_bad_grid_point_fails_before_sampling(capsys, argv, message):

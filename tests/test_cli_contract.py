@@ -136,10 +136,8 @@ SAMPLING = (
     ("--seed", st.integers(0, 2**40), st.integers(-3, 2**40), True),
     ("--format", st.sampled_from(["csv", "json"]), st.sampled_from(["csv", "json"]), True),
 )
-SCAN_PROBE = (
-    ("--obs", st.just("Z0"), st.sampled_from(["Z0", "Z1", "Z3", "X0"]), True),
-    ("--param-id", st.integers(0, 2), st.integers(-1, 40), True),
-)
+OBS = ("--obs", st.just("Z0"), st.sampled_from(["Z0", "Z1", "Z3", "X0"]), True)
+WIDE_PARAM_ID = st.integers(-1, 40)
 CONTROLS = ("--m", st.integers(2, 3), st.integers(0, 3), False)
 DEPTH = ("--depth", st.integers(1, 2), st.integers(0, 2), False)
 BRANCHES = st.sampled_from([1, 2, 4])
@@ -151,9 +149,19 @@ variance_scan_argv = command_argv(
     ("--k-list", int_list(st.integers(1, 4), 2), int_list(st.integers(0, 4), 2), False),
     ("--n-list", int_list(st.integers(1, 4), 2), int_list(st.integers(0, 4), 2), False),
     DEPTH,
-    *SCAN_PROBE,
+    OBS,
+    ("--param-id", st.integers(0, 2), WIDE_PARAM_ID, True),
     *SAMPLING,
 )
+
+
+def _layers_probe(branch_counts):
+    """--L-list, and a --param-id only where it is a tree angle at every L:
+    any other id names a different parameter at each L and exits 2."""
+    trees = min(branch_counts) - 1
+    probe = maybe("--param-id", st.integers(0, trees - 1)) if trees else st.just([])
+    return probe.map(lambda ids: ["--L-list", ",".join(map(str, branch_counts)), *ids])
+
 
 variance_layers_argv = command_argv(
     "variance-layers",
@@ -161,9 +169,12 @@ variance_layers_argv = command_argv(
     ("--n", st.integers(1, 4), st.integers(0, 4), False),
     ("--k", st.integers(1, 4), st.integers(0, 4), False),
     DEPTH,
-    ("--L-list", int_list(BRANCHES, 3, 2, unique=True), int_list(st.integers(0, 8), 3),
+    (None,
+     st.lists(BRANCHES, min_size=2, max_size=3, unique=True).flatmap(_layers_probe),
+     st.tuples(flag("--L-list", int_list(st.integers(0, 8), 3)),
+               maybe("--param-id", WIDE_PARAM_ID)).map(_concat),
      False),
-    *SCAN_PROBE,
+    OBS,
     *SAMPLING,
 )
 

@@ -17,7 +17,7 @@ from lcqnn.experiments import (
     su2_block_dims,
     z0_observable,
 )
-from lcqnn.gradients import TWO_PI
+from lcqnn.gradients import TWO_PI, default_probe_param
 from lcqnn.model import (
     coeff_probabilities,
     coeff_probability_gradients,
@@ -98,8 +98,9 @@ def test_balanced_z_diag():
 
 def _point(m, n, L, k, D, samples, root_seed):
     """run_variance_point with the CLI's default observable and probe."""
+    model = make_model(m, n, L, k, D)
     return run_variance_point(
-        make_model(m, n, L, k, D), k, samples, root_seed, obs=z0_observable(n), param_id=None
+        model, k, samples, root_seed, obs=z0_observable(n), param_id=default_probe_param(model)
     )
 
 
@@ -146,7 +147,7 @@ def test_fit_log2_slope():
 
 def test_custom_observable_flows_into_record():
     for obs, name in ((z0_observable(2), "Z0"), (sim.PauliZSum([(1.0, (1,))], num_qubits=2), "Z1")):
-        rec = run_variance_point(make_model(1, 2, 2, 2, 1), 2, 10, 1, obs=obs, param_id=None)
+        rec = run_variance_point(make_model(1, 2, 2, 2, 1), 2, 10, 1, obs=obs, param_id=1)
         assert rec.observable == name
 
 

@@ -44,7 +44,6 @@ from lcqnn.mnist import (
     preprocess,
     run_accuracy_grid,
     softmax,
-    train,
     train_single_run,
     working_z_expectations,
 )
@@ -568,10 +567,11 @@ def test_training_flags_nonfinite_loss():
         train_single_run(config, data, data, run_index=0)
 
 
-def test_train_returns_one_metrics_record_per_run():
-    data = encode_examples(tiny_dataset())
+def test_grid_cell_trains_one_metrics_record_per_run():
+    data = tiny_dataset()
     config = train_config(1, 1, epochs=1, batch_size=8, runs=3, root_seed=9)
-    metrics = train(config, data, data)
+    [cell] = run_accuracy_grid(data, data, [config], progress=lambda line: None)
+    metrics = cell.metrics
     assert [m.run_index for m in metrics] == [0, 1, 2]
     assert all(m.run_seed == 9 for m in metrics)
     assert len({tuple(m.epoch_losses) for m in metrics}) == 3

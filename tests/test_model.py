@@ -1,6 +1,7 @@
 """Coefficient tree, branch blocks, full-circuit forward pass and cost."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from oracles import (
 
 from lcqnn import model as model_module
 from lcqnn import sim
-from lcqnn.errors import ArchitectureError, LcqnnError
+from lcqnn.errors import ArchitectureError, CapacityError, LcqnnError
 from lcqnn.model import (
     branch_angles,
     branch_gates,
@@ -330,6 +331,27 @@ def test_idle_control_qubits_cost_nothing():
             idle[:: 1 << (m - t)] = False
             assert np.all(rows[:, idle] == 0)
             assert cost(model, alpha, theta, obs, state_in).tolist() == values.tolist()
+
+
+@pytest.mark.parametrize("run", [
+    lcqnn_forward,
+    lambda model, alpha, theta: cost(model, alpha, theta, PauliZSum([(1.0, (0,))], 13)),
+], ids=["lcqnn_forward", "cost"])
+def test_too_wide_model_fails_sims_width_check_before_allocating(run):
+    # 12 controls + 13 working qubits: the forward pass keeps no width rule
+    # of its own, so sim's check and message fire before the 2**25 amplitudes
+    # (512 MB) of the full register, or even the 2**14 leaf rows, exist
+    model = make_model(12, 13, 2, 13, 1)
+    alpha, theta = np.zeros(model.num_alpha), np.zeros(theta_layout_size(model))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            run(model, alpha, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "num_qubits=25 exceeds the supported maximum of 24"
+    assert peak < 64 << 10, f"peak {peak} bytes"
 
 
 def test_forward_states_hold_only_the_live_rows():
