@@ -77,7 +77,7 @@ from .mnist import (
     parse_idx,
     preprocess,
     run_accuracy_grid,
-    train_single_run,
+    train_runs,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

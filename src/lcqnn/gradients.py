@@ -205,9 +205,15 @@ class GradStats:
         self.m2 += delta * (value - self.mean)
 
     def extend(self, values) -> "GradStats":
-        """Add every value of ``values`` in order."""
-        for value in values:
-            self.add(float(value))
+        """Add every value of ``values`` in order: ``add`` of each, folded
+        in local variables."""
+        count, mean, m2 = self.count, self.mean, self.m2
+        for value in np.asarray(values, dtype=np.float64).tolist():
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self.count, self.mean, self.m2 = count, mean, m2
         return self
 
     def merge(self, other: "GradStats") -> "GradStats":
@@ -319,8 +325,8 @@ def probe_gradients(
     angle needs only that branch, at its two shifted points, weighted by its
     probability, and is exactly 0 outside the cone. Sample ``i`` draws what
     ``sample_param_draw(model, root_seed, i)`` draws (a probe in branch
-    ``j`` only the leading ``j + 1`` blocks of it), so its value does not
-    depend on ``lo`` and ``hi``.
+    ``j`` only its leading values, up to the last cone column of block
+    ``j``), so its value does not depend on ``lo`` and ``hi``.
     """
     _check_param_id(model, param_id)
     cone = light_cone(model, obs)
@@ -334,7 +340,7 @@ def probe_gradients(
     j, slot = divmod(param_id - model.num_alpha, stride)
     if slot not in cone.columns:
         return np.zeros(batch)
-    alpha, theta = sample_param_draws(model, root_seed, lo, hi, (j + 1) * stride)
+    alpha, theta = sample_param_draws(model, root_seed, lo, hi, j * stride + max(cone.columns) + 1)
     block = theta[:, j * stride :]
     shifted = np.concatenate((block, block))
     shifted[:, slot] += math.pi / 2.0

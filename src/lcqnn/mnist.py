@@ -248,25 +248,42 @@ def encode_examples(examples) -> EncodedExamples:
     )
 
 
-def _forward_sweep(model: LcqnnModel, alpha, theta, states) -> tuple:
-    """One batched forward sweep over the rows (b, j): example ``b``'s
-    encoded state ``states[b]`` under branch ``j``'s angles, which every
-    example shares.
+def _forward_sweep(parts) -> tuple:
+    """One batched forward sweep for the ``(model, alpha, theta, states)``
+    of ``parts``, whose models share their block groups and whose ``states``
+    hold the same number B of encoded examples: row (b, c) runs part
+    ``r``'s example ``states[b]`` under its branch ``j``, where column
+    block ``r`` of the columns ``c`` holds part ``r``'s L branches. Each
+    branch's angles are shared by every example.
 
-    Returns the output tensor, shape (B, L, 2, ..., 2), and the logits,
-    shape (B, n): each working qubit's <Z> under the branch mixture,
-    accumulated in branch order.
+    Returns the output tensor, shape (B, C, 2, ..., 2) over the C columns
+    of all parts, the columns' branch angles, shape (C, stride), and each
+    part's logits, shape (B, n): each working qubit's <Z> under its branch
+    mixture, accumulated in branch order.
     """
-    n, L = model.num_working, model.branch_count
-    probs = coeff_probabilities(tree_angles(model, alpha))
-    batch = states.shape[0]
-    rows = np.broadcast_to(states.reshape((batch, 1) + (2,) * n), (batch, L) + (2,) * n)
-    psi = apply_gates(rows, branch_gates(model), branch_angles(model, theta)[None])
-    z = diagonal_readout(_z_diagonals(n), psi.reshape(batch, L, 1, -1))
-    logits = np.zeros((batch, n))
-    for j in range(L):
-        logits += probs[j] * z[:, j]
-    return psi, logits
+    first, n = parts[0][0], parts[0][0].num_working
+    if any(model.groups != first.groups for model, *_ in parts):
+        raise TrainingError("models of one sweep must share their block groups")
+    batch = len(parts[0][3])
+    rows = np.concatenate(
+        [
+            np.broadcast_to(states.reshape(batch, 1, -1), (batch, model.branch_count, 1 << n))
+            for model, _, _, states in parts
+        ],
+        axis=1,
+    )
+    blocks = np.concatenate([branch_angles(model, theta) for model, _, theta, _ in parts])
+    psi = apply_gates(rows.reshape(rows.shape[:2] + (2,) * n), branch_gates(first), blocks[None])
+    z = diagonal_readout(_z_diagonals(n), psi.reshape(batch, len(blocks), 1, -1))
+    all_logits, lo = [], 0
+    for model, alpha, _, _ in parts:
+        probs = coeff_probabilities(tree_angles(model, alpha))
+        logits = np.zeros((batch, n))
+        for j in range(model.branch_count):
+            logits += probs[j] * z[:, lo + j]
+        all_logits.append(logits)
+        lo += model.branch_count
+    return psi, blocks, all_logits
 
 
 def working_z_expectations(
@@ -274,7 +291,7 @@ def working_z_expectations(
 ) -> np.ndarray:
     """Per-working-qubit <Z> of the forward state, via the branch mixture:
     the one-example case of the batched forward sweep."""
-    return _forward_sweep(model, alpha, theta, input_state.amps[None])[1][0]
+    return _forward_sweep([(model, alpha, theta, input_state.amps[None])])[2][0][0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -291,32 +308,40 @@ def cross_entropy(logits: np.ndarray, label):
     return np.log(np.exp(shifted).sum(axis=-1)) - picked[..., 0]
 
 
-def minibatch_loss_and_grads(
-    model: LcqnnModel, flat_params: np.ndarray, states: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def minibatch_loss_and_grads(parts) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cross-entropy losses, shape (B,), and full parameter gradients,
-    shape (B, P), of B encoded examples ``states`` with ``labels``.
+    shape (B, P), of each ``(model, flat_params, states, labels)`` of
+    ``parts``: B encoded examples ``states`` with ``labels``, the same B for
+    every part, under models that share their block groups.
 
-    One forward sweep over the (example, branch) rows and one adjoint sweep
-    back. The chain rule folds each example's softmax residuals into one
-    diagonal sum_c (softmax_c - onehot_c) Z_c on its rows, so the adjoint
-    sweep covers all four logits and reuses the forward sweep's output.
-    Rows never mix, so an example's loss and gradient do not depend on the
-    batch around it.
+    One forward sweep over the (example, branch) rows of every part and one
+    adjoint sweep back. The chain rule folds each example's softmax
+    residuals into one diagonal sum_c (softmax_c - onehot_c) Z_c on its
+    rows, so the adjoint sweep covers all four logits and reuses the
+    forward sweep's output. Rows never mix, so an example's loss and
+    gradient do not depend on the batch or the parts around it.
     """
-    alpha, theta = split_params(model, flat_params)
-    diags = _z_diagonals(model.num_working)
-    psi, logits = _forward_sweep(model, alpha, theta, states)
-    losses = cross_entropy(logits, labels)
-    residual = softmax(logits)
-    residual[np.arange(len(labels)), labels] -= 1.0
-    diag = np.zeros((len(labels), 1, diags.shape[1]))
-    for c in range(model.num_working):
-        diag += residual[:, c, None, None] * diags[c]
+    split = [(model, *split_params(model, flat), states) for model, flat, states, _ in parts]
+    psi, blocks, all_logits = _forward_sweep(split)
+    diags = _z_diagonals(parts[0][0].num_working)
+    losses, diag = [], []
+    for (model, _, _, labels), logits in zip(parts, all_logits):
+        losses.append(cross_entropy(logits, labels))
+        residual = softmax(logits)
+        residual[np.arange(len(labels)), labels] -= 1.0
+        rows = np.zeros((len(labels), 1, diags.shape[1]))
+        for c in range(model.num_working):
+            rows += residual[:, c, None, None] * diags[c]
+        diag.append(np.broadcast_to(rows, (len(labels), model.branch_count, diags.shape[1])))
     values, local = adjoint_gradient(
-        psi, branch_gates(model), branch_angles(model, theta)[None], diag
+        psi, branch_gates(parts[0][0]), blocks[None], np.concatenate(diag, axis=1)
     )
-    return losses, mixture_gradients(model, alpha, values, local)
+    out, lo = [], 0
+    for (model, alpha, _, _), loss in zip(split, losses):
+        hi = lo + model.branch_count
+        out.append((loss, mixture_gradients(model, alpha, values[:, lo:hi], local[:, lo:hi])))
+        lo = hi
+    return out
 
 
 def example_loss_and_grad(
@@ -325,7 +350,7 @@ def example_loss_and_grad(
     """Cross-entropy loss and its full parameter gradient for one example:
     the one-example minibatch."""
     data = encode_examples([example])
-    losses, grads = minibatch_loss_and_grads(model, flat_params, data.states, data.labels)
+    [(losses, grads)] = minibatch_loss_and_grads([(model, flat_params, data.states, data.labels)])
     return float(losses[0]), grads[0]
 
 
@@ -336,7 +361,7 @@ def evaluate_accuracy(
     their label, from one batched forward sweep."""
     if len(data) == 0:
         raise TrainingError("no examples to evaluate")
-    logits = _forward_sweep(model, *split_params(model, flat_params), data.states)[1]
+    logits = _forward_sweep([(model, *split_params(model, flat_params), data.states)])[2][0]
     return int(np.sum(np.argmax(logits, axis=-1) == data.labels)) / len(data)
 
 
@@ -411,58 +436,103 @@ def _make_optimizer(name: str, size: int, lr: float):
     raise TrainingError(f"unknown optimizer {name!r} (expected 'adam' or 'sgd')")
 
 
-def train_single_run(
-    config: TrainConfig, train_set: EncodedExamples, test_set: EncodedExamples, run_index: int
-) -> RunMetrics:
-    """One training run: init and epoch shuffles as the run's RngStream components
-    0 and 1 draw them, minibatch descent, then held-out accuracy.  Batch gradients
-    accumulate in example order, so a rerun reproduces the loss curve bit for
-    bit."""
+class _Run:
+    """One training run's own state: init and epoch shuffles as the run's
+    RngStream components 0 and 1 draw them, its optimizer, its loss curve,
+    and the error that stopped it, if any."""
+
+    def __init__(self, config: TrainConfig, run_index: int):
+        self.config, self.run_index = config, run_index
+        self.model = config.make_model()
+        param_words, shuffle_words = chunk_seeds(config.root_seed, run_index, run_index + 1, (0, 1))
+        self.params = TWO_PI * pcg64_random(param_words, num_params(self.model))[0]
+        self.shuffle = Pcg64Stream(shuffle_words[0])
+        self.optimizer = _make_optimizer(
+            config.optimizer, num_params(self.model), config.learning_rate
+        )
+        if config.batch_size < 1 or config.epochs < 1:
+            raise TrainingError("batch_size and epochs must be >= 1")
+        self.order, self.loss_sum = np.arange(0), 0.0  # the epoch's shuffle and loss sum
+        self.epoch_losses: list[float] = []
+        self.error: TrainingError | None = None
+
+    def descend(self, losses, grads, epoch: int, start: int) -> None:
+        """Add a minibatch's losses to the epoch's sum and step on its mean
+        gradient, both summed in example order; a non-finite loss or
+        parameter stops the run."""
+        grad_sum = np.zeros(len(self.params))
+        for loss, grad in zip(losses.tolist(), grads):
+            self.loss_sum += loss
+            grad_sum += grad
+        where = f"run {self.run_index}, epoch {epoch}, batch starting at {start}"
+        if not math.isfinite(self.loss_sum):
+            self.error = TrainingError(f"non-finite loss in {where}")
+            return
+        self.params = self.optimizer.step(self.params, grad_sum / len(losses))
+        if not np.all(np.isfinite(self.params)):
+            self.error = TrainingError(f"non-finite parameters after the update in {where}")
+
+
+def _train_lockstep(runs: list[_Run], train_set: EncodedExamples) -> None:
+    """Minibatch descent of ``runs``, which share their block groups, epochs
+    and batch size, one step at a time for all of them: each step is one
+    ``minibatch_loss_and_grads`` call whose part ``r`` is run ``r``'s own
+    shuffled minibatch. A run that fails stops stepping."""
+    config, count = runs[0].config, len(train_set)
+    for epoch in range(config.epochs):
+        live = [run for run in runs if run.error is None]
+        for run in live:
+            run.order, run.loss_sum = run.shuffle.permutation(count), 0.0
+        for start in range(0, count, config.batch_size):
+            live = [run for run in live if run.error is None]
+            if not live:
+                return
+            batches = [run.order[start : start + config.batch_size] for run in live]
+            parts = [
+                (run.model, run.params, train_set.states[batch], train_set.labels[batch])
+                for run, batch in zip(live, batches)
+            ]
+            for run, (losses, grads) in zip(live, minibatch_loss_and_grads(parts)):
+                run.descend(losses, grads, epoch, start)
+        for run in live:
+            if run.error is None:
+                run.epoch_losses.append(run.loss_sum / count)
+
+
+def train_runs(jobs, train_set: EncodedExamples, test_set: EncodedExamples) -> list[RunMetrics]:
+    """Train the run ``run_index`` of each ``(config, run_index)`` of
+    ``jobs``, then measure its held-out accuracy; metrics come back in job
+    order.
+
+    Every config is checked before any run trains. Runs whose models share
+    their block groups (for the classifier, the same D) and whose configs
+    share epochs and batch size train in lockstep: one forward and one
+    adjoint sweep per step for all of them. Everything else is each run's
+    own, and rows never mix, so a run's loss curve and accuracy are bit for
+    bit those of the run trained alone. If runs fail, the earliest one in
+    job order raises its error, as training them one by one would.
+    """
     if not train_set or not test_set:
         raise TrainingError("empty training or test set")
-    model = config.make_model()
-    param_words, shuffle_words = chunk_seeds(config.root_seed, run_index, run_index + 1, (0, 1))
-    params = TWO_PI * pcg64_random(param_words, num_params(model))[0]
-    shuffle = Pcg64Stream(shuffle_words[0])
-    optimizer = _make_optimizer(
-        config.optimizer, num_params(model), config.learning_rate
-    )
-    if config.batch_size < 1 or config.epochs < 1:
-        raise TrainingError("batch_size and epochs must be >= 1")
-
-    states, labels = train_set.states, train_set.labels
-    epoch_losses = []
-    for epoch in range(config.epochs):
-        order = shuffle.permutation(len(train_set))
-        loss_sum = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            losses, grads = minibatch_loss_and_grads(
-                model, params, states[batch], labels[batch]
-            )
-            grad_sum = np.zeros(num_params(model))
-            for loss, grad in zip(losses, grads):
-                loss_sum += float(loss)
-                grad_sum += grad
-            if not math.isfinite(loss_sum):
-                raise TrainingError(
-                    f"non-finite loss in run {run_index}, epoch {epoch}, "
-                    f"batch starting at {start}"
-                )
-            params = optimizer.step(params, grad_sum / len(batch))
-            if not np.all(np.isfinite(params)):
-                raise TrainingError(
-                    f"non-finite parameters after the update in run {run_index}, "
-                    f"epoch {epoch}, batch starting at {start}"
-                )
-        epoch_losses.append(loss_sum / len(order))
-    accuracy = evaluate_accuracy(model, params, test_set)
-    return RunMetrics(
-        run_index=run_index,
-        run_seed=config.root_seed,
-        epoch_losses=epoch_losses,
-        test_accuracy=accuracy,
-    )
+    runs = [_Run(config, run_index) for config, run_index in jobs]
+    groups: dict[tuple, list[_Run]] = {}
+    for run in runs:
+        key = (run.model.groups, run.config.epochs, run.config.batch_size)
+        groups.setdefault(key, []).append(run)
+    for group in groups.values():
+        _train_lockstep(group, train_set)
+    for run in runs:
+        if run.error is not None:
+            raise run.error
+    return [
+        RunMetrics(
+            run_index=run.run_index,
+            run_seed=run.config.root_seed,
+            epoch_losses=run.epoch_losses,
+            test_accuracy=evaluate_accuracy(run.model, run.params, test_set),
+        )
+        for run in runs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +556,27 @@ class GridCell:
 
 
 def run_accuracy_grid(train_set, test_set, configs, progress) -> list[GridCell]:
-    """Train every cell's TrainConfig, in order, on lists of MnistExample
-    encoded once for all cells and runs, and collect per-run metrics;
-    ``progress`` gets one line as each cell starts.
+    """Train every cell's TrainConfig on lists of MnistExample encoded once
+    for all cells and runs, and collect per-run metrics in config order;
+    ``progress`` gets one line per cell, in order, before the grid trains.
 
     Every cell's model is built before the first one trains, so a bad L or D
-    fails at once rather than after the cells before it."""
+    fails at once rather than after the cells before it. The runs of all
+    cells go to ``train_runs`` together, so runs of different cells that
+    share a branch circuit train in lockstep."""
     for config in configs:
         config.make_model()
     train_set, test_set = encode_examples(train_set), encode_examples(test_set)
-    cells = []
     for config in configs:
         progress(f"training L={config.L} D={config.D} ({config.runs} run(s))")
-        runs = [train_single_run(config, train_set, test_set, run) for run in range(config.runs)]
-        cells.append(GridCell(L=config.L, D=config.D, metrics=runs))
-    return cells
+    metrics = iter(
+        train_runs(
+            [(config, run) for config in configs for run in range(config.runs)],
+            train_set,
+            test_set,
+        )
+    )
+    return [
+        GridCell(L=config.L, D=config.D, metrics=[next(metrics) for _ in range(config.runs)])
+        for config in configs
+    ]

@@ -340,17 +340,31 @@ def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
 
 def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
     """One run of ``adjoint_gradient``: adds each row's gradient into
-    ``grads`` and returns its values, sweeping the ``_sweep_view`` layout."""
+    ``grads`` and returns its values, sweeping the ``_sweep_view`` layout.
+
+    The sweep carries ``conj(lam)`` back through each rotation's transpose,
+    the conjugate of its inverse, so the overlaps ``<lam_i|psi_j>`` of a
+    gate's halves are plain products. Each U3 keeps its four overlap sums,
+    and the three gradient parts of every U3 are read from them in one pass
+    after the sweep."""
     axes = params.ndim - 1
     batch = psi.shape[:axes]
     flat = psi.reshape(batch + (-1,))
     values = diagonal_readout(diag, flat)
-    lam, lead, ones = _sweep_view((diag * flat).reshape(psi.shape), axes)
+    lam = diag * flat
+    np.conj(lam, out=lam)
+    lam, lead, ones = _sweep_view(lam.reshape(psi.shape), axes)
     psi, last = _sweep_view(psi, axes)[0], axes - lead
     entries = _rotation_entries(slots, params, ones)
-    d_theta = _rotation_entries(slots, params, d_theta=True)
-    shared = (4,) + params.shape[:-1]
-    k = len(entries)
+    transposed = entries[:, [0, 2, 1, 3]]
+    # the inverse of a rotation: its conjugate transpose
+    inverse = transposed.conj()
+    # one gate's products, rows first and C order, so each row sums in the
+    # order of a (*batch, 2**n) stack; written through a view in sweep layout
+    products = np.empty((4,) + batch + (2,) * (psi.ndim - axes - 1), dtype=np.complex128)
+    in_sweep = np.moveaxis(products, range(1, last + 1), range(-last, 0))
+    sums = np.empty((len(slots), 4) + batch, dtype=np.complex128)
+    k = len(slots)
     for op in reversed(gates):
         if op.kind == "cnot":
             control, target = op.qubits[0] + lead, op.qubits[1] + lead
@@ -358,26 +372,33 @@ def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
             continue
         k -= 1
         axis = op.qubits[0] + lead
-        # the inverse of a rotation: its conjugate transpose
-        inverse = entries[k][[0, 2, 1, 3]].conj()
-        psi = _rotate(psi, axis, inverse)
-        # <lam| dU |psi> = sum_ij dU_ij <lam_i|psi_j> over the halves i, j
-        lam0, lam1 = (half.conj() for half in _halves(lam, axis))
-        psi0, psi1 = _halves(psi, axis)
-        products = np.stack([a * b for a in (lam0, lam1) for b in (psi0, psi1)])
-        # in C order, so each row sums in the order of a (*batch, 2**n) stack
-        rows_first = np.moveaxis(products, range(-last, 0), range(1, last + 1))
-        s00, s01, s10, s11 = np.ascontiguousarray(rows_first).reshape((4, *batch, -1)).sum(-1)
-        m, d = entries[k].reshape(shared), d_theta[k]
-        # d/dphi multiplies the bottom row by i, d/dlam the right column
-        parts = (
-            d[0] * s00 + d[1] * s01 + d[2] * s10 + d[3] * s11,
-            1j * (m[2] * s10 + m[3] * s11),
-            1j * (m[1] * s01 + m[3] * s11),
-        )
-        for slot, part in zip(slots[k], parts):
-            grads[..., slot] += 2.0 * part.real
-        lam = _rotate(lam, axis, inverse)
+        psi = _rotate(psi, axis, inverse[k])
+        halves = _halves(lam, axis) + _halves(psi, axis)
+        for i, (a, b) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
+            np.multiply(halves[a], halves[b], out=in_sweep[i])
+        np.sum(products.reshape((4,) + batch + (-1,)), axis=-1, out=sums[k])
+        lam = _rotate(lam, axis, transposed[k])
+    # <lam| dU |psi> = sum_ij dU_ij <lam_i|psi_j>; d/dphi multiplies the
+    # bottom row of U by i, d/dlam its right column
+    shared = (len(slots), 4) + params.shape[:-1]
+    m, d = entries.reshape(shared), _rotation_entries(slots, params, d_theta=True)
+    s00, s01, s10, s11 = np.moveaxis(sums, 1, 0)
+    parts = np.stack(
+        (
+            d[:, 0] * s00 + d[:, 1] * s01 + d[:, 2] * s10 + d[:, 3] * s11,
+            1j * (m[:, 2] * s10 + m[:, 3] * s11),
+            1j * (m[:, 1] * s01 + m[:, 3] * s11),
+        ),
+        axis=1,
+    )
+    # added in the sweep's order: gates last to first, then theta, phi, lam
+    order = slots[::-1].ravel()
+    added = 2.0 * parts[::-1].real.reshape((-1,) + batch)
+    by_slot = np.moveaxis(grads, -1, 0)
+    if len(set(order.tolist())) == len(order):
+        by_slot[order] += added
+    else:
+        np.add.at(by_slot, order, added)
     return values
 
 

@@ -297,6 +297,31 @@ def test_grad_stats_merge_invariance():
     assert math.isnan(GradStats().variance)
 
 
+@pytest.mark.parametrize("start", [GradStats(), GradStats(3, -0.5, 2.25)])
+def test_grad_stats_extend_equals_a_loop_of_add(start):
+    # extend folds in local variables; every field must be bit for bit what
+    # add gives one value at a time, signed zeros and non-finite values too
+    rng = np.random.default_rng(5)
+    cases = [
+        rng.standard_normal(70),
+        np.array([0.0, -0.0, -0.0, 0.0, 1e-300, -1e308, 1e308, 1e308]),
+        np.array([-0.0, 1.0, np.inf, 2.0]),
+        np.array([1.0, -np.inf, np.inf, 3.0]),
+        np.array([np.nan, 1.0, -0.0]),
+        np.array([], dtype=np.float64),
+    ]
+    for values in cases:
+        looped = GradStats(start.count, start.mean, start.m2)
+        for value in values:
+            looped.add(float(value))
+        folded = GradStats(start.count, start.mean, start.m2).extend(values)
+        assert folded.count == looped.count
+        for field in ("mean", "m2"):
+            assert np.float64(getattr(folded, field)).tobytes() == np.float64(
+                getattr(looped, field)
+            ).tobytes()
+
+
 def test_run_chunked_folds_each_statistic_per_range_in_order():
     # 600 samples reach chunk_fn as the blocks 0..256, 256..512 and 512..600;
     # each statistic folds every 64-sample range of a block in sample order
@@ -381,6 +406,37 @@ def test_probe_chunk_draws_equal_per_sample_draws(shape, seed, monkeypatch):
             a_ref, t_ref = sample_param_draw(model, seed, 64 + b)
             np.testing.assert_array_equal(alpha[b], a_ref)
             np.testing.assert_array_equal(theta[b], t_ref[:width])
+
+
+def test_branch_probe_draws_only_the_columns_its_cone_reads(monkeypatch):
+    # k=3 blocks on n=8 qubits at depth 3: Z0 meets the first block only, so
+    # a probe in branch j reads columns 0..26 of block j and draws
+    # j * 72 + 27 branch angles, not (j + 1) * 72; its rows are those of
+    # the full draw, bit for bit
+    model = make_model(2, 8, 4, 3, 3)
+    obs, stride = _z0(8), model.branch_param_count
+    assert stride == 72
+    draw, widths = sim.pcg64_random, []
+
+    def recording(words, size):
+        widths.append(size)
+        return draw(words, size)
+
+    full_draws = gradients.sample_param_draws
+    for j in (0, 1, 3):
+        pid = model.num_alpha + j * stride
+        monkeypatch.setattr(gradients, "pcg64_random", recording)
+        widths.clear()
+        rows = probe_gradients(model, obs, pid, 7, 0, 40)
+        assert widths == [model.num_alpha, j * stride + 27]
+        monkeypatch.setattr(
+            gradients, "sample_param_draws", lambda model, seed, lo, hi, _: full_draws(
+                model, seed, lo, hi
+            )
+        )
+        full = probe_gradients(model, obs, pid, 7, 0, 40)
+        monkeypatch.undo()
+        assert rows.tobytes() == full.tobytes()
 
 
 def test_estimate_is_deterministic():

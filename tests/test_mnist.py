@@ -44,7 +44,7 @@ from lcqnn.mnist import (
     preprocess,
     run_accuracy_grid,
     softmax,
-    train_single_run,
+    train_runs,
     working_z_expectations,
 )
 
@@ -416,7 +416,7 @@ def test_minibatch_matches_example_loss_and_grad(L, D):
     examples = _random_examples(rng, 7)
     states = np.stack([amplitude_encode(ex.pixels).amps for ex in examples])
     labels = np.array([ex.label for ex in examples])
-    losses, grads = minibatch_loss_and_grads(model, params, states, labels)
+    [(losses, grads)] = minibatch_loss_and_grads([(model, params, states, labels)])
     assert losses.shape == (7,) and grads.shape == (7, num_params(model))
     alpha, theta = split_params(model, params)
     for b, ex in enumerate(examples):
@@ -431,22 +431,43 @@ def test_minibatch_matches_example_loss_and_grad(L, D):
         np.testing.assert_allclose(grad, reference, rtol=0, atol=1e-12)
 
 
+def test_minibatch_parts_must_share_a_branch_circuit():
+    data = encode_examples(tiny_dataset(per_class=1))
+    parts = [
+        (model, np.zeros(num_params(model)), data.states, data.labels)
+        for model in (make_model(2, 4, 2, 2, 1), make_model(2, 4, 2, 2, 2))
+    ]
+    with pytest.raises(TrainingError, match="share their block groups"):
+        minibatch_loss_and_grads(parts)
+
+
 def test_training_is_bit_identical_under_any_amplitude_budget(monkeypatch):
     data = encode_examples(tiny_dataset(per_class=5))
     config = train_config(4, 1, epochs=2, batch_size=8, runs=1, root_seed=6)
-    reference = train_single_run(config, data, data, run_index=0)
+    [reference] = train_runs([(config, 0)], data, data)
     # one example per forward and adjoint run; then three examples (twelve
     # rows) per run, which splits every minibatch
     for budget in (16, 3 * 4 * 16):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
-        metrics = train_single_run(config, data, data, run_index=0)
+        [metrics] = train_runs([(config, 0)], data, data)
         assert metrics.epoch_losses == reference.epoch_losses
         assert metrics.test_accuracy == reference.test_accuracy
 
 
-def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
-    # before minibatches were batched, each example ran every branch's
-    # forward pass twice and an adjoint sweep per branch
+def test_lockstep_group_is_bit_identical_under_any_amplitude_budget(monkeypatch):
+    # a group of 2 runs at each of L = 1, 2, 4 holds 14 columns per example:
+    # at 16 amplitudes and at 3 * 4 * 16 every kernel run holds one example
+    data = encode_examples(tiny_dataset(per_class=5))
+    jobs = [(train_config(L, 1, epochs=2, batch_size=8, runs=2, root_seed=6), run)
+            for L in (1, 2, 4) for run in range(2)]
+    reference = train_runs(jobs, data, data)
+    for budget in (16, 3 * 4 * 16):
+        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
+        assert train_runs(jobs, data, data) == reference
+
+
+def _count_sweeps(monkeypatch) -> dict:
+    """Counts of the forward and adjoint kernel calls that mnist makes."""
     calls = {"forward": 0, "adjoint": 0}
 
     def counting(name, fn):
@@ -460,18 +481,30 @@ def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
     monkeypatch.setattr(
         mnist, "adjoint_gradient", counting("adjoint", mnist.adjoint_gradient)
     )
+    return calls
+
+
+def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
+    # before minibatches were batched, each example ran every branch's
+    # forward pass twice and an adjoint sweep per branch; before runs
+    # trained in lockstep, each run made its own sweeps
+    calls = _count_sweeps(monkeypatch)
     examples = tiny_dataset(per_class=4)
-    config = train_config(4, 2, epochs=1, batch_size=8, runs=1, root_seed=2)
     # the kernel splits a sweep into runs itself: at 16 amplitudes a run holds
     # one row, and the sweeps stay one call each
     for budget in (sim.BATCH_AMPLITUDES, 16):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
-        calls.update(forward=0, adjoint=0)
-        train_single_run(
-            config, encode_examples(examples), encode_examples(examples[:5]), run_index=0
-        )
-        # two training steps, then one forward sweep over the five test examples
-        assert calls == {"forward": 3, "adjoint": 2}
+        for runs in (1, 4):
+            config = train_config(4, 2, epochs=1, batch_size=8, runs=runs, root_seed=2)
+            calls.update(forward=0, adjoint=0)
+            train_runs(
+                [(config, run) for run in range(runs)],
+                encode_examples(examples),
+                encode_examples(examples[:5]),
+            )
+            # two training steps for the whole group, then one forward sweep
+            # per run over the five test examples
+            assert calls == {"forward": 2 + runs, "adjoint": 2}
 
 
 def test_initial_loss_sits_near_uniform_prediction():
@@ -524,18 +557,18 @@ def tiny_dataset(per_class: int = 4, seed: int = 0):
 def test_training_run_is_reproducible():
     data = encode_examples(tiny_dataset())
     config = train_config(2, 1, epochs=1, batch_size=4, runs=1, root_seed=5)
-    first = train_single_run(config, data, data, run_index=0)
-    second = train_single_run(config, data, data, run_index=0)
+    [first] = train_runs([(config, 0)], data, data)
+    [second] = train_runs([(config, 0)], data, data)
     assert first.epoch_losses == second.epoch_losses
     assert first.test_accuracy == second.test_accuracy
-    third = train_single_run(config, data, data, run_index=1)
+    [third] = train_runs([(config, 1)], data, data)
     assert third.epoch_losses != first.epoch_losses
 
 
 def test_training_learns_separable_data():
     data = encode_examples(tiny_dataset(per_class=8))
     config = train_config(1, 2, learning_rate=0.05, epochs=6, batch_size=8, runs=1, root_seed=3)
-    metrics = train_single_run(config, data, data, run_index=0)
+    [metrics] = train_runs([(config, 0)], data, data)
     assert metrics.epoch_losses[-1] < metrics.epoch_losses[0]
     assert metrics.test_accuracy >= 0.5
 
@@ -543,28 +576,93 @@ def test_training_learns_separable_data():
 def test_training_with_sgd_flag():
     data = encode_examples(tiny_dataset())
     config = train_config(1, 1, epochs=1, batch_size=8, runs=1, optimizer="sgd", learning_rate=0.1)
-    metrics = train_single_run(config, data, data, run_index=0)
+    [metrics] = train_runs([(config, 0)], data, data)
     assert len(metrics.epoch_losses) == 1
     assert math.isfinite(metrics.epoch_losses[0])
     with pytest.raises(TrainingError, match="optimizer"):
-        train_single_run(
-            (train_config(1, 1, optimizer="momentum")), data, data, 0
-        )
+        train_runs([(train_config(1, 1, optimizer="momentum"), 0)], data, data)
 
 
 def test_training_rejects_degenerate_inputs():
     data = encode_examples(tiny_dataset())
     with pytest.raises(TrainingError, match="empty"):
-        train_single_run(train_config(1, 1), encode_examples([]), data, 0)
+        train_runs([(train_config(1, 1), 0)], encode_examples([]), data)
     with pytest.raises(TrainingError, match=">= 1"):
-        train_single_run(train_config(1, 1, batch_size=0), data, data, 0)
+        train_runs([(train_config(1, 1, batch_size=0), 0)], data, data)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(optimizer="momentum"), "unknown optimizer"),
+        (dict(batch_size=0), ">= 1"),
+        (dict(epochs=0), ">= 1"),
+    ],
+)
+def test_every_config_is_checked_before_any_run_trains(monkeypatch, bad, message):
+    steps = []
+    real = mnist.minibatch_loss_and_grads
+    monkeypatch.setattr(
+        mnist, "minibatch_loss_and_grads", lambda parts: steps.append(parts) or real(parts)
+    )
+    data = tiny_dataset()
+    fields = dict(epochs=1, batch_size=8, runs=1)
+    configs = [train_config(1, 1, **fields), train_config(2, 2, **{**fields, **bad})]
+    with pytest.raises(TrainingError, match=message):
+        run_accuracy_grid(data, data, configs, progress=lambda line: None)
+    assert steps == []
 
 
 def test_training_flags_nonfinite_loss():
     data = encode_examples(tiny_dataset())
     config = train_config(1, 1, learning_rate=np.inf, epochs=2, batch_size=4, runs=1)
     with pytest.raises(TrainingError, match="non-finite"):
-        train_single_run(config, data, data, run_index=0)
+        train_runs([(config, 0)], data, data)
+
+
+def test_nonfinite_loss_raises_the_earliest_failing_run_in_job_order(monkeypatch):
+    # the L=2 and L=4 runs share a branch circuit (D=1) and step together;
+    # L=4 fails at its first step, L=2 only at its seventh, yet L=2 comes
+    # first in job order, so its error is the one that training the runs
+    # one by one would raise. The failed L=4 run stops stepping.
+    real = mnist.minibatch_loss_and_grads
+    steps = []
+
+    def failing(parts):
+        branch_counts = [model.branch_count for model, *_ in parts]
+        out = real(parts)
+        if 1 not in branch_counts:
+            steps.append(branch_counts)
+            for (losses, _), L in zip(out, branch_counts):
+                if (L, len(steps)) in ((4, 1), (2, 7)):
+                    losses[0] = np.nan
+        return out
+
+    monkeypatch.setattr(mnist, "minibatch_loss_and_grads", failing)
+    data = encode_examples(tiny_dataset())
+    jobs = [(train_config(L, D, epochs=2, batch_size=4, runs=1), 0)
+            for L, D in ((1, 2), (2, 1), (4, 1))]
+    with pytest.raises(TrainingError) as info:
+        train_runs(jobs, data, data)
+    assert str(info.value) == "non-finite loss in run 0, epoch 1, batch starting at 8"
+    assert steps == [[2, 4]] + [[2]] * 6
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_lockstep_grid_runs_equal_each_run_trained_alone(optimizer):
+    # 20 examples in minibatches of 8 leave a ragged last minibatch of 4;
+    # the three cells of each D share one branch circuit, and all six runs
+    # of a D train in lockstep
+    examples = tiny_dataset(per_class=5)
+    data = encode_examples(examples)
+    configs = [train_config(L, D, epochs=2, batch_size=8, runs=2, root_seed=4,
+                            optimizer=optimizer, learning_rate=0.05)
+               for L in (1, 2, 4) for D in (1, 2)]
+    cells = run_accuracy_grid(examples, examples, configs, progress=lambda line: None)
+    assert [(cell.L, cell.D) for cell in cells] == [(c.L, c.D) for c in configs]
+    for config, cell in zip(configs, cells):
+        for run, metrics in enumerate(cell.metrics):
+            assert [metrics] == train_runs([(config, run)], data, data)
 
 
 def test_grid_cell_trains_one_metrics_record_per_run():

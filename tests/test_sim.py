@@ -204,6 +204,42 @@ def test_kernel_rows_are_bitwise_batch_invariant(n, batch):
             assert np.array_equal(_bits(got[b]), _bits(want[0]))
 
 
+def test_adjoint_gradient_sums_every_use_of_a_repeated_slot():
+    # a slot that several U3 angles share, in one gate or across gates, sums
+    # their parts in the sweep's order (gates last to first, then theta,
+    # phi, lam): bit for bit the same circuit with one slot per use, summed
+    # that way, and close to central differences of the dense oracle
+    shared = [u3(0, 0, 1, 0), cnot(0, 1), u3(1, 2, 0, 1), u3(0, 1, 2, 2)]
+    distinct = [u3(0, 0, 1, 2), cnot(0, 1), u3(1, 3, 4, 5), u3(0, 6, 7, 8)]
+    uses = [0, 1, 0, 2, 0, 1, 1, 2, 2]
+    rng = np.random.default_rng(3)
+    angles = rng.uniform(0, 2 * math.pi, (4, 3))
+    states = np.stack([random_state(2, rng).amps for _ in range(4)]).reshape(4, 2, 2)
+    diags = rng.standard_normal((4, 4))
+    psi = apply_gates(states, shared, angles)
+    values, grads = sim.adjoint_gradient(psi, shared, angles, diags)
+    spread = angles[:, uses]
+    ref_values, ref_grads = sim.adjoint_gradient(
+        apply_gates(states, distinct, spread), distinct, spread, diags
+    )
+    assert np.array_equal(_bits(values), _bits(ref_values))
+    expected = np.zeros((4, 3))
+    for use in (6, 7, 8, 3, 4, 5, 0, 1, 2):
+        expected[:, uses[use]] += ref_grads[:, use]
+    assert np.array_equal(_bits(grads), _bits(expected))
+    h = 1e-6
+    for b in range(4):
+        def oracle(point):
+            out = dense_circuit(shared, point, 2) @ states[b].reshape(-1)
+            return float(np.real(np.vdot(out, diags[b] * out)))
+
+        for slot in range(3):
+            up, down = angles[b].copy(), angles[b].copy()
+            up[slot] += h
+            down[slot] -= h
+            assert abs(grads[b, slot] - (oracle(up) - oracle(down)) / (2 * h)) <= 1e-7
+
+
 def test_sweep_view_puts_rows_last_from_eight_rows_on():
     # a run of 8 rows or more, over any batch axes, sweeps with them last, so
     # ufuncs loop over rows; fewer rows (a 12-qubit block two to a run) keep
