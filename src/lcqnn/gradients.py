@@ -198,14 +198,8 @@ class GradStats:
     mean: float = 0.0
     m2: float = 0.0
 
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
     def extend(self, values) -> "GradStats":
-        """Add every value of ``values`` in order: ``add`` of each, folded
+        """Add every value of ``values`` in order (Welford's update), folded
         in local variables."""
         count, mean, m2 = self.count, self.mean, self.m2
         for value in np.asarray(values, dtype=np.float64).tolist():

@@ -36,6 +36,7 @@ from .model import (
     branch_gates,
     coeff_probabilities,
     make_model,
+    shared_branch_gates,
     tree_angles,
 )
 from .sim import (
@@ -261,10 +262,8 @@ def _forward_sweep(parts) -> tuple:
     part's logits, shape (B, n): each working qubit's <Z> under its branch
     mixture, accumulated in branch order.
     """
-    first, n = parts[0][0], parts[0][0].num_working
-    if any(model.groups != first.groups for model, *_ in parts):
-        raise TrainingError("models of one sweep must share their block groups")
-    batch = len(parts[0][3])
+    gates = shared_branch_gates([model for model, *_ in parts])
+    n, batch = parts[0][0].num_working, len(parts[0][3])
     rows = np.concatenate(
         [
             np.broadcast_to(states.reshape(batch, 1, -1), (batch, model.branch_count, 1 << n))
@@ -273,7 +272,7 @@ def _forward_sweep(parts) -> tuple:
         axis=1,
     )
     blocks = np.concatenate([branch_angles(model, theta) for model, _, theta, _ in parts])
-    psi = apply_gates(rows.reshape(rows.shape[:2] + (2,) * n), branch_gates(first), blocks[None])
+    psi = apply_gates(rows.reshape(rows.shape[:2] + (2,) * n), gates, blocks[None])
     z = diagonal_readout(_z_diagonals(n), psi.reshape(batch, len(blocks), 1, -1))
     all_logits, lo = [], 0
     for model, alpha, _, _ in parts:
@@ -473,6 +472,30 @@ class _Run:
             self.error = TrainingError(f"non-finite parameters after the update in {where}")
 
 
+#: the most entries one lockstep step may hold: each (example, column) row
+#: of its stack counts its 2**n amplitudes and its P gradient entries
+LOCKSTEP_ELEMENTS = 1 << 15
+
+
+def _lockstep_groups(runs: list[_Run], count: int) -> list[list[_Run]]:
+    """``runs`` in groups that train in lockstep, each in run order: runs
+    whose models share their block groups and whose configs share epochs
+    and batch size, cut into groups whose steps over ``count`` training
+    examples hold at most ``LOCKSTEP_ELEMENTS`` entries (one run at least),
+    so a step's memory does not grow with the runs beyond that."""
+    groups: dict[tuple, list[list[_Run]]] = {}
+    for run in runs:
+        config, model = run.config, run.model
+        row = (1 << model.num_working) + model.branch_param_count
+        per_column = min(config.batch_size, count) * row
+        cut = groups.setdefault((model.groups, config.epochs, config.batch_size), [[]])
+        held = sum(other.model.branch_count for other in cut[-1]) * per_column
+        if cut[-1] and held + model.branch_count * per_column > LOCKSTEP_ELEMENTS:
+            cut.append([])
+        cut[-1].append(run)
+    return [group for cut in groups.values() for group in cut]
+
+
 def _train_lockstep(runs: list[_Run], train_set: EncodedExamples) -> None:
     """Minibatch descent of ``runs``, which share their block groups, epochs
     and batch size, one step at a time for all of them: each step is one
@@ -506,8 +529,9 @@ def train_runs(jobs, train_set: EncodedExamples, test_set: EncodedExamples) -> l
 
     Every config is checked before any run trains. Runs whose models share
     their block groups (for the classifier, the same D) and whose configs
-    share epochs and batch size train in lockstep: one forward and one
-    adjoint sweep per step for all of them. Everything else is each run's
+    share epochs and batch size train in lockstep, in groups of at most
+    ``LOCKSTEP_ELEMENTS`` entries per step: one forward and one adjoint
+    sweep per step for all runs of a group. Everything else is each run's
     own, and rows never mix, so a run's loss curve and accuracy are bit for
     bit those of the run trained alone. If runs fail, the earliest one in
     job order raises its error, as training them one by one would.
@@ -515,11 +539,7 @@ def train_runs(jobs, train_set: EncodedExamples, test_set: EncodedExamples) -> l
     if not train_set or not test_set:
         raise TrainingError("empty training or test set")
     runs = [_Run(config, run_index) for config, run_index in jobs]
-    groups: dict[tuple, list[_Run]] = {}
-    for run in runs:
-        key = (run.model.groups, run.config.epochs, run.config.batch_size)
-        groups.setdefault(key, []).append(run)
-    for group in groups.values():
+    for group in _lockstep_groups(runs, len(train_set)):
         _train_lockstep(group, train_set)
     for run in runs:
         if run.error is not None:

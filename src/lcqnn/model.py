@@ -229,6 +229,15 @@ def branch_gates(model: LcqnnModel) -> tuple[GateOp, ...]:
     return tuple(gates)
 
 
+def shared_branch_gates(models) -> tuple[GateOp, ...]:
+    """The one branch circuit of ``models``: their ``branch_gates``, which
+    they share only if they share their block groups."""
+    first = models[0]
+    if any(model.groups != first.groups for model in models):
+        raise LcqnnError("models of one branch pass must share their block groups")
+    return branch_gates(first)
+
+
 def tree_angles(model: LcqnnModel, alpha) -> np.ndarray:
     """Checked tree angles, one per internal node in ``tree_node`` order, on
     the last axis; leading axes are a batch of parameter rows."""
@@ -333,13 +342,11 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
     through that circuit together, in one kernel call. Rows never mix, so
     each state is bit-equal to its own one-part call.
     """
-    first = parts[0][0]
-    if any(model.groups != first.groups for model, _, _ in parts):
-        raise LcqnnError("models of one branch pass must share their block groups")
+    gates = shared_branch_gates([model for model, _, _ in parts])
     batches, rows, blocks = zip(*(_control_rows(*part, input_state) for part in parts))
     sizes = [len(part) for part in rows]
-    tensor = np.concatenate(rows).reshape((sum(sizes),) + (2,) * first.num_working)
-    out = apply_gates(tensor, branch_gates(first), np.concatenate(blocks)).reshape(len(tensor), -1)
+    tensor = np.concatenate(rows).reshape((sum(sizes),) + (2,) * parts[0][0].num_working)
+    out = apply_gates(tensor, gates, np.concatenate(blocks)).reshape(len(tensor), -1)
     states, lo = [], 0
     for (model, _, _), batch, size in zip(parts, batches, sizes):
         live = out[lo : lo + size].reshape(batch + (-1,))

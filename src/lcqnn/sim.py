@@ -394,11 +394,7 @@ def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
     # added in the sweep's order: gates last to first, then theta, phi, lam
     order = slots[::-1].ravel()
     added = 2.0 * parts[::-1].real.reshape((-1,) + batch)
-    by_slot = np.moveaxis(grads, -1, 0)
-    if len(set(order.tolist())) == len(order):
-        by_slot[order] += added
-    else:
-        np.add.at(by_slot, order, added)
+    np.add.at(np.moveaxis(grads, -1, 0), order, added)
     return values
 
 

@@ -264,9 +264,7 @@ def test_param_layout_helpers():
 def test_grad_stats_matches_numpy():
     rng = np.random.default_rng(79)
     data = rng.standard_normal(257)
-    stats = GradStats()
-    for x in data:
-        stats.add(float(x))
+    stats = GradStats().extend(data)
     assert stats.count == data.size
     assert stats.mean == pytest.approx(data.mean(), abs=1e-12)
     assert stats.variance == pytest.approx(data.var(ddof=1), abs=1e-12)
@@ -278,15 +276,9 @@ def test_grad_stats_matches_numpy():
 def test_grad_stats_merge_invariance():
     rng = np.random.default_rng(83)
     data = rng.standard_normal(300)
-    whole = GradStats()
-    for x in data:
-        whole.add(float(x))
+    whole = GradStats().extend(data)
     for cut in (1, 57, 150, 299):
-        left, right = GradStats(), GradStats()
-        for x in data[:cut]:
-            left.add(float(x))
-        for x in data[cut:]:
-            right.add(float(x))
+        left, right = GradStats().extend(data[:cut]), GradStats().extend(data[cut:])
         merged = left.merge(right)
         assert merged.count == whole.count
         assert merged.mean == pytest.approx(whole.mean, abs=1e-12)
@@ -298,9 +290,10 @@ def test_grad_stats_merge_invariance():
 
 
 @pytest.mark.parametrize("start", [GradStats(), GradStats(3, -0.5, 2.25)])
-def test_grad_stats_extend_equals_a_loop_of_add(start):
+def test_grad_stats_extend_in_one_call_equals_one_value_at_a_time(start):
     # extend folds in local variables; every field must be bit for bit what
-    # add gives one value at a time, signed zeros and non-finite values too
+    # extending by one value at a time gives, signed zeros and non-finite
+    # values too
     rng = np.random.default_rng(5)
     cases = [
         rng.standard_normal(70),
@@ -313,7 +306,7 @@ def test_grad_stats_extend_equals_a_loop_of_add(start):
     for values in cases:
         looped = GradStats(start.count, start.mean, start.m2)
         for value in values:
-            looped.add(float(value))
+            looped.extend([value])
         folded = GradStats(start.count, start.mean, start.m2).extend(values)
         assert folded.count == looped.count
         for field in ("mean", "m2"):

@@ -13,6 +13,7 @@ from lcqnn.cli import build_parser
 from lcqnn import (
     EncodingError,
     IdxFormatError,
+    LcqnnError,
     PauliZSum,
     TrainingError,
     amplitude_encode,
@@ -437,7 +438,7 @@ def test_minibatch_parts_must_share_a_branch_circuit():
         (model, np.zeros(num_params(model)), data.states, data.labels)
         for model in (make_model(2, 4, 2, 2, 1), make_model(2, 4, 2, 2, 2))
     ]
-    with pytest.raises(TrainingError, match="share their block groups"):
+    with pytest.raises(LcqnnError, match="share their block groups"):
         minibatch_loss_and_grads(parts)
 
 
@@ -505,6 +506,24 @@ def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
             # two training steps for the whole group, then one forward sweep
             # per run over the five test examples
             assert calls == {"forward": 2 + runs, "adjoint": 2}
+
+
+@pytest.mark.parametrize("budget, groups", [(mnist.LOCKSTEP_ELEMENTS, 1), (4 * 8 * 28, 4), (1, 6)])
+def test_lockstep_groups_stay_under_the_step_budget(monkeypatch, budget, groups):
+    # at D=1 an (example, column) row holds 16 amplitudes and 12 gradient
+    # entries, so at batch 8 a step holds 8 * 28 entries per column. The
+    # runs hold 1, 1, 2, 2, 4 and 4 columns: 4 * 8 * 28 entries fit the
+    # groups [1, 1, 2], [2], [4], [4]; 1 entry fits one run per group.
+    data = encode_examples(tiny_dataset(per_class=5))
+    jobs = [(train_config(L, 1, epochs=2, batch_size=8, runs=2, root_seed=6), run)
+            for L in (1, 2, 4) for run in range(2)]
+    reference = train_runs(jobs, data, data)
+    monkeypatch.setattr(mnist, "LOCKSTEP_ELEMENTS", budget)
+    calls = _count_sweeps(monkeypatch)
+    assert train_runs(jobs, data, data) == reference
+    # 20 examples in minibatches of 8: three steps per epoch for each group,
+    # then one forward sweep per run over the test examples
+    assert calls == {"forward": 6 * groups + 6, "adjoint": 6 * groups}
 
 
 def test_initial_loss_sits_near_uniform_prediction():
