@@ -35,6 +35,7 @@ from .gradients import (
 )
 from .mnist import (
     TrainConfig,
+    classifier,
     data_files_present,
     default_data_dir,
     fetch_instructions,
@@ -247,6 +248,7 @@ def cmd_mnist(args) -> int:
         args.train_limit >= 4 and args.test_limit >= 4,
         "--train-limit and --test-limit must be >= 4 (one example per class)",
     )
+    models = [classifier(L, D) for L in args.L_list for D in args.D_list]
     data_dir = args.data_dir if args.data_dir is not None else default_data_dir()
     if not data_files_present(data_dir):
         print(fetch_instructions(data_dir), file=sys.stderr)
@@ -260,12 +262,9 @@ def cmd_mnist(args) -> int:
     )
     train_set, test_set = load_dataset(data_dir, args.train_limit, args.test_limit)
     _progress(f"mnist: {len(train_set)} train / {len(test_set)} test examples")
-    configs = [
-        TrainConfig(L, D, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
-                    runs=args.runs, root_seed=args.seed, optimizer=args.optimizer)
-        for L in args.L_list for D in args.D_list
-    ]
-    cells = run_accuracy_grid(train_set, test_set, configs, progress=_progress)
+    training = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+                           runs=args.runs, root_seed=args.seed, optimizer=args.optimizer)
+    cells = run_accuracy_grid(train_set, test_set, models, training, progress=_progress)
     summary = reporting.mnist_summary(cells)
     for cell in summary["cells"]:
         _progress(

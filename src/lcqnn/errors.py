@@ -18,7 +18,7 @@ class ArchitectureError(LcqnnError):
 
 
 class IdxFormatError(LcqnnError):
-    """An IDX file is malformed: bad magic, truncated payload, or wrong shape."""
+    """An IDX file is malformed (bad magic, truncated payload, wrong shape) or unusable."""
 
 
 class TrainingError(RuntimeError):

@@ -5,7 +5,7 @@ and depth.
 The classifier is the combination model of shape ``CLASSIFIER_SHAPE``: m=2
 control and n=4 working qubits in k=2 local blocks.  The four class logits
 are the Pauli-Z expectations of the working qubits and training minimizes
-softmax cross-entropy with minibatch Adam.
+softmax cross-entropy with minibatch Adam or SGD.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -160,7 +160,7 @@ def load_examples(images: np.ndarray, labels: np.ndarray, limit: int) -> list[Mn
         if len(out) == 4 * per_class:
             break
     if not out:
-        raise TrainingError("no usable examples after filtering to digits 0-3")
+        raise IdxFormatError("no usable examples after filtering to digits 0-3")
     return out
 
 
@@ -373,20 +373,22 @@ def evaluate_accuracy(
 CLASSIFIER_SHAPE = (2, 4, 2)
 
 
+def classifier(L: int, D: int) -> LcqnnModel:
+    """The classifier model with L branches of depth D: one grid cell."""
+    m, n, k = CLASSIFIER_SHAPE
+    return make_model(m, n, L, k, D)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    L: int
-    D: int
+    """The training settings that every cell and run of a grid shares."""
+
     learning_rate: float
     epochs: int
     batch_size: int
     runs: int
     root_seed: int
     optimizer: str
-
-    def make_model(self) -> LcqnnModel:
-        m, n, k = CLASSIFIER_SHAPE
-        return make_model(m, n, self.L, k, self.D)
 
 
 @dataclass
@@ -427,30 +429,17 @@ class SgdOptimizer:
         return params - self.lr * grad
 
 
-def _make_optimizer(name: str, size: int, lr: float):
-    if name == "adam":
-        return AdamOptimizer(size, lr)
-    if name == "sgd":
-        return SgdOptimizer(size, lr)
-    raise TrainingError(f"unknown optimizer {name!r} (expected 'adam' or 'sgd')")
-
-
 class _Run:
     """One training run's own state: init and epoch shuffles as the run's
     RngStream components 0 and 1 draw them, its optimizer, its loss curve,
     and the error that stopped it, if any."""
 
-    def __init__(self, config: TrainConfig, run_index: int):
-        self.config, self.run_index = config, run_index
-        self.model = config.make_model()
+    def __init__(self, model: LcqnnModel, run_index: int, config: TrainConfig, optimizer):
+        self.model, self.run_index = model, run_index
         param_words, shuffle_words = chunk_seeds(config.root_seed, run_index, run_index + 1, (0, 1))
-        self.params = TWO_PI * pcg64_random(param_words, num_params(self.model))[0]
+        self.params = TWO_PI * pcg64_random(param_words, num_params(model))[0]
         self.shuffle = Pcg64Stream(shuffle_words[0])
-        self.optimizer = _make_optimizer(
-            config.optimizer, num_params(self.model), config.learning_rate
-        )
-        if config.batch_size < 1 or config.epochs < 1:
-            raise TrainingError("batch_size and epochs must be >= 1")
+        self.optimizer = optimizer(num_params(model), config.learning_rate)
         self.order, self.loss_sum = np.arange(0), 0.0  # the epoch's shuffle and loss sum
         self.epoch_losses: list[float] = []
         self.error: TrainingError | None = None
@@ -477,18 +466,17 @@ class _Run:
 LOCKSTEP_ELEMENTS = 1 << 15
 
 
-def _lockstep_groups(runs: list[_Run], count: int) -> list[list[_Run]]:
+def _lockstep_groups(runs: list[_Run], batch: int) -> list[list[_Run]]:
     """``runs`` in groups that train in lockstep, each in run order: runs
-    whose models share their block groups and whose configs share epochs
-    and batch size, cut into groups whose steps over ``count`` training
-    examples hold at most ``LOCKSTEP_ELEMENTS`` entries (one run at least),
-    so a step's memory does not grow with the runs beyond that."""
+    whose models share their block groups, cut into groups whose steps over
+    minibatches of ``batch`` examples hold at most ``LOCKSTEP_ELEMENTS``
+    entries (one run at least), so a step's memory does not grow with the
+    runs beyond that."""
     groups: dict[tuple, list[list[_Run]]] = {}
     for run in runs:
-        config, model = run.config, run.model
-        row = (1 << model.num_working) + model.branch_param_count
-        per_column = min(config.batch_size, count) * row
-        cut = groups.setdefault((model.groups, config.epochs, config.batch_size), [[]])
+        model = run.model
+        per_column = batch * ((1 << model.num_working) + model.branch_param_count)
+        cut = groups.setdefault(model.groups, [[]])
         held = sum(other.model.branch_count for other in cut[-1]) * per_column
         if cut[-1] and held + model.branch_count * per_column > LOCKSTEP_ELEMENTS:
             cut.append([])
@@ -496,58 +484,56 @@ def _lockstep_groups(runs: list[_Run], count: int) -> list[list[_Run]]:
     return [group for cut in groups.values() for group in cut]
 
 
-def _train_lockstep(runs: list[_Run], train_set: EncodedExamples) -> None:
-    """Minibatch descent of ``runs``, which share their block groups, epochs
-    and batch size, one step at a time for all of them: each step is one
-    ``minibatch_loss_and_grads`` call whose part ``r`` is run ``r``'s own
-    shuffled minibatch. A run that fails stops stepping."""
-    config, count = runs[0].config, len(train_set)
-    for epoch in range(config.epochs):
-        live = [run for run in runs if run.error is None]
-        for run in live:
-            run.order, run.loss_sum = run.shuffle.permutation(count), 0.0
-        for start in range(0, count, config.batch_size):
-            live = [run for run in live if run.error is None]
-            if not live:
-                return
-            batches = [run.order[start : start + config.batch_size] for run in live]
-            parts = [
-                (run.model, run.params, train_set.states[batch], train_set.labels[batch])
-                for run, batch in zip(live, batches)
-            ]
-            for run, (losses, grads) in zip(live, minibatch_loss_and_grads(parts)):
-                run.descend(losses, grads, epoch, start)
-        for run in live:
-            if run.error is None:
-                run.epoch_losses.append(run.loss_sum / count)
+def train_runs(
+    config: TrainConfig, jobs, train_set: EncodedExamples, test_set: EncodedExamples
+) -> list[RunMetrics]:
+    """Train the run ``run_index`` of each ``(model, run_index)`` of
+    ``jobs`` under ``config``, then measure its held-out accuracy; metrics
+    come back in job order.
 
-
-def train_runs(jobs, train_set: EncodedExamples, test_set: EncodedExamples) -> list[RunMetrics]:
-    """Train the run ``run_index`` of each ``(config, run_index)`` of
-    ``jobs``, then measure its held-out accuracy; metrics come back in job
-    order.
-
-    Every config is checked before any run trains. Runs whose models share
-    their block groups (for the classifier, the same D) and whose configs
-    share epochs and batch size train in lockstep, in groups of at most
-    ``LOCKSTEP_ELEMENTS`` entries per step: one forward and one adjoint
-    sweep per step for all runs of a group. Everything else is each run's
-    own, and rows never mix, so a run's loss curve and accuracy are bit for
-    bit those of the run trained alone. If runs fail, the earliest one in
-    job order raises its error, as training them one by one would.
+    ``config`` is checked before any run is built. Runs whose models share
+    their block groups (for the classifier, the same D) train in lockstep,
+    in groups of at most ``LOCKSTEP_ELEMENTS`` entries per step, and all
+    groups follow one schedule: at each minibatch start of each epoch, one
+    ``minibatch_loss_and_grads`` call per group, whose part ``r`` is run
+    ``r``'s own shuffled minibatch. Everything else is each run's own, and
+    rows never mix, so a run's loss curve and accuracy are bit for bit those
+    of the run trained alone. A run that fails stops stepping; if runs fail,
+    the earliest one in job order raises its error, as training them one by
+    one would.
     """
     if not train_set or not test_set:
         raise TrainingError("empty training or test set")
-    runs = [_Run(config, run_index) for config, run_index in jobs]
-    for group in _lockstep_groups(runs, len(train_set)):
-        _train_lockstep(group, train_set)
+    optimizer = {"adam": AdamOptimizer, "sgd": SgdOptimizer}.get(config.optimizer)
+    if optimizer is None:
+        raise TrainingError(f"unknown optimizer {config.optimizer!r} (expected 'adam' or 'sgd')")
+    if config.batch_size < 1 or config.epochs < 1:
+        raise TrainingError("batch_size and epochs must be >= 1")
+    runs = [_Run(model, run_index, config, optimizer) for model, run_index in jobs]
+    count, batch = len(train_set), config.batch_size
+    groups = _lockstep_groups(runs, min(batch, count))
+    for epoch in range(config.epochs):
+        for run in runs:
+            run.order, run.loss_sum = run.shuffle.permutation(count), 0.0
+        for start in range(0, count, batch):
+            groups = [[run for run in group if run.error is None] for group in groups]
+            for group in filter(None, groups):
+                batches = [run.order[start : start + batch] for run in group]
+                parts = [
+                    (run.model, run.params, train_set.states[b], train_set.labels[b])
+                    for run, b in zip(group, batches)
+                ]
+                for run, (losses, grads) in zip(group, minibatch_loss_and_grads(parts)):
+                    run.descend(losses, grads, epoch, start)
+        for run in runs:
+            run.epoch_losses.append(run.loss_sum / count)
     for run in runs:
         if run.error is not None:
             raise run.error
     return [
         RunMetrics(
             run_index=run.run_index,
-            run_seed=run.config.root_seed,
+            run_seed=config.root_seed,
             epoch_losses=run.epoch_losses,
             test_accuracy=evaluate_accuracy(run.model, run.params, test_set),
         )
@@ -561,9 +547,16 @@ def train_runs(jobs, train_set: EncodedExamples, test_set: EncodedExamples) -> l
 
 @dataclass
 class GridCell:
-    L: int
-    D: int
-    metrics: list[RunMetrics] = field(default_factory=list)
+    model: LcqnnModel  # the cell's classifier
+    metrics: list[RunMetrics]
+
+    @property
+    def L(self) -> int:
+        return self.model.branch_count
+
+    @property
+    def D(self) -> int:
+        return self.model.depth
 
     @property
     def mean_accuracy(self) -> float:
@@ -575,28 +568,16 @@ class GridCell:
         return float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
 
 
-def run_accuracy_grid(train_set, test_set, configs, progress) -> list[GridCell]:
-    """Train every cell's TrainConfig on lists of MnistExample encoded once
-    for all cells and runs, and collect per-run metrics in config order;
-    ``progress`` gets one line per cell, in order, before the grid trains.
-
-    Every cell's model is built before the first one trains, so a bad L or D
-    fails at once rather than after the cells before it. The runs of all
-    cells go to ``train_runs`` together, so runs of different cells that
-    share a branch circuit train in lockstep."""
-    for config in configs:
-        config.make_model()
+def run_accuracy_grid(train_set, test_set, models, config: TrainConfig, progress) -> list[GridCell]:
+    """Train ``config.runs`` runs of each classifier model of ``models``, one
+    grid cell each, on lists of MnistExample encoded once for all cells and
+    runs, and collect per-run metrics in model order; ``progress`` gets one
+    line per cell, in order, before the grid trains. The runs of all cells
+    go to ``train_runs`` together, so runs of different cells that share a
+    branch circuit train in lockstep."""
     train_set, test_set = encode_examples(train_set), encode_examples(test_set)
-    for config in configs:
-        progress(f"training L={config.L} D={config.D} ({config.runs} run(s))")
-    metrics = iter(
-        train_runs(
-            [(config, run) for config in configs for run in range(config.runs)],
-            train_set,
-            test_set,
-        )
-    )
-    return [
-        GridCell(L=config.L, D=config.D, metrics=[next(metrics) for _ in range(config.runs)])
-        for config in configs
-    ]
+    for model in models:
+        progress(f"training L={model.branch_count} D={model.depth} ({config.runs} run(s))")
+    jobs = [(model, run) for model in models for run in range(config.runs)]
+    metrics = iter(train_runs(config, jobs, train_set, test_set))
+    return [GridCell(model, [next(metrics) for _ in range(config.runs)]) for model in models]

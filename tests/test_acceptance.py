@@ -25,6 +25,7 @@ from lcqnn import (
 from lcqnn.cli import main
 from lcqnn.gradients import TWO_PI, default_probe_param, probe_gradients
 from lcqnn.mnist import (
+    classifier,
     data_files_present,
     default_data_dir,
     fetch_instructions,
@@ -349,10 +350,9 @@ def mnist_grid():
         )
     train_set, test_set = load_dataset(data_dir, 4000, 1000)
     start = time.monotonic()
-    configs = [
-        train_config(L, D, runs=5, root_seed=ROOT_SEED) for L in (1, 4) for D in (1, 2, 4, 8)
-    ]
-    cells = run_accuracy_grid(train_set, test_set, configs, progress=print)
+    models = [classifier(L, D) for L in (1, 4) for D in (1, 2, 4, 8)]
+    config = train_config(runs=5, root_seed=ROOT_SEED)
+    cells = run_accuracy_grid(train_set, test_set, models, config, progress=print)
     elapsed = time.monotonic() - start
     return cells, elapsed
 

@@ -16,6 +16,7 @@ import pytest
 from lcqnn import GridCell, RunMetrics, __version__, cli, sim
 from lcqnn import model as model_module
 from lcqnn.cli import main
+from lcqnn.mnist import classifier
 from lcqnn.reporting import (
     GROUP_COLUMNS,
     SCAN_COLUMNS,
@@ -69,7 +70,7 @@ def test_build_command_handles_lists_and_repeats():
 
 def test_mnist_summary_comparisons():
     def cell(L, D, acc):
-        return GridCell(L=L, D=D, metrics=[RunMetrics(0, 0, [1.0], acc)])
+        return GridCell(classifier(L, D), metrics=[RunMetrics(0, 0, [1.0], acc)])
 
     cells = [cell(1, 1, 0.3), cell(1, 8, 0.35), cell(4, 1, 0.5), cell(4, 8, 0.7)]
     summary = mnist_summary(cells)
@@ -516,7 +517,28 @@ def test_mnist_bad_grid_cell_fails_before_training(tmp_path, capsys, grid, messa
     assert code == 2
     assert out == ""
     assert "training" not in err  # no cell trained before the bad one was seen
+    assert "mnist:" not in err  # nor was the data loaded
     assert err.endswith(f"error: {message}\n")
+
+
+def test_mnist_bad_grid_fails_before_looking_for_data(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["mnist", "--data-dir", str(tmp_path), "--L-list", "3"])
+    assert (code, out, err) == (2, "", "error: branch_count must be a power of two, got 3\n")
+
+
+def test_mnist_idx_without_digits_0_to_3_exits_2(tmp_path, capsys):
+    write_synthetic_idx(tmp_path)
+    (tmp_path / "t10k-labels-idx1-ubyte.gz").write_bytes(
+        gzip.compress(pack_labels(np.full(12, 7, dtype=np.uint8)))
+    )
+    code, out, err = run_cli(
+        capsys,
+        ["mnist", "--data-dir", str(tmp_path), "--L-list", "1", "--D-list", "1",
+         "--runs", "1", "--epochs", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: no usable examples after filtering to digits 0-3\n")
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from lcqnn.mnist import (
     MnistExample,
     RunMetrics,
     TrainConfig,
+    classifier,
     cross_entropy,
     data_files_present,
     encode_examples,
@@ -225,7 +226,7 @@ def test_load_examples_validates_counts_and_shape():
         load_examples(images, labels[:-1], limit=8)
     with pytest.raises(IdxFormatError, match="28"):
         load_examples(images[:, :27, :], labels, limit=8)
-    with pytest.raises(TrainingError, match="no usable"):
+    with pytest.raises(IdxFormatError, match="no usable"):
         load_examples(images, labels, limit=0)
 
 
@@ -444,13 +445,13 @@ def test_minibatch_parts_must_share_a_branch_circuit():
 
 def test_training_is_bit_identical_under_any_amplitude_budget(monkeypatch):
     data = encode_examples(tiny_dataset(per_class=5))
-    config = train_config(4, 1, epochs=2, batch_size=8, runs=1, root_seed=6)
-    [reference] = train_runs([(config, 0)], data, data)
+    config = train_config(epochs=2, batch_size=8, runs=1, root_seed=6)
+    [reference] = train_runs(config, [(classifier(4, 1), 0)], data, data)
     # one example per forward and adjoint run; then three examples (twelve
     # rows) per run, which splits every minibatch
     for budget in (16, 3 * 4 * 16):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
-        [metrics] = train_runs([(config, 0)], data, data)
+        [metrics] = train_runs(config, [(classifier(4, 1), 0)], data, data)
         assert metrics.epoch_losses == reference.epoch_losses
         assert metrics.test_accuracy == reference.test_accuracy
 
@@ -459,12 +460,12 @@ def test_lockstep_group_is_bit_identical_under_any_amplitude_budget(monkeypatch)
     # a group of 2 runs at each of L = 1, 2, 4 holds 14 columns per example:
     # at 16 amplitudes and at 3 * 4 * 16 every kernel run holds one example
     data = encode_examples(tiny_dataset(per_class=5))
-    jobs = [(train_config(L, 1, epochs=2, batch_size=8, runs=2, root_seed=6), run)
-            for L in (1, 2, 4) for run in range(2)]
-    reference = train_runs(jobs, data, data)
+    config = train_config(epochs=2, batch_size=8, runs=2, root_seed=6)
+    jobs = [(classifier(L, 1), run) for L in (1, 2, 4) for run in range(2)]
+    reference = train_runs(config, jobs, data, data)
     for budget in (16, 3 * 4 * 16):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
-        assert train_runs(jobs, data, data) == reference
+        assert train_runs(config, jobs, data, data) == reference
 
 
 def _count_sweeps(monkeypatch) -> dict:
@@ -496,10 +497,11 @@ def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
     for budget in (sim.BATCH_AMPLITUDES, 16):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
         for runs in (1, 4):
-            config = train_config(4, 2, epochs=1, batch_size=8, runs=runs, root_seed=2)
+            config = train_config(epochs=1, batch_size=8, runs=runs, root_seed=2)
             calls.update(forward=0, adjoint=0)
             train_runs(
-                [(config, run) for run in range(runs)],
+                config,
+                [(classifier(4, 2), run) for run in range(runs)],
                 encode_examples(examples),
                 encode_examples(examples[:5]),
             )
@@ -515,12 +517,12 @@ def test_lockstep_groups_stay_under_the_step_budget(monkeypatch, budget, groups)
     # runs hold 1, 1, 2, 2, 4 and 4 columns: 4 * 8 * 28 entries fit the
     # groups [1, 1, 2], [2], [4], [4]; 1 entry fits one run per group.
     data = encode_examples(tiny_dataset(per_class=5))
-    jobs = [(train_config(L, 1, epochs=2, batch_size=8, runs=2, root_seed=6), run)
-            for L in (1, 2, 4) for run in range(2)]
-    reference = train_runs(jobs, data, data)
+    config = train_config(epochs=2, batch_size=8, runs=2, root_seed=6)
+    jobs = [(classifier(L, 1), run) for L in (1, 2, 4) for run in range(2)]
+    reference = train_runs(config, jobs, data, data)
     monkeypatch.setattr(mnist, "LOCKSTEP_ELEMENTS", budget)
     calls = _count_sweeps(monkeypatch)
-    assert train_runs(jobs, data, data) == reference
+    assert train_runs(config, jobs, data, data) == reference
     # 20 examples in minibatches of 8: three steps per epoch for each group,
     # then one forward sweep per run over the test examples
     assert calls == {"forward": 6 * groups + 6, "adjoint": 6 * groups}
@@ -551,13 +553,13 @@ def test_adam_minimizes_a_quadratic():
     assert np.all(np.abs(params) < 1e-3)
 
 
-def train_config(L, D, **fields):
+def train_config(**fields):
     """A TrainConfig with the mnist subcommand's defaults for every field
     not given."""
     args = build_parser().parse_args(["mnist"])
     defaults = dict(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
                     runs=args.runs, root_seed=args.seed, optimizer=args.optimizer)
-    return TrainConfig(L, D, **{**defaults, **fields})
+    return TrainConfig(**{**defaults, **fields})
 
 
 def tiny_dataset(per_class: int = 4, seed: int = 0):
@@ -575,39 +577,40 @@ def tiny_dataset(per_class: int = 4, seed: int = 0):
 
 def test_training_run_is_reproducible():
     data = encode_examples(tiny_dataset())
-    config = train_config(2, 1, epochs=1, batch_size=4, runs=1, root_seed=5)
-    [first] = train_runs([(config, 0)], data, data)
-    [second] = train_runs([(config, 0)], data, data)
+    config = train_config(epochs=1, batch_size=4, runs=1, root_seed=5)
+    model = classifier(2, 1)
+    [first] = train_runs(config, [(model, 0)], data, data)
+    [second] = train_runs(config, [(model, 0)], data, data)
     assert first.epoch_losses == second.epoch_losses
     assert first.test_accuracy == second.test_accuracy
-    [third] = train_runs([(config, 1)], data, data)
+    [third] = train_runs(config, [(model, 1)], data, data)
     assert third.epoch_losses != first.epoch_losses
 
 
 def test_training_learns_separable_data():
     data = encode_examples(tiny_dataset(per_class=8))
-    config = train_config(1, 2, learning_rate=0.05, epochs=6, batch_size=8, runs=1, root_seed=3)
-    [metrics] = train_runs([(config, 0)], data, data)
+    config = train_config(learning_rate=0.05, epochs=6, batch_size=8, runs=1, root_seed=3)
+    [metrics] = train_runs(config, [(classifier(1, 2), 0)], data, data)
     assert metrics.epoch_losses[-1] < metrics.epoch_losses[0]
     assert metrics.test_accuracy >= 0.5
 
 
 def test_training_with_sgd_flag():
     data = encode_examples(tiny_dataset())
-    config = train_config(1, 1, epochs=1, batch_size=8, runs=1, optimizer="sgd", learning_rate=0.1)
-    [metrics] = train_runs([(config, 0)], data, data)
+    config = train_config(epochs=1, batch_size=8, runs=1, optimizer="sgd", learning_rate=0.1)
+    [metrics] = train_runs(config, [(classifier(1, 1), 0)], data, data)
     assert len(metrics.epoch_losses) == 1
     assert math.isfinite(metrics.epoch_losses[0])
     with pytest.raises(TrainingError, match="optimizer"):
-        train_runs([(train_config(1, 1, optimizer="momentum"), 0)], data, data)
+        train_runs(train_config(optimizer="momentum"), [(classifier(1, 1), 0)], data, data)
 
 
 def test_training_rejects_degenerate_inputs():
     data = encode_examples(tiny_dataset())
     with pytest.raises(TrainingError, match="empty"):
-        train_runs([(train_config(1, 1), 0)], encode_examples([]), data)
+        train_runs(train_config(), [(classifier(1, 1), 0)], encode_examples([]), data)
     with pytest.raises(TrainingError, match=">= 1"):
-        train_runs([(train_config(1, 1, batch_size=0), 0)], data, data)
+        train_runs(train_config(batch_size=0), [(classifier(1, 1), 0)], data, data)
 
 
 @pytest.mark.parametrize(
@@ -618,25 +621,25 @@ def test_training_rejects_degenerate_inputs():
         (dict(epochs=0), ">= 1"),
     ],
 )
-def test_every_config_is_checked_before_any_run_trains(monkeypatch, bad, message):
+def test_the_grid_config_is_checked_before_any_run_trains(monkeypatch, bad, message):
     steps = []
     real = mnist.minibatch_loss_and_grads
     monkeypatch.setattr(
         mnist, "minibatch_loss_and_grads", lambda parts: steps.append(parts) or real(parts)
     )
     data = tiny_dataset()
-    fields = dict(epochs=1, batch_size=8, runs=1)
-    configs = [train_config(1, 1, **fields), train_config(2, 2, **{**fields, **bad})]
+    config = train_config(**{**dict(epochs=1, batch_size=8, runs=1), **bad})
     with pytest.raises(TrainingError, match=message):
-        run_accuracy_grid(data, data, configs, progress=lambda line: None)
+        run_accuracy_grid(data, data, [classifier(1, 1), classifier(2, 2)], config,
+                          progress=lambda line: None)
     assert steps == []
 
 
 def test_training_flags_nonfinite_loss():
     data = encode_examples(tiny_dataset())
-    config = train_config(1, 1, learning_rate=np.inf, epochs=2, batch_size=4, runs=1)
+    config = train_config(learning_rate=np.inf, epochs=2, batch_size=4, runs=1)
     with pytest.raises(TrainingError, match="non-finite"):
-        train_runs([(config, 0)], data, data)
+        train_runs(config, [(classifier(1, 1), 0)], data, data)
 
 
 def test_nonfinite_loss_raises_the_earliest_failing_run_in_job_order(monkeypatch):
@@ -659,10 +662,9 @@ def test_nonfinite_loss_raises_the_earliest_failing_run_in_job_order(monkeypatch
 
     monkeypatch.setattr(mnist, "minibatch_loss_and_grads", failing)
     data = encode_examples(tiny_dataset())
-    jobs = [(train_config(L, D, epochs=2, batch_size=4, runs=1), 0)
-            for L, D in ((1, 2), (2, 1), (4, 1))]
+    jobs = [(classifier(L, D), 0) for L, D in ((1, 2), (2, 1), (4, 1))]
     with pytest.raises(TrainingError) as info:
-        train_runs(jobs, data, data)
+        train_runs(train_config(epochs=2, batch_size=4, runs=1), jobs, data, data)
     assert str(info.value) == "non-finite loss in run 0, epoch 1, batch starting at 8"
     assert steps == [[2, 4]] + [[2]] * 6
 
@@ -674,20 +676,21 @@ def test_lockstep_grid_runs_equal_each_run_trained_alone(optimizer):
     # of a D train in lockstep
     examples = tiny_dataset(per_class=5)
     data = encode_examples(examples)
-    configs = [train_config(L, D, epochs=2, batch_size=8, runs=2, root_seed=4,
-                            optimizer=optimizer, learning_rate=0.05)
-               for L in (1, 2, 4) for D in (1, 2)]
-    cells = run_accuracy_grid(examples, examples, configs, progress=lambda line: None)
-    assert [(cell.L, cell.D) for cell in cells] == [(c.L, c.D) for c in configs]
-    for config, cell in zip(configs, cells):
+    config = train_config(epochs=2, batch_size=8, runs=2, root_seed=4, optimizer=optimizer,
+                          learning_rate=0.05)
+    grid = [(L, D) for L in (1, 2, 4) for D in (1, 2)]
+    models = [classifier(L, D) for L, D in grid]
+    cells = run_accuracy_grid(examples, examples, models, config, progress=lambda line: None)
+    assert [(cell.L, cell.D) for cell in cells] == grid
+    for model, cell in zip(models, cells):
         for run, metrics in enumerate(cell.metrics):
-            assert [metrics] == train_runs([(config, run)], data, data)
+            assert [metrics] == train_runs(config, [(model, run)], data, data)
 
 
 def test_grid_cell_trains_one_metrics_record_per_run():
     data = tiny_dataset()
-    config = train_config(1, 1, epochs=1, batch_size=8, runs=3, root_seed=9)
-    [cell] = run_accuracy_grid(data, data, [config], progress=lambda line: None)
+    config = train_config(epochs=1, batch_size=8, runs=3, root_seed=9)
+    [cell] = run_accuracy_grid(data, data, [classifier(1, 1)], config, progress=lambda line: None)
     metrics = cell.metrics
     assert [m.run_index for m in metrics] == [0, 1, 2]
     assert all(m.run_seed == 9 for m in metrics)
@@ -697,8 +700,9 @@ def test_grid_cell_trains_one_metrics_record_per_run():
 def test_accuracy_grid_shapes_and_stats():
     data = tiny_dataset()
     seen = []
-    configs = [train_config(L, 1, epochs=1, batch_size=8, runs=2) for L in (1, 2)]
-    cells = run_accuracy_grid(data, data, configs, progress=seen.append)
+    config = train_config(epochs=1, batch_size=8, runs=2)
+    cells = run_accuracy_grid(data, data, [classifier(L, 1) for L in (1, 2)], config,
+                              progress=seen.append)
     assert [(c.L, c.D) for c in cells] == [(1, 1), (2, 1)]
     assert len(seen) == 2
     for cell in cells:
@@ -706,7 +710,7 @@ def test_accuracy_grid_shapes_and_stats():
         accs = [m.test_accuracy for m in cell.metrics]
         assert math.isclose(cell.mean_accuracy, np.mean(accs), rel_tol=1e-12)
         assert math.isclose(cell.std_accuracy, np.std(accs, ddof=1), rel_tol=1e-12)
-    lone = GridCell(L=1, D=1, metrics=[RunMetrics(0, 0, [1.0], 0.5)])
+    lone = GridCell(classifier(1, 1), metrics=[RunMetrics(0, 0, [1.0], 0.5)])
     assert lone.std_accuracy == 0.0
 
 
