@@ -18,13 +18,13 @@ import numpy as np
 from .errors import LcqnnError
 from .model import (
     LcqnnModel,
-    branch_angles,
-    branch_gates,
+    branch_sweep,
     coeff_probabilities,
     coeff_probability_gradients,
     cost,
     costs,
     light_cone,
+    shared_branch_gates,
     theta_layout_size,
     working_amps,
 )
@@ -33,7 +33,6 @@ from .sim import (
     RngStream,
     StateVector,
     adjoint_gradient,
-    apply_gates,
     chunk_seeds,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
     pcg64_random,
@@ -153,37 +152,41 @@ def finite_diff_grad(model: LcqnnModel, flat, obs: PauliZSum, param_id: int) -> 
 # gates on the working register alone.
 
 
-def mixture_gradients(model: LcqnnModel, alpha, values, local) -> np.ndarray:
-    """Flat gradients, shape (B, P), of B costs sum_j p_j(alpha) e_j from
-    their branch values e_j, shape (B, L), and the gradients of each e_j in
-    its own branch angles, shape (B, L, S).
+def mixture_gradients(parts, psi, blocks, diag) -> list[np.ndarray]:
+    """Flat gradients, shape (B, P), of each ``(model, alpha)`` of
+    ``parts``: the B costs sum_j p_j(alpha) e_j of its column block of the
+    ``model.branch_sweep`` output ``psi``, run under ``blocks``, where e_j
+    is ``diag . |psi|**2`` on its row (``diag`` broadcasts to (B, C, 2**n),
+    so each row may carry its own).
 
+    One adjoint sweep over every row gives each e_j and its gradient in
+    its own branch angles; each part folds its columns through its tree.
     Every sum runs within one row, so a row's gradient does not depend on
-    the batch around it.
+    the batch or the parts around it.
     """
-    batch = values.shape[0]
-    out = np.empty((batch, num_params(model)))
-    jac = coeff_probability_gradients(alpha)
-    out[:, : model.num_alpha] = np.sum(jac * values[:, None, :], axis=-1)
-    probs = coeff_probabilities(alpha)
-    out[:, model.num_alpha :] = (probs[:, None] * local).reshape(batch, -1)
+    gates = shared_branch_gates([model for model, _ in parts])
+    values, local = adjoint_gradient(psi, gates, blocks[None], diag)
+    batch, out, lo = len(values), [], 0
+    for model, alpha in parts:
+        hi = lo + model.branch_count
+        grads = np.empty((batch, num_params(model)))
+        jac = coeff_probability_gradients(alpha)
+        grads[:, : model.num_alpha] = np.sum(jac * values[:, None, lo:hi], axis=-1)
+        probs = coeff_probabilities(alpha)
+        grads[:, model.num_alpha :] = (probs[:, None] * local[:, lo:hi]).reshape(batch, -1)
+        out.append(grads)
+        lo = hi
     return out
 
 
 def grad_full(
     model: LcqnnModel, flat, obs: PauliZSum, input_state: StateVector | None = None
 ) -> np.ndarray:
-    """Gradient with respect to every parameter, in flat layout order: one
-    forward and one adjoint sweep over the L branch rows."""
+    """Gradient with respect to every parameter, in flat layout order: the
+    one-part, one-input ``branch_sweep`` and ``mixture_gradients``."""
     alpha, theta = split_params(model, flat)
-    psi_in = working_amps(model, input_state, obs).reshape((2,) * model.num_working)
-    blocks = branch_angles(model, theta)
-    gates = branch_gates(model)
-    rows = np.broadcast_to(psi_in, (len(blocks),) + psi_in.shape)
-    values, local = adjoint_gradient(
-        apply_gates(rows, gates, blocks), gates, blocks, obs.diagonal()
-    )
-    return mixture_gradients(model, alpha, values[None], local[None])[0]
+    psi, blocks = branch_sweep([(model, theta, working_amps(model, input_state, obs)[None])])
+    return mixture_gradients([(model, alpha)], psi, blocks, obs.diagonal())[0][0]
 
 
 # ---------------------------------------------------------------------------

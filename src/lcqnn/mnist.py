@@ -30,22 +30,12 @@ from .gradients import (
     num_params,
     split_params,
 )
-from .model import (
-    LcqnnModel,
-    branch_angles,
-    branch_gates,
-    coeff_probabilities,
-    make_model,
-    shared_branch_gates,
-    tree_angles,
-)
+from .model import LcqnnModel, branch_sweep, coeff_probabilities, make_model, tree_angles
 from .sim import (
     PauliZSum,
     Pcg64Stream,
     StateVector,
-    adjoint_gradient,
     amplitude_encode,
-    apply_gates,
     chunk_seeds,
     diagonal_readout,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
@@ -250,29 +240,13 @@ def encode_examples(examples) -> EncodedExamples:
 
 
 def _forward_sweep(parts) -> tuple:
-    """One batched forward sweep for the ``(model, alpha, theta, states)``
-    of ``parts``, whose models share their block groups and whose ``states``
-    hold the same number B of encoded examples: row (b, c) runs part
-    ``r``'s example ``states[b]`` under its branch ``j``, where column
-    block ``r`` of the columns ``c`` holds part ``r``'s L branches. Each
-    branch's angles are shared by every example.
-
-    Returns the output tensor, shape (B, C, 2, ..., 2) over the C columns
-    of all parts, the columns' branch angles, shape (C, stride), and each
-    part's logits, shape (B, n): each working qubit's <Z> under its branch
-    mixture, accumulated in branch order.
-    """
-    gates = shared_branch_gates([model for model, *_ in parts])
-    n, batch = parts[0][0].num_working, len(parts[0][3])
-    rows = np.concatenate(
-        [
-            np.broadcast_to(states.reshape(batch, 1, -1), (batch, model.branch_count, 1 << n))
-            for model, _, _, states in parts
-        ],
-        axis=1,
-    )
-    blocks = np.concatenate([branch_angles(model, theta) for model, _, theta, _ in parts])
-    psi = apply_gates(rows.reshape(rows.shape[:2] + (2,) * n), gates, blocks[None])
+    """``model.branch_sweep`` over each part's ``theta`` and ``states`` of
+    the ``(model, alpha, theta, states)`` of ``parts``: its output and
+    branch angles, then each part's logits, shape (B, n), each working
+    qubit's <Z> under the part's branch mixture, accumulated in branch
+    order."""
+    psi, blocks = branch_sweep([(model, theta, states) for model, _, theta, states in parts])
+    batch, n = psi.shape[0], parts[0][0].num_working
     z = diagonal_readout(_z_diagonals(n), psi.reshape(batch, len(blocks), 1, -1))
     all_logits, lo = [], 0
     for model, alpha, _, _ in parts:
@@ -332,15 +306,8 @@ def minibatch_loss_and_grads(parts) -> list[tuple[np.ndarray, np.ndarray]]:
         for c in range(model.num_working):
             rows += residual[:, c, None, None] * diags[c]
         diag.append(np.broadcast_to(rows, (len(labels), model.branch_count, diags.shape[1])))
-    values, local = adjoint_gradient(
-        psi, branch_gates(parts[0][0]), blocks[None], np.concatenate(diag, axis=1)
-    )
-    out, lo = [], 0
-    for (model, alpha, _, _), loss in zip(split, losses):
-        hi = lo + model.branch_count
-        out.append((loss, mixture_gradients(model, alpha, values[:, lo:hi], local[:, lo:hi])))
-        lo = hi
-    return out
+    folds = [(model, alpha) for model, alpha, _, _ in split]
+    return list(zip(losses, mixture_gradients(folds, psi, blocks, np.concatenate(diag, axis=1))))
 
 
 def example_loss_and_grad(
@@ -507,8 +474,8 @@ def train_runs(
     optimizer = {"adam": AdamOptimizer, "sgd": SgdOptimizer}.get(config.optimizer)
     if optimizer is None:
         raise TrainingError(f"unknown optimizer {config.optimizer!r} (expected 'adam' or 'sgd')")
-    if config.batch_size < 1 or config.epochs < 1:
-        raise TrainingError("batch_size and epochs must be >= 1")
+    if min(config.batch_size, config.epochs, config.runs) < 1:
+        raise TrainingError("batch_size, epochs and runs must be >= 1")
     runs = [_Run(model, run_index, config, optimizer) for model, run_index in jobs]
     count, batch = len(train_set), config.batch_size
     groups = _lockstep_groups(runs, min(batch, count))

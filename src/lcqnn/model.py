@@ -355,6 +355,32 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
     return states
 
 
+def branch_sweep(parts) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel call over the (input, branch) rows of the ``(model,
+    theta, states)`` of ``parts``, whose models share one branch circuit
+    and whose ``states`` hold the same number B of working-register input
+    rows: row (b, c) runs part ``r``'s ``states[b]`` under its branch ``j``,
+    where column block ``r`` of the columns ``c`` holds part ``r``'s L
+    branches, each branch's angles shared by every input.
+
+    Returns the output, shape (B, C, 2, ..., 2) over the C columns of all
+    parts, and the columns' branch angles, shape (C, stride). The kernel
+    splits only the first axis into runs, so the C rows of one input run
+    together. Rows never mix, so each row is that of its own one-part call.
+    """
+    gates = shared_branch_gates([model for model, _, _ in parts])
+    n, batch = parts[0][0].num_working, len(parts[0][2])
+    rows = np.concatenate(
+        [
+            np.broadcast_to(states.reshape(batch, 1, -1), (batch, model.branch_count, 1 << n))
+            for model, _, states in parts
+        ],
+        axis=1,
+    )
+    blocks = np.concatenate([branch_angles(model, theta) for model, theta, _ in parts])
+    return apply_gates(rows.reshape(rows.shape[:2] + (2,) * n), gates, blocks[None]), blocks
+
+
 def lcqnn_forward(
     model: LcqnnModel, alpha, theta, input_state: StateVector | None = None
 ) -> StateVector:

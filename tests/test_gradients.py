@@ -22,8 +22,8 @@ from lcqnn.gradients import (
     split_params,
 )
 from lcqnn import gradients, sim
-from lcqnn.model import costs, make_model, theta_layout_size, tree_node
-from lcqnn.sim import PauliZSum, RngStream
+from lcqnn.model import cost, costs, make_model, theta_layout_size, tree_node
+from lcqnn.sim import PauliZSum, RngStream, StateVector
 
 Z0_1 = PauliZSum([(1.0, (0,))], num_qubits=1)
 
@@ -219,6 +219,28 @@ def test_grad_full_matches_shift_rule_everywhere():
         [param_shift_grad(model, flat, obs, pid) for pid in range(num_params(model))]
     )
     np.testing.assert_allclose(full, shifts, atol=1e-9)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("D", [0, 1, 3])
+def test_grad_full_on_an_input_state_matches_central_differences_of_cost(L, D):
+    # grad_full runs the branch sweep on the working register alone; cost
+    # runs the full register and shares only the gate kernel with it
+    model = make_model(2, 3, L, 2, D)
+    rng = np.random.default_rng(10 * L + D)
+    obs = PauliZSum([(0.8, (0,)), (-0.5, (1, 2))], num_qubits=3)
+    step, P = 1e-5, num_params(model)
+    for _ in range(3):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = StateVector(3, amps / np.linalg.norm(amps))
+        flat = rng.uniform(0, 2 * math.pi, P)
+        full = grad_full(model, flat, obs, state)
+        assert full.shape == (P,)
+        if P == 0:
+            continue
+        shifted = flat + step * np.concatenate((np.eye(P), -np.eye(P)))
+        values = cost(model, *split_params(model, shifted), obs, input_state=state)
+        np.testing.assert_allclose(full, (values[:P] - values[P:]) / (2 * step), rtol=0, atol=1e-6)
 
 
 def test_dead_branch_gradients_vanish():

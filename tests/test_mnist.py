@@ -8,7 +8,8 @@ import zlib
 import numpy as np
 import pytest
 
-from lcqnn import mnist, sim
+from lcqnn import gradients, mnist, sim
+from lcqnn import model as model_module
 from lcqnn.cli import build_parser
 from lcqnn import (
     EncodingError,
@@ -469,7 +470,8 @@ def test_lockstep_group_is_bit_identical_under_any_amplitude_budget(monkeypatch)
 
 
 def _count_sweeps(monkeypatch) -> dict:
-    """Counts of the forward and adjoint kernel calls that mnist makes."""
+    """Counts of the forward kernel calls of ``model.branch_sweep`` and the
+    adjoint kernel calls of ``gradients.mixture_gradients``."""
     calls = {"forward": 0, "adjoint": 0}
 
     def counting(name, fn):
@@ -479,11 +481,23 @@ def _count_sweeps(monkeypatch) -> dict:
 
         return wrapper
 
-    monkeypatch.setattr(mnist, "apply_gates", counting("forward", mnist.apply_gates))
     monkeypatch.setattr(
-        mnist, "adjoint_gradient", counting("adjoint", mnist.adjoint_gradient)
+        model_module, "apply_gates", counting("forward", model_module.apply_gates)
+    )
+    monkeypatch.setattr(
+        gradients, "adjoint_gradient", counting("adjoint", gradients.adjoint_gradient)
     )
     return calls
+
+
+def test_grad_full_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
+    # grad_full is the one-part, one-input case of the sweep and the fold
+    # that a training step makes
+    calls = _count_sweeps(monkeypatch)
+    model = make_model(2, 4, 4, 2, 2)
+    flat = np.zeros(num_params(model))
+    grad_full(model, flat, PauliZSum([(1.0, (0,))], num_qubits=4))
+    assert calls == {"forward": 1, "adjoint": 1}
 
 
 def test_training_step_makes_one_forward_and_one_adjoint_sweep(monkeypatch):
@@ -619,6 +633,7 @@ def test_training_rejects_degenerate_inputs():
         (dict(optimizer="momentum"), "unknown optimizer"),
         (dict(batch_size=0), ">= 1"),
         (dict(epochs=0), ">= 1"),
+        (dict(runs=0), ">= 1"),
     ],
 )
 def test_the_grid_config_is_checked_before_any_run_trains(monkeypatch, bad, message):
