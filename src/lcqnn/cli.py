@@ -106,11 +106,11 @@ def _check_common(args) -> None:
     _require(args.threads >= 1, "--threads must be >= 1")
 
 
-def _scan_point(args, n: int, L: int, k: int):
-    """A scan point's model and its probe: ``--param-id``, or by default
-    branch 0's first rotation."""
-    model = make_model(args.m, n, L, k, args.depth)
-    return model, default_probe_param(model) if args.param_id is None else args.param_id
+def _scan_point(args, obs: PauliZSum, L: int, k: int):
+    """A scan point ``(model, k, obs, param_id)`` on ``obs``' register: its
+    probe is ``--param-id``, or by default branch 0's first rotation."""
+    model = make_model(args.m, obs.num_qubits, L, k, args.depth)
+    return model, k, obs, default_probe_param(model) if args.param_id is None else args.param_id
 
 
 def _config(args, flags, **normalised) -> dict:
@@ -126,16 +126,12 @@ def _config(args, flags, **normalised) -> dict:
 
 def cmd_variance_scan(args) -> int:
     _check_common(args)
-    points = [(k, _observable_for(args.obs, n), *_scan_point(args, n, args.L, k))
+    points = [_scan_point(args, _observable_for(args.obs, n), args.L, k)
               for k in args.k_list for n in args.n_list]
     config = _config(args, ("m", "L", "k_list", "n_list", "depth", "samples", "seed", "obs",
-                            "param_id", "format", "threads"), obs=points[0][1].describe())
-    records = []
-    for k, obs, model, param_id in points:
-        _progress(f"variance-scan: k={k} n={model.num_working} ({args.samples} samples)")
-        records.append(
-            run_variance_point(model, k, args.samples, args.seed, obs=obs, param_id=param_id)
-        )
+                            "param_id", "format", "threads"), obs=points[0][2].describe())
+    records = run_variance_point(points, args.samples, args.seed, lambda p: _progress(
+        f"variance-scan: k={points[p][1]} n={points[p][0].num_working} ({args.samples} samples)"))
     _emit_scan(args, "variance-scan", config, records)
     return 0
 
@@ -158,11 +154,8 @@ def cmd_variance_layers(args) -> int:
         _require(L >= 1 and not L & (L - 1), f"branch counts must be powers of two, got {L}")
         _require(args.m >= 0 and L <= 1 << args.m,
                  f"branch count {L} does not fit {args.m} control qubit(s)")
-    points = [_scan_point(args, args.n, L, args.k) for L in args.L_list]
-    records = [
-        run_variance_point(model, args.k, args.samples, args.seed, obs=obs, param_id=param_id)
-        for model, param_id in points
-    ]
+    points = [_scan_point(args, obs, L, args.k) for L in args.L_list]
+    records = run_variance_point(points, args.samples, args.seed)
     summary = reporting.layers_summary(records)
     slope = summary["log2_slope_vs_log2_L"]
     _progress(f"variance-layers: slope {'n/a' if slope is None else f'{slope:+.4f}'}")

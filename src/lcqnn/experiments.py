@@ -14,15 +14,15 @@ from functools import partial
 
 import numpy as np
 
+from . import gradients
 from .errors import ArchitectureError, CapacityError, LcqnnError
 from .gradients import (
     TWO_PI,
     GradStats,
-    estimate_grad_stats,
+    estimate_grad_stats,  # noqa: F401  (perfbench/spans.py times calls through this name)
     run_chunked,
 )
 from .model import (
-    LcqnnModel,
     coeff_probabilities,
     coeff_probability_gradients,
     entangling_gates,
@@ -69,31 +69,22 @@ class ScanRecord:
 
 
 def run_variance_point(
-    model: LcqnnModel,
-    k: int,
-    samples: int,
-    root_seed: int,
-    *,
-    obs: PauliZSum,
-    param_id: int,
-) -> ScanRecord:
-    """Estimate one configuration of ``model``, recorded with the locality
-    ``k`` it was built with."""
-    stats = estimate_grad_stats(model, obs, param_id, samples, root_seed)
-    return ScanRecord(
-        m=model.num_controls,
-        n=model.num_working,
-        L=model.branch_count,
-        k=k,
-        D=model.depth,
-        observable=obs.describe(),
-        param_id=param_id,
-        samples=samples,
-        seed=root_seed,
-        mean=stats.mean,
-        variance=stats.variance,
-        stderr=stats.stderr,
-    )
+    points, samples: int, root_seed: int, start=lambda index: None
+) -> list[ScanRecord]:
+    """Estimate every ``(model, k, obs, param_id)`` point of one scan, each
+    recorded with the locality ``k`` its model was built with, in one
+    lockstep ``estimate_grad_stats`` call; ``start(p)`` runs just before
+    point ``p``'s first sample block."""
+    probes = [(model, obs, param_id) for model, _, obs, param_id in points]
+    return [
+        ScanRecord(m=model.num_controls, n=model.num_working, L=model.branch_count, k=k,
+                   D=model.depth, observable=obs.describe(), param_id=param_id,
+                   samples=samples, seed=root_seed, mean=stats.mean,
+                   variance=stats.variance, stderr=stats.stderr)
+        for (model, k, obs, param_id), stats in zip(
+            points, gradients.estimate_grad_stats(probes, samples, root_seed, start)
+        )
+    ]
 
 
 def fit_log2_slope(xs, variances) -> float:

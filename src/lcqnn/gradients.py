@@ -305,63 +305,92 @@ def sample_param_draws(
     return alpha, TWO_PI * pcg64_random(theta_words, num_theta)
 
 
-def probe_gradients(
-    model: LcqnnModel,
-    obs: PauliZSum,
-    param_id: int,
-    root_seed: int,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Gradient of parameter ``param_id`` at the draws of samples
-    ``lo .. hi-1``, with the working register starting at |0...0>.
+def _probe_width(model: LcqnnModel, obs: PauliZSum, param_id: int) -> int:
+    """Leading branch angles of a sample that probe ``param_id`` reads: all
+    of them for a tree angle, up to the last ``light_cone`` column of block
+    ``j`` for a branch angle of branch ``j`` inside the cone, else none."""
+    if not 0 <= param_id < num_params(model):
+        return 0
+    if param_id < model.num_alpha:
+        return theta_layout_size(model)
+    j, slot = divmod(param_id - model.num_alpha, model.branch_param_count)
+    columns = light_cone(model, obs).columns
+    return j * model.branch_param_count + max(columns) + 1 if slot in columns else 0
+
+
+def _probe_values(model: LcqnnModel, obs: PauliZSum, param_id: int, theta, weights) -> np.ndarray:
+    """Gradient of parameter ``param_id`` at each row of ``theta``, a batch
+    of drawn branch angles at least ``_probe_width`` wide, where
+    ``weights(rule, size)`` is ``coeff_probabilities`` or
+    ``coeff_probability_gradients`` of the rows' leading ``size`` tree angles.
 
     The samples run as one batch through the branch mixture, never the full
     register, and each branch only on the observable's ``light_cone``. A
     tree angle needs every branch expectation at the drawn point; a branch
     angle needs only that branch, at its two shifted points, weighted by its
-    probability, and is exactly 0 outside the cone. Sample ``i`` draws what
-    ``sample_param_draw(model, root_seed, i)`` draws (a probe in branch
-    ``j`` only its leading values, up to the last cone column of block
-    ``j``), so its value does not depend on ``lo`` and ``hi``.
+    probability, and is exactly 0 outside the cone.
     """
     _check_param_id(model, param_id)
     cone = light_cone(model, obs)
-    batch, L, stride = hi - lo, model.branch_count, model.branch_param_count
+    batch, L, stride = len(theta), model.branch_count, model.branch_param_count
     if param_id < model.num_alpha:
-        alpha, theta = sample_param_draws(model, root_seed, lo, hi)
-        jac_row = coeff_probability_gradients(alpha)[:, param_id]
-        values = cone.expectations(theta.reshape(batch, L, stride))
+        jac_row = weights(coeff_probability_gradients, model.num_alpha)[:, param_id]
+        values = cone.expectations(theta[:, : L * stride].reshape(batch, L, stride))
         return np.sum(jac_row * values, axis=-1)
 
     j, slot = divmod(param_id - model.num_alpha, stride)
     if slot not in cone.columns:
         return np.zeros(batch)
-    alpha, theta = sample_param_draws(model, root_seed, lo, hi, j * stride + max(cone.columns) + 1)
-    block = theta[:, j * stride :]
+    block = theta[:, j * stride : j * stride + max(cone.columns) + 1]
     shifted = np.concatenate((block, block))
     shifted[:, slot] += math.pi / 2.0
     shifted[batch:, slot] -= math.pi
     values = cone.expectations(shifted)
-    prob = coeff_probabilities(alpha)[:, j]
+    prob = weights(coeff_probabilities, model.num_alpha)[:, j]
     return prob * 0.5 * (values[:batch] - values[batch:])
 
 
-def estimate_grad_stats(
-    model: LcqnnModel,
-    obs: PauliZSum,
-    param_id: int,
-    num_samples: int,
-    root_seed: int,
-) -> GradStats:
-    """Mean/variance of one parameter's gradient over random angle draws,
-    with the working register starting at |0...0>.
+def probe_gradients(
+    model: LcqnnModel, obs: PauliZSum, param_id: int, root_seed: int, lo: int, hi: int
+) -> np.ndarray:
+    """Gradient of parameter ``param_id`` at the draws of samples
+    ``lo .. hi-1``, with the working register starting at |0...0>: the
+    one-probe view of ``estimate_grad_stats``' blocks.
 
-    Sample ``i`` draws from ``RngStream(root_seed, i)``; each fixed sample
-    block is one ``probe_gradients`` batch, folded by ``run_chunked``.
+    Sample ``i`` draws what ``sample_param_draw(model, root_seed, i)``
+    draws (only its leading ``_probe_width`` branch angles), so its value
+    does not depend on ``lo`` and ``hi``.
     """
+    alpha, theta = sample_param_draws(model, root_seed, lo, hi, _probe_width(model, obs, param_id))
+    return _probe_values(model, obs, param_id, theta, lambda rule, size: rule(alpha))
+
+
+def estimate_grad_stats(
+    probes, num_samples: int, root_seed: int, start=lambda index: None
+) -> list[GradStats]:
+    """Mean/variance of the gradient of each ``(model, obs, param_id)`` of
+    ``probes`` over random angle draws, with the working register starting
+    at |0...0>: one ``GradStats`` per probe.
+
+    Sample ``i`` draws from ``RngStream(root_seed, i)`` for every probe,
+    and each probe reads a prefix of those draws, so the probes run in
+    lockstep: each fixed sample block is seeded and drawn once, at the
+    longest prefix any probe reads, and weighted once per tree size; each
+    probe's values are those of its ``probe_gradients`` batch, folded by
+    ``run_chunked``. ``start(p)`` runs just before probe ``p``'s work on
+    the first block.
+    """
+    widest = max((model for model, _, _ in probes), key=lambda model: model.num_alpha)
+    width = max(_probe_width(*probe) for probe in probes)
 
     def chunk(lo: int, hi: int) -> list[np.ndarray]:
-        return [probe_gradients(model, obs, param_id, root_seed, lo, hi)]
+        alpha, theta = sample_param_draws(widest, root_seed, lo, hi, width)
+        weights = functools.cache(lambda rule, size: rule(alpha[:, :size]))
+        values = []
+        for index, probe in enumerate(probes):
+            if lo == 0:
+                start(index)
+            values.append(_probe_values(*probe, theta, weights))
+        return values
 
-    return run_chunked(num_samples, chunk)[0]
+    return run_chunked(num_samples, chunk)

@@ -346,12 +346,12 @@ def forward_states(parts, input_state: StateVector | None = None) -> list[StateV
     batches, rows, blocks = zip(*(_control_rows(*part, input_state) for part in parts))
     sizes = [len(part) for part in rows]
     tensor = np.concatenate(rows).reshape((sum(sizes),) + (2,) * parts[0][0].num_working)
-    out = apply_gates(tensor, gates, np.concatenate(blocks)).reshape(len(tensor), -1)
+    out = apply_gates(tensor, gates, np.concatenate(blocks))
     states, lo = [], 0
     for (model, _, _), batch, size in zip(parts, batches, sizes):
-        live = out[lo : lo + size].reshape(batch + (-1,))
+        qubits = model.tree_depth + model.num_working
+        states.append(StateVector(qubits, out[lo : lo + size].reshape(batch + (1 << qubits,))))
         lo += size
-        states.append(StateVector(model.tree_depth + model.num_working, live))
     return states
 
 
@@ -399,7 +399,7 @@ def lcqnn_forward(
     batch = live.shape[:-1]
     amps = np.zeros(batch + (1 << m, 1 << n), dtype=np.complex128)
     amps[..., :: 1 << (m - t), :] = live.reshape(batch + (1 << t, 1 << n))
-    return StateVector(m + n, amps.reshape(batch + (-1,)))
+    return StateVector(m + n, amps.reshape(batch + (1 << (m + n),)))
 
 
 @dataclass(frozen=True)

@@ -481,7 +481,8 @@ def expectation(state: StateVector, obs: PauliZSum) -> float | np.ndarray:
             f"{state.num_qubits}-qubit state"
         )
     amps = state.amps
-    rows = amps.reshape(amps.shape[:-1] + (-1, 1 << obs.num_qubits))
+    idle = state.num_qubits - obs.num_qubits
+    rows = amps.reshape(amps.shape[:-1] + (1 << idle, 1 << obs.num_qubits))
     marginal = np.sum(np.abs(rows) ** 2, axis=-2)
     values = np.sum(obs.diagonal() * marginal, axis=-1)
     return float(values) if values.ndim == 0 else values

@@ -43,8 +43,8 @@ def variance_point(m, n, L, k, D, seed=ROOT_SEED):
     """One scan row as the CLI runs it: Z0 and branch 0's first angle."""
     model = make_model(m, n, L, k, D)
     return run_variance_point(
-        model, k, SAMPLES, seed, obs=z0_observable(n), param_id=default_probe_param(model)
-    )
+        [(model, k, z0_observable(n), default_probe_param(model))], SAMPLES, seed
+    )[0]
 
 
 def data_rows(text: str) -> list[str]:

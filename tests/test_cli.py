@@ -227,6 +227,47 @@ def test_variance_layers_probe_outside_cone_has_no_slope(capsys):
     assert len(data_rows(out)) == 3
 
 
+def _scan_rows(capsys, argv) -> list[str]:
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    return data_rows(out)
+
+
+@pytest.mark.parametrize("probe", [[], ["--param-id", "88"]])
+def test_variance_scan_rows_equal_each_point_scanned_alone(capsys, probe):
+    # a scan's points share each sample block's draws, each reading its own
+    # prefix of them; every row is still bit for bit that point's own scan.
+    # 600 samples are three blocks, the last one short. Parameter 88 is
+    # branch 1's slot 27 at stride 54 (n=6) and slot 18 at stride 63 (n=7):
+    # inside Z0's light cone at k=6 and at k=3, n=7, outside it elsewhere
+    base = ["variance-scan", "--samples", "600", *probe]
+    rows = _scan_rows(capsys, base + ["--k-list", "1,3,6", "--n-list", "6,7"])
+    alone = [
+        _scan_rows(capsys, base + ["--k-list", str(k), "--n-list", str(n)])[0]
+        for k in (1, 3, 6) for n in (6, 7)
+    ]
+    assert rows == alone
+    if probe:
+        variance = SCAN_COLUMNS.index("variance")
+        zero = [row.split(",")[variance] == "0.0" for row in rows]
+        assert zero == [True, True, True, False, False, False]
+
+
+@pytest.mark.parametrize("flags", [["--L-list", "1,2,4,8"],
+                                   ["--L-list", "2,4,8", "--param-id", "0"]])
+def test_variance_layers_rows_equal_each_branch_count_scanned_alone(capsys, flags):
+    # variance-layers runs its branch counts in lockstep, with the default
+    # branch probe (a different flat id at each L) or a tree probe; its row
+    # at L is variance-scan's lone point at L, n=6, k=5
+    rows = _scan_rows(capsys, ["variance-layers", "--samples", "700", *flags])
+    alone = [
+        _scan_rows(capsys, ["variance-scan", "--L", L, "--k-list", "5", "--n-list", "6",
+                            "--samples", "700", *flags[2:]])[0]
+        for L in flags[1].split(",")
+    ]
+    assert rows == alone
+
+
 def test_variance_layers_bad_branch_count(capsys):
     # every branch count is checked before the first point runs
     not_power = "branch counts must be powers of two, got 3"

@@ -1,6 +1,7 @@
 """Shift rules, adjoint full gradient, and gradient-variance estimation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lcqnn.gradients import (
     split_params,
 )
 from lcqnn import gradients, sim
+from lcqnn.cli import main
 from lcqnn.model import cost, costs, make_model, theta_layout_size, tree_node
 from lcqnn.sim import PauliZSum, RngStream, StateVector
 
@@ -367,7 +369,7 @@ def test_estimate_matches_explicit_shift_loop():
     obs = _z0(2)
     pid = default_probe_param(model)
     seed, samples = 424242, 12
-    stats = estimate_grad_stats(model, obs, pid, samples, seed)
+    stats = estimate_grad_stats([(model, obs, pid)], samples, seed)[0]
 
     manual = []
     for i in range(samples):
@@ -383,7 +385,7 @@ def test_estimate_alpha_probe_matches_shift_loop():
     model = make_model(2, 1, 4, 1, 1)
     obs = Z0_1
     pid = tree_node(model.tree_depth - 1)
-    stats = estimate_grad_stats(model, obs, pid, 10, 7)
+    stats = estimate_grad_stats([(model, obs, pid)], 10, 7)[0]
     manual = []
     for i in range(10):
         alpha, theta = sample_param_draw(model, 7, i)
@@ -423,6 +425,24 @@ def test_probe_chunk_draws_equal_per_sample_draws(shape, seed, monkeypatch):
             np.testing.assert_array_equal(theta[b], t_ref[:width])
 
 
+@pytest.mark.parametrize("samples, blocks", [(192, 1), (500, 2)])
+def test_scan_seeds_draws_and_weights_each_block_once(samples, blocks, monkeypatch, capsys):
+    # variance-scan's 8 points run in lockstep: each sample block is seeded
+    # once, drawn once per component and weighted once for its one tree
+    # size, however many points read it
+    calls = Counter()
+    for name in ("chunk_seeds", "pcg64_random", "coeff_probabilities"):
+        def counting(*args, name=name, original=getattr(gradients, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(gradients, name, counting)
+    assert main(["variance-scan", "--samples", str(samples)]) == 0
+    assert len(capsys.readouterr().err.splitlines()) == 8
+    assert calls == {"chunk_seeds": blocks, "pcg64_random": 2 * blocks,
+                     "coeff_probabilities": blocks}
+
+
 def test_branch_probe_draws_only_the_columns_its_cone_reads(monkeypatch):
     # k=3 blocks on n=8 qubits at depth 3: Z0 meets the first block only, so
     # a probe in branch j reads columns 0..26 of block j and draws
@@ -456,10 +476,10 @@ def test_branch_probe_draws_only_the_columns_its_cone_reads(monkeypatch):
 
 def test_estimate_is_deterministic():
     model = make_model(1, 1, 2, 1, 1)
-    a = estimate_grad_stats(model, Z0_1, 1, 20, 99)
-    b = estimate_grad_stats(model, Z0_1, 1, 20, 99)
+    a = estimate_grad_stats([(model, Z0_1, 1)], 20, 99)[0]
+    b = estimate_grad_stats([(model, Z0_1, 1)], 20, 99)[0]
     assert (a.mean, a.variance) == (b.mean, b.variance)
-    c = estimate_grad_stats(model, Z0_1, 1, 20, 100)
+    c = estimate_grad_stats([(model, Z0_1, 1)], 20, 100)[0]
     assert (a.mean, a.variance) != (c.mean, c.variance)
 
 
@@ -467,15 +487,15 @@ def test_estimate_single_qubit_variance_closed_form():
     # C = cos(theta) with theta uniform on [0, 2pi): the polar-angle gradient
     # -sin(theta) has mean 0 and variance 1/2.
     model = make_model(0, 1, 1, 1, 1)
-    stats = estimate_grad_stats(model, Z0_1, 0, 4000, 11)
+    stats = estimate_grad_stats([(model, Z0_1, 0)], 4000, 11)[0]
     assert abs(stats.mean) <= 4 * stats.stderr
     assert stats.variance == pytest.approx(0.5, rel=0.1)
 
 
 def test_estimate_stderr_scales_with_samples():
     model = make_model(1, 1, 2, 1, 1)
-    small = estimate_grad_stats(model, Z0_1, 1, 250, 17)
-    large = estimate_grad_stats(model, Z0_1, 1, 500, 17)
+    small = estimate_grad_stats([(model, Z0_1, 1)], 250, 17)[0]
+    large = estimate_grad_stats([(model, Z0_1, 1)], 500, 17)[0]
     assert 1.3 <= small.stderr / large.stderr <= 1.6
 
 
@@ -504,7 +524,7 @@ def test_estimate_tail_chunks_match_shift_loop(samples):
     model = make_model(2, 2, 4, 2, 1)
     obs = PauliZSum([(1.0, (0,)), (-0.5, (0, 1))], num_qubits=2)
     for pid in (default_probe_param(model) + 4, tree_node(model.tree_depth - 1)):
-        stats = estimate_grad_stats(model, obs, pid, samples, 5)
+        stats = estimate_grad_stats([(model, obs, pid)], samples, 5)[0]
         manual = _shift_loop(model, obs, pid, 5, samples)
         assert stats.count == samples
         assert stats.mean == pytest.approx(manual.mean(), rel=0, abs=1e-12)
@@ -538,12 +558,12 @@ def test_estimate_is_bit_identical_under_any_amplitude_budget(monkeypatch):
     model = make_model(2, 3, 4, 3, 2)
     obs = _z0(3)
     probes = (tree_node(model.tree_depth - 1), default_probe_param(model))
-    reference = [estimate_grad_stats(model, obs, pid, 70, 3) for pid in probes]
+    reference = [estimate_grad_stats([(model, obs, pid)], 70, 3)[0] for pid in probes]
     # one row per sub-batch, then three
     for budget in (1, 3 << model.num_working):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
         for pid, ref in zip(probes, reference):
-            assert estimate_grad_stats(model, obs, pid, 70, 3) == ref
+            assert estimate_grad_stats([(model, obs, pid)], 70, 3)[0] == ref
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,23 @@ def test_batched_forward_and_cost_rows_equal_single_rows_and_dense_oracle(shape)
         assert abs(batched[b] - dense) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 1, 2, 0), (2, 3, 4, 2, 1)])
+def test_empty_batch_gives_empty_costs_and_states(shape):
+    # zero parameter rows give zero values of the batch's shape, as every
+    # non-empty batch does, whether or not the model has parameters
+    model = make_model(*shape)
+    n, L = model.num_working, model.branch_count
+    obs = PauliZSum([(1.0, (0,))], num_qubits=n)
+    for batch in ((0,), (2, 0)):
+        alpha = np.zeros(batch + (model.num_alpha,))
+        theta = np.zeros(batch + (theta_layout_size(model),))
+        values = cost(model, alpha, theta, obs)
+        assert values.shape == batch and values.dtype == np.float64
+        live, = forward_states([(model, alpha, theta)])
+        assert live.amps.shape == batch + (L << n,)
+        assert lcqnn_forward(model, alpha, theta).amps.shape == batch + (1 << (n + shape[0]),)
+
+
 def test_idle_control_qubits_cost_nothing():
     # the LCU state sum_j sqrt(p_j) |j> (x) U_j |in> lives on the leaf rows
     # j << idle of the control register: every other row is exactly 0, so
