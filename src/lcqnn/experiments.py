@@ -36,6 +36,7 @@ from .sim import (
     diagonal_readout,
     haar_columns,
     pcg64_random,
+    rotation_entries,
 )
 # perfbench/spans.py wraps these names here to count or time their calls
 from .sim import gate_matrix, haar_unitary  # noqa: F401
@@ -215,18 +216,22 @@ def _ansatz_values(depth: int, dim: int, words, angles) -> np.ndarray:
 
     Row ``s`` of ``angles`` (shape (k, B)) replaces every sample's first
     rotation polar angle (the probe); ``None`` keeps the drawn angles. The
-    observable is zero on the padding, so only the block itself carries
-    weight.
+    drawn rotations' entries are computed once, and only the first
+    rotation's again for each row of ``angles``. The observable is zero on
+    the padding, so only the block itself carries weight.
     """
     q = (dim - 1).bit_length()
     gates = entangling_gates(range(q), depth)
-    params = TWO_PI * pcg64_random(words, 3 * q * depth)[None]
+    drawn = TWO_PI * pcg64_random(words, 3 * q * depth)
+    entries = rotation_entries(drawn)[:, :, None]
     if angles is not None:
-        params = np.repeat(params, len(angles), axis=0)
-        params[..., 0] = angles
+        entries = np.repeat(entries, len(angles), axis=2)
+        probed = np.repeat(drawn[None, :, :3], len(angles), axis=0)
+        probed[..., 0] = angles
+        entries[0] = rotation_entries(probed)[0]
     diag = np.zeros(1 << q)
     diag[:dim] = balanced_z_diag(dim)
-    return diagonal_expectations(q, gates, params, diag)
+    return diagonal_expectations(q, gates, entries, diag)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .sim import (
     chunk_seeds,
     gate_matrix,  # noqa: F401  (perfbench/spans.py counts calls through this name)
     pcg64_random,
+    rotation_entries,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -318,34 +319,41 @@ def _probe_width(model: LcqnnModel, obs: PauliZSum, param_id: int) -> int:
     return j * model.branch_param_count + max(columns) + 1 if slot in columns else 0
 
 
-def _probe_values(model: LcqnnModel, obs: PauliZSum, param_id: int, theta, weights) -> np.ndarray:
+def _probe_values(
+    model: LcqnnModel, obs: PauliZSum, param_id: int, theta, table, weights
+) -> np.ndarray:
     """Gradient of parameter ``param_id`` at each row of ``theta``, a batch
-    of drawn branch angles at least ``_probe_width`` wide, where
-    ``weights(rule, size)`` is ``coeff_probabilities`` or
+    of drawn branch angles at least ``_probe_width`` wide whose column
+    triples have the ``rotation_entries`` ``table``, shape (T, 4, batch),
+    where ``weights(rule, size)`` is ``coeff_probabilities`` or
     ``coeff_probability_gradients`` of the rows' leading ``size`` tree angles.
 
     The samples run as one batch through the branch mixture, never the full
-    register, and each branch only on the observable's ``light_cone``. A
-    tree angle needs every branch expectation at the drawn point; a branch
-    angle needs only that branch, at its two shifted points, weighted by its
-    probability, and is exactly 0 outside the cone.
+    register, and each branch only on the observable's ``light_cone``, its
+    gates reading their rows of ``table``. A tree angle needs every branch
+    expectation at the drawn point; a branch angle needs only that branch,
+    at its two shifted points, where only the probed gate's entries change,
+    weighted by its probability, and is exactly 0 outside the cone.
     """
     _check_param_id(model, param_id)
     cone = light_cone(model, obs)
     batch, L, stride = len(theta), model.branch_count, model.branch_param_count
     if param_id < model.num_alpha:
         jac_row = weights(coeff_probability_gradients, model.num_alpha)[:, param_id]
-        values = cone.expectations(theta[:, : L * stride].reshape(batch, L, stride))
+        rows = table[cone.triples[:, None] + np.arange(L) * (stride // 3)]
+        values = cone.expectations(np.moveaxis(rows, 1, -1))
         return np.sum(jac_row * values, axis=-1)
 
     j, slot = divmod(param_id - model.num_alpha, stride)
     if slot not in cone.columns:
         return np.zeros(batch)
-    block = theta[:, j * stride : j * stride + max(cone.columns) + 1]
-    shifted = np.concatenate((block, block))
-    shifted[:, slot] += math.pi / 2.0
-    shifted[batch:, slot] -= math.pi
-    values = cone.expectations(shifted)
+    entries = np.tile(table[cone.triples + j * (stride // 3)], 2)
+    first, at = j * stride + slot - slot % 3, slot % 3
+    shifted = np.tile(theta[:, first : first + 3], (2, 1))
+    shifted[:, at] += math.pi / 2.0
+    shifted[batch:, at] -= math.pi
+    entries[cone.columns.index(slot) // 3] = rotation_entries(shifted)[0]
+    values = cone.expectations(entries)
     prob = weights(coeff_probabilities, model.num_alpha)[:, j]
     return prob * 0.5 * (values[:batch] - values[batch:])
 
@@ -362,7 +370,8 @@ def probe_gradients(
     does not depend on ``lo`` and ``hi``.
     """
     alpha, theta = sample_param_draws(model, root_seed, lo, hi, _probe_width(model, obs, param_id))
-    return _probe_values(model, obs, param_id, theta, lambda rule, size: rule(alpha))
+    table = rotation_entries(theta)
+    return _probe_values(model, obs, param_id, theta, table, lambda rule, size: rule(alpha))
 
 
 def estimate_grad_stats(
@@ -375,10 +384,11 @@ def estimate_grad_stats(
     Sample ``i`` draws from ``RngStream(root_seed, i)`` for every probe,
     and each probe reads a prefix of those draws, so the probes run in
     lockstep: each fixed sample block is seeded and drawn once, at the
-    longest prefix any probe reads, and weighted once per tree size; each
-    probe's values are those of its ``probe_gradients`` batch, folded by
-    ``run_chunked``. ``start(p)`` runs just before probe ``p``'s work on
-    the first block.
+    longest prefix any probe reads, its rotation entries computed once in a
+    table of its column triples, and weighted once per tree size; each probe
+    reads its rows of the table in its own kernel call, and its values are
+    those of its ``probe_gradients`` batch, folded by ``run_chunked``.
+    ``start(p)`` runs just before probe ``p``'s work on the first block.
     """
     widest = max((model for model, _, _ in probes), key=lambda model: model.num_alpha)
     width = max(_probe_width(*probe) for probe in probes)
@@ -386,11 +396,12 @@ def estimate_grad_stats(
     def chunk(lo: int, hi: int) -> list[np.ndarray]:
         alpha, theta = sample_param_draws(widest, root_seed, lo, hi, width)
         weights = functools.cache(lambda rule, size: rule(alpha[:, :size]))
+        table = rotation_entries(theta)
         values = []
         for index, probe in enumerate(probes):
             if lo == 0:
                 start(index)
-            values.append(_probe_values(*probe, theta, weights))
+            values.append(_probe_values(*probe, theta, table, weights))
         return values
 
     return run_chunked(num_samples, chunk)

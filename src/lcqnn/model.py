@@ -417,11 +417,17 @@ class LightCone:
     columns: tuple[int, ...]
     obs: PauliZSum
 
-    def expectations(self, blocks) -> np.ndarray:
-        """``<0| U' O U |0>`` of every branch block on the last axis of
-        ``blocks``, shape (..., stride) to (...)."""
-        params = np.asarray(blocks, dtype=np.float64)[..., self.columns]
-        return diagonal_expectations(self.num_qubits, self.gates, params, self.obs.diagonal())
+    @cached_property
+    def triples(self) -> np.ndarray:
+        """The branch-block column triple, counted in triples, that each U3
+        of ``gates`` reads: gate ``g`` reads ``columns[3g : 3g + 3]``."""
+        return np.array(self.columns[::3], dtype=np.intp) // 3
+
+    def expectations(self, entries) -> np.ndarray:
+        """``<0| U' O U |0>`` of every row of ``entries``, the
+        ``sim.rotation_entries`` of the U3s of ``gates``, shape
+        (G, 4, ...) to (...)."""
+        return diagonal_expectations(self.num_qubits, self.gates, entries, self.obs.diagonal())
 
 
 @lru_cache(maxsize=64)

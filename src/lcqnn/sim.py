@@ -152,35 +152,32 @@ BATCH_AMPLITUDES = 1 << 13
 
 def _rotation_slots(gates) -> np.ndarray:
     """(theta, phi, lam) parameter slots of every U3 in ``gates``, in order,
-    shape (G, 3)."""
-    return np.array(
-        [op.param_slots for op in gates if op.kind == "u3"], dtype=np.intp
-    ).reshape(-1, 3)
+    flat, shape (3G,)."""
+    return np.array([s for op in gates if op.kind == "u3" for s in op.param_slots], dtype=np.intp)
 
 
-def _rotation_entries(
-    slots: np.ndarray, params: np.ndarray, ones: tuple = (), d_theta: bool = False
-) -> np.ndarray:
-    """Entries (m00, m01, m10, m11) of the U3 rotations at ``slots``, or of
-    their derivatives in the polar angle if ``d_theta``.
-
-    ``params`` has shape (*batch, P); the result has shape
-    (G, 4, *batch, *ones), so that ``entries[g, i]`` broadcasts against one
-    half of a run as ``_sweep_view`` holds it, given its ``ones``.
-    """
-    batch = params.shape[:-1]
-    ang = params.transpose((-1,) + tuple(range(len(batch))))[slots]  # (G, 3, *batch)
+def rotation_entries(angles: np.ndarray, d_theta: bool = False) -> np.ndarray:
+    """Entries (m00, m01, m10, m11) of the U3 rotations whose (theta, phi,
+    lam) are the consecutive triples on the last axis of ``angles``, shape
+    (*batch, 3G), as shape (G, 4, *batch), so that ``entries[g, i]``
+    broadcasts against one half of a run in ``_sweep_view``'s rows-last
+    layout; with ``d_theta``, those of their derivatives in the polar angle
+    follow from the same trig pass, shape (G, 8, *batch). An entry depends
+    on its own triple alone, so rows read from a table equal their own pass."""
+    batch = angles.shape[:-1]
+    ang = np.moveaxis(angles, -1, 0).reshape((angles.shape[-1] // 3, 3) + batch)
     half = 0.5 * ang[:, 0]
     ct, st = np.cos(half), np.sin(half)
-    if d_theta:
-        ct, st = -0.5 * st, 0.5 * ct
     phase = np.exp(1j * ang[:, 1:])  # e^{i phi}, e^{i lam}
-    entries = np.empty((len(slots), 4) + batch, dtype=np.complex128)
-    entries[:, 0] = ct
-    entries[:, 1] = -phase[:, 1] * st
-    entries[:, 2] = phase[:, 0] * st
-    entries[:, 3] = np.exp(1j * (ang[:, 1] + ang[:, 2])) * ct
-    return entries.reshape(entries.shape + ones)
+    both = np.exp(1j * (ang[:, 1] + ang[:, 2]))
+    entries = np.empty((len(ang), 8 if d_theta else 4) + batch, dtype=np.complex128)
+    for i in range(0, entries.shape[1], 4):
+        entries[:, i] = ct
+        entries[:, i + 1] = -phase[:, 1] * st
+        entries[:, i + 2] = phase[:, 0] * st
+        entries[:, i + 3] = both * ct
+        ct, st = -0.5 * st, 0.5 * ct  # the polar derivative's
+    return entries
 
 
 def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,16 +241,16 @@ def _batch_axes(tensor: np.ndarray, params: np.ndarray) -> int:
     return axes
 
 
-def _row_runs(count: int, row_amps: int, params: np.ndarray):
+def _row_runs(count: int, row_amps: int, entries: np.ndarray):
     """Consecutive runs of ``count`` rows of ``row_amps`` amplitudes each,
     every run holding at most ``BATCH_AMPLITUDES`` amplitudes (one row at
-    least), each with its rows of ``params``, or all of them on a shared
-    first axis of size 1. Rows never mix, so the runs a stack splits into
-    cannot change a value."""
+    least), each with its rows of ``entries`` (axis 2, as ``rotation_entries``
+    gives them), or all of them on a shared axis of size 1. Rows never mix,
+    so the runs a stack splits into cannot change a value."""
     step = max(1, BATCH_AMPLITUDES // row_amps)
     for lo in range(0, count, step):
         run = slice(lo, lo + step)
-        yield run, params if len(params) == 1 else params[run]
+        yield run, entries if entries.shape[2] == 1 else entries[:, :, run]
 
 
 def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
@@ -266,22 +263,31 @@ def apply_gates(tensor: np.ndarray, gates, params) -> np.ndarray:
     of one row's tensor. A row may be a sample, a branch, an (example,
     branch) pair, or the block of a larger register at one value of its
     leading (control) qubits: a controlled circuit is the batch whose rows
-    carry their own angles. The first axis runs in ``_row_runs``, laid out
-    by ``_sweep_view``, into one new C-order array; the input is not modified.
+    carry their own angles. One trig pass binds every row's rotations, then
+    ``_apply_entries`` runs the gates; the input is not modified.
     """
     params = np.asarray(params, dtype=np.float64)
-    axes = _batch_axes(tensor, params)
-    slots = _rotation_slots(gates)
+    _batch_axes(tensor, params)
+    return _apply_entries(tensor, gates, rotation_entries(params[..., _rotation_slots(gates)]))
+
+
+def _apply_entries(tensor: np.ndarray, gates, entries: np.ndarray) -> np.ndarray:
+    """``apply_gates`` with the rotations bound: ``entries`` are the
+    ``rotation_entries`` of the U3s of ``gates`` at every row, shape
+    (G, 4, *batch), with 1 on a shared batch axis. The first axis runs in
+    ``_row_runs``, laid out by ``_sweep_view``, into one new C-order array;
+    each run reads its slice of ``entries``."""
+    axes = entries.ndim - 2
     out = np.empty(tensor.shape, dtype=np.complex128)
-    for part, rows in _row_runs(len(tensor), math.prod(tensor.shape[1:]), params):
+    for part, rows in _row_runs(len(tensor), math.prod(tensor.shape[1:]), entries):
         run, lead, ones = _sweep_view(tensor[part], axes)
-        entries = _rotation_entries(slots, rows, ones)
+        rows = rows.reshape(rows.shape + ones)
         k = 0
         for op in gates:
             if op.kind == "cnot":
                 run = _cnot(run, op.qubits[0] + lead, op.qubits[1] + lead)
             else:
-                run = _rotate(run, op.qubits[0] + lead, entries[k])
+                run = _rotate(run, op.qubits[0] + lead, rows[k])
                 k += 1
         _sweep_view(out[part], axes)[0][...] = run
     return out
@@ -293,20 +299,21 @@ def diagonal_readout(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.sum(diag * np.abs(psi) ** 2, axis=-1)
 
 
-def diagonal_expectations(num_qubits: int, gates, params, diag: np.ndarray) -> np.ndarray:
-    """``diag . |U(params[b]) |0...0>|**2`` on ``num_qubits`` qubits for each
-    row ``b`` of ``params``, shape (*batch, P) to ``batch``, evaluated in the
-    ``_row_runs`` of the flattened batch, each read out before the next
-    runs, so only one run's states are held at a time."""
-    params = np.asarray(params, dtype=np.float64)
-    rows = params.reshape(math.prod(params.shape[:-1]), params.shape[-1])
+def diagonal_expectations(num_qubits: int, gates, entries, diag: np.ndarray) -> np.ndarray:
+    """``diag . |U |0...0>|**2`` on ``num_qubits`` qubits for each row of
+    ``entries``, the ``rotation_entries`` of the U3s of ``gates``, shape
+    (G, 4, *batch) to ``batch``, evaluated in the ``_row_runs`` of the
+    flattened batch, each read out before the next runs, so only one run's
+    states are held at a time."""
+    batch = entries.shape[2:]
+    rows = entries.reshape(entries.shape[:2] + (math.prod(batch),))
     psi_in = init_zero(num_qubits).amps.reshape((2,) * num_qubits)
-    out = np.empty(len(rows))
-    for run, part in _row_runs(len(rows), psi_in.size, rows):
-        batch = np.broadcast_to(psi_in, (part.shape[0],) + psi_in.shape)
-        psi = apply_gates(batch, gates, part).reshape(part.shape[0], -1)
+    out = np.empty(rows.shape[2])
+    for run, part in _row_runs(len(out), psi_in.size, rows):
+        tensor = np.broadcast_to(psi_in, (part.shape[2],) + psi_in.shape)
+        psi = _apply_entries(tensor, gates, part).reshape(len(tensor), -1)
         out[run] = diagonal_readout(diag, psi)
-    return out.reshape(params.shape[:-1])
+    return out.reshape(batch)
 
 
 def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
@@ -331,23 +338,25 @@ def adjoint_gradient(psi: np.ndarray, gates, params, diag) -> tuple:
     size = math.prod(psi.shape[axes:])
     diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), batch + (size,))
     slots = _rotation_slots(gates)
+    entries = rotation_entries(params[..., slots], d_theta=True)
     values = np.empty(batch)
     grads = np.zeros(batch + params.shape[-1:])
-    for part, rows in _row_runs(batch[0], math.prod(psi.shape[1:]), params):
+    for part, rows in _row_runs(batch[0], math.prod(psi.shape[1:]), entries):
         values[part] = _backward_sweep(psi[part], gates, slots, rows, diag[part], grads[part])
     return values, grads
 
 
-def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
+def _backward_sweep(psi, gates, slots, entries, diag, grads) -> np.ndarray:
     """One run of ``adjoint_gradient``: adds each row's gradient into
-    ``grads`` and returns its values, sweeping the ``_sweep_view`` layout.
+    ``grads`` and returns its values, sweeping the ``_sweep_view`` layout;
+    ``entries`` are the run's ``rotation_entries`` with their derivatives.
 
     The sweep carries ``conj(lam)`` back through each rotation's transpose,
     the conjugate of its inverse, so the overlaps ``<lam_i|psi_j>`` of a
     gate's halves are plain products. Each U3 keeps its four overlap sums,
     and the three gradient parts of every U3 are read from them in one pass
     after the sweep."""
-    axes = params.ndim - 1
+    axes = entries.ndim - 2
     batch = psi.shape[:axes]
     flat = psi.reshape(batch + (-1,))
     values = diagonal_readout(diag, flat)
@@ -355,16 +364,16 @@ def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
     np.conj(lam, out=lam)
     lam, lead, ones = _sweep_view(lam.reshape(psi.shape), axes)
     psi, last = _sweep_view(psi, axes)[0], axes - lead
-    entries = _rotation_entries(slots, params, ones)
-    transposed = entries[:, [0, 2, 1, 3]]
+    m, d = entries[:, :4], entries[:, 4:]
+    transposed = m[:, [0, 2, 1, 3]].reshape(m.shape + ones)
     # the inverse of a rotation: its conjugate transpose
     inverse = transposed.conj()
     # one gate's products, rows first and C order, so each row sums in the
     # order of a (*batch, 2**n) stack; written through a view in sweep layout
     products = np.empty((4,) + batch + (2,) * (psi.ndim - axes - 1), dtype=np.complex128)
     in_sweep = np.moveaxis(products, range(1, last + 1), range(-last, 0))
-    sums = np.empty((len(slots), 4) + batch, dtype=np.complex128)
-    k = len(slots)
+    sums = np.empty((len(m), 4) + batch, dtype=np.complex128)
+    k = len(m)
     for op in reversed(gates):
         if op.kind == "cnot":
             control, target = op.qubits[0] + lead, op.qubits[1] + lead
@@ -380,8 +389,6 @@ def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
         lam = _rotate(lam, axis, transposed[k])
     # <lam| dU |psi> = sum_ij dU_ij <lam_i|psi_j>; d/dphi multiplies the
     # bottom row of U by i, d/dlam its right column
-    shared = (len(slots), 4) + params.shape[:-1]
-    m, d = entries.reshape(shared), _rotation_entries(slots, params, d_theta=True)
     s00, s01, s10, s11 = np.moveaxis(sums, 1, 0)
     parts = np.stack(
         (
@@ -392,7 +399,7 @@ def _backward_sweep(psi, gates, slots, params, diag, grads) -> np.ndarray:
         axis=1,
     )
     # added in the sweep's order: gates last to first, then theta, phi, lam
-    order = slots[::-1].ravel()
+    order = slots.reshape(-1, 3)[::-1].ravel()
     added = 2.0 * parts[::-1].real.reshape((-1,) + batch)
     np.add.at(np.moveaxis(grads, -1, 0), order, added)
     return values

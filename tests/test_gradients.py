@@ -24,7 +24,16 @@ from lcqnn.gradients import (
 )
 from lcqnn import gradients, sim
 from lcqnn.cli import main
-from lcqnn.model import cost, costs, make_model, theta_layout_size, tree_node
+from lcqnn.model import (
+    coeff_probabilities,
+    coeff_probability_gradients,
+    cost,
+    costs,
+    light_cone,
+    make_model,
+    theta_layout_size,
+    tree_node,
+)
 from lcqnn.sim import PauliZSum, RngStream, StateVector
 
 Z0_1 = PauliZSum([(1.0, (0,))], num_qubits=1)
@@ -441,6 +450,92 @@ def test_scan_seeds_draws_and_weights_each_block_once(samples, blocks, monkeypat
     assert len(capsys.readouterr().err.splitlines()) == 8
     assert calls == {"chunk_seeds": blocks, "pcg64_random": 2 * blocks,
                      "coeff_probabilities": blocks}
+
+
+def test_scan_computes_each_block_triple_once_and_runs_each_point(monkeypatch, capsys):
+    # variance-scan --samples 192 is one block whose widest prefix holds 15
+    # column triples: one table of 15 x 192 triple-rows of rotation entries,
+    # then each of the 8 branch probes recomputes only its probed gate on
+    # its 384 shifted rows (3072), 5952 in all; per-point trig took 33 408
+    # (87 cone gates x 384 rows). Every point still makes its own kernel call.
+    triple_rows, kernel_calls = [], []
+    entries, kernel = sim.rotation_entries, sim.diagonal_expectations
+
+    def counting_entries(angles, *args):
+        out = entries(angles, *args)
+        triple_rows.append(len(out) * math.prod(out.shape[2:]))
+        return out
+
+    def counting_kernel(*args):
+        kernel_calls.append(None)
+        return kernel(*args)
+
+    for module in (sim, gradients):
+        monkeypatch.setattr(module, "rotation_entries", counting_entries)
+    monkeypatch.setattr("lcqnn.model.diagonal_expectations", counting_kernel)
+    assert main(["variance-scan", "--samples", "192"]) == 0
+    assert len(capsys.readouterr().err.splitlines()) == 8
+    assert triple_rows == [15 * 192] + [384] * 8
+    assert sum(triple_rows) == 5952
+    assert len(kernel_calls) == 8
+
+
+def _shifted_angle_values(model, obs, pid, alpha, theta):
+    """The angle path: a probe's values from explicitly concatenated shifted
+    copies of its branch block, every rotation's entries computed from them."""
+    cone = light_cone(model, obs)
+    batch, L, stride = len(theta), model.branch_count, model.branch_param_count
+
+    def expectations(blocks):
+        return cone.expectations(sim.rotation_entries(blocks[..., cone.columns]))
+
+    if pid < model.num_alpha:
+        values = expectations(theta[:, : L * stride].reshape(batch, L, stride))
+        return np.sum(coeff_probability_gradients(alpha)[:, pid] * values, axis=-1)
+    j, slot = divmod(pid - model.num_alpha, stride)
+    if slot not in cone.columns:
+        return np.zeros(batch)
+    block = theta[:, j * stride : (j + 1) * stride]
+    shifted = np.concatenate((block, block))
+    shifted[:, slot] += math.pi / 2.0
+    shifted[batch:, slot] -= math.pi
+    values = expectations(shifted)
+    return coeff_probabilities(alpha)[:, j] * 0.5 * (values[:batch] - values[batch:])
+
+
+@pytest.mark.parametrize("budget", [1, sim.BATCH_AMPLITUDES])
+@pytest.mark.parametrize("case", range(6))
+def test_rotation_table_rows_equal_the_shifted_angle_path(case, budget, monkeypatch):
+    # random (m, n, L, k, D) with at least two branches and two groups: the
+    # rows a probe gathers from a block's rotation table, and its probed
+    # gate's patch, equal the angle path bit for bit, for the theta, phi and
+    # lam slots of one cone gate in the last branch, every tree angle, and
+    # one slot outside the cone; the table covers every branch angle, wider
+    # than the probe's own prefix, as in a lockstep scan, and probe_gradients
+    # reads a table of its own prefix
+    rng = np.random.default_rng(900 + case)
+    m = int(rng.integers(1, 3))
+    n = int(rng.integers(3, 7))
+    model = make_model(m, n, 1 << int(rng.integers(1, m + 1)), int(rng.integers(1, n)),
+                       int(rng.integers(1, 3)))
+    obs = PauliZSum([(1.0, (int(rng.integers(n)),)), (0.5, ())], n)
+    cone, stride = light_cone(model, obs), model.branch_param_count
+    outside = sorted(set(range(stride)) - set(cone.columns))
+    gate = int(rng.integers(len(cone.triples)))
+    last = model.num_alpha + (model.branch_count - 1) * stride
+    probes = list(range(model.num_alpha)) + [
+        last + cone.columns[3 * gate] + at for at in range(3)
+    ] + [last + outside[int(rng.integers(len(outside)))]]
+    monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
+    alpha, theta = gradients.sample_param_draws(model, case, 3, 45)
+    table = sim.rotation_entries(theta)
+    for pid in probes:
+        oracle = _shifted_angle_values(model, obs, pid, alpha, theta).tobytes()
+        values = gradients._probe_values(
+            model, obs, pid, theta, table, lambda rule, size: rule(alpha)
+        )
+        assert values.tobytes() == oracle
+        assert probe_gradients(model, obs, pid, case, 3, 45).tobytes() == oracle
 
 
 def test_branch_probe_draws_only_the_columns_its_cone_reads(monkeypatch):

@@ -551,7 +551,7 @@ def test_cost_equals_branch_mixture():
         theta = rng.uniform(0, 2 * math.pi, theta_layout_size(model))
         direct = cost(model, alpha, theta, obs)
         p = coeff_probabilities(alpha)
-        e = cone.expectations(branch_angles(model, theta))
+        e = cone.expectations(sim.rotation_entries(branch_angles(model, theta)[..., cone.columns]))
         assert direct == pytest.approx(float(p @ e), abs=1e-12)
 
 
