@@ -176,7 +176,7 @@ def rotation_entries(angles: np.ndarray, d_theta: bool = False) -> np.ndarray:
         entries[:, i + 1] = -phase[:, 1] * st
         entries[:, i + 2] = phase[:, 0] * st
         entries[:, i + 3] = both * ct
-        ct, st = -0.5 * st, 0.5 * ct  # the polar derivative's
+        ct, st = -0.5 * st, 0.5 * ct  # then the polar derivative's factors
     return entries
 
 
