@@ -26,6 +26,7 @@ from .experiments import (
     z0_observable,
 )
 from .gradients import (
+    check_param_id,
     default_probe_param,
     finite_diff_grad,  # noqa: F401  (perfbench/spans.py times calls through this name)
     num_params,
@@ -88,12 +89,7 @@ def _observable_for(spec: str, num_working: int) -> PauliZSum:
     match = re.fullmatch(r"[Zz](\d+)", spec.strip())
     if match is None:
         raise LcqnnError(f"unsupported observable {spec!r}; use Z<qubit>, e.g. Z0")
-    qubit = int(match.group(1))
-    if qubit >= num_working:
-        raise LcqnnError(
-            f"observable qubit {qubit} is outside the {num_working}-qubit register"
-        )
-    return PauliZSum([(1.0, (qubit,))], num_qubits=num_working)
+    return PauliZSum([(1.0, (int(match.group(1)),))], num_qubits=num_working)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -107,10 +103,12 @@ def _check_common(args) -> None:
 
 
 def _scan_point(args, obs: PauliZSum, L: int, k: int):
-    """A scan point ``(model, k, obs, param_id)`` on ``obs``' register: its
-    probe is ``--param-id``, or by default branch 0's first rotation."""
+    """A checked scan point ``(model, k, obs, param_id)`` on ``obs``' register:
+    its probe is ``--param-id``, or by default branch 0's first rotation."""
     model = make_model(args.m, obs.num_qubits, L, k, args.depth)
-    return model, k, obs, default_probe_param(model) if args.param_id is None else args.param_id
+    param_id = default_probe_param(model) if args.param_id is None else args.param_id
+    check_param_id(model, param_id)
+    return model, k, obs, param_id
 
 
 def _config(args, flags, **normalised) -> dict:
@@ -130,8 +128,9 @@ def cmd_variance_scan(args) -> int:
               for k in args.k_list for n in args.n_list]
     config = _config(args, ("m", "L", "k_list", "n_list", "depth", "samples", "seed", "obs",
                             "param_id", "format", "threads"), obs=points[0][2].describe())
-    records = run_variance_point(points, args.samples, args.seed, lambda p: _progress(
-        f"variance-scan: k={points[p][1]} n={points[p][0].num_working} ({args.samples} samples)"))
+    for model, k, _, _ in points:
+        _progress(f"variance-scan: k={k} n={model.num_working} ({args.samples} samples)")
+    records = run_variance_point(points, args.samples, args.seed)
     _emit_scan(args, "variance-scan", config, records)
     return 0
 
@@ -147,14 +146,8 @@ def cmd_variance_layers(args) -> int:
     obs = _observable_for(args.obs, args.n)
     config = _config(args, ("m", "n", "k", "depth", "L_list", "samples", "seed", "obs",
                             "param_id", "format", "threads"), obs=obs.describe())
-    _progress(
-        f"variance-layers: L in {list(args.L_list)} ({args.samples} samples each)"
-    )
-    for L in args.L_list:
-        _require(L >= 1 and not L & (L - 1), f"branch counts must be powers of two, got {L}")
-        _require(args.m >= 0 and L <= 1 << args.m,
-                 f"branch count {L} does not fit {args.m} control qubit(s)")
     points = [_scan_point(args, obs, L, args.k) for L in args.L_list]
+    _progress(f"variance-layers: L in {list(args.L_list)} ({args.samples} samples each)")
     records = run_variance_point(points, args.samples, args.seed)
     summary = reporting.layers_summary(records)
     slope = summary["log2_slope_vs_log2_L"]

@@ -69,13 +69,10 @@ class ScanRecord:
     stderr: float
 
 
-def run_variance_point(
-    points, samples: int, root_seed: int, start=lambda index: None
-) -> list[ScanRecord]:
+def run_variance_point(points, samples: int, root_seed: int) -> list[ScanRecord]:
     """Estimate every ``(model, k, obs, param_id)`` point of one scan, each
     recorded with the locality ``k`` its model was built with, in one
-    lockstep ``estimate_grad_stats`` call; ``start(p)`` runs just before
-    point ``p``'s first sample block."""
+    lockstep ``estimate_grad_stats`` call."""
     probes = [(model, obs, param_id) for model, _, obs, param_id in points]
     return [
         ScanRecord(m=model.num_controls, n=model.num_working, L=model.branch_count, k=k,
@@ -83,7 +80,7 @@ def run_variance_point(
                    samples=samples, seed=root_seed, mean=stats.mean,
                    variance=stats.variance, stderr=stats.stderr)
         for (model, k, obs, param_id), stats in zip(
-            points, gradients.estimate_grad_stats(probes, samples, root_seed, start)
+            points, gradients.estimate_grad_stats(probes, samples, root_seed)
         )
     ]
 

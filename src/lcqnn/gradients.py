@@ -80,7 +80,7 @@ def cost_flat(model: LcqnnModel, flat, obs: PauliZSum) -> float | np.ndarray:
 # point rules
 
 
-def _check_param_id(model: LcqnnModel, param_ids) -> None:
+def check_param_id(model: LcqnnModel, param_ids) -> None:
     """Raise for the first of ``param_ids`` (an int or an array of them)
     outside the flat layout of ``model``."""
     ids = np.atleast_1d(param_ids)
@@ -113,7 +113,7 @@ def shift_and_fd_grads(
     points, prefactors = [], []
     for model, flats, param_ids in parts:
         flats, ids = np.asarray(flats, dtype=np.float64), np.asarray(param_ids)
-        _check_param_id(model, ids)
+        check_param_id(model, ids)
         tree = ids < model.num_alpha
         shift = np.where(tree, math.pi / 4.0, math.pi / 2.0) * shift_scale
         steps = np.stack((shift, np.full(len(ids), FD_STEP)), axis=1)
@@ -310,8 +310,6 @@ def _probe_width(model: LcqnnModel, obs: PauliZSum, param_id: int) -> int:
     """Leading branch angles of a sample that probe ``param_id`` reads: all
     of them for a tree angle, up to the last ``light_cone`` column of block
     ``j`` for a branch angle of branch ``j`` inside the cone, else none."""
-    if not 0 <= param_id < num_params(model):
-        return 0
     if param_id < model.num_alpha:
         return theta_layout_size(model)
     j, slot = divmod(param_id - model.num_alpha, model.branch_param_count)
@@ -335,7 +333,6 @@ def _probe_values(
     at its two shifted points, where only the probed gate's entries change,
     weighted by its probability, and is exactly 0 outside the cone.
     """
-    _check_param_id(model, param_id)
     cone = light_cone(model, obs)
     batch, L, stride = len(theta), model.branch_count, model.branch_param_count
     if param_id < model.num_alpha:
@@ -358,50 +355,37 @@ def _probe_values(
     return prob * 0.5 * (values[:batch] - values[batch:])
 
 
-def probe_gradients(
-    model: LcqnnModel, obs: PauliZSum, param_id: int, root_seed: int, lo: int, hi: int
-) -> np.ndarray:
-    """Gradient of parameter ``param_id`` at the draws of samples
-    ``lo .. hi-1``, with the working register starting at |0...0>: the
-    one-probe view of ``estimate_grad_stats``' blocks.
-
-    Sample ``i`` draws what ``sample_param_draw(model, root_seed, i)``
-    draws (only its leading ``_probe_width`` branch angles), so its value
-    does not depend on ``lo`` and ``hi``.
-    """
-    alpha, theta = sample_param_draws(model, root_seed, lo, hi, _probe_width(model, obs, param_id))
-    table = rotation_entries(theta)
-    return _probe_values(model, obs, param_id, theta, table, lambda rule, size: rule(alpha))
-
-
-def estimate_grad_stats(
-    probes, num_samples: int, root_seed: int, start=lambda index: None
-) -> list[GradStats]:
-    """Mean/variance of the gradient of each ``(model, obs, param_id)`` of
-    ``probes`` over random angle draws, with the working register starting
-    at |0...0>: one ``GradStats`` per probe.
+def probe_gradients(probes, root_seed: int, lo: int, hi: int) -> list[np.ndarray]:
+    """Gradient of each ``(model, obs, param_id)`` of ``probes`` at the
+    draws of samples ``lo .. hi-1``, with the working register starting at
+    |0...0>: one array per probe.
 
     Sample ``i`` draws from ``RngStream(root_seed, i)`` for every probe,
-    and each probe reads a prefix of those draws, so the probes run in
-    lockstep: each fixed sample block is seeded and drawn once, at the
-    longest prefix any probe reads, its rotation entries computed once in a
-    table of its column triples, and weighted once per tree size; each probe
-    reads its rows of the table in its own kernel call, and its values are
-    those of its ``probe_gradients`` batch, folded by ``run_chunked``.
-    ``start(p)`` runs just before probe ``p``'s work on the first block.
+    and each probe reads the leading ``_probe_width`` branch angles of
+    ``sample_param_draw``, so the probes run in lockstep: the block is
+    seeded and drawn once, at the longest prefix any probe reads, its
+    rotation entries computed once in a table of its column triples, and
+    weighted once per tree size; each probe reads its rows of the table in
+    its own kernel call. A sample's value does not depend on ``lo``, ``hi``
+    or the other probes.
     """
+    for model, _, param_id in probes:
+        check_param_id(model, param_id)
     widest = max((model for model, _, _ in probes), key=lambda model: model.num_alpha)
     width = max(_probe_width(*probe) for probe in probes)
+    alpha, theta = sample_param_draws(widest, root_seed, lo, hi, width)
+    weights = functools.cache(lambda rule, size: rule(alpha[:, :size]))
+    table = rotation_entries(theta)
+    return [_probe_values(*probe, theta, table, weights) for probe in probes]
+
+
+def estimate_grad_stats(probes, num_samples: int, root_seed: int) -> list[GradStats]:
+    """Mean/variance of the gradient of each ``(model, obs, param_id)`` of
+    ``probes`` over random angle draws, with the working register starting
+    at |0...0>: one ``GradStats`` per probe, folding its ``probe_gradients``
+    values over every sample block by ``run_chunked``."""
 
     def chunk(lo: int, hi: int) -> list[np.ndarray]:
-        alpha, theta = sample_param_draws(widest, root_seed, lo, hi, width)
-        weights = functools.cache(lambda rule, size: rule(alpha[:, :size]))
-        table = rotation_entries(theta)
-        values = []
-        for index, probe in enumerate(probes):
-            if lo == 0:
-                start(index)
-            values.append(_probe_values(*probe, theta, table, weights))
-        return values
+        return probe_gradients(probes, root_seed, lo, hi)
 
     return run_chunked(num_samples, chunk)

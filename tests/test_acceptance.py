@@ -274,7 +274,7 @@ def test_criterion_05_theory_branch_count_ratio():
     def branch_gradients(L):
         model = make_model(3, 3, L, 3, 2)
         pid = default_probe_param(model)
-        return probe_gradients(model, z0_observable(3), pid, seed, 0, samples)
+        return probe_gradients([(model, z0_observable(3), pid)], seed, 0, samples)[0]
 
     base = branch_gradients(1)
     base_sq = (base - base.mean()) ** 2

@@ -269,17 +269,17 @@ def test_variance_layers_rows_equal_each_branch_count_scanned_alone(capsys, flag
 
 
 def test_variance_layers_bad_branch_count(capsys):
-    # every branch count is checked before the first point runs
-    not_power = "branch counts must be powers of two, got 3"
+    # every branch count is checked, by make_model, before the first point runs
+    not_power = "branch_count must be a power of two, got 3"
     two_values = "--L-list needs two distinct values for the slope fit"
     for flags, message in (
         (["--L-list", "1,3"], not_power),
         (["--L-list", "4"], two_values),
         (["--L-list", "2,2"], two_values),
         (["--m", "2", "--L-list", "1,3,8"], not_power),
-        (["--m", "2", "--L-list", "1,8"], "branch count 8 does not fit 2 control qubit(s)"),
-        (["--m", "2", "--L-list", "1,8,3"], "branch count 8 does not fit 2 control qubit(s)"),
-        (["--m", "-1", "--L-list", "1,2"], "branch count 1 does not fit -1 control qubit(s)"),
+        (["--m", "2", "--L-list", "1,8"], "branch_count 8 does not fit 2 control qubit(s)"),
+        (["--m", "2", "--L-list", "1,8,3"], "branch_count 8 does not fit 2 control qubit(s)"),
+        (["--m", "-1", "--L-list", "1,2"], "control register size must be non-negative"),
     ):
         code, out, err = run_cli(capsys, ["variance-layers", *flags, "--samples", "2"])
         assert (code, out) == (2, "")
@@ -594,14 +594,25 @@ def test_mnist_idx_without_digits_0_to_3_exits_2(tmp_path, capsys):
          "block dimension 5000 exceeds the supported 4096"),
         # the default probe, branch 0's first rotation, is resolved with the grid
         (["variance-scan", "--depth", "0"], "model has no branch angles to probe"),
+        (["variance-scan", "--param-id", "9999"], "parameter id 9999 out of range 0..222"),
+        # the first point, n=8, has a parameter 300; the second, n=3, does not
+        (["variance-scan", "--k-list", "3", "--n-list", "8,3", "--param-id", "300"],
+         "parameter id 300 out of range 0..222"),
+        (["variance-scan", "--obs", "Z5", "--n-list", "3"],
+         "observable qubit 5 out of range for 3 qubit(s)"),
+        (["variance-layers", "--L-list", "1,3"], "branch_count must be a power of two, got 3"),
+        (["variance-layers", "--m", "2", "--L-list", "1,8"],
+         "branch_count 8 does not fit 2 control qubit(s)"),
+        (["variance-layers", "--k", "0", "--L-list", "1,2"], "locality must be >= 1, got 0"),
+        (["variance-layers", "--depth", "0"], "model has no branch angles to probe"),
     ],
 )
 def test_scan_bad_grid_point_fails_before_sampling(capsys, argv, message):
     code, out, err = run_cli(capsys, argv + ["--samples", "4"])
     assert code == 2
     assert out == ""
-    assert f"{argv[0]}:" not in err  # no point sampled before the bad one was seen
-    assert err.endswith(f"error: {message}\n")
+    # no progress line: no point sampled before the bad one was seen
+    assert err == f"error: {message}\n"
 
 
 def test_mnist_header_replays_data_dir_with_space(tmp_path, capsys):

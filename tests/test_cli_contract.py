@@ -1,9 +1,10 @@
 """Property test of the CLI contract: small random argv for every subcommand.
 
-Each drawn command must end in exit code 0, 1 or 2 without a traceback. On
-success its CSV must parse, its JSON must load strictly and validate against
-the subcommand's schema, and replaying the command its output records must
-reproduce stdout byte for byte. Draws are derandomized, so the suite runs the
+Each drawn command must end in exit code 0, 1 or 2 without a traceback. A
+scan that exits 2 without ``--out`` must do so before its first progress
+line. On success its CSV must parse, its JSON must load strictly and
+validate against the subcommand's schema, and replaying the command its
+output records must reproduce stdout byte for byte. Draws are derandomized, so the suite runs the
 same commands every time.
 """
 
@@ -32,6 +33,10 @@ CONTRACT = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: subcommands that check every input before their first progress line;
+#: only an ``--out`` path is checked by the final write
+SCANS = ("variance-scan", "variance-layers", "group-scan")
 
 SCHEMAS = {
     "variance-scan": "variance_scan.schema.json",
@@ -75,6 +80,8 @@ def check_contract(argv) -> None:
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
     event(f"exit {code}")
+    if code == 2 and argv[0] in SCANS and "--out" not in argv:
+        assert f"{argv[0]}:" not in err, (argv, err)  # no progress line before the error
     if code != 0 or argv[0] == "grad-check":
         return
     command = recorded_command(argv, out)

@@ -220,6 +220,25 @@ def test_out_of_range_id_in_any_row_raises_before_a_branch_pass(branch_passes):
     assert branch_passes == []
 
 
+def test_out_of_layout_probe_raises_before_any_draw(monkeypatch):
+    # probe_gradients checks every probe's id before it seeds its block, and
+    # estimate_grad_stats' blocks are probe_gradients calls
+    models = [make_model(1, 2, 2, 1, 1), make_model(2, 2, 4, 1, 1)]
+    obs, seeded = _z0(2), []
+    monkeypatch.setattr(gradients, "chunk_seeds", lambda *args: seeded.append(args))
+    for part, model in enumerate(models):
+        P = num_params(model)
+        for bad in (-1, P, P + 3):
+            probes = [(each, obs, 0) for each in models]
+            probes[part] = (model, obs, bad)
+            message = rf"parameter id {bad} out of range 0\.\.{P - 1}$"
+            with pytest.raises(LcqnnError, match=message):
+                probe_gradients(probes, 3, 0, 10)
+            with pytest.raises(LcqnnError, match=message):
+                estimate_grad_stats(probes, 10, 3)
+    assert seeded == []
+
+
 def test_grad_full_matches_shift_rule_everywhere():
     model = make_model(2, 2, 4, 2, 2)
     rng = np.random.default_rng(73)
@@ -424,7 +443,7 @@ def test_probe_chunk_draws_equal_per_sample_draws(shape, seed, monkeypatch):
         (num_params(model) - 1, theta_layout_size(model)),
     ):
         seen.clear()
-        probe_gradients(model, _z0(2), pid, seed, 64, 128)
+        probe_gradients([(model, _z0(2), pid)], seed, 64, 128)
         (alpha, theta), = seen
         assert alpha.shape == (64, model.num_alpha)
         assert theta.shape == (64, width)
@@ -535,7 +554,7 @@ def test_rotation_table_rows_equal_the_shifted_angle_path(case, budget, monkeypa
             model, obs, pid, theta, table, lambda rule, size: rule(alpha)
         )
         assert values.tobytes() == oracle
-        assert probe_gradients(model, obs, pid, case, 3, 45).tobytes() == oracle
+        assert probe_gradients([(model, obs, pid)], case, 3, 45)[0].tobytes() == oracle
 
 
 def test_branch_probe_draws_only_the_columns_its_cone_reads(monkeypatch):
@@ -557,14 +576,14 @@ def test_branch_probe_draws_only_the_columns_its_cone_reads(monkeypatch):
         pid = model.num_alpha + j * stride
         monkeypatch.setattr(gradients, "pcg64_random", recording)
         widths.clear()
-        rows = probe_gradients(model, obs, pid, 7, 0, 40)
+        rows = probe_gradients([(model, obs, pid)], 7, 0, 40)[0]
         assert widths == [model.num_alpha, j * stride + 27]
         monkeypatch.setattr(
             gradients, "sample_param_draws", lambda model, seed, lo, hi, _: full_draws(
                 model, seed, lo, hi
             )
         )
-        full = probe_gradients(model, obs, pid, 7, 0, 40)
+        full = probe_gradients([(model, obs, pid)], 7, 0, 40)[0]
         monkeypatch.undo()
         assert rows.tobytes() == full.tobytes()
 
@@ -630,7 +649,7 @@ def test_probe_gradients_match_shift_rule():
     model = make_model(2, 3, 4, 2, 2)
     obs = _z0(3)
     for pid in (0, 2, model.num_alpha, model.num_alpha + 2 * model.branch_param_count + 5):
-        grads = probe_gradients(model, obs, pid, 9, 3, 10)
+        grads = probe_gradients([(model, obs, pid)], 9, 3, 10)[0]
         manual = _shift_loop(model, obs, pid, 9, 10)[3:]
         np.testing.assert_allclose(grads, manual, rtol=0, atol=1e-12)
 
@@ -640,11 +659,11 @@ def test_probe_gradients_split_invariance():
     model = make_model(3, 3, 8, 2, 2)
     obs = PauliZSum([(1.0, (0,)), (0.3, (1, 2))], num_qubits=3)
     for pid in (1, 5, model.num_alpha + 3, model.num_alpha + 7 * model.branch_param_count):
-        whole = probe_gradients(model, obs, pid, 21, 4, 37)
+        whole = probe_gradients([(model, obs, pid)], 21, 4, 37)[0]
         for mid in (4, 5, 17, 36, 37):
             parts = np.concatenate((
-                probe_gradients(model, obs, pid, 21, 4, mid),
-                probe_gradients(model, obs, pid, 21, mid, 37),
+                probe_gradients([(model, obs, pid)], 21, 4, mid)[0],
+                probe_gradients([(model, obs, pid)], 21, mid, 37)[0],
             ))
             np.testing.assert_array_equal(parts, whole)
 
@@ -704,7 +723,7 @@ def test_probe_gradients_light_cone_matches_full_register_and_dense_oracle(shape
             for g in range(len(model.groups))
         ]
         for pid in probes:
-            grads = probe_gradients(model, obs, pid, seed, lo, hi)
+            grads = probe_gradients([(model, obs, pid)], seed, lo, hi)[0]
             inside = pid < model.num_alpha or met[slot_group[(pid - model.num_alpha) % stride]]
             if not inside:
                 assert grads.tolist() == [0.0] * (hi - lo)

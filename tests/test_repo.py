@@ -107,18 +107,31 @@ def _reads(tree, skip=None):
     return attributes, strings
 
 
+def _loads(tree, skip=None) -> set:
+    """The names a parsed module's code loads, as a bare name or as an
+    attribute, outside the subtree ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and id(node) not in skipped
+    }
+
+
 def _unread_public_names(sources: dict, readers: list) -> list:
     """The public names of the ``sources`` modules (stem -> text) that are
     read nowhere besides their own definition: neither elsewhere in the
     sources nor in the ``readers`` texts. A function or class counts as read
-    by its name as a whole word; a method or property only as an attribute
-    read (see ``_reads``) or as its qualified ``Class.name`` inside a string."""
+    where source code loads it (see ``_loads``; a docstring or comment that
+    names it does not count), or by its name as a whole word in a reader; a
+    method or property only as an attribute read (see ``_reads``) or as its
+    qualified ``Class.name`` inside a string."""
     trees = {stem: ast.parse(text) for stem, text in sources.items()}
     reader_reads = [_reads(ast.parse(text)) for text in readers]
     unread = []
-    for stem, text in sources.items():
-        lines = text.splitlines()
-        others = [other for key, other in sources.items() if key != stem] + readers
+    for stem in sources:
+        other_loads = set().union(*(_loads(tree) for key, tree in trees.items() if key != stem))
         other_reads = [_reads(tree) for key, tree in trees.items() if key != stem]
         for label, node in _public_definitions(trees[stem]):
             if "." in label:
@@ -130,10 +143,11 @@ def _unread_public_names(sources: dict, readers: list) -> list:
                     ]
                 )
             else:
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
                 word = re.compile(rf"\b{node.name}\b")
-                read = any(map(word.search, [rest, *others]))
+                read = (
+                    node.name in _loads(trees[stem], skip=node) | other_loads
+                    or any(map(word.search, readers))
+                )
             if not read:
                 unread.append(f"{stem}.{label}")
     return unread
@@ -176,6 +190,26 @@ def test_public_name_check_flags_methods_matched_only_by_foreign_reads():
     )
     assert _unread_public_names({"meters": module}, [reader]) == [
         "meters.Meter.norm", "meters.Meter.trace"
+    ]
+
+
+def test_public_name_check_counts_only_code_loads_in_the_sources():
+    # in the sources a docstring or comment mention is no read, but a call,
+    # a bare reference or an attribute load is; a reader still counts by
+    # its text, as perfbench names what it wraps in strings
+    module = (
+        "def probe():\n"
+        '    """Unlike probe_block, which nobody calls."""\n'
+        "def probe_block(): ...\n"
+        "def fold():  # see tally\n"
+        "    return probe()\n"
+        "def tally(): ...\n"
+        "def wrapped(): ...\n"
+    )
+    other = "import mod\nHANDLERS = [mod.fold]\n"
+    reader = "WRAPPED = ('mod', 'wrapped')\n"
+    assert _unread_public_names({"mod": module, "other": other}, [reader]) == [
+        "mod.probe_block", "mod.tally"
     ]
 
 
