@@ -795,7 +795,11 @@ class Pcg64Stream:
 
     def _uint32s(self, count: int) -> list:
         """NumPy's next ``count`` ``next_uint32`` draws, read off a little-endian
-        uint32 view of words (low half first); a high half left over is kept."""
+        uint32 view of words (low half first); a high half left over is kept,
+        and a single draw takes it without reading a word."""
+        if count <= len(self._halves):
+            halves, self._halves = self._halves[:count], self._halves[count:]
+            return halves
         words = np.asarray(self._take((count - len(self._halves) + 1) // 2), "<u8")
         halves = self._halves + words.view("<u4").tolist()
         self._halves = halves[count:]

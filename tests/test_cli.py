@@ -769,12 +769,14 @@ def test_grad_check_report_is_identical_at_any_probe_window(
 def test_grad_check_makes_one_branch_pass_per_branch_circuit(
     capsys, monkeypatch, branch_passes
 ):
-    # the 400 probes of seed 42 draw 259 architectures (m, n, L, k, D) but
-    # only 62 branch circuits (n, k, D): one shift_and_fd_grads call and one
-    # branch kernel pass each, with one part per architecture, and the
-    # coefficient tree, in closed form, makes no kernel call of its own. Only
-    # the live control rows run (3408; 6036 with the idle rows), and each
-    # architecture's costs are read out in one expectation call (not 1600)
+    # the 400 probes of seed 42 draw 259 architectures (m, n, L, k, D), 157
+    # live registers (n, k, D, L) and only 62 branch circuits (n, k, D): one
+    # shift_and_fd_grads call and one branch kernel pass each, with one part
+    # per live register, since architectures that differ only in m run the
+    # same live rows, and the coefficient tree, in closed form, makes no
+    # kernel call of its own. Only the live control rows run (3408; 6036
+    # with the idle rows), and each live register's costs are read out in
+    # one expectation call (259 with one per architecture, 1600 per row)
     kernel_rows, readouts, rule_parts = [], [], []
     apply_gates, expectation = model_module.apply_gates, model_module.expectation
     shift_and_fd_grads = cli.shift_and_fd_grads
@@ -798,17 +800,17 @@ def test_grad_check_makes_one_branch_pass_per_branch_circuit(
     assert code == 0
     assert out.startswith("grad-check: 400/400 probes within")
     assert len(rule_parts) == 62
-    assert sum(rule_parts) == 259
+    assert sum(rule_parts) == 157
     assert len(branch_passes) == len(set(branch_passes)) == 62
     assert len(kernel_rows) == 62
     assert sum(kernel_rows) == 3408
-    assert len(readouts) == 259
+    assert len(readouts) == 157
 
 
 def test_grad_check_builds_each_input_state_once(capsys, monkeypatch):
-    # the 259 architectures of the 400 probes of seed 42 each build their
-    # |0...0> input once, in the tree stage of their branch pass; checking
-    # the observable builds none
+    # the 157 live registers of the 400 probes of seed 42 (259
+    # architectures) each build their |0...0> input once, in the tree stage
+    # of their branch pass; checking the observable builds none
     built = []
     init_zero = model_module.init_zero
 
@@ -820,7 +822,7 @@ def test_grad_check_builds_each_input_state_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["grad-check", "--probes", "400", "--seed", "42"])
     assert code == 0
     assert out.startswith("grad-check: 400/400 probes within")
-    assert len(built) == 259
+    assert len(built) == 157
 
 
 def test_grad_check_zero_probes(capsys):

@@ -1,5 +1,6 @@
 """Shift rules, adjoint full gradient, and gradient-variance estimation."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -203,6 +204,32 @@ def test_grouped_rules_equal_each_models_own_rules_and_dense_oracle(layout, bran
         shift_and_fd_grads(
             [(each, np.zeros((1, num_params(each))), [0]) for each in apart], obs, 1.0
         )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.25, 1e308])
+@pytest.mark.parametrize("layout", [(3, 2, 1), (4, 3, 2)])
+def test_live_register_part_equals_each_control_widths_own_call(layout, scale):
+    # models that differ only in control width m run the same live rows, so
+    # one part at m = t = log2 L, holding the probes of every m from t to 3,
+    # gives each probe the bits of its own model's call: shift and finite
+    # difference, tree angles included, and NaN costs (scale 1e308) too
+    n, k, D = layout
+    obs = PauliZSum([(1.0, (0,)), (-0.6, (0, n - 1)), (0.2, ())], num_qubits=n)
+    rng = np.random.default_rng(sum(layout))
+    for t in range(4):
+        models = [make_model(m, n, 1 << t, k, D) for m in range(t, 4)]
+        live = dataclasses.replace(models[-1], num_controls=t)
+        P = num_params(live)
+        probes = [(model, rng.uniform(0, 2 * math.pi, (3, P)), rng.integers(0, P, 3))
+                  for model in models]
+        probes[-1][2][0] = 0 if t else P - 1  # a tree angle when there is one
+        flats, ids = (np.concatenate(rows) for rows in list(zip(*probes))[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            [(shifts, fds)] = shift_and_fd_grads([(live, flats, ids)], obs, scale)
+            own = [shift_and_fd_grads([probe], obs, scale)[0] for probe in probes]
+        assert shifts.tobytes() == np.concatenate([shift for shift, _ in own]).tobytes()
+        assert fds.tobytes() == np.concatenate([fd for _, fd in own]).tobytes()
+        assert np.isnan(shifts).any() == (scale == 1e308)
 
 
 def test_out_of_range_id_in_any_row_raises_before_a_branch_pass(branch_passes):
@@ -497,6 +524,26 @@ def test_scan_computes_each_block_triple_once_and_runs_each_point(monkeypatch, c
     assert triple_rows == [15 * 192] + [384] * 8
     assert sum(triple_rows) == 5952
     assert len(kernel_calls) == 8
+
+
+@pytest.mark.parametrize("param_id, triples", [(None, 15), (200, 18), (88, 21)])
+def test_scan_table_holds_only_the_triples_its_points_read(param_id, triples, monkeypatch):
+    # a block's table covers the union of the column triples its points
+    # gather: at --param-id 200 and 88 the widest prefix holds 72 and 39
+    # triples, of which the points read 18 and 21; the default scan reads
+    # all 15 of its prefix. Every other call is one probed gate's patch
+    tables, entries = [], sim.rotation_entries
+
+    def counting_entries(angles, *args):
+        out = entries(angles, *args)
+        if out.shape[2:] == (192,):
+            tables.append(len(out))
+        return out
+
+    monkeypatch.setattr(gradients, "rotation_entries", counting_entries)
+    argv = ["variance-scan", "--samples", "192"]
+    assert main(argv + ([] if param_id is None else ["--param-id", str(param_id)])) == 0
+    assert tables == [triples]
 
 
 def _shifted_angle_values(model, obs, pid, alpha, theta):

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -255,8 +256,10 @@ def test_unused_import_check_flags_a_dead_import():
 
 def test_bench_files_record_parent_machine_claim_and_runs():
     # a performance claim counts only with the commit it is measured against,
-    # the machine it ran on, the claim itself and the runs behind it
-    # (a workload and a metric that BENCHMARK.json declares, and the pairs won)
+    # the machine it ran on, the claim itself and the runs behind it: a
+    # workload and a metric that BENCHMARK.json declares, and the pairs won,
+    # "k/N" with at least 9 of every 10 of N >= 10 pairs, each side of which
+    # is a run of the claimed workload in "runs"
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {w["name"] for w in declared["workloads"]}
     metrics = {m["name"] for m in declared["end_to_end"] + declared["per_layer"]}
@@ -270,6 +273,15 @@ def test_bench_files_record_parent_machine_claim_and_runs():
         assert claim.get("workload") in workloads, f"{path.name}: unknown claim workload"
         assert claim.get("metric") in metrics, f"{path.name}: unknown claim metric"
         assert "pairs_won" in claim, f"{path.name}: claim lacks pairs_won"
+        won = re.fullmatch(r"(\d+)/(\d+)", str(claim["pairs_won"]))
+        assert won, f"{path.name}: pairs_won {claim['pairs_won']!r} is not k/N"
+        k, pairs = map(int, won.groups())
+        assert pairs >= 10 and 10 * k >= 9 * pairs, f"{path.name}: won only {k}/{pairs}"
+        sides = Counter(
+            run["side"] for run in bench["runs"] if run["workload"] == claim["workload"]
+        )
+        for side in ("parent", "change"):
+            assert sides[side] >= pairs, f"{path.name}: {sides[side]} {side} runs, {pairs} pairs"
 
 
 def test_version_is_one_across_pyproject_package_and_golden_files():
