@@ -266,46 +266,47 @@ def cmd_mnist(args) -> int:
 
 def _grad_check_results(rng, probes: int, shift_scale: float):
     """Draw ``probes`` probes in order, in windows of ``GRAD_CHECK_WINDOW``,
-    and evaluate both rules of a window's probes one branch circuit at a
-    time: the probes whose models share their block groups (any control
-    width and branch count) make one ``shift_and_fd_grads`` call, with one
-    part per live register ``(groups, L)``. Models that differ only in
-    control width ``m`` run the same live rows, so each register's model is
-    built once, at control width ``log2 L``. Yields, in probe order, each
-    probe's draws ``(probe, m, n, L, k, D, param_id)``, shift-rule gradient
-    and finite difference."""
+    and evaluate both rules of a window's probes one branch circuit
+    ``(n, k, D)`` at a time: the probes whose models share their block
+    groups (any control width and branch count) make one
+    ``shift_and_fd_grads`` call, with one part per live register
+    ``(groups, L)``. Models that differ only in control width ``m`` run the
+    same live rows, so each register's model is built once, at control
+    width ``log2 L``. Yields, in probe order, each probe's label, shift-rule
+    gradient and finite difference."""
     for first in range(0, probes, GRAD_CHECK_WINDOW):
         count = min(GRAD_CHECK_WINDOW, probes - first)
-        draws, circuits, models = [], {}, {}
+        labels, circuits = [], {}
         for probe in range(first, first + count):
             m = int(rng.integers(0, 4))
             n = int(rng.integers(1, 7))
             k = int(rng.integers(1, n + 1))
             D = int(rng.integers(1, 4))
             t = int(rng.integers(0, m + 1))
-            if (n, k, D, t) not in models:
-                live, entries = make_model(t, n, 1 << t, k, D), []
-                circuits.setdefault(live.groups, {})[live] = entries
-                models[n, k, D, t] = live, entries
-            model, entries = models[n, k, D, t]
+            registers = circuits.setdefault((n, k, D), {})
+            if t not in registers:
+                registers[t] = make_model(t, n, 1 << t, k, D), []
+            model, entries = registers[t]
             flat = sample_params(model, rng)
             param_id = int(rng.integers(0, num_params(model)))
-            draws.append((probe, m, n, 1 << t, k, D, param_id))
+            labels.append(f"probe {probe} (m={m} n={n} L={1 << t} k={k} D={D}, param {param_id})")
             entries.append((probe - first, flat, param_id))
         shifts, fds = np.empty(count), np.empty(count)
         observables = {}  # the Z0 observable of each working width
-        for registers in circuits.values():
-            n = next(iter(registers)).num_working
+        for (n, _, _), registers in circuits.items():
             if n not in observables:
                 observables[n] = z0_observable(n)
-            grouped = [tuple(map(np.array, zip(*entries))) for entries in registers.values()]
-            parts = [(model, flats, ids) for model, (_, flats, ids) in zip(registers, grouped)]
+            grouped = [tuple(map(np.array, zip(*entries))) for _, entries in registers.values()]
+            parts = [
+                (model, flats, ids)
+                for (model, _), (_, flats, ids) in zip(registers.values(), grouped)
+            ]
             # an overflowing --shift-scale makes NaN costs, reported as failed probes
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = shift_and_fd_grads(parts, observables[n], shift_scale=shift_scale)
             for (indices, _, _), (shift, fd) in zip(grouped, grads):
                 shifts[indices], fds[indices] = shift, fd
-        yield from zip(draws, shifts.tolist(), fds.tolist())
+        yield from zip(labels, shifts.tolist(), fds.tolist())
 
 
 def cmd_grad_check(args) -> int:
@@ -313,22 +314,20 @@ def cmd_grad_check(args) -> int:
     _require(args.seed >= 0, "--seed must be >= 0")
     _require(math.isfinite(args.shift_scale), "--shift-scale must be finite")
     rng = Pcg64Stream.from_seed(args.seed)
-    worst_rel, worst, failures = -1.0, None, 0
-    for draw, shift, fd in _grad_check_results(rng, args.probes, args.shift_scale):
+    worst_rel = -1.0
+    worst_detail = ""
+    failures = 0
+    for label, shift, fd in _grad_check_results(rng, args.probes, args.shift_scale):
         # the error scale floors at 1e-3: parameters outside the observable's
         # block have exactly zero gradient, where a pure ratio would divide
         # finite-difference rounding noise (~1e-10) by itself
         rel = abs(shift - fd) / max(abs(shift), abs(fd), 1e-3)
         # a NaN error outranks every other, the first one staying worst
         if rel > worst_rel or (math.isnan(rel) and not math.isnan(worst_rel)):
-            worst_rel, worst = rel, (draw, shift, fd)
+            worst_rel = rel
+            worst_detail = f"{label}: shift={shift!r} fd={fd!r} rel={rel:.3e}"
         if not rel <= GRAD_CHECK_TOLERANCE:  # a NaN error fails too
             failures += 1
-    (probe, m, n, L, k, D, param_id), shift, fd = worst
-    worst_detail = (
-        f"probe {probe} (m={m} n={n} L={L} k={k} D={D}, param {param_id}): "
-        f"shift={shift!r} fd={fd!r} rel={worst_rel:.3e}"
-    )
     if failures:
         print(
             f"grad-check: {failures}/{args.probes} probes exceeded "

@@ -308,26 +308,24 @@ def sample_param_draws(
     return alpha, TWO_PI * pcg64_random(theta_words, num_theta)
 
 
-def _probe_triples(model: LcqnnModel, obs: PauliZSum, param_id: int) -> np.ndarray:
-    """The column triples of a sample's branch angles, counted in triples,
-    whose rotation entries probe ``param_id`` reads: the ``light_cone``
-    triples of every branch for a tree angle, shape (G, L), those of branch
-    ``j`` for a branch angle of branch ``j`` inside the cone, shape (G,),
-    else none."""
-    cone, per = light_cone(model, obs), model.branch_param_count // 3
+def _probe_width(model: LcqnnModel, obs: PauliZSum, param_id: int) -> int:
+    """Leading branch angles of a sample that probe ``param_id`` reads: all
+    of them for a tree angle, up to the last ``light_cone`` column of block
+    ``j`` for a branch angle of branch ``j`` inside the cone, else none."""
     if param_id < model.num_alpha:
-        return cone.triples[:, None] + np.arange(model.branch_count) * per
+        return theta_layout_size(model)
     j, slot = divmod(param_id - model.num_alpha, model.branch_param_count)
-    return cone.triples + j * per if slot in cone.columns else cone.triples[:0]
+    columns = light_cone(model, obs).columns
+    return j * model.branch_param_count + max(columns) + 1 if slot in columns else 0
 
 
 def _probe_values(
     model: LcqnnModel, obs: PauliZSum, param_id: int, theta, table, weights
 ) -> np.ndarray:
     """Gradient of parameter ``param_id`` at each row of ``theta``, a batch
-    of drawn branch angles whose ``_probe_triples`` have their
-    ``rotation_entries`` in ``table``, shape (T, 4, batch), where
-    ``weights(rule, size)`` is ``coeff_probabilities`` or
+    of drawn branch angles at least ``_probe_width`` wide whose column
+    triples have the ``rotation_entries`` ``table``, shape (T, 4, batch),
+    where ``weights(rule, size)`` is ``coeff_probabilities`` or
     ``coeff_probability_gradients`` of the rows' leading ``size`` tree angles.
 
     The samples run as one batch through the branch mixture, never the full
@@ -337,17 +335,18 @@ def _probe_values(
     at its two shifted points, where only the probed gate's entries change,
     weighted by its probability, and is exactly 0 outside the cone.
     """
-    cone, batch, stride = light_cone(model, obs), len(theta), model.branch_param_count
-    rows = table[_probe_triples(model, obs, param_id)]
+    cone = light_cone(model, obs)
+    batch, L, stride = len(theta), model.branch_count, model.branch_param_count
     if param_id < model.num_alpha:
         jac_row = weights(coeff_probability_gradients, model.num_alpha)[:, param_id]
+        rows = table[cone.triples[:, None] + np.arange(L) * (stride // 3)]
         values = cone.expectations(np.moveaxis(rows, 1, -1))
         return np.sum(jac_row * values, axis=-1)
 
     j, slot = divmod(param_id - model.num_alpha, stride)
     if slot not in cone.columns:
         return np.zeros(batch)
-    entries = np.tile(rows, 2)
+    entries = np.tile(table[cone.triples + j * (stride // 3)], 2)
     first, at = j * stride + slot - slot % 3, slot % 3
     shifted = np.tile(theta[:, first : first + 3], (2, 1))
     shifted[:, at] += math.pi / 2.0
@@ -364,24 +363,21 @@ def probe_gradients(probes, root_seed: int, lo: int, hi: int) -> list[np.ndarray
     |0...0>: one array per probe.
 
     Sample ``i`` draws from ``RngStream(root_seed, i)`` for every probe,
-    and each probe reads the rotation entries of its ``_probe_triples`` of
-    ``sample_param_draw``'s branch angles, so the probes run in lockstep:
-    the block is seeded and drawn once, up to the last triple any probe
-    reads, the entries of the union of their triples computed once in a
-    table, and weighted once per tree size; each probe reads its rows of
-    the table in its own kernel call. A sample's value does not depend on
-    ``lo``, ``hi`` or the other probes.
+    and each probe reads the leading ``_probe_width`` branch angles of
+    ``sample_param_draw``, so the probes run in lockstep: the block is
+    seeded and drawn once, at the longest prefix any probe reads, its
+    rotation entries computed once in a table of its column triples, and
+    weighted once per tree size; each probe reads its rows of the table in
+    its own kernel call. A sample's value does not depend on ``lo``, ``hi``
+    or the other probes.
     """
     for model, _, param_id in probes:
         check_param_id(model, param_id)
     widest = max((model for model, _, _ in probes), key=lambda model: model.num_alpha)
-    reads = np.bincount(np.concatenate([_probe_triples(*probe).ravel() for probe in probes]))
-    alpha, theta = sample_param_draws(widest, root_seed, lo, hi, 3 * len(reads))
+    width = max(_probe_width(*probe) for probe in probes)
+    alpha, theta = sample_param_draws(widest, root_seed, lo, hi, width)
     weights = functools.cache(lambda rule, size: rule(alpha[:, :size]))
-    table = np.empty((len(reads), 4, hi - lo), dtype=np.complex128)
-    read = np.flatnonzero(reads)
-    columns = (3 * read[:, None] + np.arange(3)).ravel()
-    table[read] = rotation_entries(theta[:, columns])
+    table = rotation_entries(theta)
     return [_probe_values(*probe, theta, table, weights) for probe in probes]
 
 

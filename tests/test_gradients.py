@@ -526,26 +526,6 @@ def test_scan_computes_each_block_triple_once_and_runs_each_point(monkeypatch, c
     assert len(kernel_calls) == 8
 
 
-@pytest.mark.parametrize("param_id, triples", [(None, 15), (200, 18), (88, 21)])
-def test_scan_table_holds_only_the_triples_its_points_read(param_id, triples, monkeypatch):
-    # a block's table covers the union of the column triples its points
-    # gather: at --param-id 200 and 88 the widest prefix holds 72 and 39
-    # triples, of which the points read 18 and 21; the default scan reads
-    # all 15 of its prefix. Every other call is one probed gate's patch
-    tables, entries = [], sim.rotation_entries
-
-    def counting_entries(angles, *args):
-        out = entries(angles, *args)
-        if out.shape[2:] == (192,):
-            tables.append(len(out))
-        return out
-
-    monkeypatch.setattr(gradients, "rotation_entries", counting_entries)
-    argv = ["variance-scan", "--samples", "192"]
-    assert main(argv + ([] if param_id is None else ["--param-id", str(param_id)])) == 0
-    assert tables == [triples]
-
-
 def _shifted_angle_values(model, obs, pid, alpha, theta):
     """The angle path: a probe's values from explicitly concatenated shifted
     copies of its branch block, every rotation's entries computed from them."""
