@@ -19,7 +19,8 @@ from .errors import LcqnnError, TrainingError
 from .experiments import (
     BlockSpectrum,
     check_spectrum,
-    group_block_variance,
+    group_block_variance,  # noqa: F401  (perfbench/spans.py times calls through this name)
+    group_block_variances,
     run_variance_point,
     select_blocks,
     su2_block_dims,
@@ -200,15 +201,12 @@ def cmd_group_scan(args) -> int:
     dims = [",".join(f"{d}:{mult}" for d, mult in s.blocks) for s in spectra]
     config = _config(args, ("dims", "su2_N", "select_j", "mode", "depth", "samples", "seed",
                             "format", "threads"), dims=dims if args.dims else None)
-    results = []
     for spectrum in spectra:
         _progress(
             f"group-scan: dims {reporting.spectrum_label(spectrum)} "
             f"mode {args.mode} ({args.samples} samples)"
         )
-        results.append(
-            group_block_variance(spectrum, args.samples, args.mode, args.seed, args.depth)
-        )
+    results = group_block_variances(spectra, args.samples, args.mode, args.seed, args.depth)
     summary = reporting.group_summary(results)
     for ratio in summary["ratios"]:
         line = f"group-scan: spectrum {ratio['pair'][1]} / spectrum " \
@@ -456,12 +454,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: whether ``main`` has frozen the heap in this process
+_heap_frozen = False
+
+
 def main(argv=None) -> int:
     """Run one subcommand. The first call per process freezes the import-time
     heap (``gc.freeze``) so that interpreter exit skips collecting it."""
+    global _heap_frozen
     args = build_parser().parse_args(argv)
-    if not gc.get_freeze_count():
+    if not _heap_frozen:
         gc.freeze()
+        _heap_frozen = True
     try:
         return args.handler(args)
     except TrainingError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -183,28 +182,35 @@ _HAAR_DIM_LIMIT = 256
 _BLOCK_DIM_LIMIT = 1 << 12
 
 
-def _haar_values(dim: int, words, angles) -> np.ndarray:
-    """Block expectations under Haar unitaries, one drawn from the Generator
-    of each stream's seed ``words`` (B, 4).
+def _haar_values(dims, words, angles) -> dict:
+    """Block expectations under Haar unitaries of each dimension in
+    ``dims``, keyed by dimension, from the Generator of each stream's seed
+    ``words`` (B, 4). Each stream draws once, for the largest dimension; a
+    stream yields its normals in order, so dimension d reads the first 2*d*d.
 
     The probe is a rotation by ``angles[s, b]`` in the span of the first two
     basis states, applied before sample ``b``'s unitary; mode-invariant
     thanks to Haar left-invariance. ``angles`` has shape (k, B) and so has
-    the result; ``None`` is one row of zeros. Only the two columns the probe
-    reaches are orthonormalized.
+    each result; ``None`` is one row of zeros. Only the two columns the
+    probe reaches are orthonormalized.
     """
     gens = chunk_generators(words)
-    normals = np.empty((2, dim, dim))  # sim.ginibre's draws: real parts, then imaginary
-    kept = np.empty((2, len(gens), dim, 2))
+    top = max(dims)
+    normals = np.empty(2 * top * top)  # sim.ginibre's draws: real parts, then imaginary
+    kept = {dim: np.empty((2, len(gens), dim, 2)) for dim in dims}
     for b, gen in enumerate(gens):
         gen.standard_normal(out=normals)
-        kept[:, b] = normals[:, :, :2]
-    cols = haar_columns((kept[0] + 1j * kept[1]) / math.sqrt(2.0))
+        for dim, pairs in kept.items():
+            pairs[:, b] = normals[: 2 * dim * dim].reshape(2, dim, dim)[:, :, :2]
     if angles is None:
         angles = np.zeros((1, len(gens)))
     c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    psi = cols[..., 0] * c[..., None] + cols[..., 1] * s[..., None]
-    return diagonal_readout(balanced_z_diag(dim), psi)
+    values = {}
+    for dim, pairs in kept.items():
+        cols = haar_columns((pairs[0] + 1j * pairs[1]) / math.sqrt(2.0))
+        psi = cols[..., 0] * c[..., None] + cols[..., 1] * s[..., None]
+        values[dim] = diagonal_readout(balanced_z_diag(dim), psi)
+    return values
 
 
 def _ansatz_values(depth: int, dim: int, words, angles) -> np.ndarray:
@@ -272,49 +278,63 @@ def group_block_variance(
     angle inside block 0 (theta) and the first deepest-level tree angle
     (alpha, absent for a single block).
     """
-    check_spectrum(spectrum, mode)
+    return group_block_variances([spectrum], samples, mode, root_seed, depth)[0]
+
+
+def group_block_variances(
+    spectra, samples: int, mode: str, root_seed: int, depth: int
+) -> list[GroupScanResult]:
+    """``[group_block_variance(s, ...) for s in spectra]``, bit for bit, in
+    one pass over the sample blocks.
+
+    Every spectrum reads block ``b`` from the same stream, so each block of
+    samples seeds every stream once, draws the tree angles once for the
+    widest tree (a smaller tree reads their prefix) and the probe angle
+    once, and evaluates each (block, dimension) once, drawing each block
+    stream once, at the largest dimension any spectrum holds there.
+    """
+    for spectrum in spectra:
+        check_spectrum(spectrum, mode)
     if mode == "ansatz" and depth < 1:
         raise LcqnnError("ansatz mode needs depth >= 1: the probe is its first rotation")
-    values_of = _haar_values if mode == "haar" else partial(_ansatz_values, depth)
-    L = spectrum.num_blocks
-    tree_depth = (L - 1).bit_length()
-    num_leaves = 1 << tree_depth
-    probe_node = tree_node(tree_depth - 1) if tree_depth else None
-    dims = [d * mult for d, mult in spectrum.blocks]
+    values_of = _haar_values if mode == "haar" else lambda dims, words, angles: {
+        dim: _ansatz_values(depth, dim, words, angles) for dim in dims}
+    dims = [[d * mult for d, mult in spectrum.blocks] for spectrum in spectra]
+    trees = [(len(blocks) - 1).bit_length() for blocks in dims]
     # balanced_z_diag(1) is 0: a dimension-1 block's value and gradient vanish
-    drawn = [b for b, dim in enumerate(dims) if dim != 1]
-    components = [0, 1] + [_BLOCK_COMPONENT_BASE + b for b in drawn]
+    held = {}  # block index -> the dimensions drawn there
+    for blocks in dims:
+        for b, dim in enumerate(blocks):
+            if dim != 1:
+                held.setdefault(b, set()).add(dim)
+    components = [0, 1] + [_BLOCK_COMPONENT_BASE + b for b in held]
 
-    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def chunk(lo: int, hi: int) -> list[np.ndarray]:
         alpha_words, probe_words, *block_words = chunk_seeds(root_seed, lo, hi, components)
-        batch = hi - lo
-        alpha = TWO_PI * pcg64_random(alpha_words, num_leaves - 1)
+        alpha = TWO_PI * pcg64_random(alpha_words, (1 << max(trees)) - 1)
         probe = TWO_PI * pcg64_random(probe_words, 1)[:, 0]
-        values = np.zeros((batch, num_leaves))
-        grad0 = np.zeros(batch)
-        for b, words in zip(drawn, block_words):
-            dim = dims[b]
-            if b == 0:
-                at, up, down = values_of(
-                    dim, words, np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))
-                )
-                values[:, 0] = at
-                grad0 = 0.5 * (up - down)
-            else:
-                values[:, b] = values_of(dim, words, None)[0]
-        theta = coeff_probabilities(alpha)[:, 0] * grad0
-        if probe_node is None:
-            return theta, np.empty(0)
-        jac_row = coeff_probability_gradients(alpha)[:, probe_node]
-        return theta, np.sum(jac_row * values, axis=-1)
+        shifted = np.stack((probe, probe + math.pi / 2, probe - math.pi / 2))
+        values = {}  # (block index, dimension) -> its rows of values
+        for (b, block_dims), words in zip(held.items(), block_words):
+            rows = values_of(sorted(block_dims), words, shifted if b == 0 else None)
+            values.update(((b, dim), v) for dim, v in rows.items())
+        stats = []
+        for blocks, t in zip(dims, trees):
+            tree = alpha[:, : (1 << t) - 1]
+            leaves = np.zeros((hi - lo, 1 << t))
+            for b, dim in enumerate(blocks):
+                if dim != 1:
+                    leaves[:, b] = values[b, dim][0]
+            _, up, down = values.get((0, blocks[0]), np.zeros(3))  # zero at a dimension-1 block 0
+            stats.append(coeff_probabilities(tree)[:, 0] * (0.5 * (up - down)))
+            stats.append(np.sum(coeff_probability_gradients(tree)[:, tree_node(t - 1)] * leaves,
+                                axis=-1) if t else np.empty(0))
+        return stats
 
-    theta_stats, alpha_stats = run_chunked(samples, chunk)
-    return GroupScanResult(
-        spectrum=spectrum,
-        mode=mode,
-        samples=samples,
-        seed=root_seed,
-        depth=depth,
-        theta_stats=theta_stats,
-        alpha_stats=alpha_stats if probe_node is not None else None,
-    )
+    stats = run_chunked(samples, chunk)
+    return [
+        GroupScanResult(spectrum=spectrum, mode=mode, samples=samples, seed=root_seed,
+                        depth=depth, theta_stats=theta_stats,
+                        alpha_stats=alpha_stats if t else None)
+        for spectrum, t, theta_stats, alpha_stats in zip(spectra, trees, stats[::2], stats[1::2])
+    ]

@@ -15,7 +15,6 @@ import pytest
 from lcqnn import (
     BlockSpectrum,
     fit_log2_slope,
-    group_block_variance,
     lcqnn_forward,
     make_model,
     run_variance_point,
@@ -23,6 +22,7 @@ from lcqnn import (
     z0_observable,
 )
 from lcqnn.cli import main
+from lcqnn.experiments import group_block_variances
 from lcqnn.gradients import TWO_PI, default_probe_param, probe_gradients
 from lcqnn.mnist import (
     classifier,
@@ -118,20 +118,18 @@ RATIO_SAMPLES = 20000
 @pytest.fixture(scope="module")
 def group_results_high():
     start = time.monotonic()
-    results = {
-        label: group_block_variance(spec, RATIO_SAMPLES, "haar", ROOT_SEED, depth=8)
-        for label, spec in GROUP_SPECTRA.items()
-    }
+    results = dict(zip(GROUP_SPECTRA, group_block_variances(
+        list(GROUP_SPECTRA.values()), RATIO_SAMPLES, "haar", ROOT_SEED, depth=8
+    )))
     assert time.monotonic() - start < 600.0
     return results
 
 
 @pytest.fixture(scope="module")
 def group_results_500():
-    return {
-        label: group_block_variance(spec, SAMPLES, "haar", ROOT_SEED, depth=8)
-        for label, spec in GROUP_SPECTRA.items()
-    }
+    return dict(zip(GROUP_SPECTRA, group_block_variances(
+        list(GROUP_SPECTRA.values()), SAMPLES, "haar", ROOT_SEED, depth=8
+    )))
 
 
 # ---------------------------------------------------------------------------

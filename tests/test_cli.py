@@ -416,7 +416,8 @@ def test_haar_group_scan_loads_numpy_random():
 
 def test_haar_group_scan_builds_generators_for_haar_blocks_only(capsys, monkeypatch):
     # a Generator per Haar block stream, for its normals, and none for the
-    # tree and probe angles: 64 samples x 2 blocks
+    # tree and probe angles: 64 samples x 2 blocks, which every spectrum of
+    # the run shares, so a second spectrum on the same block indexes adds none
     make = sim._pcg64_generator()
     built = []
 
@@ -425,11 +426,12 @@ def test_haar_group_scan_builds_generators_for_haar_blocks_only(capsys, monkeypa
         return make(words)
 
     monkeypatch.setattr(sim, "_pcg64_generator", lambda: counting)
-    code, _, _ = run_cli(
-        capsys, ["group-scan", "--mode", "haar", "--dims", "16:1,16:1", "--samples", "64"]
-    )
-    assert code == 0
-    assert len(built) == 128
+    for dims in (["16:1,16:1"], ["16:1,16:1", "32:1,32:1"]):
+        built.clear()
+        argv = ["group-scan", "--mode", "haar", "--samples", "64"]
+        code, _, _ = run_cli(capsys, argv + [arg for d in dims for arg in ("--dims", d)])
+        assert code == 0
+        assert len(built) == 128, dims
 
 
 def test_group_scan_usage_errors(capsys):

@@ -12,6 +12,7 @@ from lcqnn.experiments import (
     balanced_z_diag,
     fit_log2_slope,
     group_block_variance,
+    group_block_variances,
     run_variance_point,
     select_blocks,
     su2_block_dims,
@@ -264,12 +265,34 @@ def _group_scan_per_sample(spectrum, samples, mode, seed, depth):
 @pytest.mark.parametrize("mode", ["haar", "ansatz"])
 def test_group_scan_matches_per_sample_reference(mode):
     spectrum = BlockSpectrum(((3, 1), (2, 2), (1, 1), (5, 1), (4, 1)))
-    result = group_block_variance(spectrum, samples=70, mode=mode, root_seed=8, depth=2)
-    theta, alpha = _group_scan_per_sample(spectrum, 70, mode, 8, 2)
-    for stats, grads in ((result.theta_stats, theta), (result.alpha_stats, alpha)):
-        assert stats.count == 70
-        assert stats.mean == pytest.approx(grads.mean(), rel=0, abs=1e-12)
-        assert stats.variance == pytest.approx(grads.var(ddof=1), rel=0, abs=1e-12)
+    # scanned beside it, a spectrum with larger blocks at the same indexes:
+    # the first's blocks then read a prefix of each stream's draw for these
+    wider = BlockSpectrum(((8, 1), (3, 2), (1, 1), (9, 1)))
+    results = group_block_variances([spectrum, wider], samples=70, mode=mode, root_seed=8,
+                                    depth=2)
+    for spec, result in zip((spectrum, wider), results):
+        theta, alpha = _group_scan_per_sample(spec, 70, mode, 8, 2)
+        for stats, grads in ((result.theta_stats, theta), (result.alpha_stats, alpha)):
+            assert stats.count == 70
+            assert stats.mean == pytest.approx(grads.mean(), rel=0, abs=1e-12)
+            assert stats.variance == pytest.approx(grads.var(ddof=1), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["haar", "ansatz"])
+def test_lockstep_group_scan_equals_each_spectrum_alone(mode):
+    # block indexes shared at equal dimensions (4 at block 0) and at
+    # different ones: smaller and larger powers of two (2, 8, 16) and odd
+    # dimensions (3, 5, 7), a dimension-1 block beside drawn ones, and a
+    # single-block spectrum
+    spectra = [
+        BlockSpectrum(((4, 1), (3, 1), (1, 1), (8, 1))),
+        BlockSpectrum(((4, 1), (16, 1), (5, 1))),
+        BlockSpectrum(((2, 1),)),
+        BlockSpectrum(((1, 1), (2, 2), (7, 1), (2, 1), (3, 1))),
+    ]
+    together = group_block_variances(spectra, 300, mode, 6, depth=2)
+    assert together == [group_block_variance(s, 300, mode, 6, depth=2) for s in spectra]
+    assert together[2].alpha_stats is None
 
 
 def test_group_scan_is_bit_identical_under_any_amplitude_budget(monkeypatch):

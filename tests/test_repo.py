@@ -35,7 +35,7 @@ def test_benchmark_trace_hooks_install(tmp_path):
         (["variance-scan", "--samples", "2", "--n-list", "3", "--k-list", "3"],
          "gradients.estimate_grad_stats.chunk"),
         (["group-scan", "--dims", "4:1,4:1", "--samples", "2"],
-         "experiments.group_block_variance.chunk"),
+         "experiments.group_block_variances.chunk"),
     ):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "op.py"), str(report), "--trace", "--",
@@ -334,6 +334,59 @@ def test_cli_main_freezes_the_heap_once_per_process():
     first, second = map(int, _run_python(code).split())
     assert first > 0
     assert second == first
+
+
+#: top-level names of what a run may load beyond ``import numpy``: the
+#: package and the standard-library modules it imports
+RUN_MODULES = {"lcqnn", "__future__", "_json", "_locale", "argparse", "copy", "dataclasses",
+               "gc", "gettext", "gzip", "json", "locale", "shlex"}
+
+
+def _modules_beyond_numpy(statement: str) -> set:
+    """The modules a fresh interpreter loads in ``statement`` after ``import numpy``."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        f"    {statement}\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    return set(_run_python(code).split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance-scan", "--samples", "8"],
+        ["variance-layers", "--samples", "8", "--format", "json"],
+        ["group-scan", "--mode", "haar", "--dims", "3:1,5:1", "--dims", "8:1", "--samples", "8"],
+        ["group-scan", "--mode", "ansatz", "--dims", "3:1,5:1", "--depth", "2", "--samples", "8"],
+        ["grad-check", "--probes", "20"],
+        ["mnist", "--data-dir", "{data}", "--L-list", "1", "--D-list", "1", "--runs", "1",
+         "--epochs", "1", "--train-limit", "8", "--test-limit", "4"],
+    ],
+)
+def test_each_subcommand_loads_only_allowed_modules(argv, tmp_path):
+    # a module a run loads costs every fresh process its import time, which
+    # in-process timings never show (np.unique, for one, loads numpy.ma);
+    # numpy.random and what it imports are allowed only where Haar blocks
+    # draw normals
+    from test_mnist import pack_images, pack_labels, synthetic_split
+
+    for prefix, seed in (("train", 1), ("t10k", 2)):
+        images, labels = synthetic_split(2, digits=range(4), seed=seed)
+        (tmp_path / f"{prefix}-images-idx3-ubyte").write_bytes(pack_images(images))
+        (tmp_path / f"{prefix}-labels-idx1-ubyte").write_bytes(pack_labels(labels))
+    argv = [arg.format(data=tmp_path) for arg in argv]
+    loaded = _modules_beyond_numpy(f"assert __import__('lcqnn.cli').cli.main({argv!r}) == 0")
+    allowed = {m for m in loaded if m.partition(".")[0] in RUN_MODULES}
+    if "haar" in argv:
+        random = _modules_beyond_numpy("import numpy.random")
+        assert not any(m.partition(".")[::2] == ("numpy", "ma") for m in random)
+        allowed |= loaded & random
+    assert sorted(loaded - allowed) == []
 
 
 def _exit_finalizers(text: str) -> list:

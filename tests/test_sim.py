@@ -466,6 +466,17 @@ def test_chunk_generators_match_rng_stream(seed, lo, hi):
             np.testing.assert_array_equal(gen.random(3), ref.random(3))
 
 
+def test_chunk_generator_normals_of_a_smaller_draw_are_a_prefix():
+    # a Haar block stream draws its 2*D*D normals once for the largest
+    # dimension D at its block index, and a block of dimension d reads the
+    # first 2*d*d: the normals must come out in order, whatever the count
+    words = sim.chunk_seeds(3, 0, 4, [2])[0]
+    for d, D in ((2, 3), (5, 16), (16, 32)):
+        for small, large in zip(sim.chunk_generators(words), sim.chunk_generators(words)):
+            prefix = small.standard_normal(2 * d * d)
+            np.testing.assert_array_equal(large.standard_normal(2 * D * D)[: 2 * d * d], prefix)
+
+
 def test_pcg64_random_matches_generator_uniform():
     # the jump-ahead draws are the uniforms a per-stream Generator gives, bit
     # for bit, at any block boundary; scalar uint64 arithmetic that overflows
