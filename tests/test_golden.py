@@ -73,6 +73,13 @@ COMMANDS = {
         "group-scan", "--dims", "4:1,4:1", "--dims", "8:1,8:1", "--samples", "600",
         "--seed", "5",
     ],
+    # Haar blocks past one 256-sample pass: dimensions 256 and 100 fill one
+    # stream per pass, dimension 32 sixteen; the second sample block is
+    # ragged, and block 1 of the second spectrum has dimension 1
+    "group_scan_haar_large": [
+        "group-scan", "--mode", "haar", "--dims", "256:1,32:1", "--dims", "100:1,1:1,16:1",
+        "--samples", "260", "--seed", "5",
+    ],
     "group_scan_su2_ansatz_json_threads2": [
         "group-scan", "--su2-N", "4", "--select-j", "0,1", "--mode", "ansatz",
         "--depth", "3", "--samples", "80", "--seed", "5", "--format", "json",
