@@ -177,6 +177,8 @@ _BLOCK_COMPONENT_BASE = 2
 
 #: haar mode draws dense matrices; keep them small
 _HAAR_DIM_LIMIT = 256
+#: normals a pass of ``_haar_values`` buffers: 256 KB, or one stream's draw
+_HAAR_PASS_NORMALS = 1 << 15
 
 #: padded qubit registers in ansatz mode; d*mult may not exceed 2**12
 _BLOCK_DIM_LIMIT = 1 << 12
@@ -185,30 +187,33 @@ _BLOCK_DIM_LIMIT = 1 << 12
 def _haar_values(dims, words, angles) -> dict:
     """Block expectations under Haar unitaries of each dimension in
     ``dims``, keyed by dimension, from the Generator of each stream's seed
-    ``words`` (B, 4). Each stream draws once, for the largest dimension; a
-    stream yields its normals in order, so dimension d reads the first 2*d*d.
+    ``words`` (B, 4). Each stream draws once, for the largest dimension, into
+    a row of a pass of at most ``_HAAR_PASS_NORMALS`` normals (or one row);
+    it yields its normals in order, so dimension d reads the first 2*d*d.
 
     The probe is a rotation by ``angles[s, b]`` in the span of the first two
     basis states, applied before sample ``b``'s unitary; mode-invariant
     thanks to Haar left-invariance. ``angles`` has shape (k, B) and so has
-    each result; ``None`` is one row of zeros. Only the two columns the
-    probe reaches are orthonormalized.
+    each result; ``None`` is one row, read from column 0 alone. Only the
+    columns read are orthonormalized.
     """
     gens = chunk_generators(words)
-    top = max(dims)
-    normals = np.empty(2 * top * top)  # sim.ginibre's draws: real parts, then imaginary
-    kept = {dim: np.empty((2, len(gens), dim, 2)) for dim in dims}
-    for b, gen in enumerate(gens):
-        gen.standard_normal(out=normals)
-        for dim, pairs in kept.items():
-            pairs[:, b] = normals[: 2 * dim * dim].reshape(2, dim, dim)[:, :, :2]
-    if angles is None:
-        angles = np.zeros((1, len(gens)))
-    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    size = 2 * max(dims) ** 2  # sim.ginibre's draws: real parts, then imaginary
+    normals = np.empty((min(len(gens), max(1, _HAAR_PASS_NORMALS // size)), size))
+    width = 1 if angles is None else 2
+    kept = {dim: np.empty((len(gens), 2, dim, width)) for dim in dims}
+    for lo in range(0, len(gens), len(normals)):
+        part = normals[: len(gens) - lo]  # a ragged last pass fills its leading rows
+        for row, gen in zip(part, gens[lo:]):
+            gen.standard_normal(out=row)
+        for dim, cols in kept.items():
+            cols[lo : lo + len(part)] = part[:, : 2 * dim * dim].reshape(-1, 2, dim, dim)[..., :width]
+    if angles is not None:
+        c, s = np.cos(angles / 2.0)[..., None], np.sin(angles / 2.0)[..., None]
     values = {}
     for dim, pairs in kept.items():
-        cols = haar_columns((pairs[0] + 1j * pairs[1]) / math.sqrt(2.0))
-        psi = cols[..., 0] * c[..., None] + cols[..., 1] * s[..., None]
+        cols = haar_columns((pairs[:, 0] + 1j * pairs[:, 1]) / math.sqrt(2.0))
+        psi = cols[None, ..., 0] if angles is None else cols[..., 0] * c + cols[..., 1] * s
         values[dim] = diagonal_readout(balanced_z_diag(dim), psi)
     return values
 
@@ -287,11 +292,11 @@ def group_block_variances(
     """``[group_block_variance(s, ...) for s in spectra]``, bit for bit, in
     one pass over the sample blocks.
 
-    Every spectrum reads block ``b`` from the same stream, so each block of
-    samples seeds every stream once, draws the tree angles once for the
-    widest tree (a smaller tree reads their prefix) and the probe angle
-    once, and evaluates each (block, dimension) once, drawing each block
-    stream once, at the largest dimension any spectrum holds there.
+    Every spectrum reads block ``b`` from the same stream, so each sample
+    block seeds every stream once, draws the widest tree's angles (a smaller
+    tree reads their prefix) and the probe angle once, and evaluates each
+    (block, dimension) once. A Haar stream draws once, at the largest
+    dimension held there, and only the probed block 0 keeps two columns.
     """
     for spectrum in spectra:
         check_spectrum(spectrum, mode)

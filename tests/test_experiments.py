@@ -1,11 +1,13 @@
 """Variance scans, block spectra, and group-symmetric cost statistics."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lcqnn import sim
+from lcqnn import experiments, sim
 from lcqnn.errors import ArchitectureError, CapacityError, LcqnnError
 from lcqnn.experiments import (
     BlockSpectrum,
@@ -302,6 +304,45 @@ def test_group_scan_is_bit_identical_under_any_amplitude_budget(monkeypatch):
         monkeypatch.setattr(sim, "BATCH_AMPLITUDES", budget)
         rows = group_block_variance(spectrum, samples=70, mode="ansatz", root_seed=4, depth=2)
         assert rows == reference
+
+
+# the spectra of tests/golden/group_scan_haar_large.json: dimensions 256 and
+# 100 draw one stream per pass, 32 sixteen and 16 sixty-four
+_LARGE_HAAR = [BlockSpectrum(((256, 1), (32, 1))), BlockSpectrum(((100, 1), (1, 1), (16, 1)))]
+
+
+def test_haar_scan_is_bit_identical_under_any_pass_budget(monkeypatch):
+    reference = group_block_variances(_LARGE_HAAR, 260, "haar", 5, depth=8)
+    # one stream per pass; three 32-dimension or twelve 16-dimension streams,
+    # which leave a ragged last pass in each block; the whole block at once
+    for budget in (1, 3 << 11, 1 << 40):
+        monkeypatch.setattr(experiments, "_HAAR_PASS_NORMALS", budget)
+        rows = group_block_variances(_LARGE_HAAR, 260, "haar", 5, depth=8)
+        for row, ref in zip(rows, reference):
+            for stats, ref_stats in ((row.theta_stats, ref.theta_stats),
+                                     (row.alpha_stats, ref.alpha_stats)):
+                assert dataclasses.astuple(stats) == dataclasses.astuple(ref_stats), budget
+
+
+@pytest.mark.parametrize("dims, probe, parent_mib", [([256], False, 9.34),
+                                                     ([100, 256], True, 13.28)])
+def test_haar_values_peak_memory_is_bounded(dims, probe, parent_mib):
+    # one 256-stream call at dimension 256: the draws' buffer holds one
+    # stream (1 MiB), never a block of them; the bound is the peak of the
+    # former one-stream 1-D buffer with 5 % slack
+    words = sim.chunk_seeds(5, 0, 256, [2])[0]
+    angles = None
+    if probe:
+        theta = TWO_PI * sim.pcg64_random(sim.chunk_seeds(5, 0, 256, [1])[0], 1)[:, 0]
+        angles = np.stack((theta, theta + math.pi / 2, theta - math.pi / 2))
+    experiments._haar_values([2], words[:1], None)  # load numpy.random outside the trace
+    tracemalloc.start()
+    try:
+        experiments._haar_values(dims, words, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * parent_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_group_scan_validation():

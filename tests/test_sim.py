@@ -378,6 +378,18 @@ def test_haar_columns_match_full_unitary():
             np.testing.assert_allclose(part, full[:, :2], rtol=0, atol=1e-14)
 
 
+def test_haar_first_column_is_bit_identical_with_or_without_the_second():
+    # the Haar scan orthonormalizes one column wherever no probe reads two;
+    # LAPACK's Householder QR builds column 0 from Ginibre column 0 alone
+    for dim in (2, 3, 16, 32, 100, 256):
+        gen = RngStream(41, dim).generator()
+        z = np.stack([sim.ginibre(dim, gen) for _ in range(3)])
+        one = sim.haar_columns(z[..., :1])
+        two = sim.haar_columns(z[..., :2])
+        assert one.shape == (3, dim, 1)
+        assert np.array_equal(one[..., 0], two[..., 0]), dim
+
+
 def test_haar_moments_dim8():
     # For Haar U and traceless O: E <0|U'OU|0> = 0, Var = Tr(O^2)/(d(d+1)).
     dim, samples = 8, 20000
