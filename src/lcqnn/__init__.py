@@ -38,7 +38,6 @@ from .gradients import (
 )
 from .model import (
     LcqnnModel,
-    LocalBlockSpec,
     branch_angles,
     branch_gates,
     coeff_probabilities,

@@ -44,7 +44,7 @@ from .mnist import (
     load_dataset,
     run_accuracy_grid,
 )
-from .model import make_model
+from .model import LcqnnModel
 from .sim import PauliZSum, Pcg64Stream
 
 GRAD_CHECK_TOLERANCE = 1e-5
@@ -104,12 +104,12 @@ def _check_common(args) -> None:
 
 
 def _scan_point(args, obs: PauliZSum, L: int, k: int):
-    """A checked scan point ``(model, k, obs, param_id)`` on ``obs``' register:
+    """A checked scan probe ``(model, obs, param_id)`` on ``obs``' register:
     its probe is ``--param-id``, or by default branch 0's first rotation."""
-    model = make_model(args.m, obs.num_qubits, L, k, args.depth)
+    model = LcqnnModel(args.m, obs.num_qubits, L, k, args.depth)
     param_id = default_probe_param(model) if args.param_id is None else args.param_id
     check_param_id(model, param_id)
-    return model, k, obs, param_id
+    return model, obs, param_id
 
 
 def _config(args, flags, **normalised) -> dict:
@@ -125,13 +125,14 @@ def _config(args, flags, **normalised) -> dict:
 
 def cmd_variance_scan(args) -> int:
     _check_common(args)
-    points = [_scan_point(args, _observable_for(args.obs, n), args.L, k)
+    probes = [_scan_point(args, _observable_for(args.obs, n), args.L, k)
               for k in args.k_list for n in args.n_list]
     config = _config(args, ("m", "L", "k_list", "n_list", "depth", "samples", "seed", "obs",
-                            "param_id", "format", "threads"), obs=points[0][2].describe())
-    for model, k, _, _ in points:
-        _progress(f"variance-scan: k={k} n={model.num_working} ({args.samples} samples)")
-    records = run_variance_point(points, args.samples, args.seed)
+                            "param_id", "format", "threads"), obs=probes[0][1].describe())
+    for model, _, _ in probes:
+        _progress(f"variance-scan: k={model.locality} n={model.num_working} "
+                  f"({args.samples} samples)")
+    records = run_variance_point(probes, args.samples, args.seed)
     _emit_scan(args, "variance-scan", config, records)
     return 0
 
@@ -147,9 +148,9 @@ def cmd_variance_layers(args) -> int:
     obs = _observable_for(args.obs, args.n)
     config = _config(args, ("m", "n", "k", "depth", "L_list", "samples", "seed", "obs",
                             "param_id", "format", "threads"), obs=obs.describe())
-    points = [_scan_point(args, obs, L, args.k) for L in args.L_list]
+    probes = [_scan_point(args, obs, L, args.k) for L in args.L_list]
     _progress(f"variance-layers: L in {list(args.L_list)} ({args.samples} samples each)")
-    records = run_variance_point(points, args.samples, args.seed)
+    records = run_variance_point(probes, args.samples, args.seed)
     summary = reporting.layers_summary(records)
     slope = summary["log2_slope_vs_log2_L"]
     _progress(f"variance-layers: slope {'n/a' if slope is None else f'{slope:+.4f}'}")
@@ -283,7 +284,7 @@ def _grad_check_results(rng, probes: int, shift_scale: float):
             t = int(rng.integers(0, m + 1))
             registers = circuits.setdefault((n, k, D), {})
             if t not in registers:
-                registers[t] = make_model(t, n, 1 << t, k, D), []
+                registers[t] = LcqnnModel(t, n, 1 << t, k, D), []
             model, entries = registers[t]
             flat = sample_params(model, rng)
             param_id = int(rng.integers(0, num_params(model)))

@@ -1,9 +1,9 @@
 """Trainability experiments: gradient-variance scans over register size,
 branch count, and block-structured mixtures of group-symmetric costs.
 
-All scans estimate the mean and variance of a single probe parameter's
-gradient over uniform angle draws and return plain records ready for CSV/JSON
-emission.
+Each scan estimates the mean and variance of probe gradients over uniform
+angle draws (a variance scan's probe per point, a group scan's theta and alpha
+per spectrum) and returns plain records ready for CSV/JSON emission.
 """
 
 from __future__ import annotations
@@ -68,18 +68,17 @@ class ScanRecord:
     stderr: float
 
 
-def run_variance_point(points, samples: int, root_seed: int) -> list[ScanRecord]:
-    """Estimate every ``(model, k, obs, param_id)`` point of one scan, each
-    recorded with the locality ``k`` its model was built with, in one
-    lockstep ``estimate_grad_stats`` call."""
-    probes = [(model, obs, param_id) for model, _, obs, param_id in points]
+def run_variance_point(probes, samples: int, root_seed: int) -> list[ScanRecord]:
+    """Estimate every ``(model, obs, param_id)`` probe of one scan, each
+    recorded with its model's locality as ``k``, in one lockstep
+    ``estimate_grad_stats`` call."""
     return [
-        ScanRecord(m=model.num_controls, n=model.num_working, L=model.branch_count, k=k,
-                   D=model.depth, observable=obs.describe(), param_id=param_id,
-                   samples=samples, seed=root_seed, mean=stats.mean,
+        ScanRecord(m=model.num_controls, n=model.num_working, L=model.branch_count,
+                   k=model.locality, D=model.depth, observable=obs.describe(),
+                   param_id=param_id, samples=samples, seed=root_seed, mean=stats.mean,
                    variance=stats.variance, stderr=stats.stderr)
-        for (model, k, obs, param_id), stats in zip(
-            points, gradients.estimate_grad_stats(probes, samples, root_seed)
+        for (model, obs, param_id), stats in zip(
+            probes, gradients.estimate_grad_stats(probes, samples, root_seed)
         )
     ]
 

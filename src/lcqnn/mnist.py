@@ -30,7 +30,7 @@ from .gradients import (
     num_params,
     split_params,
 )
-from .model import LcqnnModel, branch_sweep, coeff_probabilities, make_model, tree_angles
+from .model import LcqnnModel, branch_sweep, coeff_probabilities, tree_angles
 from .sim import (
     PauliZSum,
     Pcg64Stream,
@@ -343,7 +343,7 @@ CLASSIFIER_SHAPE = (2, 4, 2)
 def classifier(L: int, D: int) -> LcqnnModel:
     """The classifier model with L branches of depth D: one grid cell."""
     m, n, k = CLASSIFIER_SHAPE
-    return make_model(m, n, L, k, D)
+    return LcqnnModel(m, n, L, k, D)
 
 
 @dataclass(frozen=True)

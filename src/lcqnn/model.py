@@ -139,12 +139,6 @@ class LocalBlockSpec:
     qubits: tuple[int, ...]
     depth: int
 
-    def __post_init__(self):
-        if not self.qubits:
-            raise ArchitectureError("a block group needs at least one qubit")
-        if self.depth < 0:
-            raise ArchitectureError("block depth must be non-negative")
-
     @property
     def param_count(self) -> int:
         return 3 * len(self.qubits) * self.depth
@@ -169,13 +163,31 @@ def default_groups(num_working: int, locality: int) -> tuple[tuple[int, ...], ..
 
 @dataclass(frozen=True)
 class LcqnnModel:
-    """Architecture: control width, working width, branch count, block layout."""
+    """A checked architecture (m, n, L, k, D): control width, working width,
+    branch count, block locality and depth. Every construction, through
+    ``make_model`` or ``dataclasses.replace`` too, runs the checks below; the
+    block groups are derived from (n, k, D), never stored."""
 
     num_controls: int
     num_working: int
     branch_count: int
+    locality: int
     depth: int
-    groups: tuple[LocalBlockSpec, ...]
+
+    def __post_init__(self):
+        m, n, L = self.num_controls, self.num_working, self.branch_count
+        if n < 1:
+            raise ArchitectureError("working register needs at least one qubit")
+        if self.depth < 0:
+            raise ArchitectureError("depth must be non-negative")
+        if m < 0:
+            raise ArchitectureError("control register size must be non-negative")
+        if L < 1 or (L & (L - 1)) != 0:
+            raise ArchitectureError(f"branch_count must be a power of two, got {L}")
+        if L > (1 << m):
+            raise ArchitectureError(f"branch_count {L} does not fit {m} control qubit(s)")
+        if self.locality < 1:
+            raise ArchitectureError(f"locality must be >= 1, got {self.locality}")
 
     @property
     def tree_depth(self) -> int:
@@ -186,35 +198,22 @@ class LcqnnModel:
         return self.branch_count - 1
 
     @cached_property
+    def groups(self) -> tuple[LocalBlockSpec, ...]:
+        """The block groups of one branch, in slot order."""
+        chunks = default_groups(self.num_working, self.locality)
+        return tuple(LocalBlockSpec(qubits, self.depth) for qubits in chunks)
+
+    @property
     def branch_param_count(self) -> int:
-        return sum(g.param_count for g in self.groups)
+        """Angles per branch: the groups partition the register, 3 per qubit and layer."""
+        return 3 * self.num_working * self.depth
 
 
-def make_model(
-    num_controls: int,
-    num_working: int,
-    branch_count: int,
-    locality: int,
-    depth: int,
-) -> LcqnnModel:
-    """Build and validate a model whose groups are ``default_groups``."""
-    if num_working < 1:
-        raise ArchitectureError("working register needs at least one qubit")
-    if depth < 0:
-        raise ArchitectureError("depth must be non-negative")
-    m, L = num_controls, branch_count
-    if m < 0:
-        raise ArchitectureError("control register size must be non-negative")
-    if L < 1 or (L & (L - 1)) != 0:
-        raise ArchitectureError(f"branch_count must be a power of two, got {L}")
-    if L > (1 << m):
-        raise ArchitectureError(f"branch_count {L} does not fit {m} control qubit(s)")
-    specs = tuple(LocalBlockSpec(g, depth) for g in default_groups(num_working, locality))
-    return LcqnnModel(num_controls, num_working, branch_count, depth, specs)
+make_model = LcqnnModel  # the checked model, by its older name
 
 
 def theta_layout_size(model: LcqnnModel) -> int:
-    """Flat branch-parameter count: branch_count * sum over groups of 3*size*depth."""
+    """Flat branch-parameter count: branch_count * 3 * n * D."""
     return model.branch_count * model.branch_param_count
 
 

@@ -23,11 +23,10 @@ def ry(phi):
 
 
 def embed_1q(mat, qubit, n):
-    """Embed a one-qubit matrix; qubit 0 is the leftmost kron factor (MSB)."""
-    out = np.eye(1, dtype=complex)
-    for q in range(n):
-        out = np.kron(out, mat if q == qubit else np.eye(2, dtype=complex))
-    return out
+    """Embed a one-qubit matrix; qubit 0 is the leftmost kron factor (MSB):
+    the kron product I ⊗ mat ⊗ I, in one einsum."""
+    above, below = np.eye(1 << qubit, dtype=complex), np.eye(1 << (n - 1 - qubit), dtype=complex)
+    return np.einsum("ab,ij,kl->aikbjl", above, mat, below).reshape(1 << n, 1 << n)
 
 
 def dense_gate(op, params, n):
@@ -102,6 +101,21 @@ def dense_cost(model, alpha, theta, observable, state_in=None):
         psi = dense_circuit(branch_gates(model), blocks[row >> idle], n) @ psi_in
         value += abs(amp) ** 2 * (psi.conj() @ observable @ psi).real
     return value
+
+
+def dense_shift_grad(model, flat, observable, pid):
+    """The two-point shift rule of flat parameter ``pid`` (tree angles
+    first, then the branch blocks) on ``dense_cost``. A tree angle ``a``
+    enters as a rotation by ``2a``, so its shift is pi/4 with unit
+    prefactor; a branch angle's is pi/2 with prefactor 1/2."""
+    shift, prefactor = (np.pi / 4, 1.0) if pid < model.num_alpha else (np.pi / 2, 0.5)
+    values = []
+    for step in (shift, -shift):
+        point = np.array(flat, dtype=float)
+        point[pid] += step
+        alpha, theta = point[: model.num_alpha], point[model.num_alpha :]
+        values.append(dense_cost(model, alpha, theta, observable))
+    return prefactor * (values[0] - values[1])
 
 
 def random_state(n, rng):

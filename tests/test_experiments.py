@@ -103,7 +103,7 @@ def _point(m, n, L, k, D, samples, root_seed):
     """run_variance_point with the CLI's default observable and probe."""
     model = make_model(m, n, L, k, D)
     return run_variance_point(
-        [(model, k, z0_observable(n), default_probe_param(model))], samples, root_seed
+        [(model, z0_observable(n), default_probe_param(model))], samples, root_seed
     )[0]
 
 
@@ -150,7 +150,7 @@ def test_fit_log2_slope():
 
 def test_custom_observable_flows_into_record():
     for obs, name in ((z0_observable(2), "Z0"), (sim.PauliZSum([(1.0, (1,))], num_qubits=2), "Z1")):
-        rec, = run_variance_point([(make_model(1, 2, 2, 2, 1), 2, obs, 1)], 10, 1)
+        rec, = run_variance_point([(make_model(1, 2, 2, 2, 1), obs, 1)], 10, 1)
         assert rec.observable == name
 
 

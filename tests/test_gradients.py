@@ -276,6 +276,9 @@ def test_grad_full_matches_shift_rule_everywhere():
         [param_shift_grad(model, flat, obs, pid) for pid in range(num_params(model))]
     )
     np.testing.assert_allclose(full, shifts, atol=1e-9)
+    observable = oracles.dense_observable(obs, 2)
+    dense = [oracles.dense_shift_grad(model, flat, observable, pid) for pid in range(len(full))]
+    np.testing.assert_allclose(full, dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("L", [1, 2, 4])
@@ -417,23 +420,30 @@ def test_run_chunked_folds_each_statistic_per_range_in_order():
         gradients.run_chunked(0, chunk)
 
 
+def _shift_loop(model, obs, pid, seed, samples):
+    """Per-sample shift-rule gradients of the documented draws, twice: from
+    the full-register ``param_shift_grad`` and from the dense oracle."""
+    observable = oracles.dense_observable(obs, model.num_working)
+    flats = [np.concatenate(sample_param_draw(model, seed, i)) for i in range(samples)]
+    return (
+        np.array([param_shift_grad(model, flat, obs, pid) for flat in flats]),
+        np.array([oracles.dense_shift_grad(model, flat, observable, pid) for flat in flats]),
+    )
+
+
 def test_estimate_matches_explicit_shift_loop():
     # the estimator must reproduce a hand-rolled loop over the documented
-    # per-sample streams, with gradients from the full-register shift rule.
+    # per-sample streams, with gradients from the full-register shift rule
+    # and from the dense oracle.
     model = make_model(2, 2, 4, 2, 1)
     obs = _z0(2)
     pid = default_probe_param(model)
     seed, samples = 424242, 12
     stats = estimate_grad_stats([(model, obs, pid)], samples, seed)[0]
-
-    manual = []
-    for i in range(samples):
-        alpha, theta = sample_param_draw(model, seed, i)
-        manual.append(param_shift_grad(model, np.concatenate((alpha, theta)), obs, pid))
-    manual = np.asarray(manual)
     assert stats.count == samples
-    assert stats.mean == pytest.approx(manual.mean(), abs=1e-12)
-    assert stats.variance == pytest.approx(manual.var(ddof=1), abs=1e-12)
+    for manual in _shift_loop(model, obs, pid, seed, samples):
+        assert stats.mean == pytest.approx(manual.mean(), abs=1e-12)
+        assert stats.variance == pytest.approx(manual.var(ddof=1), abs=1e-12)
 
 
 def test_estimate_alpha_probe_matches_shift_loop():
@@ -441,12 +451,9 @@ def test_estimate_alpha_probe_matches_shift_loop():
     obs = Z0_1
     pid = tree_node(model.tree_depth - 1)
     stats = estimate_grad_stats([(model, obs, pid)], 10, 7)[0]
-    manual = []
-    for i in range(10):
-        alpha, theta = sample_param_draw(model, 7, i)
-        manual.append(param_shift_grad(model, np.concatenate((alpha, theta)), obs, pid))
-    assert stats.mean == pytest.approx(np.mean(manual), abs=1e-12)
-    assert stats.variance == pytest.approx(np.var(manual, ddof=1), abs=1e-12)
+    for manual in _shift_loop(model, obs, pid, 7, 10):
+        assert stats.mean == pytest.approx(np.mean(manual), abs=1e-12)
+        assert stats.variance == pytest.approx(np.var(manual, ddof=1), abs=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 4, 2, 1), (0, 2, 1, 2, 2)])
@@ -651,14 +658,6 @@ def test_sample_draws_are_paired_across_models():
     np.testing.assert_array_equal(t_small[:3], t_large[:3])
 
 
-def _shift_loop(model, obs, pid, seed, samples):
-    """Per-sample full-register shift-rule gradients of the documented draws."""
-    return np.array([
-        param_shift_grad(model, np.concatenate(sample_param_draw(model, seed, i)), obs, pid)
-        for i in range(samples)
-    ])
-
-
 @pytest.mark.parametrize("samples", [65, 130])
 def test_estimate_tail_chunks_match_shift_loop(samples):
     # 65 and 130 samples end in a 1- and a 2-sample chunk
@@ -666,10 +665,10 @@ def test_estimate_tail_chunks_match_shift_loop(samples):
     obs = PauliZSum([(1.0, (0,)), (-0.5, (0, 1))], num_qubits=2)
     for pid in (default_probe_param(model) + 4, tree_node(model.tree_depth - 1)):
         stats = estimate_grad_stats([(model, obs, pid)], samples, 5)[0]
-        manual = _shift_loop(model, obs, pid, 5, samples)
         assert stats.count == samples
-        assert stats.mean == pytest.approx(manual.mean(), rel=0, abs=1e-12)
-        assert stats.variance == pytest.approx(manual.var(ddof=1), rel=0, abs=1e-12)
+        for manual in _shift_loop(model, obs, pid, 5, samples):
+            assert stats.mean == pytest.approx(manual.mean(), rel=0, abs=1e-12)
+            assert stats.variance == pytest.approx(manual.var(ddof=1), rel=0, abs=1e-12)
 
 
 def test_probe_gradients_match_shift_rule():
@@ -677,8 +676,8 @@ def test_probe_gradients_match_shift_rule():
     obs = _z0(3)
     for pid in (0, 2, model.num_alpha, model.num_alpha + 2 * model.branch_param_count + 5):
         grads = probe_gradients([(model, obs, pid)], 9, 3, 10)[0]
-        manual = _shift_loop(model, obs, pid, 9, 10)[3:]
-        np.testing.assert_allclose(grads, manual, rtol=0, atol=1e-12)
+        for manual in _shift_loop(model, obs, pid, 9, 10):
+            np.testing.assert_allclose(grads, manual[3:], rtol=0, atol=1e-12)
 
 
 def test_probe_gradients_split_invariance():
@@ -709,20 +708,6 @@ def test_estimate_is_bit_identical_under_any_amplitude_budget(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # light cone against the full register and a dense oracle
-
-def _dense_cost(model, flat, observable):
-    return oracles.dense_cost(model, *split_params(model, flat), observable)
-
-
-def _dense_shift_grad(model, flat, observable, pid):
-    shift, prefactor = (math.pi / 4, 1.0) if pid < model.num_alpha else (math.pi / 2, 0.5)
-    up, down = flat.copy(), flat.copy()
-    up[pid] += shift
-    down[pid] -= shift
-    return prefactor * (
-        _dense_cost(model, up, observable) - _dense_cost(model, down, observable)
-    )
-
 
 @pytest.mark.parametrize("shape", [(2, 5, 4, 2, 1), (1, 4, 2, 1, 2), (2, 6, 2, 3, 1)])
 def test_probe_gradients_light_cone_matches_full_register_and_dense_oracle(shape):
@@ -756,4 +741,4 @@ def test_probe_gradients_light_cone_matches_full_register_and_dense_oracle(shape
                 assert grads.tolist() == [0.0] * (hi - lo)
             for grad, flat in zip(grads, draws):
                 assert abs(grad - param_shift_grad(model, flat, obs, pid)) <= 1e-12
-                assert abs(grad - _dense_shift_grad(model, flat, observable, pid)) <= 1e-12
+                assert abs(grad - oracles.dense_shift_grad(model, flat, observable, pid)) <= 1e-12

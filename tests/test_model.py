@@ -1,7 +1,10 @@
 """Coefficient tree, branch blocks, full-circuit forward pass and cost."""
 
+import dataclasses
 import math
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +17,11 @@ from oracles import (
     random_state,
 )
 
+from lcqnn import mnist, sim
 from lcqnn import model as model_module
-from lcqnn import sim
 from lcqnn.errors import ArchitectureError, CapacityError, LcqnnError
 from lcqnn.model import (
+    LcqnnModel,
     branch_angles,
     branch_gates,
     coeff_probabilities,
@@ -30,6 +34,7 @@ from lcqnn.model import (
     lcqnn_forward,
     light_cone,
     make_model,
+    shared_branch_gates,
     theta_layout_size,
     tree_angles,
     tree_node,
@@ -177,6 +182,55 @@ def test_make_model_validation():
         make_model(2, 0, 4, 2, 1)
     with pytest.raises(ArchitectureError):
         make_model(2, 4, 4, 2, -1)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((1, 0, 2, 1, 1), "working register needs at least one qubit"),
+    ((1, 2, 2, 1, -1), "depth must be non-negative"),
+    ((-1, 2, 1, 1, 1), "control register size must be non-negative"),
+    ((2, 2, 3, 1, 1), "branch_count must be a power of two, got 3"),
+    ((2, 2, 0, 1, 1), "branch_count must be a power of two, got 0"),
+    ((1, 2, 4, 1, 1), "branch_count 4 does not fit 1 control qubit(s)"),
+    ((1, 2, 2, 0, 1), "locality must be >= 1, got 0"),
+    # with several bad fields, the first check in this order wins
+    ((-1, 0, 3, 0, -1), "working register needs at least one qubit"),
+    ((-1, 2, 3, 0, -1), "depth must be non-negative"),
+    ((-1, 2, 3, 0, 1), "control register size must be non-negative"),
+    ((1, 2, 3, 0, 1), "branch_count must be a power of two, got 3"),
+    ((1, 2, 4, 0, 1), "branch_count 4 does not fit 1 control qubit(s)"),
+])
+def test_every_construction_checks_each_field_in_order(fields, message):
+    # the constructor, make_model and dataclasses.replace run one set of
+    # checks, in this order
+    names = [field.name for field in dataclasses.fields(LcqnnModel)]
+    assert names == ["num_controls", "num_working", "branch_count", "locality", "depth"]
+    for build in (
+        lambda: LcqnnModel(*fields),
+        lambda: make_model(*fields),
+        lambda: dataclasses.replace(LcqnnModel(1, 2, 2, 1, 1), **dict(zip(names, fields))),
+    ):
+        with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_model_stores_its_shape_and_derives_its_groups():
+    with pytest.raises(ArchitectureError, match="power of two, got 3"):
+        LcqnnModel(1, 2, 3, 2, 5)
+    with pytest.raises(ArchitectureError, match="power of two, got 3"):
+        dataclasses.replace(make_model(2, 3, 4, 3, 2), branch_count=3)
+    assert make_model is LcqnnModel
+    model = make_model(2, 5, 4, 2, 3)
+    assert [(g.qubits, g.depth) for g in model.groups] == [((0, 1), 3), ((2, 3), 3), ((4,), 3)]
+    assert model.branch_param_count == sum(g.param_count for g in model.groups) == 45
+    # a locality of n or more is one global group, as k = n: one branch
+    # circuit and one MNIST lockstep group
+    wide, exact = make_model(3, 3, 8, 5, 3), make_model(3, 3, 8, 3, 3)
+    assert wide != exact
+    assert wide.groups == exact.groups
+    assert branch_gates(wide) == branch_gates(exact)
+    assert shared_branch_gates([wide, exact]) == branch_gates(exact)
+    runs = [SimpleNamespace(model=wide), SimpleNamespace(model=exact)]
+    assert mnist._lockstep_groups(runs, 1) == [runs]
 
 
 def test_theta_layout_size_examples():

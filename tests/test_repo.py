@@ -1,6 +1,7 @@
-"""Checks on the files around the package: the README's example, the
-benchmark's trace hooks, the committed BENCH files, the version each file
-records, what importing the CLI loads and what its first run freezes."""
+"""Checks on the files around the package: the README's example and module
+table, the benchmark's trace hooks, the committed BENCH files, the version
+each file records, what importing the CLI loads and what its first run
+freezes."""
 
 import ast
 import importlib.util
@@ -23,6 +24,15 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_layout_has_one_row_per_module():
+    # a module added to or deleted from src/lcqnn without its Layout row fails
+    layout = (ROOT / "README.md").read_text().split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(lcqnn\.\w+)` \|", layout, re.M)
+    modules = [f"lcqnn.{path.stem}" for path in (ROOT / "src" / "lcqnn").glob("*.py")
+               if path.name != "__init__.py"]
+    assert sorted(rows) == sorted(modules + ["lcqnn.schemas"])
 
 
 def test_benchmark_trace_hooks_install(tmp_path):
